@@ -119,7 +119,7 @@ func TestDefsRun(t *testing.T) {
 
 func TestDefNamesAreStable(t *testing.T) {
 	want := []string{"em-enumeration", "sam-multichain", "measure-full",
-		"predictor-evaluate-hit", "cache-evaluate-hit", "store-key"}
+		"predictor-evaluate-hit", "cache-evaluate-hit", "store-key", "model-training"}
 	defs := Defs()
 	if len(defs) < len(want) {
 		t.Fatalf("tracked set shrank: %d < %d", len(defs), len(want))

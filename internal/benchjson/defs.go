@@ -17,6 +17,7 @@ import (
 	"hetopt/internal/dna"
 	"hetopt/internal/graph"
 	"hetopt/internal/machine"
+	"hetopt/internal/ml"
 	"hetopt/internal/offload"
 	"hetopt/internal/scenario"
 	"hetopt/internal/search"
@@ -40,9 +41,14 @@ type benchState struct {
 	platform *offload.Platform
 	schema   *space.Schema
 	workload offload.Workload
-	pred     *core.Predictor
-	err      error
+	// hostData and devData are the paper plan's generated training sets.
+	hostData, devData *ml.Dataset
+	pred              *core.Predictor
+	err               error
 }
+
+// trainOptions are the options every fixture model is trained with.
+var trainOptions = core.TrainOptions{SplitSeed: 7}
 
 var (
 	stateOnce sync.Once
@@ -55,7 +61,14 @@ func fixtures(b *testing.B) *benchState {
 		state.platform = offload.NewPlatform()
 		state.schema = space.PaperSchema()
 		state.workload = offload.GenomeWorkload(dna.Human)
-		models, err := core.Train(state.platform, core.PaperTrainingPlan(), core.TrainOptions{SplitSeed: 7})
+		plan := core.PaperTrainingPlan()
+		if state.hostData, state.err = core.GenerateHostData(state.platform, plan); state.err != nil {
+			return
+		}
+		if state.devData, state.err = core.GenerateDeviceData(state.platform, plan); state.err != nil {
+			return
+		}
+		models, err := core.TrainOnData(state.hostData, state.devData, trainOptions)
 		if err != nil {
 			state.err = err
 			return
@@ -93,6 +106,21 @@ func Defs() []Def {
 		{Name: "ring-lookup", Bench: benchRingLookup},
 		{Name: "local-warm-hit-http", Bench: benchLocalWarmHitHTTP},
 		{Name: "forward-warm-hit", Bench: benchForwardWarmHit},
+		{Name: "model-training", Bench: benchModelTraining},
+	}
+}
+
+// benchModelTraining is the set-up cost of every ML method: both
+// default boosted-tree models of the paper plan (Figure 4), fitted on
+// data generated once outside the timed region.
+func benchModelTraining(b *testing.B) {
+	st := fixtures(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.TrainOnData(st.hostData, st.devData, trainOptions); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -319,18 +319,20 @@ func trainSide(data *ml.Dataset, opt TrainOptions) (ml.Regressor, *ml.Normalizer
 	if err != nil {
 		return nil, nil, SideReport{}, err
 	}
-	eval, err := ml.Evaluate(reg, testN)
+	preds := make([]float64, testN.Len())
+	for i, row := range testN.X {
+		preds[i] = reg.Predict(row)
+	}
+	eval, err := ml.EvaluatePredictions(testN, preds)
 	if err != nil {
 		return nil, nil, SideReport{}, err
 	}
 	report := SideReport{
-		Eval:   eval,
-		Test:   test,
-		TrainN: train.Len(),
-		TestN:  test.Len(),
-	}
-	for _, row := range testN.X {
-		report.Predictions = append(report.Predictions, reg.Predict(row))
+		Eval:        eval,
+		Test:        test,
+		Predictions: preds,
+		TrainN:      train.Len(),
+		TestN:       test.Len(),
 	}
 	return reg, norm, report, nil
 }

@@ -61,6 +61,15 @@ type BoostedTrees struct {
 // NumTrees returns the number of boosting stages fitted.
 func (b *BoostedTrees) NumTrees() int { return len(b.trees) }
 
+// NumNodes returns the node count summed over all trees (diagnostics).
+func (b *BoostedTrees) NumNodes() int {
+	n := 0
+	for _, t := range b.trees {
+		n += t.NumNodes()
+	}
+	return n
+}
+
 // Predict implements Regressor.
 func (b *BoostedTrees) Predict(x []float64) float64 {
 	out := b.base
@@ -90,6 +99,9 @@ func FitBoostedTrees(d *Dataset, opt BoostOptions) (*BoostedTrees, error) {
 	if opt.Subsample <= 0 || opt.Subsample > 1 {
 		return nil, fmt.Errorf("ml: subsample fraction %g outside (0,1]", opt.Subsample)
 	}
+	if opt.Tree.MaxDepth < 0 || opt.Tree.MinLeaf < 1 {
+		return nil, fmt.Errorf("ml: invalid tree options %+v", opt.Tree)
+	}
 
 	n := d.Len()
 	base := 0.0
@@ -104,34 +116,35 @@ func FitBoostedTrees(d *Dataset, opt BoostOptions) (*BoostedTrees, error) {
 		pred[i] = base
 	}
 	residual := make([]float64, n)
+	// step[i] is the new tree's output on row i: the leaf value build
+	// recorded for fitted rows, tree.Predict for the rows left out.
+	step := make([]float64, n)
+	builder := newTreeBuilder(d.X, residual, opt.Tree)
 	rng := rand.New(rand.NewSource(opt.Seed))
 
 	for round := 0; round < opt.Rounds; round++ {
 		for i := range residual {
 			residual[i] = d.Y[i] - pred[i]
 		}
-		fitData := d
-		fitResidual := residual
+		var fitRows, restRows []int
 		if opt.Subsample < 1 {
 			m := int(float64(n) * opt.Subsample)
 			if m < 1 {
 				m = 1
 			}
-			idx := rng.Perm(n)[:m]
-			fitData = d.Subset(idx)
-			fitResidual = make([]float64, m)
-			for k, i := range idx {
-				fitResidual[k] = residual[i]
-			}
+			perm := rng.Perm(n)
+			fitRows, restRows = perm[:m], perm[m:]
+		} else {
+			fitRows = identity(n)
 		}
-		tree, err := FitTree(fitData, fitResidual, opt.Tree)
-		if err != nil {
-			return nil, fmt.Errorf("ml: boosting round %d: %w", round, err)
+		tree := builder.fit(fitRows, step)
+		for _, i := range restRows {
+			step[i] = tree.Predict(d.X[i])
 		}
 		model.trees = append(model.trees, tree)
 		mse := 0.0
-		for i, row := range d.X {
-			pred[i] += opt.LearningRate * tree.Predict(row)
+		for i := range pred {
+			pred[i] += opt.LearningRate * step[i]
 			e := d.Y[i] - pred[i]
 			mse += e * e
 		}

@@ -39,7 +39,24 @@ func Evaluate(m Regressor, d *Dataset) (Evaluation, error) {
 	if err := d.Validate(); err != nil {
 		return Evaluation{}, err
 	}
-	ev := Evaluation{N: d.Len()}
+	preds := make([]float64, d.Len())
+	for i, x := range d.X {
+		preds[i] = m.Predict(x)
+	}
+	return EvaluatePredictions(d, preds)
+}
+
+// EvaluatePredictions aggregates the accuracy of predictions already
+// made for the dataset's samples (preds[i] for row i), so a caller that
+// also keeps the predictions runs the model only once.
+func EvaluatePredictions(d *Dataset, preds []float64) (Evaluation, error) {
+	if err := d.Validate(); err != nil {
+		return Evaluation{}, err
+	}
+	if len(preds) != d.Len() {
+		return Evaluation{}, fmt.Errorf("ml: %d predictions for %d samples", len(preds), d.Len())
+	}
+	ev := Evaluation{N: d.Len(), AbsErrors: make([]float64, 0, d.Len())}
 	meanY := 0.0
 	for _, y := range d.Y {
 		meanY += y
@@ -47,8 +64,7 @@ func Evaluate(m Regressor, d *Dataset) (Evaluation, error) {
 	meanY /= float64(d.Len())
 
 	var sse, sst float64
-	for i, x := range d.X {
-		pred := m.Predict(x)
+	for i, pred := range preds {
 		if math.IsNaN(pred) || math.IsInf(pred, 0) {
 			return Evaluation{}, fmt.Errorf("ml: regressor produced non-finite prediction for sample %d", i)
 		}

@@ -80,18 +80,17 @@ func LoadBoostedTrees(r io.Reader) (*BoostedTrees, error) {
 }
 
 // validate checks structural sanity of a deserialized tree: child indices
-// in range and leaves marked consistently.
+// in range and leaves marked consistently. Every internal node's
+// children must come after it in the arena, as build lays them out;
+// that rules out cycles, so Predict always reaches a leaf.
 func (t *Tree) validate() error {
 	n := int32(len(t.nodes))
 	for i, node := range t.nodes {
 		if node.feature < 0 {
 			continue // leaf
 		}
-		if node.left < 0 || node.left >= n || node.right < 0 || node.right >= n {
-			return fmt.Errorf("node %d has out-of-range children (%d, %d)", i, node.left, node.right)
-		}
-		if node.left == int32(i) || node.right == int32(i) {
-			return fmt.Errorf("node %d is its own child", i)
+		if node.left <= int32(i) || node.left >= n || node.right <= int32(i) || node.right >= n {
+			return fmt.Errorf("node %d has children (%d, %d) outside (%d, %d)", i, node.left, node.right, i, n)
 		}
 	}
 	return nil

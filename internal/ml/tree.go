@@ -3,7 +3,6 @@ package ml
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // TreeOptions configures CART regression-tree induction.
@@ -94,21 +93,43 @@ func FitTree(d *Dataset, targets []float64, opt TreeOptions) (*Tree, error) {
 	if opt.MaxDepth < 0 || opt.MinLeaf < 1 {
 		return nil, fmt.Errorf("ml: invalid tree options %+v", opt)
 	}
-	t := &Tree{}
-	indices := make([]int, d.Len())
+	return newTreeBuilder(d.X, targets, opt).fit(identity(d.Len()), nil), nil
+}
+
+// identity returns the indices 0..n-1.
+func identity(n int) []int {
+	indices := make([]int, n)
 	for i := range indices {
 		indices[i] = i
 	}
-	b := &treeBuilder{data: d, targets: targets, opt: opt, tree: t}
-	b.build(indices, 0)
-	return t, nil
+	return indices
 }
 
+// treeBuilder grows trees over rows of x with the given targets. One
+// builder fits any number of trees over subsets of the same rows, so the
+// split-search buffer is allocated once.
 type treeBuilder struct {
-	data    *Dataset
+	x       [][]float64
 	targets []float64
 	opt     TreeOptions
 	tree    *Tree
+	// pairs is the split search's (feature value, target) buffer.
+	pairs []splitPair
+	// leaf, when non-nil, receives for every fitted row the value of the
+	// leaf the row lands in, which is what tree.Predict would return.
+	leaf []float64
+}
+
+func newTreeBuilder(x [][]float64, targets []float64, opt TreeOptions) *treeBuilder {
+	return &treeBuilder{x: x, targets: targets, opt: opt, pairs: make([]splitPair, len(x))}
+}
+
+// fit grows a tree over the rows named by indices, which it reorders in
+// place. When leaf is non-nil, leaf[i] is set for every i in indices.
+func (b *treeBuilder) fit(indices []int, leaf []float64) *Tree {
+	b.tree, b.leaf = &Tree{}, leaf
+	b.build(indices, 0)
+	return b.tree
 }
 
 // build grows the subtree over the given sample indices and returns its
@@ -124,16 +145,16 @@ func (b *treeBuilder) build(indices []int, depth int) int32 {
 	b.tree.nodes = append(b.tree.nodes, treeNode{feature: -1, value: mean})
 
 	if depth >= b.opt.MaxDepth || len(indices) < 2*b.opt.MinLeaf {
-		return id
+		return b.setLeaf(id, indices, mean)
 	}
 	feature, threshold, ok := b.bestSplit(indices)
 	if !ok {
-		return id
+		return b.setLeaf(id, indices, mean)
 	}
 	// Partition in place.
 	lo, hi := 0, len(indices)
 	for lo < hi {
-		if b.data.X[indices[lo]][feature] <= threshold {
+		if b.x[indices[lo]][feature] <= threshold {
 			lo++
 		} else {
 			hi--
@@ -142,7 +163,7 @@ func (b *treeBuilder) build(indices []int, depth int) int32 {
 	}
 	left, right := indices[:lo], indices[lo:]
 	if len(left) == 0 || len(right) == 0 {
-		return id // numerical degeneracy; keep the leaf
+		return b.setLeaf(id, indices, mean) // numerical degeneracy; keep the leaf
 	}
 	l := b.build(left, depth+1)
 	r := b.build(right, depth+1)
@@ -153,9 +174,26 @@ func (b *treeBuilder) build(indices []int, depth int) int32 {
 	return id
 }
 
+// setLeaf records the leaf value of the rows that end in leaf id.
+func (b *treeBuilder) setLeaf(id int32, indices []int, value float64) int32 {
+	if b.leaf != nil {
+		for _, i := range indices {
+			b.leaf[i] = value
+		}
+	}
+	return id
+}
+
 // bestSplit scans every feature for the squared-error-minimizing split
 // honoring MinLeaf. It returns ok=false when no valid split improves on
 // the parent.
+//
+// Each feature's (value, target) pairs are sorted with sortPairs, which
+// leaves the permutation sort.Slice would: ties between equal values
+// are summed into leftSum/leftSq in that order, and rounding in those
+// sums decides between splits of equal gain (the one-hot affinity
+// columns produce such ties), so another sort or split finder would
+// train different trees.
 func (b *treeBuilder) bestSplit(indices []int) (feature int, threshold float64, ok bool) {
 	n := len(indices)
 	totalSum, totalSq := 0.0, 0.0
@@ -167,18 +205,18 @@ func (b *treeBuilder) bestSplit(indices []int) (feature int, threshold float64, 
 	parentSSE := totalSq - totalSum*totalSum/float64(n)
 
 	bestGain := 1e-12 // require strictly positive improvement
-	sorted := make([]int, n)
-	for f := 0; f < b.data.Dim(); f++ {
-		copy(sorted, indices)
-		sort.Slice(sorted, func(a, c int) bool {
-			return b.data.X[sorted[a]][f] < b.data.X[sorted[c]][f]
-		})
+	pairs := b.pairs[:n]
+	for f := range b.x[0] {
+		for k, i := range indices {
+			pairs[k] = splitPair{v: b.x[i][f], y: b.targets[i]}
+		}
+		sortPairs(pairs)
 		leftSum, leftSq := 0.0, 0.0
 		for k := 0; k < n-1; k++ {
-			y := b.targets[sorted[k]]
+			y := pairs[k].y
 			leftSum += y
 			leftSq += y * y
-			vk, vk1 := b.data.X[sorted[k]][f], b.data.X[sorted[k+1]][f]
+			vk, vk1 := pairs[k].v, pairs[k+1].v
 			if vk == vk1 {
 				continue // cannot split between equal values
 			}
