@@ -443,19 +443,6 @@ func BenchmarkExtDynamicScheduling(b *testing.B) {
 	}
 }
 
-// BenchmarkExtHeuristicComparison ranks SA against tabu, local search,
-// genetic and random search under an equal evaluation budget.
-func BenchmarkExtHeuristicComparison(b *testing.B) {
-	b.ReportAllocs()
-	s := suiteForBench(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := s.HeuristicComparison(offload.GenomeWorkload(dna.Human), 500); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkExtServingThroughput drives the tuning service end to end
 // over HTTP: a mix of repeated tune jobs against servers with 1 and 4
 // workers, measuring throughput and the warm-start hit ratio.

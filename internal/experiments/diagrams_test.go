@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -44,6 +45,23 @@ func TestRenderSATrace(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace missing %q", want)
 		}
+	}
+}
+
+// TestRenderSATraceGolden pins the instrumented trace byte-for-byte: an
+// FNV-64a digest of the rendered chart and summary, captured before the
+// annealer moved onto strategy.Problem. It covers the trace hook's step
+// order and every recorded energy, not just the final best.
+func TestRenderSATraceGolden(t *testing.T) {
+	s := testSuite(t)
+	out, err := s.RenderSATrace(offload.GenomeWorkload(dna.Cat), 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write([]byte(out))
+	if got, want := h.Sum64(), uint64(0xd71edbd3d631465f); got != want {
+		t.Errorf("trace digest %#x, want %#x:\n%s", got, want, out)
 	}
 }
 

@@ -169,13 +169,6 @@ func (s *Suite) RunAll(w io.Writer, ablate bool) error {
 		if err := section(ab); err != nil {
 			return err
 		}
-		rows, emE, err := s.HeuristicComparison(s.reference(), 1000)
-		if err != nil {
-			return err
-		}
-		if err := section(RenderHeuristicComparison(rows, emE, s.reference(), 1000, s.repeats())); err != nil {
-			return err
-		}
 		sc, err := s.StrategyComparison(s.reference(), 1000)
 		if err != nil {
 			return err

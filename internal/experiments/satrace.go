@@ -2,50 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 
-	"hetopt/internal/anneal"
 	"hetopt/internal/core"
 	"hetopt/internal/offload"
 	"hetopt/internal/space"
+	"hetopt/internal/strategy"
 	"hetopt/internal/trace"
 )
-
-// annealAdapter exposes the tuning problem to the annealer for the
-// instrumented trace run.
-type annealAdapter struct {
-	schema *space.Schema
-	eval   core.Evaluator
-	err    error
-}
-
-func (a *annealAdapter) Dim() int { return a.schema.Space().Dim() }
-
-func (a *annealAdapter) Initial(dst []int, rng *rand.Rand) {
-	copy(dst, a.schema.Space().Random(rng))
-}
-
-func (a *annealAdapter) Neighbor(dst, src []int, rng *rand.Rand) {
-	a.schema.Space().Neighbor(dst, src, rng, space.StepMove)
-}
-
-func (a *annealAdapter) Energy(state []int) float64 {
-	if a.err != nil {
-		return math.Inf(1)
-	}
-	cfg, err := a.schema.Config(state)
-	if err != nil {
-		a.err = err
-		return math.Inf(1)
-	}
-	t, err := a.eval.Evaluate(cfg)
-	if err != nil {
-		a.err = err
-		return math.Inf(1)
-	}
-	return t.E()
-}
 
 // RenderSATrace runs one instrumented SAML search and renders its
 // convergence trajectory with acceptance statistics — the observability
@@ -57,19 +20,10 @@ func (s *Suite) RenderSATrace(w offload.Workload, iterations int) (string, error
 		return "", err
 	}
 	rec := &trace.Recorder{}
-	adapter := &annealAdapter{schema: inst.Schema, eval: inst.Predictor}
-	res, err := anneal.Minimize(adapter, anneal.Options{
-		InitialTemp: core.DefaultInitialTemp,
-		StopTemp:    core.DefaultInitialTemp / core.TempSpan,
-		MaxIters:    iterations,
-		Seed:        s.Seed,
-		OnStep:      rec.Hook(),
-	})
+	p := core.NewSearchProblem(inst.Schema, inst.Predictor, nil, space.StepMove)
+	res, err := strategy.DefaultAnneal().Minimize(p, strategy.Options{Budget: iterations, Seed: s.Seed, OnStep: rec.Hook()})
 	if err != nil {
 		return "", err
-	}
-	if adapter.err != nil {
-		return "", adapter.err
 	}
 	cfg, err := inst.Schema.Config(res.Best)
 	if err != nil {

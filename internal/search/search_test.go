@@ -169,3 +169,20 @@ func TestForEachReportsLowestIndexError(t *testing.T) {
 		}
 	}
 }
+
+func TestChainSeedDerivation(t *testing.T) {
+	if ChainSeed(123, 0) != 123 {
+		t.Fatal("chain 0 must use the base seed")
+	}
+	seen := map[int64]bool{}
+	for i := 0; i < 100; i++ {
+		s := ChainSeed(123, i)
+		if seen[s] {
+			t.Fatalf("duplicate chain seed at chain %d", i)
+		}
+		seen[s] = true
+	}
+	if ChainSeed(123, 1) == ChainSeed(124, 1) {
+		t.Fatal("different base seeds must derive different chain seeds")
+	}
+}

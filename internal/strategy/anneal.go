@@ -1,10 +1,9 @@
 package strategy
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-
-	"hetopt/internal/anneal"
 )
 
 // DefaultInitialTemp is the SA starting temperature for seconds-scale
@@ -18,14 +17,23 @@ const DefaultInitialTemp = 5.0
 // paper's 10000 -> "T < 1" span).
 const TempSpan = 1e4
 
-// Anneal is simulated annealing, the paper's chosen metaheuristic
-// (Section III-A, Figure 3), ported onto the strategy layer: K
-// independent chains (Options.Restarts) anneal with ChainSeed-derived
-// seeds, sharing a single-flight evaluation memo when K > 1 so a state
-// visited by several chains costs one evaluation; the best chain wins,
-// ties broken by the lowest chain index. A single chain runs without
-// the memo, reproducing the original single-chain effort accounting
-// exactly. It works on any Problem (Spaced not required).
+// Anneal is simulated annealing, the paper's chosen metaheuristic,
+// exactly as Section III-A and Figure 3 describe it:
+//
+//   - the schedule is T = T * (1 - coolingRate) (Equation 3), with the
+//     rate derived so T falls from InitialTemp to StopTemp over exactly
+//     the budget;
+//   - a candidate with energy E' is accepted unconditionally when
+//     E' < E, and otherwise with probability exp((E - E') / T)
+//     (Equation 4);
+//   - a chain stops once T < StopTemp or its budget is spent, tracking
+//     the best state seen alongside the current one.
+//
+// K independent chains (Options.Restarts) run through the shared
+// restart runner, sharing a single-flight evaluation memo when K > 1 so
+// a state visited by several chains costs one evaluation. A single
+// chain runs without the memo: budget+1 raw evaluations. It works on
+// any Problem (Spaced not required). Options.OnStep observes chain 0.
 type Anneal struct {
 	// InitialTemp is the starting temperature; zero selects
 	// DefaultInitialTemp.
@@ -42,78 +50,110 @@ func DefaultAnneal() Anneal { return Anneal{} }
 // Name implements Strategy.
 func (Anneal) Name() string { return "anneal" }
 
-// annealWorker is one chain's view of the shared problem: it adapts the
-// error-returning strategy.Problem to anneal.Problem with a chain-local
-// sticky error and evaluation counter.
-type annealWorker struct {
-	p     Problem
-	evals int
-	err   error
+// Step describes one annealing iteration for Options.OnStep observers.
+type Step struct {
+	// Iter counts iterations from 0.
+	Iter int
+	// Temp is the temperature when the step was evaluated.
+	Temp float64
+	// Candidate is the proposed energy E'; Current and Best are the
+	// energies after the acceptance decision.
+	Candidate, Current, Best float64
+	// Accepted reports whether the candidate replaced the current
+	// solution; Worse additionally reports that it was an uphill
+	// (worse-energy) acceptance.
+	Accepted, Worse bool
 }
 
-func (w *annealWorker) Dim() int { return w.p.Dim() }
-
-func (w *annealWorker) Initial(dst []int, rng *rand.Rand) { w.p.Initial(dst, rng) }
-
-func (w *annealWorker) Neighbor(dst, src []int, rng *rand.Rand) { w.p.Neighbor(dst, src, rng) }
-
-func (w *annealWorker) Energy(state []int) float64 {
-	if w.err != nil {
-		return math.Inf(1)
+// CoolingRateFor returns the cooling rate at which the schedule
+// T = T*(1-rate) decays from initialTemp to stopTemp in exactly iters
+// iterations. It returns an error for non-positive arguments or
+// stopTemp >= initialTemp.
+func CoolingRateFor(iters int, initialTemp, stopTemp float64) (float64, error) {
+	if iters <= 0 {
+		return 0, fmt.Errorf("anneal: iteration count must be positive, got %d", iters)
 	}
-	e, err := w.p.Energy(state)
-	if err != nil {
-		w.err = err
-		return math.Inf(1)
+	if initialTemp <= 0 || stopTemp <= 0 {
+		return 0, fmt.Errorf("anneal: temperatures must be positive (initial %g, stop %g)", initialTemp, stopTemp)
 	}
-	w.evals++
-	return sanitize(e)
+	if stopTemp >= initialTemp {
+		return 0, fmt.Errorf("anneal: stop temperature %g must be below initial %g", stopTemp, initialTemp)
+	}
+	return 1 - math.Pow(stopTemp/initialTemp, 1/float64(iters)), nil
 }
 
 // Minimize implements Strategy.
 func (a Anneal) Minimize(p Problem, opt Options) (Result, error) {
+	if p.Dim() <= 0 {
+		return Result{}, fmt.Errorf("anneal: problem dimension must be positive")
+	}
 	t0 := a.InitialTemp
 	if t0 == 0 {
 		t0 = DefaultInitialTemp
+	}
+	if t0 < 0 {
+		return Result{}, fmt.Errorf("anneal: negative initial temperature %g", t0)
 	}
 	stop := a.StopTemp
 	if stop == 0 {
 		stop = t0 / TempSpan
 	}
-	chains := opt.restarts()
-	eval := p
-	if chains > 1 {
-		eval = withMemo(p)
-	}
-	workers := make([]*annealWorker, chains)
-	res, err := anneal.MinimizeMulti(func(chain int) anneal.Problem {
-		workers[chain] = &annealWorker{p: eval}
-		return workers[chain]
-	}, anneal.MultiOptions{
-		Options: anneal.Options{
-			InitialTemp: t0,
-			StopTemp:    stop,
-			MaxIters:    opt.budget(),
-			Seed:        opt.Seed,
-		},
-		Chains:      chains,
-		Parallelism: opt.Parallelism,
-	})
+	budget := opt.budget()
+	rate, err := CoolingRateFor(budget, t0, stop)
 	if err != nil {
 		return Result{}, err
 	}
-	evals := 0
-	for _, w := range workers {
-		if w.err != nil {
-			return Result{}, w.err
-		}
-		evals += w.evals
+	if rate <= 0 || rate >= 1 {
+		return Result{}, fmt.Errorf("anneal: cooling rate %g outside (0,1)", rate)
 	}
-	return Result{
-		Best:        res.Best,
-		BestEnergy:  res.BestEnergy,
-		Evaluations: evals,
-		Worker:      res.Chain,
-		Workers:     chains,
-	}, nil
+	return runWorkers(p, opt, func(w int, p Problem, rng *rand.Rand) (Result, error) {
+		onStep := opt.OnStep
+		if w != 0 {
+			onStep = nil
+		}
+		return annealChain(p, rng, t0, stop, rate, budget, onStep)
+	})
+}
+
+// annealChain runs one chain of Figure 3's loop.
+func annealChain(p Problem, rng *rand.Rand, temp, stop, rate float64, budget int, onStep func(Step)) (Result, error) {
+	cur := make([]int, p.Dim())
+	p.Initial(cur, rng)
+	curE, err := p.Energy(cur)
+	if err != nil {
+		return Result{}, err
+	}
+	curE = sanitize(curE)
+	best := append([]int(nil), cur...)
+	bestE := curE
+	cand := make([]int, p.Dim())
+	evals := 1
+	for iter := 0; temp >= stop && iter < budget; iter++ {
+		p.Neighbor(cand, cur, rng)
+		candE, err := p.Energy(cand)
+		if err != nil {
+			return Result{}, err
+		}
+		candE = sanitize(candE)
+		evals++
+
+		accepted, worse := candE < curE, false
+		// Equation 4: p = exp((E - E')/T); +Inf is never accepted.
+		if !accepted && temp > 0 && !math.IsInf(candE, 1) && math.Exp((curE-candE)/temp) > rng.Float64() {
+			accepted, worse = true, candE > curE
+		}
+		if accepted {
+			copy(cur, cand)
+			curE = candE
+			if curE < bestE {
+				bestE = curE
+				copy(best, cur)
+			}
+		}
+		if onStep != nil {
+			onStep(Step{Iter: iter, Temp: temp, Candidate: candE, Current: curE, Best: bestE, Accepted: accepted, Worse: worse})
+		}
+		temp *= 1 - rate // Equation 3.
+	}
+	return Result{Best: best, BestEnergy: bestE, Evaluations: evals}, nil
 }

@@ -69,24 +69,12 @@ func (Exhaustive) Minimize(p Problem, opt Options) (Result, error) {
 			sb.ord = ord
 		}
 	}
+	// scan decodes its range in fixed-size chunks into a reused backing
+	// array and evaluates each chunk in one energyBatch call. The merge
+	// still walks ordinals in order, so the (energy, ordinal) winner is
+	// the sequential one.
 	scan := func(lo, hi int) (shardBest, error) {
 		sb := shardBest{e: math.Inf(1), ord: -1}
-		bp, batch := sp.(BatchProblem)
-		if !batch {
-			err := prod.ForEachRange(lo, hi, func(ord int, idx []int) error {
-				e, err := sp.Energy(idx)
-				if err != nil {
-					return err
-				}
-				merge(&sb, e, ord)
-				return nil
-			})
-			return sb, err
-		}
-		// Batched scan: decode the range in fixed-size chunks into a
-		// reused backing array and evaluate each chunk in one call. The
-		// merge still walks ordinals in order, so the (energy, ordinal)
-		// winner is the sequential one.
 		const chunk = 256
 		dim := sp.Dim()
 		backing := make([]int, chunk*dim)
@@ -109,7 +97,7 @@ func (Exhaustive) Minimize(p Problem, opt Options) (Result, error) {
 			}); err != nil {
 				return sb, err
 			}
-			if err := bp.EnergyBatch(states[:n], energies[:n]); err != nil {
+			if err := energyBatch(sp, states[:n], energies[:n]); err != nil {
 				return sb, err
 			}
 			for i := 0; i < n; i++ {

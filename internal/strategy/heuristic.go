@@ -1,102 +1,86 @@
 package strategy
 
 import (
+	"fmt"
 	"math"
-
-	"hetopt/internal/heuristics"
+	"math/rand"
+	"sort"
 )
 
-// The metaheuristic strategies port internal/heuristics — the
-// alternatives the paper weighs against simulated annealing in Section
-// III-A — onto the strategy layer. Each runs K independent restarts
-// (Options.Restarts) through heuristics.SearchMulti with explicit
-// ChainSeed-derived per-restart seeds, sharing a single-flight
-// evaluation memo when K > 1; the best restart wins, ties broken by the
-// lowest index. All of them recombine or mutate states coordinate-wise,
-// so they require Spaced.
+// The metaheuristic strategies are the alternatives the paper weighs
+// against simulated annealing in Section III-A, citing Press et al.:
+// genetic algorithms, local search and tabu search, plus uniform random
+// sampling as the baseline. Each restart spends at most Options.Budget
+// evaluations; restarts run through the shared restart runner. All of
+// them recombine or mutate states coordinate-wise, so they require
+// Spaced.
 
-// heuristicWorker is one restart's view of the shared problem: it
-// adapts the error-returning strategy.Problem to heuristics.Problem
-// with a restart-local sticky error.
-type heuristicWorker struct {
-	p   Spaced
-	err error
+// counter charges evaluations against one restart's budget. An Energy
+// error spends the rest of the budget, so every search loop winds down
+// at once and the restart returns the error unwrapped.
+type counter struct {
+	p     Spaced
+	used  int
+	limit int
+	err   error
 }
 
-func (w *heuristicWorker) Dim() int         { return w.p.Dim() }
-func (w *heuristicWorker) Levels(i int) int { return w.p.Levels(i) }
+func newCounter(p Problem, budget int) *counter {
+	return &counter{p: p.(Spaced), limit: budget}
+}
 
-func (w *heuristicWorker) Energy(state []int) float64 {
-	if w.err != nil {
-		return math.Inf(1)
+func (c *counter) spent() bool { return c.used >= c.limit }
+
+// eval evaluates one state; ok is false once the budget is spent.
+func (c *counter) eval(state []int) (float64, bool) {
+	if c.spent() {
+		return math.Inf(1), false
 	}
-	e, err := w.p.Energy(state)
+	e, err := c.p.Energy(state)
 	if err != nil {
-		w.err = err
-		return math.Inf(1)
+		c.fail(err)
+		return math.Inf(1), false
 	}
-	return e
+	c.used++
+	return sanitize(e), true
 }
 
-// EnergyBatch implements heuristics.BatchProblem, forwarding to the
-// problem's batch path when it has one. Entries are pre-filled with +Inf
-// so a batch that fails mid-way leaves the failed and subsequent entries
-// at the value the sticky-error sequential path would produce; the error
-// itself aborts the whole run through the restart-local sticky error, so
-// the differing already-evaluated prefix is never observed.
-func (w *heuristicWorker) EnergyBatch(states [][]int, out []float64) {
-	out = out[:len(states)]
-	bp, ok := w.p.(BatchProblem)
-	if !ok || w.err != nil {
-		for i, st := range states {
-			out[i] = w.Energy(st)
-		}
-		return
+func (c *counter) fail(err error) {
+	c.err = err
+	c.limit = c.used
+}
+
+// result packages a restart's outcome.
+func (c *counter) result(best []int, bestE float64) (Result, error) {
+	if c.err != nil {
+		return Result{}, c.err
 	}
-	for i := range out {
-		out[i] = math.Inf(1)
-	}
-	if err := bp.EnergyBatch(states, out); err != nil {
-		w.err = err
+	return Result{Best: best, BestEnergy: bestE, Evaluations: c.used}, nil
+}
+
+// randomState fills dst uniformly.
+func randomState(p Spaced, dst []int, rng *rand.Rand) {
+	for i := range dst {
+		dst[i] = rng.Intn(p.Levels(i))
 	}
 }
 
-// minimizeHeuristic is the shared restart fan-out behind the four
-// heuristic strategies.
-func minimizeHeuristic(name string, p Problem, opt Options, run heuristics.Searcher) (Result, error) {
+// heuristicSpace asserts that a heuristic got a product space with at
+// least one dimension and at least one level per dimension.
+func heuristicSpace(name string, p Problem) (Spaced, error) {
 	sp, err := spacedOrErr(name, p)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	restarts := opt.restarts()
-	eval := sp
-	if restarts > 1 {
-		eval = withMemo(sp).(Spaced)
+	if sp.Dim() <= 0 {
+		return nil, fmt.Errorf("strategy: %s: problem dimension must be positive", name)
 	}
-	workers := make([]*heuristicWorker, restarts)
-	res, err := heuristics.SearchMulti(func(i int) heuristics.Problem {
-		workers[i] = &heuristicWorker{p: eval}
-		return workers[i]
-	}, run, heuristics.MultiOptions{
-		Options:     heuristics.Options{Budget: opt.budget(), Seed: opt.Seed},
-		Restarts:    restarts,
-		Parallelism: opt.Parallelism,
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	for _, w := range workers {
-		if w.err != nil {
-			return Result{}, w.err
+	for i := 0; i < sp.Dim(); i++ {
+		if sp.Levels(i) <= 0 {
+			return nil, fmt.Errorf("strategy: %s: dimension %d has no levels", name, i)
 		}
 	}
-	return Result{
-		Best:        res.Best,
-		BestEnergy:  res.BestEnergy,
-		Evaluations: res.TotalEvaluations(),
-		Worker:      res.Restart,
-		Workers:     restarts,
-	}, nil
+	return sp, nil
 }
 
 // Random is uniform random sampling: the natural lower baseline every
@@ -108,11 +92,33 @@ func (Random) Name() string { return "random" }
 
 // Minimize implements Strategy.
 func (Random) Minimize(p Problem, opt Options) (Result, error) {
-	return minimizeHeuristic("random", p, opt, heuristics.RandomSearch)
+	if _, err := heuristicSpace("random", p); err != nil {
+		return Result{}, err
+	}
+	return runWorkers(p, opt, func(_ int, p Problem, rng *rand.Rand) (Result, error) {
+		c := newCounter(p, opt.budget())
+		cur := make([]int, p.Dim())
+		best := make([]int, p.Dim())
+		bestE := math.Inf(1)
+		for !c.spent() {
+			randomState(c.p, cur, rng)
+			e, ok := c.eval(cur)
+			if !ok {
+				break
+			}
+			if e < bestE {
+				bestE = e
+				copy(best, cur)
+			}
+		}
+		return c.result(best, bestE)
+	})
 }
 
 // Local is steepest-descent hill climbing with random restarts within
-// each worker's budget.
+// each worker's budget: from a random start it repeatedly moves to the
+// best single-coordinate change, restarting from a fresh random state
+// at local minima, until the budget is spent.
 type Local struct{}
 
 // Name implements Strategy.
@@ -120,14 +126,72 @@ func (Local) Name() string { return "local" }
 
 // Minimize implements Strategy.
 func (Local) Minimize(p Problem, opt Options) (Result, error) {
-	return minimizeHeuristic("local", p, opt, heuristics.LocalSearch)
+	if _, err := heuristicSpace("local", p); err != nil {
+		return Result{}, err
+	}
+	return runWorkers(p, opt, func(_ int, p Problem, rng *rand.Rand) (Result, error) {
+		c := newCounter(p, opt.budget())
+		cur := make([]int, p.Dim())
+		cand := make([]int, p.Dim())
+		best := make([]int, p.Dim())
+		bestE := math.Inf(1)
+		for !c.spent() {
+			randomState(c.p, cur, rng)
+			curE, ok := c.eval(cur)
+			if !ok {
+				break
+			}
+			if curE < bestE {
+				bestE = curE
+				copy(best, cur)
+			}
+			for !c.spent() { // descend
+				bestMoveE := curE
+				bestMoveParam := -1
+				var bestMoveValue int
+				for i := 0; i < p.Dim() && !c.spent(); i++ {
+					for v := 0; v < c.p.Levels(i); v++ {
+						if v == cur[i] {
+							continue
+						}
+						copy(cand, cur)
+						cand[i] = v
+						e, ok := c.eval(cand)
+						if !ok {
+							break
+						}
+						if e < bestMoveE {
+							bestMoveE = e
+							bestMoveParam, bestMoveValue = i, v
+						}
+					}
+				}
+				if bestMoveParam < 0 {
+					break
+				}
+				cur[bestMoveParam] = bestMoveValue
+				curE = bestMoveE
+				if curE < bestE {
+					bestE = curE
+					copy(best, cur)
+				}
+			}
+		}
+		return c.result(best, bestE)
+	})
 }
 
-// Tabu is tabu search with short-term memory and aspiration.
+// Tabu is tabu search with a short-term memory: the best sampled
+// non-tabu neighbor is accepted even when worse, reversing a move is
+// tabu for Tenure iterations, and tabu moves are still taken when they
+// beat the global best (aspiration).
 type Tabu struct {
-	// Tenure and Samples tune the tabu memory; zero selects the
-	// heuristics package defaults (2*Dim and 4*Dim).
-	Tenure, Samples int
+	// Tenure is the number of iterations a reversed move stays
+	// forbidden; zero selects 2*Dim.
+	Tenure int
+	// Samples is the number of random single-coordinate moves examined
+	// per iteration; zero selects 4*Dim.
+	Samples int
 }
 
 // Name implements Strategy.
@@ -135,19 +199,93 @@ func (Tabu) Name() string { return "tabu" }
 
 // Minimize implements Strategy.
 func (t Tabu) Minimize(p Problem, opt Options) (Result, error) {
-	return minimizeHeuristic("tabu", p, opt, func(hp heuristics.Problem, hopt heuristics.Options) (heuristics.Result, error) {
-		return heuristics.TabuSearch(hp, heuristics.TabuOptions{Options: hopt, Tenure: t.Tenure, Samples: t.Samples})
+	sp, err := heuristicSpace("tabu", p)
+	if err != nil {
+		return Result{}, err
+	}
+	tenure := t.Tenure
+	if tenure <= 0 {
+		tenure = 2 * p.Dim()
+	}
+	samples := t.Samples
+	if samples <= 0 {
+		samples = 4 * p.Dim()
+	}
+	// A space without a two-level dimension has no moves: sampling
+	// would never spend budget, so each restart stops after its start.
+	movable := false
+	for i := 0; i < sp.Dim(); i++ {
+		movable = movable || sp.Levels(i) >= 2
+	}
+	return runWorkers(p, opt, func(_ int, p Problem, rng *rand.Rand) (Result, error) {
+		c := newCounter(p, opt.budget())
+		cur := make([]int, p.Dim())
+		cand := make([]int, p.Dim())
+		best := make([]int, p.Dim())
+		randomState(c.p, cur, rng)
+		bestE, _ := c.eval(cur)
+		copy(best, cur)
+		if !movable {
+			return c.result(best, bestE)
+		}
+
+		type assignment struct{ param, value int }
+		tabuUntil := map[assignment]int{}
+		for iter := 0; !c.spent(); iter++ {
+			chosen, chosenV, chosenE := -1, 0, math.Inf(1)
+			for s := 0; s < samples && !c.spent(); s++ {
+				i := rng.Intn(p.Dim())
+				if c.p.Levels(i) < 2 {
+					continue
+				}
+				v := rng.Intn(c.p.Levels(i) - 1)
+				if v >= cur[i] {
+					v++
+				}
+				copy(cand, cur)
+				cand[i] = v
+				e, ok := c.eval(cand)
+				if !ok {
+					break
+				}
+				// Moving *to* a tabu assignment is forbidden unless it
+				// aspirates.
+				if tabuUntil[assignment{i, v}] > iter && e >= bestE {
+					continue
+				}
+				if e < chosenE {
+					chosen, chosenV, chosenE = i, v, e
+				}
+			}
+			if chosen < 0 {
+				continue
+			}
+			// Forbid undoing this move for tenure iterations.
+			tabuUntil[assignment{chosen, cur[chosen]}] = iter + tenure
+			cur[chosen] = chosenV
+			if chosenE < bestE {
+				bestE = chosenE
+				copy(best, cur)
+			}
+		}
+		return c.result(best, bestE)
 	})
 }
 
 // Genetic is a generational genetic algorithm with tournament
-// selection, uniform crossover, per-gene mutation and elitism.
+// selection, uniform crossover, per-gene mutation and elitism. Each
+// generation's children are drawn first and evaluated in one batch;
+// evaluation consumes no randomness, so batching never changes a
+// result.
 type Genetic struct {
-	// Population, MutationRate and Elite tune the GA; zero selects the
-	// heuristics package defaults (24, 1/Dim, 2).
-	Population   int
+	// Population is the number of individuals; zero selects 24.
+	Population int
+	// MutationRate is the per-gene mutation probability; zero selects
+	// 1/Dim.
 	MutationRate float64
-	Elite        int
+	// Elite is the number of best individuals copied unchanged into the
+	// next generation; zero selects 2.
+	Elite int
 }
 
 // Name implements Strategy.
@@ -155,12 +293,106 @@ func (Genetic) Name() string { return "genetic" }
 
 // Minimize implements Strategy.
 func (g Genetic) Minimize(p Problem, opt Options) (Result, error) {
-	return minimizeHeuristic("genetic", p, opt, func(hp heuristics.Problem, hopt heuristics.Options) (heuristics.Result, error) {
-		return heuristics.Genetic(hp, heuristics.GeneticOptions{
-			Options:      hopt,
-			Population:   g.Population,
-			MutationRate: g.MutationRate,
-			Elite:        g.Elite,
-		})
+	if _, err := heuristicSpace("genetic", p); err != nil {
+		return Result{}, err
+	}
+	pop := g.Population
+	if pop <= 0 {
+		pop = 24
+	}
+	if pop < 2 {
+		return Result{}, fmt.Errorf("strategy: genetic: population must be at least 2, got %d", pop)
+	}
+	mut := g.MutationRate
+	if mut == 0 {
+		mut = 1 / float64(p.Dim())
+	}
+	if mut < 0 || mut > 1 {
+		return Result{}, fmt.Errorf("strategy: genetic: mutation rate %g outside [0,1]", mut)
+	}
+	elite := g.Elite
+	if elite == 0 {
+		elite = 2
+	}
+	if elite < 0 || elite >= pop {
+		return Result{}, fmt.Errorf("strategy: genetic: elite count %d outside [0,%d)", elite, pop)
+	}
+	return runWorkers(p, opt, func(_ int, p Problem, rng *rand.Rand) (Result, error) {
+		c := newCounter(p, opt.budget())
+		type indiv struct {
+			genes  []int
+			energy float64
+		}
+		population := make([]indiv, pop)
+		for i := range population {
+			genes := make([]int, p.Dim())
+			randomState(c.p, genes, rng)
+			e, _ := c.eval(genes)
+			population[i] = indiv{genes: genes, energy: e}
+		}
+		best := append([]int(nil), population[0].genes...)
+		bestE := population[0].energy
+		record := func(in indiv) {
+			if in.energy < bestE {
+				bestE = in.energy
+				copy(best, in.genes)
+			}
+		}
+		for _, in := range population {
+			record(in)
+		}
+
+		tournament := func() indiv {
+			a := population[rng.Intn(pop)]
+			b := population[rng.Intn(pop)]
+			if a.energy <= b.energy {
+				return a
+			}
+			return b
+		}
+		makeChild := func() []int {
+			ma, pa := tournament(), tournament()
+			child := make([]int, p.Dim())
+			for i := range child {
+				if rng.Intn(2) == 0 {
+					child[i] = ma.genes[i]
+				} else {
+					child[i] = pa.genes[i]
+				}
+				if rng.Float64() < mut {
+					child[i] = rng.Intn(c.p.Levels(i))
+				}
+			}
+			return child
+		}
+
+		states := make([][]int, 0, pop)
+		energies := make([]float64, pop)
+		for !c.spent() {
+			// Elitism: carry the best individuals over unchanged. The
+			// order sort.Slice leaves ties in decides later tournaments.
+			sort.Slice(population, func(i, j int) bool { return population[i].energy < population[j].energy })
+			next := append(make([]indiv, 0, pop), population[:elite]...)
+			n := min(pop-elite, c.limit-c.used)
+			states = states[:0]
+			for len(states) < n {
+				states = append(states, makeChild())
+			}
+			if err := energyBatch(p, states, energies[:n]); err != nil {
+				c.fail(err)
+				break
+			}
+			c.used += n
+			for i, genes := range states {
+				in := indiv{genes: genes, energy: sanitize(energies[i])}
+				record(in)
+				next = append(next, in)
+			}
+			if len(next) < pop {
+				break // budget exhausted mid-generation
+			}
+			population = next
+		}
+		return c.result(best, bestE)
 	})
 }

@@ -5,8 +5,9 @@
 // SA (genetic algorithms, local search, tabu search, random sampling) —
 // is a Strategy over one shared representation: budgeted, seeded
 // minimization of an energy over integer index vectors, the
-// representation internal/space, internal/anneal and
-// internal/heuristics already share.
+// representation internal/space builds its configuration spaces from.
+// Problem is the codebase's only search-problem interface, and every
+// randomized strategy fans its workers out through one restart runner.
 //
 // Unifying the search layer turns every optimizer x objective x space
 // combination into a first-class scenario: internal/core runs its four
@@ -69,9 +70,9 @@ type Spaced interface {
 // returned, and effort accounting (memo lookups, evaluator charges)
 // matches calling Energy repeatedly. After an error the out entries at
 // and beyond the failure are untouched; callers must not use out from a
-// failed batch. Strategies probe for it with a type assertion
-// (Exhaustive chunks its ordinal scan, Genetic batches generations) and
-// fall back to the sequential loop.
+// failed batch. Exhaustive (its 256-state ordinal chunks) and Genetic
+// (its generations) evaluate through energyBatch, which falls back to
+// the sequential loop for problems without it.
 type BatchProblem interface {
 	Problem
 	// EnergyBatch writes Energy(states[i]) into out[i];
@@ -100,6 +101,10 @@ type Options struct {
 	// Result is bit-identical at every level; zero or one runs
 	// sequentially.
 	Parallelism int
+	// OnStep, when non-nil, observes every iteration of Anneal's chain 0
+	// (the other chains and the other strategies never call it). It runs
+	// on that chain's goroutine.
+	OnStep func(Step)
 }
 
 func (o Options) budget() int {
@@ -143,6 +148,57 @@ type Result struct {
 	// (empty for heuristics and when no pool was requested). Read it
 	// through PoolEntries().
 	Pool []PoolEntry
+}
+
+// runWorkers is the restart runner behind every randomized strategy: it
+// runs opt.restarts() independent workers through search.ForEach, worker
+// i drawing from its own rng seeded search.ChainSeed(opt.Seed, i). With
+// more than one worker they share a single-flight memo over p. The
+// winner is the lowest best energy, ties broken by the lowest worker
+// index, and Evaluations sums every worker's — so the Result is
+// bit-identical at every Parallelism. The lowest-index worker error is
+// returned unwrapped.
+func runWorkers(p Problem, opt Options, work func(w int, p Problem, rng *rand.Rand) (Result, error)) (Result, error) {
+	k := opt.restarts()
+	eval := p
+	if k > 1 {
+		eval = withMemo(p)
+	}
+	results := make([]Result, k)
+	err := search.ForEach(k, opt.Parallelism, func(i int) error {
+		var err error
+		results[i], err = work(i, eval, rand.New(rand.NewSource(search.ChainSeed(opt.Seed, i))))
+		return err
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	out := results[0]
+	for i, r := range results[1:] {
+		out.Evaluations += r.Evaluations
+		if r.BestEnergy < out.BestEnergy {
+			out.Best, out.BestEnergy, out.Worker = r.Best, r.BestEnergy, i+1
+		}
+	}
+	out.Workers = k
+	return out, nil
+}
+
+// energyBatch evaluates states into out through p's batch path when it
+// has one, and otherwise through the sequential Energy loop; either way
+// the first error stops it.
+func energyBatch(p Problem, states [][]int, out []float64) error {
+	if bp, ok := p.(BatchProblem); ok {
+		return bp.EnergyBatch(states, out)
+	}
+	for i, st := range states {
+		e, err := p.Energy(st)
+		if err != nil {
+			return err
+		}
+		out[i] = e
+	}
+	return nil
 }
 
 // Certificate returns the run's optimality certificate; ok is false for
@@ -268,20 +324,6 @@ func (m *memoProblem) Energy(state []int) (float64, error) {
 	return m.smemo.Do(k, func() (float64, error) {
 		return m.Problem.Energy(state)
 	})
-}
-
-// EnergyBatch implements BatchProblem through the memo: identical to the
-// sequential loop (one memo lookup per state, first error stops), with
-// hits served allocation-free.
-func (m *memoProblem) EnergyBatch(states [][]int, out []float64) error {
-	for i, st := range states {
-		e, err := m.Energy(st)
-		if err != nil {
-			return err
-		}
-		out[i] = e
-	}
-	return nil
 }
 
 // spacedMemoProblem additionally forwards Levels, so a memo wrapped

@@ -11,18 +11,19 @@ import (
 	"math"
 	"strings"
 
-	"hetopt/internal/anneal"
+	"hetopt/internal/strategy"
 	"hetopt/internal/tables"
 )
 
-// Recorder accumulates annealing steps. Attach via Hook.
+// Recorder accumulates annealing steps. Attach via Hook as
+// strategy.Options.OnStep.
 type Recorder struct {
-	steps []anneal.Step
+	steps []strategy.Step
 }
 
 // Hook returns an OnStep callback recording into r.
-func (r *Recorder) Hook() func(anneal.Step) {
-	return func(s anneal.Step) {
+func (r *Recorder) Hook() func(strategy.Step) {
+	return func(s strategy.Step) {
 		r.steps = append(r.steps, s)
 	}
 }
@@ -32,7 +33,7 @@ func (r *Recorder) Len() int { return len(r.steps) }
 
 // Steps returns the recorded steps (shared slice; callers must not
 // modify).
-func (r *Recorder) Steps() []anneal.Step { return r.steps }
+func (r *Recorder) Steps() []strategy.Step { return r.steps }
 
 // Summary aggregates a recorded run.
 type Summary struct {

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"hetopt/internal/anneal"
+	"hetopt/internal/strategy"
 )
 
 // bowl is a small quadratic test problem.
@@ -28,24 +28,22 @@ func (b *bowl) Neighbor(dst, src []int, rng *rand.Rand) {
 		dst[i]++
 	}
 }
-func (b *bowl) Energy(state []int) float64 {
+func (b *bowl) Energy(state []int) (float64, error) {
 	e := 0.0
 	for i, v := range state {
 		d := float64(v - b.target[i])
 		e += d * d
 	}
-	return e
+	return e, nil
 }
 
 func record(t *testing.T, iters int) *Recorder {
 	t.Helper()
 	rec := &Recorder{}
-	_, err := anneal.Minimize(&bowl{target: []int{7, 12}}, anneal.Options{
-		MaxIters:    iters,
-		InitialTemp: 50,
-		StopTemp:    0.005,
-		Seed:        3,
-		OnStep:      rec.Hook(),
+	_, err := strategy.Anneal{InitialTemp: 50, StopTemp: 0.005}.Minimize(&bowl{target: []int{7, 12}}, strategy.Options{
+		Budget: iters,
+		Seed:   3,
+		OnStep: rec.Hook(),
 	})
 	if err != nil {
 		t.Fatal(err)
