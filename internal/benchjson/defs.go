@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -107,6 +108,67 @@ func Defs() []Def {
 		{Name: "local-warm-hit-http", Bench: benchLocalWarmHitHTTP},
 		{Name: "forward-warm-hit", Bench: benchForwardWarmHit},
 		{Name: "model-training", Bench: benchModelTraining},
+		{Name: "strategy-step-memo", Bench: benchStrategyStepMemo},
+		{Name: "cold-divisible-job", Bench: benchColdDivisibleJob},
+	}
+}
+
+// benchStrategyStepMemo is one SAM step through the restart runner's
+// shared memo — the rung between a memo hit (cache-evaluate-hit) and a
+// full search (sam-multichain). Two chains run sequentially over the
+// paper space with b.N steps between them, so the per-run set-up (the
+// ordinal memo, the chains' buffers) amortizes away and the op is the
+// step itself: a neighbor move, one memo lookup (a measurement on a
+// miss) and the acceptance test.
+func benchStrategyStepMemo(b *testing.B) {
+	s := fixtures(b)
+	prob := core.NewSearchProblem(s.schema, core.NewMeasurer(s.platform, s.workload), nil, space.StepMove)
+	budget := max(1, b.N/2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	res, err := strategy.DefaultAnneal().Minimize(prob, strategy.Options{Budget: budget, Seed: 1, Restarts: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res.Evaluations != 2*(budget+1) {
+		b.Fatal("chain budget mismatch")
+	}
+}
+
+// coldJobServer is the cold-divisible-job fixture: one server with its
+// default models trained, kept across the harness's calls so training
+// never lands in a timed region; coldJobSeed makes every op a new key.
+var (
+	coldJobOnce   sync.Once
+	coldJobServer *serve.Server
+	coldJobErr    error
+	coldJobSeed   atomic.Int64
+)
+
+// benchColdDivisibleJob is one cold SAM job (1,000 iterations, two
+// restarts, a seed no earlier op used) POSTed with ?wait=1 through
+// serve.Server.ServeHTTP into an httptest.ResponseRecorder: decode,
+// normalize, the store miss, the pool hand-off, the search over the
+// workload's shared measurement memo, and the render — everything of a
+// cold request but the network.
+func benchColdDivisibleJob(b *testing.B) {
+	coldJobOnce.Do(func() {
+		coldJobServer = serve.New(serve.Options{Workers: 1, QueueSize: 4})
+		coldJobErr = coldJobServer.Pretrain()
+	})
+	if coldJobErr != nil {
+		b.Fatal(coldJobErr)
+	}
+	var body []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body = fmt.Appendf(body[:0], `{"method":"sam","iterations":1000,"restarts":2,"seed":%d}`, coldJobSeed.Add(1))
+		rec := httptest.NewRecorder()
+		coldJobServer.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs?wait=1", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("cold job: status %d: %s", rec.Code, rec.Body)
+		}
 	}
 }
 

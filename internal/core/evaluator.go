@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"hetopt/internal/machine"
@@ -64,22 +65,6 @@ func NewMeasurer(p *offload.Platform, w offload.Workload) *Measurer {
 func (m *Measurer) Evaluate(cfg space.Config) (offload.Measurement, error) {
 	m.count.Add(1)
 	return m.Platform.MeasureFull(m.Workload, cfg, m.Trial)
-}
-
-// EvaluateBatch implements search.BatchEvaluator by running one
-// experiment per configuration into out. Semantics match a sequential
-// Evaluate loop exactly: each attempt is charged and the first error
-// stops the batch.
-func (m *Measurer) EvaluateBatch(cfgs []space.Config, out []offload.Measurement) error {
-	for i, cfg := range cfgs {
-		m.count.Add(1)
-		v, err := m.Platform.MeasureFull(m.Workload, cfg, m.Trial)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-	}
-	return nil
 }
 
 // Count returns the number of experiments performed so far.
@@ -147,7 +132,9 @@ func sideFeatures(threads int, aff machine.Affinity, sizeMB float64, order []mac
 // caching exact, which matters when enumeration queries 19,926
 // configurations built from only ~1,800 distinct per-side inputs. The
 // memo tables are concurrency-safe (single-flight), so one Predictor can
-// serve sharded enumeration and parallel annealing chains.
+// serve sharded enumeration and parallel annealing chains. Searches
+// (core.Run, NewSearchProblem) additionally memoize whole evaluations
+// by configuration ordinal, one table per schema (evalMemo).
 //
 // The energy side of an evaluation is not learned: predicted times are
 // composed with the analytic power model (noise-free active/static power
@@ -160,6 +147,32 @@ type Predictor struct {
 
 	hostMemo *search.Memo[sideKey, float64]
 	devMemo  *search.Memo[sideKey, float64]
+
+	// evalMemos holds one whole-evaluation memo per schema searched over
+	// this predictor, keyed by configuration ordinal (see evalMemo).
+	evalMu    sync.Mutex
+	evalMemos map[*space.Schema]*search.DenseMemo[offload.Measurement]
+}
+
+// evalMemo returns the predictor's whole-evaluation memo over schema's
+// ordinals, creating it on first use, or nil when the schema is too
+// large for a flat table. A hit on it skips the side memos and the
+// energy pricing; predictions are pure, so it changes no value.
+func (p *Predictor) evalMemo(schema *space.Schema) *search.DenseMemo[offload.Measurement] {
+	if schema.Size() > search.MaxDenseOrdinals {
+		return nil
+	}
+	p.evalMu.Lock()
+	defer p.evalMu.Unlock()
+	m, ok := p.evalMemos[schema]
+	if !ok {
+		if p.evalMemos == nil {
+			p.evalMemos = map[*space.Schema]*search.DenseMemo[offload.Measurement]{}
+		}
+		m = search.NewDenseMemo[offload.Measurement](schema.Size())
+		p.evalMemos[schema] = m
+	}
+	return m
 }
 
 type sideKey struct {
@@ -253,18 +266,4 @@ func (p *Predictor) devTime(threads int, aff machine.Affinity, sizeMB float64) (
 	return p.devMemo.Do(key, func() (float64, error) {
 		return p.models.PredictDevice(threads, aff, sizeMB)
 	})
-}
-
-// EvaluateBatch implements search.BatchEvaluator: identical to a
-// sequential Evaluate loop (first error stops), with steady-state
-// predictions served from the side memos without allocating.
-func (p *Predictor) EvaluateBatch(cfgs []space.Config, out []offload.Measurement) error {
-	for i, cfg := range cfgs {
-		v, err := p.Evaluate(cfg)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-	}
-	return nil
 }

@@ -298,7 +298,7 @@ func Run(m Method, inst *Instance, opt Options) (Result, error) {
 	}
 
 	obj := opt.objective()
-	var prob strategy.Spaced = &searchProblem{schema: inst.Schema, eval: evalSet, mode: opt.NeighborMode, obj: obj}
+	var prob strategy.Spaced = newSearchProblem(inst.Schema, evalSet, obj, opt.NeighborMode)
 	if !m.UsesML() {
 		// Measurement-path runs get the roofline pruning oracle so the
 		// exact strategy (standalone or inside a portfolio) can prune;
@@ -365,7 +365,17 @@ func NewSearchProblem(schema *space.Schema, eval Evaluator, obj Objective, mode 
 	if obj == nil {
 		obj = TimeObjective{}
 	}
-	return &searchProblem{schema: schema, eval: eval, mode: mode, obj: obj}
+	return newSearchProblem(schema, eval, obj, mode)
+}
+
+// newSearchProblem builds the adapter, wiring a predictor's
+// whole-evaluation ordinal memo in front of it.
+func newSearchProblem(schema *space.Schema, eval Evaluator, obj Objective, mode space.NeighborMode) *searchProblem {
+	p := &searchProblem{schema: schema, eval: eval, mode: mode, obj: obj}
+	if pred, ok := eval.(*Predictor); ok {
+		p.dense = pred.evalMemo(schema)
+	}
+	return p
 }
 
 // searchProblem is stateless — Energy is a pure function of the state —
@@ -375,6 +385,9 @@ type searchProblem struct {
 	eval   Evaluator
 	mode   space.NeighborMode
 	obj    Objective
+	// dense, when non-nil, memoizes eval's measurements by the state's
+	// ordinal (a predictor's whole-evaluation memo over schema).
+	dense *search.DenseMemo[offload.Measurement]
 }
 
 func (p *searchProblem) Dim() int { return p.schema.Space().Dim() }
@@ -390,52 +403,35 @@ func (p *searchProblem) Neighbor(dst, src []int, rng *rand.Rand) {
 }
 
 func (p *searchProblem) Energy(state []int) (float64, error) {
-	cfg, err := p.schema.Config(state)
+	m, err := p.measure(state)
 	if err != nil {
 		return 0, err
 	}
-	t, err := p.eval.Evaluate(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return objectiveValue(p.obj, t), nil
+	return objectiveValue(p.obj, m), nil
 }
 
-// EnergyBatch implements strategy.BatchProblem: decode every state, hand
-// the configurations to the evaluator's batch path in one call, and
-// score each measurement under the objective. Strategies only produce
-// valid states, so decoding up front before evaluating (instead of
-// interleaved, as the sequential loop does) can only reorder work on the
-// never-taken invalid-state path. Falls back to the sequential loop for
-// evaluators without a batch path.
-func (p *searchProblem) EnergyBatch(states [][]int, out []float64) error {
-	be, ok := p.eval.(search.BatchEvaluator)
-	if !ok {
-		for i, st := range states {
-			e, err := p.Energy(st)
-			if err != nil {
-				return err
+// measure evaluates a state, through the ordinal memo when there is one.
+func (p *searchProblem) measure(state []int) (offload.Measurement, error) {
+	if p.dense != nil {
+		if ord, err := p.schema.Space().Flatten(state); err == nil {
+			if v, ok, err := p.dense.Get(ord); ok {
+				return v, err
 			}
-			out[i] = e
+			return p.dense.Do(ord, func() (offload.Measurement, error) {
+				return p.evaluate(state)
+			})
 		}
-		return nil
 	}
-	cfgs := make([]space.Config, len(states))
-	for i, st := range states {
-		cfg, err := p.schema.Config(st)
-		if err != nil {
-			return err
-		}
-		cfgs[i] = cfg
+	return p.evaluate(state)
+}
+
+// evaluate decodes a state and runs the evaluator on it.
+func (p *searchProblem) evaluate(state []int) (offload.Measurement, error) {
+	cfg, err := p.schema.Config(state)
+	if err != nil {
+		return offload.Measurement{}, err
 	}
-	ms := make([]offload.Measurement, len(states))
-	if err := be.EvaluateBatch(cfgs, ms); err != nil {
-		return err
-	}
-	for i := range ms {
-		out[i] = objectiveValue(p.obj, ms[i])
-	}
-	return nil
+	return p.eval.Evaluate(cfg)
 }
 
 // searchWith runs a strategy over the adapted problem and decodes the

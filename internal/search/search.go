@@ -28,18 +28,6 @@ type Evaluator interface {
 	Evaluate(cfg space.Config) (offload.Measurement, error)
 }
 
-// BatchEvaluator is an Evaluator that can also evaluate a slice of
-// configurations in one call, writing results into out (len(out) >=
-// len(cfgs)). Semantics match calling Evaluate sequentially over cfgs —
-// same values, same effort accounting, stop at the first error — batching
-// only amortizes per-call interface and memo overhead. *core.Measurer,
-// *core.Predictor and *Cache implement it; strategies probe for it with a
-// type assertion and fall back to the sequential loop.
-type BatchEvaluator interface {
-	Evaluator
-	EvaluateBatch(cfgs []space.Config, out []offload.Measurement) error
-}
-
 // memoEntry holds one memoized computation; once guards the single
 // flight, done publishes completion to the lock-free Get fast path.
 type memoEntry[V any] struct {
@@ -144,6 +132,137 @@ func (m *Memo[K, V]) Unique() int { return int(m.unique.Load()) }
 // Hits returns the number of Do calls served from the memo.
 func (m *Memo[K, V]) Hits() int { return m.Lookups() - m.Unique() }
 
+// DenseMemo states of one ordinal.
+const (
+	denseEmpty uint32 = iota
+	denseRunning
+	denseDone
+	denseFailed
+)
+
+// denseCell is one ordinal's slot: its state word and, once the state
+// is denseDone or denseFailed, its value.
+type denseCell[V any] struct {
+	state atomic.Uint32
+	val   V
+}
+
+// DenseMemo is Memo specialized to keys that are ordinals in [0, n): a
+// flat table with one atomic state word per ordinal instead of a
+// locked map of allocated entries. Hits are one atomic load, take no
+// lock and allocate nothing; a miss claims its ordinal with one
+// compare-and-swap and stores the value in place. Errors are kept off
+// to the side, so a table of pointer-free values holds no pointers for
+// the garbage collector to scan. Do, Get, Lookups, Unique and Hits
+// count exactly as Memo's do for the same call sequence. A
+// computation that panics leaves its ordinal in flight for good.
+type DenseMemo[V any] struct {
+	cells []denseCell[V]
+
+	lookups atomic.Int64
+	unique  atomic.Int64
+
+	// waiters counts callers blocked on an in-flight ordinal, so a
+	// finished computation takes mu only when someone is waiting.
+	waiters atomic.Int32
+	mu      sync.Mutex
+	cond    sync.Cond
+	errs    map[int]error // guarded by mu
+}
+
+// MaxDenseOrdinals is the largest key space the search stack builds a
+// DenseMemo for; larger spaces stay on Memo. Every shipped tuning
+// schema (the largest, Table I's, has 57,267 configurations) and every
+// placement graph of up to 16 tasks fits.
+const MaxDenseOrdinals = 1 << 16
+
+// NewDenseMemo returns an empty memo over the ordinals [0, n).
+func NewDenseMemo[V any](n int) *DenseMemo[V] {
+	m := &DenseMemo[V]{cells: make([]denseCell[V], n)}
+	m.cond.L = &m.mu
+	return m
+}
+
+// Do returns the memoized result for ord, computing it with fn on the
+// first call. Concurrent first calls block until the single computation
+// finishes.
+func (m *DenseMemo[V]) Do(ord int, fn func() (V, error)) (V, error) {
+	m.lookups.Add(1)
+	c := &m.cells[ord]
+	for {
+		switch c.state.Load() {
+		case denseDone:
+			return c.val, nil
+		case denseFailed:
+			return c.val, m.err(ord)
+		case denseEmpty:
+			if !c.state.CompareAndSwap(denseEmpty, denseRunning) {
+				continue
+			}
+			m.unique.Add(1)
+			v, err := fn()
+			c.val = v
+			if err != nil {
+				m.mu.Lock()
+				if m.errs == nil {
+					m.errs = map[int]error{}
+				}
+				m.errs[ord] = err
+				m.mu.Unlock()
+				c.state.Store(denseFailed)
+			} else {
+				c.state.Store(denseDone)
+			}
+			if m.waiters.Load() > 0 {
+				m.mu.Lock()
+				m.cond.Broadcast()
+				m.mu.Unlock()
+			}
+			return v, err
+		default:
+			m.waiters.Add(1)
+			m.mu.Lock()
+			for c.state.Load() == denseRunning {
+				m.cond.Wait()
+			}
+			m.mu.Unlock()
+			m.waiters.Add(-1)
+		}
+	}
+}
+
+// Get returns the memoized result for ord when its computation has
+// already completed, without blocking and without allocating. A miss —
+// an ordinal never computed or still in flight — reports ok false and
+// counts nothing, as Memo.Get does.
+func (m *DenseMemo[V]) Get(ord int) (v V, ok bool, err error) {
+	c := &m.cells[ord]
+	switch c.state.Load() {
+	case denseDone:
+		m.lookups.Add(1)
+		return c.val, true, nil
+	case denseFailed:
+		m.lookups.Add(1)
+		return c.val, true, m.err(ord)
+	}
+	return v, false, nil
+}
+
+func (m *DenseMemo[V]) err(ord int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.errs[ord]
+}
+
+// Lookups returns the number of Do calls and Get hits so far.
+func (m *DenseMemo[V]) Lookups() int { return int(m.lookups.Load()) }
+
+// Unique returns the number of distinct ordinals computed (misses).
+func (m *DenseMemo[V]) Unique() int { return int(m.unique.Load()) }
+
+// Hits returns the number of lookups served from the memo.
+func (m *DenseMemo[V]) Hits() int { return m.Lookups() - m.Unique() }
+
 // cacheShards stripes the Cache memo: enough locks that 4-8 concurrent
 // chains rarely collide, few enough that the table stays cheap to build.
 const cacheShards = 16
@@ -186,20 +305,6 @@ func (c *Cache) Evaluate(cfg space.Config) (offload.Measurement, error) {
 	return c.memo.Do(cfg, func() (offload.Measurement, error) {
 		return c.eval.Evaluate(cfg)
 	})
-}
-
-// EvaluateBatch implements BatchEvaluator: identical to evaluating cfgs
-// sequentially (same memo accounting, first error stops), with hits
-// served allocation-free.
-func (c *Cache) EvaluateBatch(cfgs []space.Config, out []offload.Measurement) error {
-	for i, cfg := range cfgs {
-		v, err := c.Evaluate(cfg)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-	}
-	return nil
 }
 
 // Lookups returns the number of Evaluate calls observed.

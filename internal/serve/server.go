@@ -30,6 +30,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -184,7 +185,7 @@ type Server struct {
 	trained map[trainKey]*trainState
 
 	evalMu     sync.Mutex
-	memos      map[workloadKey]*search.Memo[space.Config, offload.Measurement]
+	memos      map[workloadKey]*search.Memo[int32, offload.Measurement]
 	memoOrder  []workloadKey
 	predictors map[workloadKey]*core.Predictor
 	predOrder  []workloadKey
@@ -227,7 +228,7 @@ func NewCluster(opt Options) (*Server, error) {
 		jobs:       map[string]*job{},
 		platforms:  map[string]*platformState{},
 		trained:    map[trainKey]*trainState{},
-		memos:      map[workloadKey]*search.Memo[space.Config, offload.Measurement]{},
+		memos:      map[workloadKey]*search.Memo[int32, offload.Measurement]{},
 		predictors: map[workloadKey]*core.Predictor{},
 	}
 	s.runFn = s.runTune
@@ -286,6 +287,10 @@ func (s *Server) platformFor(name string) (*platformState, error) {
 		if err != nil {
 			return nil, err
 		}
+	}
+	if n := st.schema.Size(); n > math.MaxInt32 {
+		// The per-workload memos key configurations by int32 ordinal.
+		return nil, fmt.Errorf("serve: platform %s has %d configurations, more than the %d a memo ordinal addresses", name, n, math.MaxInt32)
 	}
 	s.platforms[name] = st
 	return st, nil
@@ -704,13 +709,15 @@ const maxWorkloadStates = 64
 // sharedMemo returns the per-workload evaluation memo, creating it on
 // first use. Every concurrent job for the same workload funnels its
 // measurements through this memo, so overlapping searches pay for each
-// configuration once.
-func (s *Server) sharedMemo(k workloadKey) *search.Memo[space.Config, offload.Measurement] {
+// configuration once. It is keyed by configuration ordinal and stays a
+// sharded map: it holds only the configurations some job visited, where
+// a flat table per workload would hold the whole space.
+func (s *Server) sharedMemo(k workloadKey) *search.Memo[int32, offload.Measurement] {
 	s.evalMu.Lock()
 	defer s.evalMu.Unlock()
 	m, ok := s.memos[k]
 	if !ok {
-		m = search.NewShardedMemo[space.Config, offload.Measurement](16, search.HashConfig)
+		m = search.NewShardedMemo[int32, offload.Measurement](16, hashOrdinal)
 		s.memos[k] = m
 		s.memoOrder = append(s.memoOrder, k)
 		if len(s.memoOrder) > maxWorkloadStates {
@@ -721,50 +728,67 @@ func (s *Server) sharedMemo(k workloadKey) *search.Memo[space.Config, offload.Me
 	return m
 }
 
+// hashOrdinal routes ordinals onto memo shards: consecutive ordinals
+// land on consecutive shards.
+func hashOrdinal(ord int32) uint64 { return uint64(uint32(ord)) }
+
 // memoEval is a per-job evaluator funneling this job's measurer
-// through the workload's shared memo. Two layers keep the accounting
-// deterministic while the physical work is shared: the per-job memo
-// charges this job's effort counter exactly once per distinct
+// through the workload's shared memo. The shared memo ensures each
+// configuration is physically measured at most once per workload
+// across the whole server; the job's own bitset over configuration
+// ordinals charges this job's effort counter exactly once per distinct
 // configuration it visits — whether the shared memo computes the
-// measurement or replays one another job paid — so a job's Experiments
-// is a pure function of its request, not of cache warmth; the shared
-// memo ensures each configuration is physically measured at most once
-// per workload across the whole server.
+// measurement or replays one another job paid, and whichever of the
+// job's own concurrent visitors wins the shared computation — so a
+// job's Experiments is a pure function of its request, not of cache
+// warmth or scheduling.
 type memoEval struct {
-	jobMemo *search.Memo[space.Config, offload.Measurement]
-	shared  *search.Memo[space.Config, offload.Measurement]
+	schema  *space.Schema
+	shared  *search.Memo[int32, offload.Measurement]
 	meas    *core.Measurer
+	charged []atomic.Uint64 // bit ord set once ord has been charged
 }
 
 // newMemoEval builds the two-layer evaluator for one job.
-func newMemoEval(shared *search.Memo[space.Config, offload.Measurement], meas *core.Measurer) *memoEval {
+func newMemoEval(schema *space.Schema, shared *search.Memo[int32, offload.Measurement], meas *core.Measurer) *memoEval {
 	return &memoEval{
-		jobMemo: search.NewShardedMemo[space.Config, offload.Measurement](16, search.HashConfig),
+		schema:  schema,
 		shared:  shared,
 		meas:    meas,
+		charged: make([]atomic.Uint64, (schema.Size()+63)/64),
 	}
 }
 
 // Evaluate implements core.Evaluator.
 func (e *memoEval) Evaluate(cfg space.Config) (offload.Measurement, error) {
-	// Repeat visits take the allocation-free fast path; a hit on the
-	// per-job memo charges nothing, exactly like a Do hit.
-	if v, ok, err := e.jobMemo.Get(cfg); ok {
-		return v, err
+	ord, ok := e.schema.Ordinal(cfg)
+	if !ok {
+		// Searches only visit schema configurations; anything else is
+		// measured and charged directly, never shared.
+		return e.meas.Evaluate(cfg)
 	}
-	return e.jobMemo.Do(cfg, func() (offload.Measurement, error) {
-		computed := false
-		m, err := e.shared.Do(cfg, func() (offload.Measurement, error) {
+	key := int32(ord)
+	m, ok, err := e.shared.Get(key)
+	computed := false
+	if !ok {
+		m, err = e.shared.Do(key, func() (offload.Measurement, error) {
 			computed = true
-			return e.meas.Evaluate(cfg)
+			return e.meas.Platform.MeasureFull(e.meas.Workload, cfg, e.meas.Trial)
 		})
-		if err == nil && !computed {
-			// Served by another job's measurement: charge the logical
-			// experiment without re-running it.
-			e.meas.Charge()
-		}
-		return m, err
-	})
+	}
+	// Charge the job's first visit only. A replayed failure is not
+	// charged: the experiment was never run for this job.
+	if (err == nil || computed) && e.firstVisit(ord) {
+		e.meas.Charge()
+	}
+	return m, err
+}
+
+// firstVisit marks ord visited and reports whether this call was the
+// job's first to do so.
+func (e *memoEval) firstVisit(ord int) bool {
+	w, bit := &e.charged[ord>>6], uint64(1)<<(ord&63)
+	return w.Load()&bit == 0 && w.Or(bit)&bit == 0
 }
 
 // trainKey identifies one (platform, workload family) model pair.
@@ -932,7 +956,7 @@ func (s *Server) runTune(req TuneRequest) (TuneResult, error) {
 	inst := &core.Instance{
 		Schema:       st.schema,
 		Measurer:     meas,
-		MeasureCache: newMemoEval(s.sharedMemo(wk), meas),
+		MeasureCache: newMemoEval(st.schema, s.sharedMemo(wk), meas),
 	}
 	if method.UsesML() {
 		pred, err := s.predictor(wk, st, fam, w)

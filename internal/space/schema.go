@@ -2,6 +2,7 @@ package space
 
 import (
 	"fmt"
+	"math"
 
 	"hetopt/internal/machine"
 )
@@ -47,6 +48,9 @@ type Schema struct {
 	devThreads  []int
 	devAff      []machine.Affinity
 	fractions   []float64
+	// levels maps each parameter's values back to level indices for
+	// Ordinal, in parameter order.
+	levels [numParams]levelIndex
 }
 
 // SchemaSpec lists the value sets of a heterogeneous schema.
@@ -97,14 +101,95 @@ func NewSchema(spec SchemaSpec) (*Schema, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Schema{
+	sc := &Schema{
 		space:       sp,
 		hostThreads: append([]int(nil), spec.HostThreads...),
 		hostAff:     append([]machine.Affinity(nil), spec.HostAffinities...),
 		devThreads:  append([]int(nil), spec.DeviceThreads...),
 		devAff:      append([]machine.Affinity(nil), spec.DeviceAffinities...),
 		fractions:   append([]float64(nil), spec.Fractions...),
-	}, nil
+	}
+	for i := range sc.levels {
+		sc.levels[i] = newLevelIndex(sp.Params[i].Values)
+	}
+	return sc, nil
+}
+
+// levelTableMax caps a levelIndex's direct table; value sets that only
+// fit a larger grid fall back to a map.
+const levelTableMax = 4096
+
+// levelTableScales are the grid scales newLevelIndex tries, finest
+// last: integer levels fit scale 1, the paper's 2.5% fraction grid
+// scale 2.
+var levelTableScales = [...]float64{1, 2, 4, 10}
+
+// levelIndex is the inverse of one parameter's value list: a direct
+// table indexed by value*scale when every value lands on a small
+// non-negative integer grid, a map otherwise. Neither path scans.
+type levelIndex struct {
+	values []float64
+	scale  float64
+	table  []int32 // level+1 at value*scale; 0 marks no level
+	byVal  map[float64]int
+}
+
+func newLevelIndex(values []float64) levelIndex {
+	li := levelIndex{values: values}
+	for _, scale := range levelTableScales {
+		if table, ok := levelTable(values, scale); ok {
+			li.scale, li.table = scale, table
+			return li
+		}
+	}
+	li.byVal = make(map[float64]int, len(values))
+	for l, v := range values {
+		li.byVal[v] = l
+	}
+	return li
+}
+
+// levelTable builds the direct table of values on the grid of step
+// 1/scale; ok is false when some value is off that grid, out of the
+// table's range, or shares a slot with another.
+func levelTable(values []float64, scale float64) (table []int32, ok bool) {
+	top := 0.0
+	for _, v := range values {
+		x := v * scale
+		if !(x >= 0 && x < levelTableMax) || x != math.Trunc(x) {
+			return nil, false
+		}
+		top = max(top, x)
+	}
+	table = make([]int32, int(top)+1)
+	for l, v := range values {
+		x := int(v * scale)
+		if table[x] != 0 {
+			return nil, false
+		}
+		table[x] = int32(l + 1)
+	}
+	return table, true
+}
+
+// level returns the level whose value equals v exactly.
+func (li *levelIndex) level(v float64) (int, bool) {
+	if li.table == nil {
+		l, ok := li.byVal[v]
+		return l, ok
+	}
+	x := v * li.scale
+	if !(x >= 0 && x < float64(len(li.table))) {
+		return 0, false
+	}
+	i := int(x)
+	if float64(i) != x {
+		return 0, false
+	}
+	// The scaled grid can round a nearby off-grid value onto a level;
+	// the exact comparison keeps Ordinal in step with Index.
+	l := int(li.table[i]) - 1
+	return l, l >= 0 && li.values[l] == v
 }
 
 // PaperSpec returns the evaluation configuration space of Section IV-A:
@@ -198,6 +283,28 @@ func (sc *Schema) Index(cfg Config) ([]int, error) {
 		return nil, err
 	}
 	return idx, nil
+}
+
+// Ordinal returns the mixed-radix ordinal of a configuration — the
+// value Space().Flatten gives its Index vector — without allocating:
+// each field is mapped to its level by a lookup table, not a scan. ok
+// is false when any field is not one of the schema's levels.
+func (sc *Schema) Ordinal(cfg Config) (ord int, ok bool) {
+	fields := [numParams]float64{
+		ParamHostThreads:    float64(cfg.HostThreads),
+		ParamHostAffinity:   float64(cfg.HostAffinity),
+		ParamDeviceThreads:  float64(cfg.DeviceThreads),
+		ParamDeviceAffinity: float64(cfg.DeviceAffinity),
+		ParamHostFraction:   cfg.HostFraction,
+	}
+	for i := range fields {
+		l, ok := sc.levels[i].level(fields[i])
+		if !ok {
+			return 0, false
+		}
+		ord = ord*len(sc.levels[i].values) + l
+	}
+	return ord, true
 }
 
 // HostThreadValues returns the host thread levels (copy).

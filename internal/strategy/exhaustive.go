@@ -5,14 +5,13 @@ import (
 	"math"
 
 	"hetopt/internal/search"
-	"hetopt/internal/space"
 )
 
 // Exhaustive is the paper's enumeration ("brute-force") ported onto the
 // strategy layer: it visits every state of a product-space problem
 // exactly once, sharding the ordinal range into contiguous sub-ranges
-// (space.ForEachRange over a space built from the problem's levels)
-// scanned concurrently. The winner is the lowest energy at the lowest
+// scanned concurrently (lexicographic order coincides with mixed-radix
+// ordinal order). The winner is the lowest energy at the lowest
 // ordinal — identical to the sequential scan at any worker count.
 //
 // It requires Spaced, ignores Options.Budget and Options.Restarts
@@ -24,22 +23,12 @@ type Exhaustive struct{}
 // Name implements Strategy.
 func (Exhaustive) Name() string { return "exhaustive" }
 
-// productSpace rebuilds the generic index space of a Spaced problem, so
-// enumeration reuses space.ForEachRange's ordinal sharding machinery.
-func productSpace(p Spaced) (*space.Space, error) {
-	params := make([]space.Param, p.Dim())
-	for i := range params {
-		levels := p.Levels(i)
-		if levels <= 0 {
-			return nil, fmt.Errorf("strategy: exhaustive: dimension %d has no levels", i)
-		}
-		vals := make([]float64, levels)
-		for j := range vals {
-			vals[j] = float64(j)
-		}
-		params[i] = space.Param{Name: fmt.Sprintf("p%d", i), Kind: space.Ordered, Values: vals}
+// unflatten writes the mixed-radix digits of ord into idx.
+func unflatten(idx, levels []int, ord int) {
+	for i := len(levels) - 1; i >= 0; i-- {
+		idx[i] = ord % levels[i]
+		ord /= levels[i]
 	}
-	return space.New(params...)
 }
 
 // Minimize implements Strategy.
@@ -48,11 +37,18 @@ func (Exhaustive) Minimize(p Problem, opt Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	prod, err := productSpace(sp)
-	if err != nil {
-		return Result{}, err
+	dim := sp.Dim()
+	if dim == 0 {
+		return Result{}, fmt.Errorf("strategy: exhaustive: problem has no dimensions")
 	}
-	size := prod.Size()
+	levels := make([]int, dim)
+	size := 1
+	for i := range levels {
+		if levels[i] = sp.Levels(i); levels[i] <= 0 {
+			return Result{}, fmt.Errorf("strategy: exhaustive: dimension %d has no levels", i)
+		}
+		size *= levels[i]
+	}
 	workers := search.Workers(opt.Parallelism)
 	if workers > size {
 		workers = size
@@ -69,33 +65,31 @@ func (Exhaustive) Minimize(p Problem, opt Options) (Result, error) {
 			sb.ord = ord
 		}
 	}
-	// scan decodes its range in fixed-size chunks into a reused backing
-	// array and evaluates each chunk in one energyBatch call. The merge
-	// still walks ordinals in order, so the (energy, ordinal) winner is
-	// the sequential one.
+	// scan walks its range with an odometer, decoding fixed-size chunks
+	// into a reused backing array and evaluating each chunk in one
+	// energyBatch call. The merge still walks ordinals in order, so the
+	// (energy, ordinal) winner is the sequential one.
 	scan := func(lo, hi int) (shardBest, error) {
 		sb := shardBest{e: math.Inf(1), ord: -1}
 		const chunk = 256
-		dim := sp.Dim()
-		backing := make([]int, chunk*dim)
+		backing := make([]int, (chunk+1)*dim)
+		idx := backing[chunk*dim:]
 		states := make([][]int, chunk)
 		for i := range states {
 			states[i] = backing[i*dim : (i+1)*dim : (i+1)*dim]
 		}
 		energies := make([]float64, chunk)
+		unflatten(idx, levels, lo)
 		for start := lo; start < hi; start += chunk {
-			end := start + chunk
-			if end > hi {
-				end = hi
-			}
-			n := end - start
-			fill := 0
-			if err := prod.ForEachRange(start, end, func(ord int, idx []int) error {
-				copy(states[fill], idx)
-				fill++
-				return nil
-			}); err != nil {
-				return sb, err
+			n := min(chunk, hi-start)
+			for _, st := range states[:n] {
+				copy(st, idx)
+				for i := dim - 1; i >= 0; i-- {
+					if idx[i]++; idx[i] < levels[i] {
+						break
+					}
+					idx[i] = 0
+				}
 			}
 			if err := energyBatch(sp, states[:n], energies[:n]); err != nil {
 				return sb, err
@@ -132,10 +126,8 @@ func (Exhaustive) Minimize(p Problem, opt Options) (Result, error) {
 	if total.ord < 0 {
 		return Result{}, fmt.Errorf("strategy: exhaustive: empty space")
 	}
-	best, err := prod.Unflatten(total.ord)
-	if err != nil {
-		return Result{}, err
-	}
+	best := make([]int, dim)
+	unflatten(best, levels, total.ord)
 	return Result{
 		Best:        best,
 		BestEnergy:  total.e,

@@ -226,7 +226,8 @@ type Strategy interface {
 }
 
 // stateKey encodes a state vector as a compact string memo key — the
-// fallback for problems too wide for the allocation-free array key.
+// fallback for problems too large (beyond search.MaxDenseOrdinals
+// states), or too coupled, for the dense ordinal memo.
 func stateKey(state []int) string {
 	buf := make([]byte, 0, 2*len(state))
 	for _, v := range state {
@@ -235,55 +236,9 @@ func stateKey(state []int) string {
 	return string(buf)
 }
 
-// arrayKeyDims bounds the array state key: problems with at most this
-// many dimensions (and at most 65536 levels each) get a fixed-size
-// comparable key built without allocating. The tuning schema has 5
-// dimensions, so every paper-shaped problem qualifies.
-const arrayKeyDims = 8
-
-// arrayKey is the compact comparable state key.
-type arrayKey struct {
-	n uint8
-	v [arrayKeyDims]uint16
-}
-
-func makeArrayKey(state []int) arrayKey {
-	k := arrayKey{n: uint8(len(state))}
-	for i, x := range state {
-		k.v[i] = uint16(x)
-	}
-	return k
-}
-
-// canArrayKey reports whether every state of p fits the array key.
-func canArrayKey(p Problem) bool {
-	sp, ok := p.(Spaced)
-	if !ok || p.Dim() > arrayKeyDims {
-		return false
-	}
-	for i := 0; i < p.Dim(); i++ {
-		if sp.Levels(i) > 1<<16 {
-			return false
-		}
-	}
-	return true
-}
-
-// memoShards stripes the shared state memo so concurrent chains and
-// portfolio members do not serialize on one mutex.
+// memoShards stripes the string-keyed state memo so concurrent chains
+// and portfolio members do not serialize on one mutex.
 const memoShards = 8
-
-// hashArrayKey routes array keys onto memo shards (FNV-style fold plus
-// a final avalanche; shard routing never affects results).
-func hashArrayKey(k arrayKey) uint64 {
-	h := uint64(k.n)
-	for i := 0; i < int(k.n); i++ {
-		h = (h ^ uint64(k.v[i])) * 0x100000001b3
-	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	return h ^ (h >> 33)
-}
 
 // hashStateString routes string keys onto memo shards.
 func hashStateString(s string) uint64 {
@@ -297,23 +252,29 @@ func hashStateString(s string) uint64 {
 // memoProblem wraps a Problem's Energy in a concurrency-safe
 // single-flight state-keyed memo, so workers sharing one memoProblem
 // never pay for the same state twice. Evaluations are pure, so the memo
-// never changes a value — only the physical effort spent. Paper-shaped
-// problems key on a stack-built array (amemo); wider problems fall back
-// to the varint string key (smemo). Hits take the memo's allocation-free
-// Get fast path; only misses build the Do closure.
+// never changes a value — only the physical effort spent. Small product
+// spaces key a search.DenseMemo by the state's ordinal (dense, with
+// levels the per-dimension radices); other problems fall back to the
+// varint string key (smemo). Hits take the memos' allocation-free Get
+// fast path; only misses build the Do closure.
 type memoProblem struct {
 	Problem
-	amemo *search.Memo[arrayKey, float64]
-	smemo *search.Memo[string, float64]
+	dense  *search.DenseMemo[float64]
+	levels []int
+	smemo  *search.Memo[string, float64]
 }
 
 func (m *memoProblem) Energy(state []int) (float64, error) {
-	if m.amemo != nil {
-		k := makeArrayKey(state)
-		if v, ok, err := m.amemo.Get(k); ok {
+	if m.dense != nil {
+		ord, ok := m.ordinal(state)
+		if !ok {
+			// Off-grid states are invalid; let the problem report that.
+			return m.Problem.Energy(state)
+		}
+		if v, ok, err := m.dense.Get(ord); ok {
 			return v, err
 		}
-		return m.amemo.Do(k, func() (float64, error) {
+		return m.dense.Do(ord, func() (float64, error) {
 			return m.Problem.Energy(state)
 		})
 	}
@@ -324,6 +285,21 @@ func (m *memoProblem) Energy(state []int) (float64, error) {
 	return m.smemo.Do(k, func() (float64, error) {
 		return m.Problem.Energy(state)
 	})
+}
+
+// ordinal is the mixed-radix ordinal of state, ok false when state is
+// not a point of the product space.
+func (m *memoProblem) ordinal(state []int) (ord int, ok bool) {
+	if len(state) != len(m.levels) {
+		return 0, false
+	}
+	for i, v := range state {
+		if v < 0 || v >= m.levels[i] {
+			return 0, false
+		}
+		ord = ord*m.levels[i] + v
+	}
+	return ord, true
 }
 
 // spacedMemoProblem additionally forwards Levels, so a memo wrapped
@@ -354,8 +330,12 @@ func (m boundedSpacedMemoProblem) LowerBound(prefix []int, fixed int) float64 {
 // an unbounded problem must not pretend to have admissible bounds).
 func withMemo(p Problem) Problem {
 	mp := &memoProblem{Problem: p}
-	if canArrayKey(p) {
-		mp.amemo = search.NewShardedMemo[arrayKey, float64](memoShards, hashArrayKey)
+	if n, ok := spaceSize(p); ok && n <= search.MaxDenseOrdinals {
+		mp.dense = search.NewDenseMemo[float64](n)
+		mp.levels = make([]int, p.Dim())
+		for i := range mp.levels {
+			mp.levels[i] = p.(Spaced).Levels(i)
+		}
 	} else {
 		mp.smemo = search.NewShardedMemo[string, float64](memoShards, hashStateString)
 	}
@@ -382,8 +362,8 @@ func memoStats(p Problem) (lookups, unique, hits int, ok bool) {
 	default:
 		return 0, 0, 0, false
 	}
-	if mp.amemo != nil {
-		return mp.amemo.Lookups(), mp.amemo.Unique(), mp.amemo.Hits(), true
+	if mp.dense != nil {
+		return mp.dense.Lookups(), mp.dense.Unique(), mp.dense.Hits(), true
 	}
 	return mp.smemo.Lookups(), mp.smemo.Unique(), mp.smemo.Hits(), true
 }
