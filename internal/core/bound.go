@@ -11,7 +11,7 @@ import (
 
 // This file derives admissible lower bounds on the objective of any
 // configuration extending a partially-fixed one — the pruning oracle of
-// the exact branch-and-bound strategy (internal/exact) over divisible
+// the exact branch-and-bound strategy (strategy.Exact) over divisible
 // schemas. The bound is a roofline relaxation of the analytic model
 // (perf.Model): per-side compute time is bounded by the best streaming
 // rate any allowed thread/affinity choice achieves, fixed setup and
@@ -150,7 +150,7 @@ func allowed(prefix []int, fixed, d, levels int) (int, int) {
 	return 0, levels
 }
 
-// LowerBound implements exact.Bounded (via the search problem wrapper):
+// LowerBound implements strategy.Bounded (via the search problem wrapper):
 // an admissible bound on the objective of any configuration whose first
 // `fixed` schema dimensions match prefix. Fixing one more dimension only
 // shrinks the maximized rate sets and the minimized fraction set, so the
@@ -249,7 +249,7 @@ type boundedSearchProblem struct {
 	b *rooflineBounder
 }
 
-// LowerBound implements exact.Bounded.
+// LowerBound implements strategy.Bounded.
 func (p *boundedSearchProblem) LowerBound(prefix []int, fixed int) float64 {
 	return p.b.LowerBound(prefix, fixed)
 }
@@ -262,13 +262,18 @@ func (p *boundedSearchProblem) LowerBound(prefix []int, fixed int) float64 {
 // must be measurement-backed — attaching roofline bounds to an ML
 // predictor could prune the predicted optimum.
 func NewBoundedSearchProblem(schema *space.Schema, eval Evaluator, obj Objective, mode space.NeighborMode, platform *offload.Platform, w offload.Workload) strategy.Spaced {
-	sp := NewSearchProblem(schema, eval, obj, mode)
-	base, ok := sp.(*searchProblem)
-	if !ok {
-		return sp
+	if obj == nil {
+		obj = TimeObjective{}
 	}
-	if b := newRooflineBounder(schema, platform, w, obj); b != nil {
-		return &boundedSearchProblem{searchProblem: base, b: b}
+	return withRooflineBound(newSearchProblem(schema, eval, obj, mode), platform, w)
+}
+
+// withRooflineBound attaches the roofline pruning oracle to p when its
+// objective and the platform's model admit one, and returns p
+// unchanged otherwise.
+func withRooflineBound(p *searchProblem, platform *offload.Platform, w offload.Workload) strategy.Spaced {
+	if b := newRooflineBounder(p.schema, platform, w, p.obj); b != nil {
+		return &boundedSearchProblem{searchProblem: p, b: b}
 	}
-	return sp
+	return p
 }

@@ -298,14 +298,13 @@ func Run(m Method, inst *Instance, opt Options) (Result, error) {
 	}
 
 	obj := opt.objective()
-	var prob strategy.Spaced = newSearchProblem(inst.Schema, evalSet, obj, opt.NeighborMode)
+	sp := newSearchProblem(inst.Schema, evalSet, obj, opt.NeighborMode)
+	var prob strategy.Spaced = sp
 	if !m.UsesML() {
 		// Measurement-path runs get the roofline pruning oracle so the
 		// exact strategy (standalone or inside a portfolio) can prune;
 		// prediction-path runs stay bound-free (see bound.go).
-		if b := newRooflineBounder(inst.Schema, inst.Measurer.Platform, inst.Measurer.Workload, obj); b != nil {
-			prob = &boundedSearchProblem{searchProblem: prob.(*searchProblem), b: b}
-		}
+		prob = withRooflineBound(sp, inst.Measurer.Platform, inst.Measurer.Workload)
 	}
 	best, sres, err := searchWith(opt.strategyFor(m), prob, inst.Schema, opt)
 	if err != nil {
@@ -457,52 +456,38 @@ func searchWith(strat strategy.Strategy, p strategy.Spaced, schema *space.Schema
 // HostOnlyBaseline measures the paper's CPU-only baseline: all host
 // threads (the schema's maximum), fraction 100, best affinity by
 // measurement.
-func HostOnlyBaseline(inst *Instance) (Result, error) {
-	if err := inst.Validate(EM); err != nil {
-		return Result{}, err
-	}
-	threads := maxInt(inst.Schema.HostThreadValues())
-	bestE := math.Inf(1)
-	var best space.Config
-	var bestT offload.Measurement
-	for _, aff := range inst.Schema.HostAffinityValues() {
-		cfg := space.Config{
-			HostThreads: threads, HostAffinity: aff,
-			DeviceThreads:  maxInt(inst.Schema.DeviceThreadValues()),
-			DeviceAffinity: inst.Schema.DeviceAffinityValues()[0],
-			HostFraction:   100,
-		}
-		t, err := inst.measureEvaluator().Evaluate(cfg)
-		if err != nil {
-			return Result{}, err
-		}
-		if t.E() < bestE {
-			bestE, best, bestT = t.E(), cfg, t
-		}
-	}
-	return Result{Method: EM, Config: best, SearchE: bestE,
-		Measured: bestT.Times, MeasuredEnergy: bestT.Energy,
-		Objective: TimeObjective{}.Name(), MeasuredObjective: bestE,
-		SearchEvaluations: len(inst.Schema.HostAffinityValues()),
-		Experiments:       len(inst.Schema.HostAffinityValues())}, nil
-}
+func HostOnlyBaseline(inst *Instance) (Result, error) { return sideOnlyBaseline(inst, true) }
 
 // DeviceOnlyBaseline measures the accelerator-only baseline: all device
 // threads, fraction 0, best affinity by measurement.
-func DeviceOnlyBaseline(inst *Instance) (Result, error) {
+func DeviceOnlyBaseline(inst *Instance) (Result, error) { return sideOnlyBaseline(inst, false) }
+
+// sideOnlyBaseline gives all work to one side (the host when host is
+// true) at both sides' maximum thread counts, measures every affinity
+// of that side and keeps the best; the idle side sits at its first
+// affinity.
+func sideOnlyBaseline(inst *Instance, host bool) (Result, error) {
 	if err := inst.Validate(EM); err != nil {
 		return Result{}, err
 	}
-	threads := maxInt(inst.Schema.DeviceThreadValues())
+	base := space.Config{
+		HostThreads: maxInt(inst.Schema.HostThreadValues()), HostAffinity: inst.Schema.HostAffinityValues()[0],
+		DeviceThreads: maxInt(inst.Schema.DeviceThreadValues()), DeviceAffinity: inst.Schema.DeviceAffinityValues()[0],
+	}
+	affs := inst.Schema.DeviceAffinityValues()
+	if host {
+		base.HostFraction = 100
+		affs = inst.Schema.HostAffinityValues()
+	}
 	bestE := math.Inf(1)
 	var best space.Config
 	var bestT offload.Measurement
-	for _, aff := range inst.Schema.DeviceAffinityValues() {
-		cfg := space.Config{
-			HostThreads:   maxInt(inst.Schema.HostThreadValues()),
-			HostAffinity:  inst.Schema.HostAffinityValues()[0],
-			DeviceThreads: threads, DeviceAffinity: aff,
-			HostFraction: 0,
+	for _, aff := range affs {
+		cfg := base
+		if host {
+			cfg.HostAffinity = aff
+		} else {
+			cfg.DeviceAffinity = aff
 		}
 		t, err := inst.measureEvaluator().Evaluate(cfg)
 		if err != nil {
@@ -515,8 +500,8 @@ func DeviceOnlyBaseline(inst *Instance) (Result, error) {
 	return Result{Method: EM, Config: best, SearchE: bestE,
 		Measured: bestT.Times, MeasuredEnergy: bestT.Energy,
 		Objective: TimeObjective{}.Name(), MeasuredObjective: bestE,
-		SearchEvaluations: len(inst.Schema.DeviceAffinityValues()),
-		Experiments:       len(inst.Schema.DeviceAffinityValues())}, nil
+		SearchEvaluations: len(affs),
+		Experiments:       len(affs)}, nil
 }
 
 func maxInt(xs []int) int {

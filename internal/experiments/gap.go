@@ -42,18 +42,6 @@ type ExactGapResult struct {
 	Budget int
 }
 
-// gapHeuristics is the heuristic lineup measured against the proven
-// optimum, mirroring the strategy-comparison member set.
-func gapHeuristics() []strategy.Strategy {
-	return []strategy.Strategy{
-		strategy.Anneal{InitialTemp: core.DefaultInitialTemp, StopTemp: core.DefaultInitialTemp / core.TempSpan},
-		strategy.Genetic{},
-		strategy.Tabu{},
-		strategy.Local{},
-		strategy.Random{},
-	}
-}
-
 // ExactGapTable proves the optimum of every enumerable scenario space
 // with the exact branch-and-bound strategy, cross-checks it against
 // plain exhaustive enumeration, and measures how far each heuristic
@@ -61,7 +49,7 @@ func gapHeuristics() []strategy.Strategy {
 // layer exists for: heuristic quality reported against a certificate
 // instead of against the best heuristic.
 func (s *Suite) ExactGapTable(budget int) (*ExactGapResult, error) {
-	heuristics := gapHeuristics()
+	heuristics := heuristicLineup()
 	res := &ExactGapResult{Budget: budget}
 	for _, h := range heuristics {
 		res.Heuristics = append(res.Heuristics, h.Name())

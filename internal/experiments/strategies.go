@@ -54,6 +54,20 @@ type StrategyComparisonResult struct {
 	ExactEvaluations []int
 }
 
+// heuristicLineup is the paper's annealer (on the core schedule) and
+// the four alternative metaheuristics, in reporting order: the members
+// StrategyComparison races and ExactGapTable measures against a proven
+// optimum.
+func heuristicLineup() []strategy.Strategy {
+	return []strategy.Strategy{
+		strategy.Anneal{InitialTemp: core.DefaultInitialTemp, StopTemp: core.DefaultInitialTemp / core.TempSpan},
+		strategy.Genetic{},
+		strategy.Tabu{},
+		strategy.Local{},
+		strategy.Random{},
+	}
+}
+
 // StrategyComparison is the tentpole experiment of the pluggable search
 // layer: every strategy explores the same configuration space under the
 // same measured objective and an equal per-worker evaluation budget,
@@ -69,13 +83,7 @@ func (s *Suite) StrategyComparison(w offload.Workload, budget int) (*StrategyCom
 	// accounting (MeanEvaluations, the portfolio's memo stats) is
 	// untouched — caching never changes a reported number.
 	measurer := search.NewCache(core.NewMeasurer(s.Platform, w))
-	members := []strategy.Strategy{
-		strategy.Anneal{InitialTemp: core.DefaultInitialTemp, StopTemp: core.DefaultInitialTemp / core.TempSpan},
-		strategy.Genetic{},
-		strategy.Tabu{},
-		strategy.Local{},
-		strategy.Random{},
-	}
+	members := heuristicLineup()
 	portfolio := strategy.Portfolio{Members: members}
 	objectives := []core.Objective{
 		core.TimeObjective{},

@@ -63,7 +63,7 @@ func (p *PlacementProblem) EnergyBatch(states [][]int, out []float64) error {
 	return nil
 }
 
-// LowerBound implements exact.Bounded with an admissible bound on the
+// LowerBound implements strategy.Bounded with an admissible bound on the
 // makespan of any placement agreeing with prefix[:fixed] — the pruning
 // rule of the exact branch-and-bound strategy over placement spaces.
 // It is the maximum of two classic DAG relaxations:

@@ -1,76 +1,481 @@
 package strategy
 
 import (
-	"hetopt/internal/exact"
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+
+	"hetopt/internal/search"
 )
 
-// Certificate and PoolEntry re-export the exact layer's result types so
-// every consumer of a strategy Result (core, graph, serve, the CLIs)
-// speaks one vocabulary without importing internal/exact directly.
-type (
-	// Certificate is a branch-and-bound optimality certificate.
-	Certificate = exact.Certificate
-	// PoolEntry is one member of the diverse near-optimal solution pool.
-	PoolEntry = exact.PoolEntry
-)
+// Bounded is optionally implemented by product-space problems that can
+// bound partial assignments. LowerBound must return an admissible (never
+// overestimating) lower bound on Energy over every state that agrees
+// with prefix[:fixed]; entries at and beyond fixed are undefined and
+// must not be read. Bounds must be monotone: fixing one more dimension
+// never lowers the bound. LowerBound must be pure and safe for
+// concurrent use. internal/core derives one from the roofline
+// performance model, internal/graph from DAG critical paths.
+type Bounded interface {
+	Spaced
+	LowerBound(prefix []int, fixed int) float64
+}
 
-// Pool-knob defaults, re-exported for flag and wire validation.
+// Pool-knob defaults, mirroring the Gurobi solution-pool parameters the
+// serving layer exposes.
 const (
-	DefaultPoolGap      = exact.DefaultPoolGap
-	DefaultMinDiversity = exact.DefaultMinDiversity
-	MaxPoolSize         = exact.MaxPoolSize
+	// DefaultPoolGap keeps pool candidates within 10% of the incumbent
+	// when PoolGap is left zero.
+	DefaultPoolGap = 0.10
+	// MaxPoolSize bounds PoolSize for callers that validate external
+	// input (the serving layer rejects larger requests).
+	MaxPoolSize = 64
 )
 
-// Exact is the deterministic branch-and-bound strategy (internal/exact)
-// lifted onto the strategy layer: the only member that returns a
-// provable answer rather than a heuristic one. It requires Spaced.
-// Options.Budget caps energy evaluations per subtree root (the
-// deterministic unit of work, mirroring the per-chain/per-restart
-// budget semantics of the heuristics); Prove lifts the cap and runs to
-// exhaustion. Problems additionally implementing
-// LowerBound(prefix []int, fixed int) float64 (see exact.Bounded) are
-// pruned with admissible bounds; others are solved as a certified
-// exhaustive enumeration. Options.Seed and Options.Restarts are ignored
-// — the search draws no randomness and its decomposition is fixed.
+// minDiversity is the minimum pairwise L1 index distance between kept
+// pool entries. 1 would only mean "distinct"; 2 forces genuinely
+// different assignments.
+const minDiversity = 2
+
+// rootTarget is the minimum number of independent subtree roots the
+// tree is split into (capped by the space size). It is a constant so
+// the split — and therefore every count in the Certificate — is a pure
+// function of the space shape, not of Parallelism.
+const rootTarget = 16
+
+// Exact is the deterministic branch-and-bound strategy — the ground
+// truth of the search layer and the only member that returns a provable
+// answer rather than a heuristic one. It returns a Certificate stating
+// either that the best state found is the true optimum (the tree was
+// exhausted) or how far it can possibly be from it (an admissible lower
+// bound on everything left unexplored), plus a top-K pool of
+// provably-good, mutually diverse alternate states in the Gurobi
+// PoolSearchMode/PoolSolutions/PoolGap idiom.
+//
+// The tree fixes one dimension per level; a node at depth d is the set
+// of all states agreeing with prefix[:d]. Problems that implement
+// Bounded are pruned: subtrees whose bound already exceeds the
+// incumbent are eliminated without evaluation. Others are solved as a
+// certified exhaustive enumeration.
+//
+// It requires Spaced. Options.Budget caps energy evaluations per
+// subtree root (the deterministic unit of work, mirroring the
+// per-chain/per-restart budget of the heuristics); Prove lifts the cap.
+// Options.Seed and Options.Restarts are ignored: the search draws no
+// randomness and its decomposition is fixed.
+//
+// Determinism contract: for a fixed (Exact, Options) the Result —
+// including the Certificate's Explored/Pruned counts and the pool — is
+// bit-identical at every Parallelism level. The tree is split at a
+// fixed depth (a pure function of the space shape, never of
+// Parallelism) into independent subtree roots; each root runs
+// sequentially, seeded with the same greedy-dive incumbent, and root
+// results merge in root order by (energy, state ordinal) — never by
+// completion order.
 type Exact struct {
 	// Prove ignores the budget and always exhausts the tree.
 	Prove bool
-	// PoolSize, PoolGap and MinDiversity configure the diverse solution
-	// pool (see exact.Options).
-	PoolSize     int
-	PoolGap      float64
-	MinDiversity int
+	// PoolSize, when positive, collects up to that many mutually
+	// diverse states within PoolGap of the optimum (the best state is
+	// always pool entry 0).
+	PoolSize int
+	// PoolGap is the relative gap defining "provably good": candidates
+	// with energy <= best + PoolGap*|best| are pool-eligible, and
+	// subtrees are only pruned against that widened threshold so
+	// alternates survive. Zero selects DefaultPoolGap when PoolSize is
+	// set; it is ignored otherwise.
+	PoolGap float64
 }
 
 // Name implements Strategy.
 func (Exact) Name() string { return "exact" }
 
+// Certificate is the provable part of an exact Result.
+type Certificate struct {
+	// Optimal reports that the tree was exhausted: BestEnergy is the
+	// true minimum over the whole space (ties broken by lowest state
+	// ordinal, matching exhaustive enumeration).
+	Optimal bool
+	// LowerBound is an admissible lower bound on the true optimum. It
+	// equals BestEnergy when Optimal; when the budget truncated the
+	// search it is min(BestEnergy, bounds of the unexplored frontier).
+	LowerBound float64
+	// Gap is the relative optimality gap (BestEnergy-LowerBound)/
+	// |BestEnergy| — 0 when proven, +Inf when nothing is known about
+	// the frontier (an unbounded problem truncated mid-search).
+	Gap float64
+	// Explored counts states whose energy was evaluated inside the
+	// tree; Pruned counts states eliminated by admissible bounds
+	// without evaluation. For a proven solve Explored+Pruned equals the
+	// space size; Explored < size is the proof that pruning is real.
+	Explored int
+	Pruned   int
+}
+
+// PoolEntry is one member of the diverse near-optimal solution pool.
+type PoolEntry struct {
+	// State is the index vector; Energy its evaluated energy.
+	State  []int
+	Energy float64
+}
+
+// solver holds the per-solve immutable state shared by all roots.
+type solver struct {
+	shape
+	p        Spaced
+	b        Bounded // nil when p has no admissible bounds
+	budget   int     // per-root leaf evaluations; -1 = unlimited
+	poolSize int     // requested pool size (0 = no pool)
+	gap      float64 // effective pool gap (0 when no pool)
+	poolCap  int     // per-root candidate buffer cap
+	// dive incumbent shared read-only by every root.
+	diveState []int
+	diveE     float64
+	diveOrd   int
+}
+
+// candidate is an internal pool candidate with its ordinal for
+// deterministic ordering.
+type candidate struct {
+	e     float64
+	ord   int
+	state []int
+}
+
+// rootState is the mutable per-root search state.
+type rootState struct {
+	s       *solver
+	prefix  []int
+	scratch [][]childRef // per-depth child buffers
+	bestE   float64
+	bestOrd int
+	best    []int
+	evals   int
+	pruned  int // states eliminated by bounds
+	budget  int // remaining leaf evaluations; -1 = unlimited
+	trunc   bool
+	// frontier is the minimum bound over subtrees left unexplored by
+	// budget truncation (+Inf when none).
+	frontier float64
+	pool     []candidate
+}
+
+type childRef struct {
+	v     int
+	bound float64
+}
+
 // Minimize implements Strategy. The returned Result carries the
 // certificate and pool (Result.Certificate()/Result.PoolEntries()).
 func (e Exact) Minimize(p Problem, opt Options) (Result, error) {
-	sp, err := spacedOrErr("exact", p)
+	sp, sh, err := productSpace("exact", p)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := exact.Solve(sp, exact.Options{
-		Budget:       opt.budget(),
-		Prove:        e.Prove,
-		PoolSize:     e.PoolSize,
-		PoolGap:      e.PoolGap,
-		MinDiversity: e.MinDiversity,
-		Parallelism:  opt.Parallelism,
+	if sh.size == 0 {
+		return Result{}, fmt.Errorf("strategy: exact: space size overflows")
+	}
+	s := &solver{shape: sh, p: sp, budget: -1}
+	if b, ok := p.(Bounded); ok {
+		s.b = b
+	}
+	if !e.Prove {
+		s.budget = opt.budget()
+	}
+	if e.PoolSize > 0 {
+		s.poolSize = e.PoolSize
+		s.gap = e.PoolGap
+		if s.gap <= 0 {
+			s.gap = DefaultPoolGap
+		}
+		s.poolCap = max(4*e.PoolSize, 64)
+	}
+	if err := s.dive(); err != nil {
+		return Result{}, err
+	}
+
+	// Split the tree at the smallest depth whose prefix count reaches
+	// rootTarget (a pure function of the space shape).
+	depth, roots := 0, 1
+	target := min(rootTarget, s.size)
+	for depth < len(s.levels) && roots < target {
+		roots *= s.levels[depth]
+		depth++
+	}
+
+	outs := make([]*rootState, roots)
+	ferr := search.ForEach(roots, opt.Parallelism, func(r int) error {
+		rs := s.newRootState()
+		// Root r's prefix is the digits of its first state's ordinal.
+		s.unflatten(rs.prefix, r*(s.size/roots))
+		outs[r] = rs
+		if depth == len(s.levels) {
+			// Degenerate split: each root is a single leaf.
+			return s.visitLeaf(rs, s.rootBound(rs, depth))
+		}
+		return s.expand(rs, depth)
 	})
-	if err != nil {
-		return Result{}, err
+	if ferr != nil {
+		return Result{}, ferr
 	}
-	cert := res.Certificate
-	return Result{
-		Best:        res.Best,
-		BestEnergy:  res.BestEnergy,
-		Evaluations: res.Evaluations,
-		Worker:      0,
+	return s.merge(outs), nil
+}
+
+// dive establishes the shared initial incumbent: a single greedy descent
+// taking the minimum-bound child at every level (ties to the lowest
+// index; index 0 throughout when the problem is unbounded).
+func (s *solver) dive() error {
+	state := make([]int, len(s.levels))
+	for d, n := range s.levels {
+		bestV := 0
+		if s.b != nil && n > 1 {
+			bestBd := math.Inf(1)
+			for v := 0; v < n; v++ {
+				state[d] = v
+				if bd := s.b.LowerBound(state, d+1); bd < bestBd {
+					bestBd, bestV = bd, v
+				}
+			}
+		}
+		state[d] = bestV
+	}
+	e, err := s.p.Energy(state)
+	if err != nil {
+		return err
+	}
+	s.diveState = state
+	s.diveE = sanitize(e)
+	s.diveOrd, _ = s.ordinal(state)
+	return nil
+}
+
+func (s *solver) newRootState() *rootState {
+	rs := &rootState{
+		s:        s,
+		prefix:   make([]int, len(s.levels)),
+		scratch:  make([][]childRef, len(s.levels)),
+		bestE:    s.diveE,
+		bestOrd:  s.diveOrd,
+		best:     append([]int(nil), s.diveState...),
+		frontier: math.Inf(1),
+		budget:   s.budget,
+	}
+	for d, n := range s.levels {
+		rs.scratch[d] = make([]childRef, 0, n)
+	}
+	return rs
+}
+
+// thresh is the pruning threshold: the incumbent, widened by the pool
+// gap so provably-good alternates stay explorable. Pruning is strict
+// (bound > thresh), so every state tying the optimum is still evaluated
+// and the (energy, ordinal) winner matches exhaustive enumeration.
+func (rs *rootState) thresh() float64 {
+	if rs.s.gap <= 0 {
+		return rs.bestE
+	}
+	return rs.bestE + rs.s.gap*math.Abs(rs.bestE)
+}
+
+// rootBound bounds the root's own subtree (used only for the degenerate
+// single-leaf-root split).
+func (s *solver) rootBound(rs *rootState, fixed int) float64 {
+	if s.b == nil {
+		return math.Inf(-1)
+	}
+	return s.b.LowerBound(rs.prefix, fixed)
+}
+
+// expand enumerates dimension `fixed` of the node prefix[:fixed],
+// bounding every child, then visiting them in (bound, index) order so
+// the most promising subtree tightens the incumbent first.
+func (s *solver) expand(rs *rootState, fixed int) error {
+	ch := rs.scratch[fixed][:0]
+	for v := 0; v < s.levels[fixed]; v++ {
+		bd := math.Inf(-1)
+		if s.b != nil {
+			rs.prefix[fixed] = v
+			bd = s.b.LowerBound(rs.prefix, fixed+1)
+			if math.IsNaN(bd) {
+				bd = math.Inf(-1)
+			}
+		}
+		ch = append(ch, childRef{v: v, bound: bd})
+	}
+	// Bounds are never NaN here, so (bound, index) is a strict total
+	// order and the sorted permutation is unique.
+	slices.SortFunc(ch, func(a, b childRef) int {
+		return cmp.Or(cmp.Compare(a.bound, b.bound), cmp.Compare(a.v, b.v))
+	})
+	below := s.strides[fixed]
+	for i, c := range ch {
+		if rs.trunc || rs.budget == 0 {
+			// Out of budget: everything left becomes the unexplored
+			// frontier, priced by its admissible bound.
+			rs.trunc = true
+			if c.bound < rs.frontier {
+				rs.frontier = c.bound
+			}
+			continue
+		}
+		if c.bound > rs.thresh() {
+			// Children are bound-sorted and the threshold only ever
+			// tightens: every remaining sibling prunes too.
+			rs.pruned += (len(ch) - i) * below
+			break
+		}
+		rs.prefix[fixed] = c.v
+		var err error
+		if fixed+1 == len(s.levels) {
+			err = s.visitLeaf(rs, c.bound)
+		} else {
+			err = s.expand(rs, fixed+1)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// visitLeaf evaluates the complete state in prefix.
+func (s *solver) visitLeaf(rs *rootState, bound float64) error {
+	if rs.trunc || rs.budget == 0 {
+		rs.trunc = true
+		if bound < rs.frontier {
+			rs.frontier = bound
+		}
+		return nil
+	}
+	if bound > rs.thresh() {
+		rs.pruned++
+		return nil
+	}
+	e, err := s.p.Energy(rs.prefix)
+	if err != nil {
+		return err
+	}
+	e = sanitize(e)
+	rs.evals++
+	if rs.budget > 0 {
+		rs.budget--
+	}
+	ord, _ := s.ordinal(rs.prefix)
+	if e < rs.bestE || (e == rs.bestE && ord < rs.bestOrd) {
+		rs.bestE, rs.bestOrd = e, ord
+		rs.best = append(rs.best[:0], rs.prefix...)
+	}
+	if s.poolSize > 0 && e <= rs.thresh() {
+		rs.addCandidate(e, ord)
+	}
+	return nil
+}
+
+func (rs *rootState) addCandidate(e float64, ord int) {
+	rs.pool = append(rs.pool, candidate{e: e, ord: ord, state: append([]int(nil), rs.prefix...)})
+	if len(rs.pool) > 2*rs.s.poolCap {
+		sortCandidates(rs.pool)
+		rs.pool = rs.pool[:rs.s.poolCap]
+	}
+}
+
+// sortCandidates orders candidates by (energy, ordinal). Energies are
+// sanitized and ordinals unique, so the order is a strict total one.
+func sortCandidates(cs []candidate) {
+	slices.SortFunc(cs, func(a, b candidate) int {
+		return cmp.Or(cmp.Compare(a.e, b.e), cmp.Compare(a.ord, b.ord))
+	})
+}
+
+// merge folds the per-root results, in root order, into the final
+// Result with its certificate and diversity-filtered pool.
+func (s *solver) merge(outs []*rootState) Result {
+	res := Result{
+		Best:        append([]int(nil), s.diveState...),
+		BestEnergy:  s.diveE,
+		Evaluations: 1, // the dive
 		Workers:     1,
-		Cert:        &cert,
-		Pool:        res.Pool,
-	}, nil
+	}
+	var cert Certificate
+	bestOrd := s.diveOrd
+	optimal := true
+	frontier := math.Inf(1)
+	var cands []candidate
+	for _, rs := range outs {
+		res.Evaluations += rs.evals
+		cert.Explored += rs.evals
+		cert.Pruned += rs.pruned
+		if rs.trunc {
+			optimal = false
+			if rs.frontier < frontier {
+				frontier = rs.frontier
+			}
+		}
+		if rs.bestE < res.BestEnergy || (rs.bestE == res.BestEnergy && rs.bestOrd < bestOrd) {
+			res.BestEnergy, bestOrd = rs.bestE, rs.bestOrd
+			res.Best = append(res.Best[:0], rs.best...)
+		}
+		if s.poolSize > 0 {
+			cands = append(cands, rs.pool...)
+		}
+	}
+	cert.Optimal = optimal
+	if optimal {
+		cert.LowerBound = res.BestEnergy
+	} else {
+		cert.LowerBound = res.BestEnergy
+		if frontier < cert.LowerBound {
+			cert.LowerBound = frontier
+		}
+		cert.Gap = relativeGap(res.BestEnergy, cert.LowerBound)
+	}
+	res.Cert = &cert
+	if s.poolSize > 0 {
+		res.Pool = s.selectPool(cands, res.BestEnergy)
+	}
+	return res
+}
+
+// relativeGap is the Gurobi-style MIP gap (best-bound)/|best|.
+func relativeGap(best, lb float64) float64 {
+	if lb >= best {
+		return 0
+	}
+	if best == 0 || math.IsInf(best, 1) {
+		return math.Inf(1)
+	}
+	return (best - lb) / math.Abs(best)
+}
+
+// selectPool applies the final gap filter and the greedy diversity
+// sweep: candidates in (energy, ordinal) order are kept only when at
+// least minDiversity away (L1 index distance) from everything already
+// kept, so the pool spans genuinely different assignments.
+func (s *solver) selectPool(cands []candidate, bestE float64) []PoolEntry {
+	thresh := bestE + s.gap*math.Abs(bestE)
+	sortCandidates(cands)
+	pool := make([]PoolEntry, 0, s.poolSize)
+	for _, c := range cands {
+		if len(pool) == s.poolSize || c.e > thresh {
+			break
+		}
+		if !slices.ContainsFunc(pool, func(k PoolEntry) bool { return l1(c.state, k.State) < minDiversity }) {
+			pool = append(pool, PoolEntry{State: c.state, Energy: c.e})
+		}
+	}
+	return pool
+}
+
+// l1 is the L1 distance between two index vectors.
+func l1(a, b []int) int {
+	d := 0
+	for i := range a {
+		if a[i] > b[i] {
+			d += a[i] - b[i]
+		} else {
+			d += b[i] - a[i]
+		}
+	}
+	return d
 }

@@ -1,7 +1,9 @@
-package exact
+package strategy
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -16,8 +18,10 @@ type quadProblem struct {
 	base   float64
 }
 
-func (p *quadProblem) Dim() int         { return len(p.levels) }
-func (p *quadProblem) Levels(i int) int { return p.levels[i] }
+func (p *quadProblem) Dim() int                              { return len(p.levels) }
+func (p *quadProblem) Levels(i int) int                      { return p.levels[i] }
+func (p *quadProblem) Initial(dst []int, _ *rand.Rand)       { clear(dst) }
+func (p *quadProblem) Neighbor(dst, src []int, _ *rand.Rand) { copy(dst, src) }
 func (p *quadProblem) term(i, v int) float64 {
 	d := float64(v - p.target[i])
 	return p.w[i] * d * d
@@ -60,17 +64,37 @@ func newQuad() *quadProblem {
 	}
 }
 
-func spaceSize(p Problem) int {
-	n := 1
-	for i := 0; i < p.Dim(); i++ {
-		n *= p.Levels(i)
+// genQuad draws a separable problem: 1-4 dimensions of 1-6 levels,
+// small integer weights (zeros included, so energy ties are common and
+// the ordinal tie-break is exercised) and targets that may lie outside
+// the level range (so a free dimension's minimum term is not always 0).
+func genQuad(rng *rand.Rand) *quadProblem {
+	dim := 1 + rng.Intn(4)
+	p := &quadProblem{
+		levels: make([]int, dim),
+		target: make([]int, dim),
+		w:      make([]float64, dim),
+		base:   float64(rng.Intn(9)) - 4,
 	}
-	return n
+	for i := range p.levels {
+		p.levels[i] = 1 + rng.Intn(6)
+		p.target[i] = rng.Intn(p.levels[i]+2) - 1
+		p.w[i] = float64(rng.Intn(4))
+	}
+	return p
+}
+
+func quadSize(p Spaced) int {
+	_, sh, err := productSpace("test", p)
+	if err != nil {
+		panic(err)
+	}
+	return sh.size
 }
 
 // bruteForce enumerates the whole space, breaking energy ties by the
 // lowest ordinal — the reference the solver must match exactly.
-func bruteForce(t *testing.T, p Problem) ([]int, float64) {
+func bruteForce(t *testing.T, p Spaced) ([]int, float64) {
 	t.Helper()
 	dim := p.Dim()
 	state := make([]int, dim)
@@ -99,74 +123,112 @@ func bruteForce(t *testing.T, p Problem) ([]int, float64) {
 	return best, bestE
 }
 
-func TestSolveMatchesBruteForce(t *testing.T) {
-	p := boundedQuad{newQuad()}
+// checkProof asserts that a proven Exact run on p agrees with brute
+// force and Exhaustive and that its certificate and pool are sound.
+func checkProof(t *testing.T, name string, p Spaced, ex Exact) Certificate {
+	t.Helper()
 	wantState, wantE := bruteForce(t, p)
-	res, err := Solve(p, Options{Prove: true})
+	res, err := ex.Minimize(p, Options{})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", name, err)
 	}
 	if res.BestEnergy != wantE || !reflect.DeepEqual(res.Best, wantState) {
-		t.Fatalf("Solve = %v (%g), brute force = %v (%g)", res.Best, res.BestEnergy, wantState, wantE)
+		t.Fatalf("%s: exact = %v (%g), brute force = %v (%g)", name, res.Best, res.BestEnergy, wantState, wantE)
 	}
-	c := res.Certificate
-	if !c.Optimal || c.Gap != 0 || c.LowerBound != wantE {
-		t.Fatalf("certificate not optimal: %+v", c)
+	enum, err := Exhaustive{}.Minimize(p, Options{})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
-	size := spaceSize(p)
-	if c.Explored+c.Pruned != size {
-		t.Fatalf("Explored+Pruned = %d+%d, want space size %d", c.Explored, c.Pruned, size)
+	if enum.BestEnergy != res.BestEnergy || !reflect.DeepEqual(enum.Best, res.Best) {
+		t.Fatalf("%s: exact = %v (%g), exhaustive = %v (%g)", name, res.Best, res.BestEnergy, enum.Best, enum.BestEnergy)
 	}
-	if c.Explored >= size {
+	c, ok := res.Certificate()
+	if !ok || !c.Optimal || c.Gap != 0 || c.LowerBound != wantE {
+		t.Fatalf("%s: certificate not optimal: %+v", name, c)
+	}
+	if size := quadSize(p); c.Explored+c.Pruned != size {
+		t.Fatalf("%s: Explored+Pruned = %d+%d, want space size %d", name, c.Explored, c.Pruned, size)
+	}
+	if ex.PoolSize > 0 {
+		if len(res.Pool) == 0 || !reflect.DeepEqual(res.Pool[0].State, res.Best) || res.Pool[0].Energy != res.BestEnergy {
+			t.Fatalf("%s: pool %+v does not start with the optimum %v (%g)", name, res.Pool, res.Best, res.BestEnergy)
+		}
+	} else if res.Pool != nil {
+		t.Fatalf("%s: pool %+v collected without PoolSize", name, res.Pool)
+	}
+	return c
+}
+
+// TestExactMatchesBruteForce checks proven solves against brute force
+// and Exhaustive: first on the fixed quadratic, where pruning must be
+// real, then on seeded generated separable problems, each bounded and
+// unbounded, with and without a pool.
+func TestExactMatchesBruteForce(t *testing.T) {
+	c := checkProof(t, "fixed", boundedQuad{newQuad()}, Exact{Prove: true})
+	if size := quadSize(boundedQuad{newQuad()}); c.Explored >= size {
 		t.Fatalf("no pruning: explored %d of %d", c.Explored, size)
 	}
 	if c.Pruned == 0 {
 		t.Fatal("expected pruned subtrees")
 	}
+
+	pruned := 0
+	for seed := int64(0); seed < 200; seed++ {
+		q := genQuad(rand.New(rand.NewSource(seed)))
+		for _, p := range []Spaced{q, boundedQuad{q}} {
+			for _, ex := range []Exact{{Prove: true}, {Prove: true, PoolSize: 3, PoolGap: 0.5}} {
+				pruned += checkProof(t, fmt.Sprintf("seed %d %T %+v", seed, p, ex), p, ex).Pruned
+			}
+		}
+	}
+	if pruned == 0 {
+		t.Fatal("no generated instance pruned anything; the bounded cases tested nothing")
+	}
 }
 
-func TestSolveUnboundedIsCertifiedExhaustive(t *testing.T) {
+func TestExactUnboundedIsCertifiedExhaustive(t *testing.T) {
 	p := newQuad() // no LowerBound method
 	wantState, wantE := bruteForce(t, p)
-	res, err := Solve(p, Options{Prove: true})
+	res, err := Exact{Prove: true}.Minimize(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.BestEnergy != wantE || !reflect.DeepEqual(res.Best, wantState) {
-		t.Fatalf("Solve = %v (%g), brute force = %v (%g)", res.Best, res.BestEnergy, wantState, wantE)
+		t.Fatalf("exact = %v (%g), brute force = %v (%g)", res.Best, res.BestEnergy, wantState, wantE)
 	}
-	c := res.Certificate
-	if !c.Optimal || c.Pruned != 0 || c.Explored != spaceSize(p) {
+	c := *res.Cert
+	if !c.Optimal || c.Pruned != 0 || c.Explored != quadSize(p) {
 		t.Fatalf("unbounded solve should exhaust without pruning: %+v", c)
 	}
 }
 
-// TestTieBreakMatchesOrdinal pins the exhaustive-equivalent tie-break:
-// among equal-energy optima the lowest state ordinal wins, regardless
-// of the bound-driven visit order.
-func TestTieBreakMatchesOrdinal(t *testing.T) {
+// TestExactTieBreakMatchesOrdinal pins the exhaustive-equivalent
+// tie-break: among equal-energy optima the lowest state ordinal wins,
+// regardless of the bound-driven visit order.
+func TestExactTieBreakMatchesOrdinal(t *testing.T) {
 	// Flat plateau: every state has the same energy.
 	p := &quadProblem{levels: []int{3, 3, 3}, target: []int{0, 0, 0}, w: []float64{0, 0, 0}, base: 1}
-	res, err := Solve(boundedQuad{p}, Options{Prove: true})
+	res, err := Exact{Prove: true}.Minimize(boundedQuad{p}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res.Best, []int{0, 0, 0}) {
 		t.Fatalf("tie-break picked %v, want the lowest ordinal [0 0 0]", res.Best)
 	}
-	if !res.Certificate.Optimal {
-		t.Fatalf("plateau not proven: %+v", res.Certificate)
+	if !res.Cert.Optimal {
+		t.Fatalf("plateau not proven: %+v", *res.Cert)
 	}
 }
 
-func TestDeterminismAcrossParallelism(t *testing.T) {
+func TestExactDeterminismAcrossParallelism(t *testing.T) {
 	p := boundedQuad{newQuad()}
-	base, err := Solve(p, Options{Prove: true, PoolSize: 4})
+	ex := Exact{Prove: true, PoolSize: 4}
+	base, err := ex.Minimize(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 4, 8} {
-		res, err := Solve(p, Options{Prove: true, PoolSize: 4, Parallelism: par})
+		res, err := ex.Minimize(p, Options{Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,14 +238,13 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 	}
 }
 
-func TestPoolDiversityInvariant(t *testing.T) {
+func TestExactPoolDiversityInvariant(t *testing.T) {
 	// A large base widens the relative gap window so the pool has real
 	// candidates to filter for diversity.
 	q := newQuad()
 	q.base = 10
 	p := boundedQuad{q}
-	const minDiv = 3
-	res, err := Solve(p, Options{Prove: true, PoolSize: 6, PoolGap: 0.9, MinDiversity: minDiv})
+	res, err := Exact{Prove: true, PoolSize: 6, PoolGap: 0.9}.Minimize(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +263,8 @@ func TestPoolDiversityInvariant(t *testing.T) {
 			t.Fatalf("pool[%d] energy mismatch: recorded %g, evaluated %g", i, a.Energy, e)
 		}
 		for j, b := range res.Pool[i+1:] {
-			if d := l1(a.State, b.State); d < minDiv {
-				t.Fatalf("pool[%d] and pool[%d] only L1=%d apart, want >= %d", i, i+1+j, d, minDiv)
+			if d := l1(a.State, b.State); d < minDiversity {
+				t.Fatalf("pool[%d] and pool[%d] only L1=%d apart, want >= %d", i, i+1+j, d, minDiversity)
 			}
 		}
 	}
@@ -224,10 +285,10 @@ func (p looseQuad) LowerBound(prefix []int, fixed int) float64 {
 	return 0.6 * p.boundedQuad.LowerBound(prefix, fixed)
 }
 
-// TestBudgetGapMonotonicity: growing the budget extends the same
+// TestExactBudgetGapMonotonicity: growing the budget extends the same
 // deterministic traversal, so the incumbent never worsens, the frontier
 // bound never loosens, and the certified gap never grows.
-func TestBudgetGapMonotonicity(t *testing.T) {
+func TestExactBudgetGapMonotonicity(t *testing.T) {
 	// A larger space so small budgets genuinely truncate.
 	p := looseQuad{boundedQuad{&quadProblem{
 		levels: []int{6, 5, 7, 4, 5},
@@ -242,11 +303,11 @@ func TestBudgetGapMonotonicity(t *testing.T) {
 	prevLB := math.Inf(-1)
 	positiveGapSeen := false
 	for _, budget := range []int{1, 2, 5, 10, 25, 100, 100000} {
-		res, err := Solve(p, Options{Budget: budget})
+		res, err := Exact{}.Minimize(p, Options{Budget: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := res.Certificate
+		c := *res.Cert
 		if !c.Optimal && c.Gap > 0 {
 			positiveGapSeen = true
 		}
@@ -273,10 +334,10 @@ func TestBudgetGapMonotonicity(t *testing.T) {
 	}
 }
 
-func TestPruningSoundUnderPoolGap(t *testing.T) {
+func TestExactPruningSoundUnderPoolGap(t *testing.T) {
 	p := boundedQuad{newQuad()}
 	_, wantE := bruteForce(t, p)
-	res, err := Solve(p, Options{Prove: true, PoolSize: 8, PoolGap: 0.5})
+	res, err := Exact{Prove: true, PoolSize: 8, PoolGap: 0.5}.Minimize(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,11 +346,11 @@ func TestPruningSoundUnderPoolGap(t *testing.T) {
 	}
 }
 
-func TestValidation(t *testing.T) {
-	if _, err := Solve(&quadProblem{}, Options{}); err == nil {
+func TestExactValidation(t *testing.T) {
+	if _, err := (Exact{}).Minimize(&quadProblem{}, Options{}); err == nil {
 		t.Fatal("zero-dimension problem accepted")
 	}
-	if _, err := Solve(&quadProblem{levels: []int{3, 0}, target: []int{0, 0}, w: []float64{1, 1}}, Options{}); err == nil {
+	if _, err := (Exact{}).Minimize(&quadProblem{levels: []int{3, 0}, target: []int{0, 0}, w: []float64{1, 1}}, Options{}); err == nil {
 		t.Fatal("zero-level dimension accepted")
 	}
 }

@@ -23,32 +23,16 @@ type Exhaustive struct{}
 // Name implements Strategy.
 func (Exhaustive) Name() string { return "exhaustive" }
 
-// unflatten writes the mixed-radix digits of ord into idx.
-func unflatten(idx, levels []int, ord int) {
-	for i := len(levels) - 1; i >= 0; i-- {
-		idx[i] = ord % levels[i]
-		ord /= levels[i]
-	}
-}
-
 // Minimize implements Strategy.
 func (Exhaustive) Minimize(p Problem, opt Options) (Result, error) {
-	sp, err := spacedOrErr("exhaustive", p)
+	sp, sh, err := productSpace("exhaustive", p)
 	if err != nil {
 		return Result{}, err
 	}
-	dim := sp.Dim()
-	if dim == 0 {
-		return Result{}, fmt.Errorf("strategy: exhaustive: problem has no dimensions")
+	if sh.size == 0 {
+		return Result{}, fmt.Errorf("strategy: exhaustive: space size overflows")
 	}
-	levels := make([]int, dim)
-	size := 1
-	for i := range levels {
-		if levels[i] = sp.Levels(i); levels[i] <= 0 {
-			return Result{}, fmt.Errorf("strategy: exhaustive: dimension %d has no levels", i)
-		}
-		size *= levels[i]
-	}
+	dim, size := len(sh.levels), sh.size
 	workers := search.Workers(opt.Parallelism)
 	if workers > size {
 		workers = size
@@ -79,13 +63,13 @@ func (Exhaustive) Minimize(p Problem, opt Options) (Result, error) {
 			states[i] = backing[i*dim : (i+1)*dim : (i+1)*dim]
 		}
 		energies := make([]float64, chunk)
-		unflatten(idx, levels, lo)
+		sh.unflatten(idx, lo)
 		for start := lo; start < hi; start += chunk {
 			n := min(chunk, hi-start)
 			for _, st := range states[:n] {
 				copy(st, idx)
 				for i := dim - 1; i >= 0; i-- {
-					if idx[i]++; idx[i] < levels[i] {
+					if idx[i]++; idx[i] < sh.levels[i] {
 						break
 					}
 					idx[i] = 0
@@ -127,7 +111,7 @@ func (Exhaustive) Minimize(p Problem, opt Options) (Result, error) {
 		return Result{}, fmt.Errorf("strategy: exhaustive: empty space")
 	}
 	best := make([]int, dim)
-	unflatten(best, levels, total.ord)
+	sh.unflatten(best, total.ord)
 	return Result{
 		Best:        best,
 		BestEnergy:  total.e,

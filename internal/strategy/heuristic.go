@@ -65,24 +65,6 @@ func randomState(p Spaced, dst []int, rng *rand.Rand) {
 	}
 }
 
-// heuristicSpace asserts that a heuristic got a product space with at
-// least one dimension and at least one level per dimension.
-func heuristicSpace(name string, p Problem) (Spaced, error) {
-	sp, err := spacedOrErr(name, p)
-	if err != nil {
-		return nil, err
-	}
-	if sp.Dim() <= 0 {
-		return nil, fmt.Errorf("strategy: %s: problem dimension must be positive", name)
-	}
-	for i := 0; i < sp.Dim(); i++ {
-		if sp.Levels(i) <= 0 {
-			return nil, fmt.Errorf("strategy: %s: dimension %d has no levels", name, i)
-		}
-	}
-	return sp, nil
-}
-
 // Random is uniform random sampling: the natural lower baseline every
 // other strategy must beat.
 type Random struct{}
@@ -92,7 +74,7 @@ func (Random) Name() string { return "random" }
 
 // Minimize implements Strategy.
 func (Random) Minimize(p Problem, opt Options) (Result, error) {
-	if _, err := heuristicSpace("random", p); err != nil {
+	if _, _, err := productSpace("random", p); err != nil {
 		return Result{}, err
 	}
 	return runWorkers(p, opt, func(_ int, p Problem, rng *rand.Rand) (Result, error) {
@@ -126,7 +108,7 @@ func (Local) Name() string { return "local" }
 
 // Minimize implements Strategy.
 func (Local) Minimize(p Problem, opt Options) (Result, error) {
-	if _, err := heuristicSpace("local", p); err != nil {
+	if _, _, err := productSpace("local", p); err != nil {
 		return Result{}, err
 	}
 	return runWorkers(p, opt, func(_ int, p Problem, rng *rand.Rand) (Result, error) {
@@ -199,7 +181,7 @@ func (Tabu) Name() string { return "tabu" }
 
 // Minimize implements Strategy.
 func (t Tabu) Minimize(p Problem, opt Options) (Result, error) {
-	sp, err := heuristicSpace("tabu", p)
+	sp, _, err := productSpace("tabu", p)
 	if err != nil {
 		return Result{}, err
 	}
@@ -293,7 +275,7 @@ func (Genetic) Name() string { return "genetic" }
 
 // Minimize implements Strategy.
 func (g Genetic) Minimize(p Problem, opt Options) (Result, error) {
-	if _, err := heuristicSpace("genetic", p); err != nil {
+	if _, _, err := productSpace("genetic", p); err != nil {
 		return Result{}, err
 	}
 	pop := g.Population

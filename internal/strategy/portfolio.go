@@ -81,7 +81,7 @@ func (pf Portfolio) Race(p Problem, opt Options) (PortfolioResult, error) {
 		return PortfolioResult{}, fmt.Errorf("strategy: portfolio has no members")
 	}
 	members := pf.Members
-	if n, ok := spaceSize(p); ok && pf.ExactLimit > 0 && n <= pf.ExactLimit {
+	if _, sh, err := productSpace("portfolio", p); err == nil && sh.size > 0 && sh.size <= pf.ExactLimit {
 		members = append(members[:len(members):len(members)], Exact{Prove: true})
 	}
 	shared := withMemo(p)
@@ -149,24 +149,6 @@ func (pf Portfolio) Race(p Problem, opt Options) (PortfolioResult, error) {
 	}
 	out.Lookups, out.Unique, out.Hits, _ = memoStats(shared)
 	return out, nil
-}
-
-// spaceSize returns the product-space size of a Spaced problem, with
-// ok=false for coupled-coordinate problems or overflowing products.
-func spaceSize(p Problem) (int, bool) {
-	sp, ok := p.(Spaced)
-	if !ok {
-		return 0, false
-	}
-	size := 1
-	for i := 0; i < sp.Dim(); i++ {
-		n := sp.Levels(i)
-		if n <= 0 || size > (1<<40)/n {
-			return 0, false
-		}
-		size *= n
-	}
-	return size, true
 }
 
 // Minimize implements Strategy.

@@ -253,20 +253,20 @@ func hashStateString(s string) uint64 {
 // single-flight state-keyed memo, so workers sharing one memoProblem
 // never pay for the same state twice. Evaluations are pure, so the memo
 // never changes a value — only the physical effort spent. Small product
-// spaces key a search.DenseMemo by the state's ordinal (dense, with
-// levels the per-dimension radices); other problems fall back to the
-// varint string key (smemo). Hits take the memos' allocation-free Get
-// fast path; only misses build the Do closure.
+// spaces key a search.DenseMemo by the state's ordinal in shape; other
+// problems fall back to the varint string key (smemo). Hits take the
+// memos' allocation-free Get fast path; only misses build the Do
+// closure.
 type memoProblem struct {
 	Problem
-	dense  *search.DenseMemo[float64]
-	levels []int
-	smemo  *search.Memo[string, float64]
+	dense *search.DenseMemo[float64]
+	shape shape
+	smemo *search.Memo[string, float64]
 }
 
 func (m *memoProblem) Energy(state []int) (float64, error) {
 	if m.dense != nil {
-		ord, ok := m.ordinal(state)
+		ord, ok := m.shape.ordinal(state)
 		if !ok {
 			// Off-grid states are invalid; let the problem report that.
 			return m.Problem.Energy(state)
@@ -287,32 +287,11 @@ func (m *memoProblem) Energy(state []int) (float64, error) {
 	})
 }
 
-// ordinal is the mixed-radix ordinal of state, ok false when state is
-// not a point of the product space.
-func (m *memoProblem) ordinal(state []int) (ord int, ok bool) {
-	if len(state) != len(m.levels) {
-		return 0, false
-	}
-	for i, v := range state {
-		if v < 0 || v >= m.levels[i] {
-			return 0, false
-		}
-		ord = ord*m.levels[i] + v
-	}
-	return ord, true
-}
-
 // spacedMemoProblem additionally forwards Levels, so a memo wrapped
 // around a Spaced problem still satisfies Spaced.
 type spacedMemoProblem struct{ *memoProblem }
 
 func (m spacedMemoProblem) Levels(i int) int { return m.Problem.(Spaced).Levels(i) }
-
-// lowerBounded matches problems carrying admissible partial-assignment
-// bounds (exact.Bounded without the import).
-type lowerBounded interface {
-	LowerBound(prefix []int, fixed int) float64
-}
 
 // boundedSpacedMemoProblem additionally forwards LowerBound, so the
 // exact strategy still prunes when racing over a shared memo inside
@@ -321,28 +300,24 @@ type lowerBounded interface {
 type boundedSpacedMemoProblem struct{ spacedMemoProblem }
 
 func (m boundedSpacedMemoProblem) LowerBound(prefix []int, fixed int) float64 {
-	return m.Problem.(lowerBounded).LowerBound(prefix, fixed)
+	return m.Problem.(Bounded).LowerBound(prefix, fixed)
 }
 
 // withMemo wraps p in a fresh single-flight memo, preserving Spaced
-// (and LowerBound) exactly when p supports it (a memo over coupled
+// (and Bounded) exactly when p supports it (a memo over coupled
 // coordinates must not pretend to be a product space, and a memo over
 // an unbounded problem must not pretend to have admissible bounds).
 func withMemo(p Problem) Problem {
 	mp := &memoProblem{Problem: p}
-	if n, ok := spaceSize(p); ok && n <= search.MaxDenseOrdinals {
-		mp.dense = search.NewDenseMemo[float64](n)
-		mp.levels = make([]int, p.Dim())
-		for i := range mp.levels {
-			mp.levels[i] = p.(Spaced).Levels(i)
-		}
+	if _, sh, err := productSpace("memo", p); err == nil && sh.size > 0 && sh.size <= search.MaxDenseOrdinals {
+		mp.dense, mp.shape = search.NewDenseMemo[float64](sh.size), sh
 	} else {
 		mp.smemo = search.NewShardedMemo[string, float64](memoShards, hashStateString)
 	}
-	if _, ok := p.(Spaced); ok {
-		if _, ok := p.(lowerBounded); ok {
-			return boundedSpacedMemoProblem{spacedMemoProblem{mp}}
-		}
+	switch p.(type) {
+	case Bounded:
+		return boundedSpacedMemoProblem{spacedMemoProblem{mp}}
+	case Spaced:
 		return spacedMemoProblem{mp}
 	}
 	return mp
@@ -368,12 +343,69 @@ func memoStats(p Problem) (lookups, unique, hits int, ok bool) {
 	return mp.smemo.Lookups(), mp.smemo.Unique(), mp.smemo.Hits(), true
 }
 
-// spacedOrErr asserts that a strategy requiring a product space got one.
-func spacedOrErr(name string, p Problem) (Spaced, error) {
-	if sp, ok := p.(Spaced); ok {
-		return sp, nil
+// shape is the mixed-radix layout of a product space, the one place
+// levels, sizes and ordinals are computed. The last dimension varies
+// fastest, matching space.Space flattening, so lexicographic order is
+// ordinal order.
+type shape struct {
+	levels []int
+	// strides[i] is the number of states sharing a prefix of length
+	// i+1 (prod levels[i+1:]); the last stride is 1.
+	strides []int
+	// size is the number of states, 0 when that overflows int (the
+	// space is then too large to enumerate or to memoize densely).
+	size int
+}
+
+// productSpace asserts that strategy name got a product space with at
+// least one dimension and at least one level per dimension, and
+// returns its shape.
+func productSpace(name string, p Problem) (Spaced, shape, error) {
+	sp, ok := p.(Spaced)
+	if !ok {
+		return nil, shape{}, fmt.Errorf("strategy: %s requires a product-space problem (strategy.Spaced); %T has coupled coordinates", name, p)
 	}
-	return nil, fmt.Errorf("strategy: %s requires a product-space problem (strategy.Spaced); %T has coupled coordinates", name, p)
+	dim := sp.Dim()
+	if dim <= 0 {
+		return nil, shape{}, fmt.Errorf("strategy: %s: problem has no dimensions", name)
+	}
+	buf := make([]int, 2*dim)
+	sh := shape{levels: buf[:dim:dim], strides: buf[dim:], size: 1}
+	for i := dim - 1; i >= 0; i-- {
+		n := sp.Levels(i)
+		if n <= 0 {
+			return nil, shape{}, fmt.Errorf("strategy: %s: dimension %d has no levels", name, i)
+		}
+		sh.levels[i], sh.strides[i] = n, sh.size
+		if sh.size > math.MaxInt/n {
+			sh.size = 0
+		}
+		sh.size *= n
+	}
+	return sp, sh, nil
+}
+
+// ordinal is the mixed-radix ordinal of state, ok false when state is
+// not a point of the space.
+func (s shape) ordinal(state []int) (ord int, ok bool) {
+	if len(state) != len(s.levels) {
+		return 0, false
+	}
+	for i, v := range state {
+		if v < 0 || v >= s.levels[i] {
+			return 0, false
+		}
+		ord = ord*s.levels[i] + v
+	}
+	return ord, true
+}
+
+// unflatten writes the mixed-radix digits of ord into idx.
+func (s shape) unflatten(idx []int, ord int) {
+	for i := len(s.levels) - 1; i >= 0; i-- {
+		idx[i] = ord % s.levels[i]
+		ord /= s.levels[i]
+	}
 }
 
 // sanitize maps NaN to +Inf so broken evaluations are never selected.
