@@ -110,6 +110,37 @@ func Defs() []Def {
 		{Name: "model-training", Bench: benchModelTraining},
 		{Name: "strategy-step-memo", Bench: benchStrategyStepMemo},
 		{Name: "cold-divisible-job", Bench: benchColdDivisibleJob},
+		{Name: "exact-divisible-proof", Bench: benchExactDivisibleProof},
+	}
+}
+
+// benchExactDivisibleProof is one proven branch-and-bound solve of the
+// paper space through core.Run (EM with the exact strategy) over a warm
+// measurement cache — the proof's own cost: the roofline child bounds,
+// the survivor ordering, pruning and the pool, with every leaf a memo
+// hit. Pool sizes cycle through 0, 4 and 8 like prove-place's requests.
+func benchExactDivisibleProof(b *testing.B) {
+	s := fixtures(b)
+	meas := core.NewMeasurer(s.platform, s.workload)
+	inst := &core.Instance{Schema: s.schema, Measurer: meas, MeasureCache: search.NewCache(meas)}
+	pools := []int{0, 4, 8}
+	for _, pool := range pools {
+		// Warm the cache with every configuration any of the timed
+		// proofs visits.
+		if _, err := core.Run(core.EM, inst, core.Options{Strategy: strategy.Exact{Prove: true, PoolSize: pool}, Parallelism: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := core.Run(core.EM, inst, core.Options{Strategy: strategy.Exact{Prove: true, PoolSize: pools[i%len(pools)]}, Parallelism: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if c, ok := res.Certificate(); !ok || !c.Optimal || c.Pruned == 0 {
+			b.Fatal("solve returned no pruning proof")
+		}
 	}
 }
 

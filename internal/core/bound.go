@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 
 	"hetopt/internal/machine"
 	"hetopt/internal/offload"
@@ -35,9 +36,13 @@ func noiseFloor(sigma float64) float64 {
 	return math.Max(0.01, 1-3*sigma)
 }
 
-// rooflineBounder precomputes, per schema level, everything LowerBound
-// needs so the per-node cost is a handful of table scans and a loop over
-// the allowed fractions — pure, allocation-free and concurrent-safe.
+// rooflineBounder precomputes, per schema level, everything ChildBounds
+// needs — pure, allocation-free and concurrent-safe. Every child of
+// every node takes the best rate and lowest noise floor over a set of
+// levels that is a table entry or a whole row, so the per-side time
+// bounds are built once per run as vectors over the fraction levels:
+// bounding a node's children is then a scan of two vectors per child,
+// with no division.
 type rooflineBounder struct {
 	obj Objective
 
@@ -59,6 +64,15 @@ type rooflineBounder struct {
 	offloadSec    float64
 	pcieRateMBs   float64
 	residual      float64
+
+	// Side-time bound vectors over the fraction levels, row-major (see
+	// row), built once by buildVectors: hostSec and devSec per
+	// (threads, affinity) pair; hostBest and devBest per thread level at
+	// the best rate over its affinities (the host's at the lowest floor
+	// over all of them); devTop is the devBest row of the fastest
+	// device level.
+	vectors                                    sync.Once
+	hostSec, devSec, hostBest, devBest, devTop []float64
 }
 
 // newRooflineBounder builds the pruning oracle for a schema evaluated by
@@ -141,74 +155,144 @@ func newRooflineBounder(schema *space.Schema, platform *offload.Platform, w offl
 	return b
 }
 
-// allowed returns the index range [lo, hi) dimension d may still take
-// under prefix[:fixed]: the single fixed value, or every level.
-func allowed(prefix []int, fixed, d, levels int) (int, int) {
-	if d < fixed {
-		return prefix[d], prefix[d] + 1
+// buildVectors fills the side-time vectors. The exact solver is their
+// only reader, so they are built on its first ChildBounds call, not for
+// every run a bounder is attached to.
+func (b *rooflineBounder) buildVectors() {
+	nf, nhAff, ndAff := len(b.hostMB), len(b.hostFloor), len(b.devRate[0])
+	b.hostSec = make([]float64, 0, len(b.hostRate)*nhAff*nf)
+	b.hostBest = make([]float64, 0, len(b.hostRate)*nf)
+	b.devSec = make([]float64, 0, len(b.devRate)*ndAff*nf)
+	b.devBest = make([]float64, 0, len(b.devRate)*nf)
+	floor := math.Inf(1)
+	for _, f := range b.hostFloor {
+		floor = min(floor, f)
 	}
-	return 0, levels
+	for _, rates := range b.hostRate {
+		best := 0.0
+		for ai, r := range rates {
+			best = max(best, r)
+			b.hostSec = b.appendSec(b.hostSec, func(fi int) float64 { return b.hostTime(fi, b.hostFloor[ai], r) })
+		}
+		b.hostBest = b.appendSec(b.hostBest, func(fi int) float64 { return b.hostTime(fi, floor, best) })
+	}
+	top, topRate := 0, 0.0
+	for ti, rates := range b.devRate {
+		best := 0.0
+		for _, r := range rates {
+			best = max(best, r)
+			b.devSec = b.appendSec(b.devSec, func(fi int) float64 { return b.devTime(fi, r) })
+		}
+		b.devBest = b.appendSec(b.devBest, func(fi int) float64 { return b.devTime(fi, best) })
+		if best > topRate {
+			top, topRate = ti, best
+		}
+	}
+	b.devTop = b.row(b.devBest, top)
 }
 
-// LowerBound implements strategy.Bounded (via the search problem wrapper):
-// an admissible bound on the objective of any configuration whose first
-// `fixed` schema dimensions match prefix. Fixing one more dimension only
-// shrinks the maximized rate sets and the minimized fraction set, so the
-// bound is monotone along every tree path, as the solver requires.
-func (b *rooflineBounder) LowerBound(prefix []int, fixed int) float64 {
-	// Best achievable rates and lowest noise floors over the still-allowed
-	// thread/affinity choices (dims 0-3; see space.Param* ordering).
-	htLo, htHi := allowed(prefix, fixed, space.ParamHostThreads, len(b.hostRate))
-	haLo, haHi := allowed(prefix, fixed, space.ParamHostAffinity, len(b.hostFloor))
-	dtLo, dtHi := allowed(prefix, fixed, space.ParamDeviceThreads, len(b.devRate))
-	daLo, daHi := allowed(prefix, fixed, space.ParamDeviceAffinity, len(b.devRate[0]))
-	hostRate, hostFloor := 0.0, math.Inf(1)
-	for ti := htLo; ti < htHi; ti++ {
-		for ai := haLo; ai < haHi; ai++ {
-			if r := b.hostRate[ti][ai]; r > hostRate {
-				hostRate = r
-			}
-		}
+// appendSec appends one side-time vector, sec(fi) at every fraction
+// level, to vec.
+func (b *rooflineBounder) appendSec(vec []float64, sec func(fi int) float64) []float64 {
+	for fi := range b.hostMB {
+		vec = append(vec, sec(fi))
 	}
-	for ai := haLo; ai < haHi; ai++ {
-		if f := b.hostFloor[ai]; f < hostFloor {
-			hostFloor = f
-		}
+	return vec
+}
+
+// row returns the i-th side-time vector of vec.
+func (b *rooflineBounder) row(vec []float64, i int) []float64 {
+	nf := len(b.hostMB)
+	return vec[i*nf : (i+1)*nf]
+}
+
+// hostTime bounds the host share's time at fraction level fi under the
+// best reachable rate and the lowest reachable noise floor.
+func (b *rooflineBounder) hostTime(fi int, floor, rate float64) float64 {
+	if hostMB := b.hostMB[fi]; hostMB > 0 {
+		return floor * hostMB * b.cx / rate
 	}
-	devRate := 0.0
-	for ti := dtLo; ti < dtHi; ti++ {
-		for ai := daLo; ai < daHi; ai++ {
-			if r := b.devRate[ti][ai]; r > devRate {
-				devRate = r
-			}
-		}
+	return 0
+}
+
+// devTime bounds the device share's time at fraction level fi under the
+// best reachable rate: offload latency plus the slower of compute and
+// transfer plus the transfer's non-overlapped residual.
+func (b *rooflineBounder) devTime(fi int, rate float64) float64 {
+	if devMB := b.devMB[fi]; devMB > 0 {
+		transfer := devMB / b.pcieRateMBs
+		return b.devFloor * (b.offloadSec + math.Max(devMB*b.cx/rate, transfer) + b.residual*transfer)
 	}
-	fLo, fHi := allowed(prefix, fixed, space.ParamHostFraction, len(b.hostMB))
+	return 0
+}
+
+// fractionBound composes the per-side time bounds at fraction level fi
+// into the objective's bound.
+func (b *rooflineBounder) fractionBound(fi int, tH, tD float64) float64 {
+	lbT := math.Max(tH, tD)
+	// Every engaged side draws at least idle power for the whole
+	// makespan, and the makespan is at least lbT.
+	var lbE float64
+	if b.hostMB[fi] > 0 {
+		lbE += b.hostIdleW * b.hostPowerFloor * lbT
+	}
+	if b.devMB[fi] > 0 {
+		lbE += b.devIdleW * b.devicePowerFloor * lbT
+	}
+	return b.objectiveBound(lbT, lbE)
+}
+
+// bestFraction is the lowest fraction-level bound over the side-time
+// vectors tH and tD.
+func (b *rooflineBounder) bestFraction(tH, tD []float64) float64 {
 	best := math.Inf(1)
-	for fi := fLo; fi < fHi; fi++ {
-		hostMB, devMB := b.hostMB[fi], b.devMB[fi]
-		var tH, tD, lbE float64
-		if hostMB > 0 {
-			tH = hostFloor * hostMB * b.cx / hostRate
-		}
-		if devMB > 0 {
-			transfer := devMB / b.pcieRateMBs
-			tD = b.devFloor * (b.offloadSec + math.Max(devMB*b.cx/devRate, transfer) + b.residual*transfer)
-		}
-		lbT := math.Max(tH, tD)
-		// Every engaged side draws at least idle power for the whole
-		// makespan, and the makespan is at least lbT.
-		if hostMB > 0 {
-			lbE += b.hostIdleW * b.hostPowerFloor * lbT
-		}
-		if devMB > 0 {
-			lbE += b.devIdleW * b.devicePowerFloor * lbT
-		}
-		if v := b.objectiveBound(lbT, lbE); v < best {
+	for fi := range tH {
+		if v := b.fractionBound(fi, tH[fi], tD[fi]); v < best {
 			best = v
 		}
 	}
 	return best
+}
+
+// ChildBounds implements strategy.Bounded (via the search problem
+// wrapper): out[v] is an admissible bound on the objective of any
+// configuration whose first `fixed` schema dimensions match prefix and
+// whose dimension `fixed` takes level v — the best rates and lowest
+// noise floors over the still-allowed thread/affinity levels (dims 0-3;
+// see space.Param* ordering), at the best fraction. Fixing one more
+// dimension only shrinks the maximized rate sets and the minimized
+// fraction set, so the bounds are monotone along every tree path.
+func (b *rooflineBounder) ChildBounds(prefix []int, fixed int, out []float64) {
+	b.vectors.Do(b.buildVectors)
+	nha, nda := len(b.hostFloor), len(b.devRate[0])
+	var tH []float64 // the fixed host pair's vector, once both host levels are fixed
+	if fixed > space.ParamHostAffinity {
+		tH = b.row(b.hostSec, prefix[space.ParamHostThreads]*nha+prefix[space.ParamHostAffinity])
+	}
+	switch fixed {
+	case space.ParamHostThreads:
+		for v := range out {
+			out[v] = b.bestFraction(b.row(b.hostBest, v), b.devTop)
+		}
+	case space.ParamHostAffinity:
+		for v := range out {
+			out[v] = b.bestFraction(b.row(b.hostSec, prefix[space.ParamHostThreads]*nha+v), b.devTop)
+		}
+	case space.ParamDeviceThreads:
+		for v := range out {
+			out[v] = b.bestFraction(tH, b.row(b.devBest, v))
+		}
+	case space.ParamDeviceAffinity:
+		dt := prefix[space.ParamDeviceThreads]
+		for v := range out {
+			out[v] = b.bestFraction(tH, b.row(b.devSec, dt*nda+v))
+		}
+	default: // space.ParamHostFraction
+		tD := b.row(b.devSec, prefix[space.ParamDeviceThreads]*nda+prefix[space.ParamDeviceAffinity])
+		for fi := range out {
+			out[fi] = b.fractionBound(fi, tH[fi], tD[fi])
+		}
+	}
 }
 
 // objectiveBound composes per-fraction time and energy bounds under the
@@ -242,16 +326,16 @@ func (b *rooflineBounder) objectiveBound(lbT, lbE float64) float64 {
 // boundedSearchProblem pairs the search-space adapter with the roofline
 // pruning oracle. It is a distinct type (rather than an optional field
 // on searchProblem) so that only measurement-path problems advertise
-// LowerBound: the strategy layer's memo wrapper and the exact solver
+// ChildBounds: the strategy layer's memo wrapper and the exact solver
 // detect bounds by method set.
 type boundedSearchProblem struct {
 	*searchProblem
 	b *rooflineBounder
 }
 
-// LowerBound implements strategy.Bounded.
-func (p *boundedSearchProblem) LowerBound(prefix []int, fixed int) float64 {
-	return p.b.LowerBound(prefix, fixed)
+// ChildBounds implements strategy.Bounded.
+func (p *boundedSearchProblem) ChildBounds(prefix []int, fixed int, out []float64) {
+	p.b.ChildBounds(prefix, fixed, out)
 }
 
 // NewBoundedSearchProblem is NewSearchProblem plus the roofline pruning

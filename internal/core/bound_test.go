@@ -6,13 +6,108 @@ import (
 
 	"hetopt/internal/dna"
 	"hetopt/internal/offload"
+	"hetopt/internal/space"
 	"hetopt/internal/strategy"
 )
 
+// referenceLowerBound is the roofline bound of one node, computed the
+// way the bounder did before it bounded a node's children in one call:
+// an admissible bound on the objective of any configuration whose first
+// `fixed` schema dimensions match prefix. ChildBounds must agree with it
+// bit for bit on every child.
+func referenceLowerBound(b *rooflineBounder, prefix []int, fixed int) float64 {
+	allowed := func(d, levels int) (int, int) {
+		if d < fixed {
+			return prefix[d], prefix[d] + 1
+		}
+		return 0, levels
+	}
+	htLo, htHi := allowed(space.ParamHostThreads, len(b.hostRate))
+	haLo, haHi := allowed(space.ParamHostAffinity, len(b.hostFloor))
+	dtLo, dtHi := allowed(space.ParamDeviceThreads, len(b.devRate))
+	daLo, daHi := allowed(space.ParamDeviceAffinity, len(b.devRate[0]))
+	hostRate, hostFloor := 0.0, math.Inf(1)
+	for ti := htLo; ti < htHi; ti++ {
+		for ai := haLo; ai < haHi; ai++ {
+			if r := b.hostRate[ti][ai]; r > hostRate {
+				hostRate = r
+			}
+		}
+	}
+	for ai := haLo; ai < haHi; ai++ {
+		if f := b.hostFloor[ai]; f < hostFloor {
+			hostFloor = f
+		}
+	}
+	devRate := 0.0
+	for ti := dtLo; ti < dtHi; ti++ {
+		for ai := daLo; ai < daHi; ai++ {
+			if r := b.devRate[ti][ai]; r > devRate {
+				devRate = r
+			}
+		}
+	}
+	fLo, fHi := allowed(space.ParamHostFraction, len(b.hostMB))
+	best := math.Inf(1)
+	for fi := fLo; fi < fHi; fi++ {
+		hostMB, devMB := b.hostMB[fi], b.devMB[fi]
+		var tH, tD, lbE float64
+		if hostMB > 0 {
+			tH = hostFloor * hostMB * b.cx / hostRate
+		}
+		if devMB > 0 {
+			transfer := devMB / b.pcieRateMBs
+			tD = b.devFloor * (b.offloadSec + math.Max(devMB*b.cx/devRate, transfer) + b.residual*transfer)
+		}
+		lbT := math.Max(tH, tD)
+		if hostMB > 0 {
+			lbE += b.hostIdleW * b.hostPowerFloor * lbT
+		}
+		if devMB > 0 {
+			lbE += b.devIdleW * b.devicePowerFloor * lbT
+		}
+		if v := b.objectiveBound(lbT, lbE); v < best {
+			best = v
+		}
+	}
+	return best
+}
+
+// checkChildBounds walks every node of b's tree over schema and fails
+// unless ChildBounds equals referenceLowerBound bit for bit on every
+// child.
+func checkChildBounds(t *testing.T, b *rooflineBounder, schema *space.Schema) {
+	t.Helper()
+	sp := schema.Space()
+	dim := sp.Dim()
+	state := make([]int, dim)
+	out := make([]float64, 0, 128)
+	var walk func(d int)
+	walk = func(d int) {
+		if d == dim {
+			return
+		}
+		n := sp.Params[d].Levels()
+		out = out[:n]
+		b.ChildBounds(state, d, out)
+		got := append([]float64(nil), out...)
+		for v := 0; v < n; v++ {
+			state[d] = v
+			if want := referenceLowerBound(b, state, d+1); math.Float64bits(got[v]) != math.Float64bits(want) {
+				t.Fatalf("child %d of %v at depth %d: ChildBounds %g, reference %g", v, state[:d], d, got[v], want)
+			}
+			walk(d + 1)
+		}
+		state[d] = 0
+	}
+	walk(0)
+}
+
 // TestRooflineBoundAdmissible checks the pruning oracle's contract
-// directly: the root bound (nothing fixed) and every fully-fixed bound
-// stay at or below the measured objective of the corresponding
-// configuration, for each built-in objective.
+// directly: every child bound on every path stays at or above its
+// parent's (monotone) and at or below the measured objective of every
+// configuration below it, for each built-in objective; ChildBounds
+// equals the per-node reference throughout.
 func TestRooflineBoundAdmissible(t *testing.T) {
 	platform := offload.NewPlatform()
 	w := offload.GenomeWorkload(dna.Human)
@@ -28,13 +123,16 @@ func TestRooflineBoundAdmissible(t *testing.T) {
 		if b == nil {
 			t.Fatalf("%s: no bounder for a measurable schema", obj.Name())
 		}
+		checkChildBounds(t, b, schema)
 		p := &boundedSearchProblem{
 			searchProblem: &searchProblem{schema: schema, eval: meas, obj: obj},
 			b:             b,
 		}
 		dim := schema.Space().Dim()
 		state := make([]int, dim)
-		root := p.LowerBound(state, 0)
+		// path[d] is the bound of the node state[:d].
+		path := make([]float64, dim+1)
+		path[0] = referenceLowerBound(b, state, 0)
 		var walk func(d int)
 		walk = func(d int) {
 			if d == dim {
@@ -42,16 +140,20 @@ func TestRooflineBoundAdmissible(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if lb := p.LowerBound(state, dim); lb > e {
-					t.Fatalf("%s: bound %g above measured %g at %v", obj.Name(), lb, e, state)
-				}
-				if root > e {
-					t.Fatalf("%s: root bound %g above measured %g", obj.Name(), root, e)
+				for k, lb := range path {
+					if lb > e {
+						t.Fatalf("%s: depth-%d bound %g above measured %g at %v", obj.Name(), k, lb, e, state)
+					}
 				}
 				return
 			}
-			for v := 0; v < schema.Space().Params[d].Levels(); v++ {
-				state[d] = v
+			out := make([]float64, schema.Space().Params[d].Levels())
+			p.ChildBounds(state, d, out)
+			for v, lb := range out {
+				if lb < path[d] {
+					t.Fatalf("%s: child %d of %v bound %g below its parent's %g", obj.Name(), v, state[:d], lb, path[d])
+				}
+				state[d], path[d+1] = v, lb
 				walk(d + 1)
 			}
 			state[d] = 0

@@ -1,0 +1,20 @@
+package core
+
+import (
+	"testing"
+
+	"hetopt/internal/offload"
+	"hetopt/internal/space"
+)
+
+// CheckRooflineChildBounds exposes checkChildBounds to the external
+// test package, which can import the scenario catalog: it reports
+// false when the schema and objective admit no roofline bound.
+func CheckRooflineChildBounds(t *testing.T, schema *space.Schema, platform *offload.Platform, w offload.Workload, obj Objective) bool {
+	b := newRooflineBounder(schema, platform, w, obj)
+	if b == nil {
+		return false
+	}
+	checkChildBounds(t, b, schema)
+	return true
+}

@@ -63,10 +63,11 @@ func (p *PlacementProblem) EnergyBatch(states [][]int, out []float64) error {
 	return nil
 }
 
-// LowerBound implements strategy.Bounded with an admissible bound on the
-// makespan of any placement agreeing with prefix[:fixed] — the pruning
-// rule of the exact branch-and-bound strategy over placement spaces.
-// It is the maximum of two classic DAG relaxations:
+// ChildBounds implements strategy.Bounded: out[v] is an admissible bound
+// on the makespan of any placement agreeing with prefix[:fixed] that
+// puts node `fixed` on side v — the pruning rule of the exact
+// branch-and-bound strategy over placement spaces. It is the maximum of
+// two classic DAG relaxations:
 //
 //   - Critical path: the longest dependency chain where a fixed node
 //     costs its assigned side's execution time, an unfixed node costs
@@ -83,58 +84,82 @@ func (p *PlacementProblem) EnergyBatch(states [][]int, out []float64) error {
 // them) and exact when every node is fixed only in the relaxed sense —
 // the bound stays below the true makespan, which is what admissibility
 // requires. The simulator is noise-free, so no noise floor applies.
-func (p *PlacementProblem) LowerBound(prefix []int, fixed int) float64 {
+//
+// The part both children share — the fixed prefix's critical path, its
+// busy sums and the free suffix's cheapest work — is computed once;
+// each child then prices node `fixed` and walks the free suffix. Every
+// sum keeps the node order of a whole-graph pass, so the bounds are
+// those of bounding each child on its own.
+func (p *PlacementProblem) ChildBounds(prefix []int, fixed int, out []float64) {
 	s := p.Sim
-	n := s.n
-	if fixed > n {
-		fixed = n
-	}
 	var cp [MaxNodes]float64
-	var w [MaxNodes]float64
-	busyH, busyD, freeMin := 0.0, 0.0, 0.0
-	for i := 0; i < n; i++ {
-		h, d := s.nodeSec[SideHost][i], s.nodeSec[SideDevice][i]
-		if i < fixed {
-			side := prefix[i] & 1
-			w[i] = s.nodeSec[side][i]
-			if side == SideHost {
-				busyH += w[i]
-			} else {
-				busyD += w[i]
-			}
-		} else {
-			w[i] = math.Min(h, d)
-			freeMin += w[i]
-		}
-	}
-	best := 0.0
-	for i := 0; i < n; i++ {
+	var busy [2]float64
+	prefixBest := 0.0
+	for i := 0; i < fixed; i++ {
+		side := prefix[i] & 1
+		busy[side] += s.nodeSec[side][i]
 		ready := 0.0
 		for k := s.inStart[i]; k < s.inStart[i+1]; k++ {
 			e := s.edges[k]
 			t := cp[e.from]
-			if e.from < fixed && i < fixed && prefix[e.from]&1 != prefix[i]&1 {
+			if prefix[e.from]&1 != side {
 				t += e.xferSec
 			}
 			if t > ready {
 				ready = t
 			}
 		}
-		cp[i] = ready + w[i]
-		if cp[i] > best {
-			best = cp[i]
+		cp[i] = ready + s.nodeSec[side][i]
+		if cp[i] > prefixBest {
+			prefixBest = cp[i]
 		}
 	}
-	if load := (busyH + busyD + freeMin) / 2; load > best {
-		best = load
+	freeMin := 0.0
+	for i := fixed + 1; i < s.n; i++ {
+		freeMin += math.Min(s.nodeSec[SideHost][i], s.nodeSec[SideDevice][i])
 	}
-	if busyH > best {
-		best = busyH
+	for v := range out {
+		side := v & 1
+		own := s.nodeSec[side][fixed]
+		busyH, busyD := busy[SideHost], busy[SideDevice]
+		if side == SideHost {
+			busyH += own
+		} else {
+			busyD += own
+		}
+		best := prefixBest
+		for i := fixed; i < s.n; i++ {
+			ready := 0.0
+			for k := s.inStart[i]; k < s.inStart[i+1]; k++ {
+				e := s.edges[k]
+				t := cp[e.from]
+				if i == fixed && prefix[e.from]&1 != side {
+					t += e.xferSec
+				}
+				if t > ready {
+					ready = t
+				}
+			}
+			w := own
+			if i > fixed {
+				w = math.Min(s.nodeSec[SideHost][i], s.nodeSec[SideDevice][i])
+			}
+			cp[i] = ready + w
+			if cp[i] > best {
+				best = cp[i]
+			}
+		}
+		if load := (busyH + busyD + freeMin) / 2; load > best {
+			best = load
+		}
+		if busyH > best {
+			best = busyH
+		}
+		if busyD > best {
+			best = busyD
+		}
+		out[v] = best
 	}
-	if busyD > best {
-		best = busyD
-	}
-	return best
 }
 
 // Result is a completed placement search with the baselines every

@@ -287,3 +287,87 @@ func (p *Platform) Execute(w Workload, cfg space.Config, d *automata.DFA, src pa
 	report.Matches = report.HostMatches + report.DeviceMatches
 	return report, nil
 }
+
+// MeasureTable measures one workload at the levels of one schema through
+// a perf.LevelTable: per-level rates, used cores and noise-key states
+// are derived once, so a measurement costs its formulas and little
+// else. Every measurement is bit-identical to MeasureFull on the
+// decoded configuration, which it falls back to whenever the table
+// cannot serve it (an invalid workload, a failing level, or a model
+// mutated since the table was built). It is safe for concurrent use.
+type MeasureTable struct {
+	p      *Platform
+	w      Workload
+	schema *space.Schema
+	// levels[i] is the level count of schema parameter i.
+	levels [space.ParamHostFraction + 1]int
+	t      *perf.LevelTable // nil when the workload is invalid
+}
+
+// NewMeasureTable builds the measurement table of workload w over
+// schema on the platform.
+func (p *Platform) NewMeasureTable(w Workload, schema *space.Schema) *MeasureTable {
+	mt := &MeasureTable{p: p, w: w, schema: schema}
+	for i, param := range schema.Space().Params {
+		mt.levels[i] = param.Levels()
+	}
+	if w.Validate() != nil {
+		return mt
+	}
+	lv := perf.Levels{
+		HostThreads:      schema.HostThreadValues(),
+		HostAffinities:   schema.HostAffinityValues(),
+		DeviceThreads:    schema.DeviceThreadValues(),
+		DeviceAffinities: schema.DeviceAffinityValues(),
+	}
+	for _, f := range schema.FractionValues() {
+		hostMB, devMB, _ := split(w, space.Config{HostFraction: f})
+		lv.HostMB = append(lv.HostMB, hostMB)
+		lv.DeviceMB = append(lv.DeviceMB, devMB)
+	}
+	mt.t = p.model.NewLevelTable(w.Traits(), lv)
+	return mt
+}
+
+// Measure measures the schema configuration with ordinal ord under
+// noise trial: MeasureFull(w, schema config ord, trial), bit for bit.
+func (mt *MeasureTable) Measure(ord, trial int) (Measurement, error) {
+	if ord < 0 || ord >= mt.schema.Size() {
+		return Measurement{}, fmt.Errorf("offload: configuration ordinal %d outside [0,%d)", ord, mt.schema.Size())
+	}
+	idx := mt.levelsOf(ord)
+	if m, ok := mt.fromTable(idx, trial); ok {
+		return m, nil
+	}
+	cfg, err := mt.schema.Config(idx[:])
+	if err != nil {
+		return Measurement{}, err
+	}
+	return mt.p.MeasureFull(mt.w, cfg, trial)
+}
+
+// levelsOf decodes an in-range ordinal into its schema level indices.
+func (mt *MeasureTable) levelsOf(ord int) (idx [space.ParamHostFraction + 1]int) {
+	for i := len(idx) - 1; i >= 0; i-- {
+		idx[i] = ord % mt.levels[i]
+		ord /= mt.levels[i]
+	}
+	return idx
+}
+
+// fromTable measures the configuration at level indices idx through
+// the level table; ok is false when the table cannot serve it.
+func (mt *MeasureTable) fromTable(idx [space.ParamHostFraction + 1]int, trial int) (Measurement, bool) {
+	if mt.t == nil {
+		return Measurement{}, false
+	}
+	s, ok := mt.t.Measure(idx[space.ParamHostThreads], idx[space.ParamHostAffinity],
+		idx[space.ParamDeviceThreads], idx[space.ParamDeviceAffinity], idx[space.ParamHostFraction], trial)
+	if !ok {
+		return Measurement{}, false
+	}
+	return Measurement{
+		Times:  Times{Host: s.HostSec, Device: s.DeviceSec},
+		Energy: Energy{Host: s.HostJ, Device: s.DeviceJ},
+	}, true
+}

@@ -334,13 +334,26 @@ func (m *Model) HostTime(a Assignment, w Traits, trial int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	work := a.SizeMB * w.complexityOrDefault()
-	t := m.Cal.HostSetupSec + m.Cal.HostThreadSpawnSec*float64(a.Threads) + work/rate
+	return m.hostSec(a, w.complexityOrDefault(), rate, m.noise("host", w.Name, a, trial, m.hostSigma(a.Affinity))), nil
+}
+
+// hostSigma is the host timing noise's relative std under an affinity:
+// OS scheduling (AffinityNone) widens it.
+func (m *Model) hostSigma(aff machine.Affinity) float64 {
 	sigma := m.Cal.NoiseStdHost
-	if a.Affinity == machine.AffinityNone {
+	if aff == machine.AffinityNone {
 		sigma *= m.Cal.NoiseNoneFactor
 	}
-	return t * m.noise("host", w.Name, a, trial, sigma), nil
+	return sigma
+}
+
+// hostSec is the host time formula: setup, thread spawn and the work
+// (size times complexity cx) at the streaming rate, scaled by the noise
+// factor.
+func (m *Model) hostSec(a Assignment, cx, rate, noise float64) float64 {
+	work := a.SizeMB * cx
+	t := m.Cal.HostSetupSec + m.Cal.HostThreadSpawnSec*float64(a.Threads) + work/rate
+	return t * noise
 }
 
 // DeviceTime returns the modeled execution time in seconds of the device
@@ -357,11 +370,18 @@ func (m *Model) DeviceTime(a Assignment, w Traits, trial int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	work := a.SizeMB * w.complexityOrDefault()
+	return m.deviceSec(a, w.complexityOrDefault(), rate, m.noise("device", w.Name, a, trial, m.Cal.NoiseStdDevice)), nil
+}
+
+// deviceSec is the device time formula: the offload latency, the slower
+// of compute and the overlapped PCIe transfer, and the transfer's
+// non-overlapped residual, scaled by the noise factor.
+func (m *Model) deviceSec(a Assignment, cx, rate, noise float64) float64 {
+	work := a.SizeMB * cx
 	compute := m.Cal.DeviceSetupSec + m.Cal.DeviceThreadSpawnSec*float64(a.Threads) + work/rate
 	transfer := a.SizeMB / m.Cal.PCIeRateMBs
 	// Transfer overlaps computation; the slower of the two dominates and a
 	// residual fraction of the transfer cannot be hidden.
 	t := m.Cal.OffloadLatencySec + math.Max(compute, transfer) + m.Cal.TransferResidual*transfer
-	return t * m.noise("device", w.Name, a, trial, m.Cal.NoiseStdDevice), nil
+	return t * noise
 }

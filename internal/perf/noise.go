@@ -2,6 +2,8 @@ package perf
 
 import (
 	"math"
+
+	"hetopt/internal/machine"
 )
 
 // noise returns the deterministic multiplicative perturbation
@@ -11,7 +13,14 @@ func (m *Model) noise(role, workload string, a Assignment, trial int, sigma floa
 	if sigma <= 0 {
 		return 1
 	}
-	z := normalFromKey(m.Cal.NoiseSeed, role, workload, a, trial)
+	return noiseFactor(measurementHash(m.Cal.NoiseSeed, role, workload, a, trial), sigma)
+}
+
+// noiseFactor is the perturbation 1 + sigma*z of a measurement-key hash
+// (sigma > 0): z is the hash's standard-normal draw clamped to +-3, the
+// factor floored at 0.01.
+func noiseFactor(key uint64, sigma float64) float64 {
+	z := normalFromHash(key)
 	if z > 3 {
 		z = 3
 	} else if z < -3 {
@@ -62,6 +71,12 @@ func fnvByte(h uint64, b byte) uint64 {
 // (seed, role, 0, workload, 0, sizeKB, threads, affinity, trial with
 // all integers little-endian) by TestMeasurementHashMatchesStdlibFNV.
 func measurementHash(seed uint64, role, workload string, a Assignment, trial int) uint64 {
+	return keyTail(keyHead(seed, role, workload, a.SizeMB), a.Threads, a.Affinity, trial)
+}
+
+// keyHead is the FNV-1a state of a measurement key through its size
+// field: everything a level table can hash once per share size.
+func keyHead(seed uint64, role, workload string, sizeMB float64) uint64 {
 	h := uint64(fnvOffset64)
 	h = fnvUint64(h, seed)
 	h = fnvString(h, role)
@@ -69,19 +84,26 @@ func measurementHash(seed uint64, role, workload string, a Assignment, trial int
 	h = fnvString(h, workload)
 	h = fnvByte(h, 0)
 	// Quantize size to 1 KB so float formatting cannot perturb the key.
-	h = fnvUint64(h, uint64(int64(a.SizeMB*1024)))
-	h = fnvUint64(h, uint64(int64(a.Threads)))
-	h = fnvUint64(h, uint64(int64(a.Affinity)))
-	h = fnvUint64(h, uint64(int64(trial)))
-	return h
+	return fnvUint64(h, uint64(int64(sizeMB*1024)))
+}
+
+// keyTail folds the per-configuration rest of the key into a keyHead
+// state.
+func keyTail(h uint64, threads int, aff machine.Affinity, trial int) uint64 {
+	h = fnvUint64(h, uint64(int64(threads)))
+	h = fnvUint64(h, uint64(int64(aff)))
+	return fnvUint64(h, uint64(int64(trial)))
 }
 
 // normalFromKey derives a standard-normal variate from the measurement key
 // via FNV-1a hashing and the Box-Muller transform. The derivation is pure:
 // equal keys always produce equal draws.
 func normalFromKey(seed uint64, role, workload string, a Assignment, trial int) float64 {
-	x := measurementHash(seed, role, workload, a, trial)
+	return normalFromHash(measurementHash(seed, role, workload, a, trial))
+}
 
+// normalFromHash is normalFromKey's Box-Muller step over a key hash x.
+func normalFromHash(x uint64) float64 {
 	// Two decorrelated 64-bit streams via splitmix64 finalizers.
 	u1 := toUnit(splitmix64(x))
 	u2 := toUnit(splitmix64(x ^ 0xD1B54A32D192ED03))

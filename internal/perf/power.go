@@ -26,11 +26,17 @@ func (m *Model) HostActivePowerW(threads int, aff machine.Affinity) (float64, er
 	if err != nil {
 		return 0, err
 	}
+	return m.hostPowerW(coresUsed, threads, aff), nil
+}
+
+// hostPowerW is the host active power formula over a placement's
+// used-core count.
+func (m *Model) hostPowerW(coresUsed, threads int, aff machine.Affinity) float64 {
 	dyn := m.Cal.HostCoreActiveW*float64(coresUsed) + m.Cal.HostThreadActiveW*float64(threads)
 	if aff == machine.AffinityNone && m.Cal.HostNonePowerFactor > 0 {
 		dyn *= m.Cal.HostNonePowerFactor
 	}
-	return m.Cal.HostIdleW + dyn, nil
+	return m.Cal.HostIdleW + dyn
 }
 
 // DeviceActivePowerW returns the modeled device power draw in watts while
@@ -40,8 +46,14 @@ func (m *Model) DeviceActivePowerW(threads int, aff machine.Affinity) (float64, 
 	if err != nil {
 		return 0, err
 	}
+	return m.devicePowerW(coresUsed, threads), nil
+}
+
+// devicePowerW is the device active power formula over a placement's
+// used-core count.
+func (m *Model) devicePowerW(coresUsed, threads int) float64 {
 	dyn := m.Cal.DeviceCoreActiveW*float64(coresUsed) + m.Cal.DeviceThreadActiveW*float64(threads)
-	return m.Cal.DeviceIdleW + dyn, nil
+	return m.Cal.DeviceIdleW + dyn
 }
 
 // HostModeledEnergy returns the noise-free analytic joules an engaged
@@ -55,10 +67,16 @@ func (m *Model) HostModeledEnergy(threads int, aff machine.Affinity, busySec, ma
 	if err != nil {
 		return 0, err
 	}
+	return modeledJoules(p, m.Cal.HostIdleW, busySec, makespanSec), nil
+}
+
+// modeledJoules is the engaged-unit energy formula: active power p
+// while busy, static power idleW for the rest of the makespan.
+func modeledJoules(p, idleW, busySec, makespanSec float64) float64 {
 	if makespanSec < busySec {
 		makespanSec = busySec
 	}
-	return p*busySec + m.Cal.HostIdleW*(makespanSec-busySec), nil
+	return p*busySec + idleW*(makespanSec-busySec)
 }
 
 // DeviceModeledEnergy is the device analogue of HostModeledEnergy.
@@ -67,10 +85,7 @@ func (m *Model) DeviceModeledEnergy(threads int, aff machine.Affinity, busySec, 
 	if err != nil {
 		return 0, err
 	}
-	if makespanSec < busySec {
-		makespanSec = busySec
-	}
-	return p*busySec + m.Cal.DeviceIdleW*(makespanSec-busySec), nil
+	return modeledJoules(p, m.Cal.DeviceIdleW, busySec, makespanSec), nil
 }
 
 // HostEnergy returns the measured energy in joules the host consumes

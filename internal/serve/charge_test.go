@@ -75,7 +75,10 @@ func TestMemoEvalChargesOncePerOrdinal(t *testing.T) {
 	platform := offload.NewPlatform()
 	schema := space.PaperSchema()
 	w := offload.GenomeWorkload(dna.Human)
-	shared := search.NewShardedMemo[int32, offload.Measurement](16, hashOrdinal)
+	shared := &workloadState{
+		memo:  search.NewShardedMemo[int32, offload.Measurement](16, hashOrdinal),
+		table: platform.NewMeasureTable(w, schema),
+	}
 	cfg, err := schema.Config([]int{3, 1, 6, 0, 20})
 	if err != nil {
 		t.Fatal(err)
@@ -102,8 +105,8 @@ func TestMemoEvalChargesOncePerOrdinal(t *testing.T) {
 			t.Fatalf("job %d charged %d experiments for one configuration, want 1", j, m.Count())
 		}
 	}
-	if shared.Unique() != 1 {
-		t.Fatalf("shared memo measured %d times, want 1", shared.Unique())
+	if shared.memo.Unique() != 1 {
+		t.Fatalf("shared memo measured %d times, want 1", shared.memo.Unique())
 	}
 	// An off-grid configuration is measured and charged on every visit.
 	off := cfg
@@ -114,8 +117,8 @@ func TestMemoEvalChargesOncePerOrdinal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if meas[0].Count() != 3 || shared.Unique() != 1 {
-		t.Fatalf("off-grid visits: %d charged, %d shared; want 3, 1", meas[0].Count(), shared.Unique())
+	if meas[0].Count() != 3 || shared.memo.Unique() != 1 {
+		t.Fatalf("off-grid visits: %d charged, %d shared; want 3, 1", meas[0].Count(), shared.memo.Unique())
 	}
 }
 

@@ -185,8 +185,8 @@ type Server struct {
 	trained map[trainKey]*trainState
 
 	evalMu     sync.Mutex
-	memos      map[workloadKey]*search.Memo[int32, offload.Measurement]
-	memoOrder  []workloadKey
+	workloads  map[workloadKey]*workloadState
+	wlOrder    []workloadKey
 	predictors map[workloadKey]*core.Predictor
 	predOrder  []workloadKey
 
@@ -228,7 +228,7 @@ func NewCluster(opt Options) (*Server, error) {
 		jobs:       map[string]*job{},
 		platforms:  map[string]*platformState{},
 		trained:    map[trainKey]*trainState{},
-		memos:      map[workloadKey]*search.Memo[int32, offload.Measurement]{},
+		workloads:  map[workloadKey]*workloadState{},
 		predictors: map[workloadKey]*core.Predictor{},
 	}
 	s.runFn = s.runTune
@@ -698,34 +698,46 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Metrics())
 }
 
-// maxWorkloadStates bounds the per-workload shared state maps (memos,
-// predictors): workload identity includes the caller-controlled
-// size_mb, so without a bound a size scan would accumulate state
-// forever. Beyond the bound the oldest workload's state is dropped —
-// in-flight jobs keep their pointers (still correct, just no sharing
-// with future jobs for that workload).
+// maxWorkloadStates bounds the per-workload shared state maps
+// (workload states, predictors): workload identity includes the
+// caller-controlled size_mb, so without a bound a size scan would
+// accumulate state forever. Beyond the bound the oldest workload's
+// state is dropped — in-flight jobs keep their pointers (still correct,
+// just no sharing with future jobs for that workload).
 const maxWorkloadStates = 64
 
-// sharedMemo returns the per-workload evaluation memo, creating it on
-// first use. Every concurrent job for the same workload funnels its
-// measurements through this memo, so overlapping searches pay for each
-// configuration once. It is keyed by configuration ordinal and stays a
-// sharded map: it holds only the configurations some job visited, where
-// a flat table per workload would hold the whole space.
-func (s *Server) sharedMemo(k workloadKey) *search.Memo[int32, offload.Measurement] {
+// workloadState is what every job on one workload shares: the
+// evaluation memo and the measurement table its misses are measured
+// through.
+type workloadState struct {
+	// memo is keyed by configuration ordinal and stays a sharded map:
+	// it holds only the configurations some job visited, where a flat
+	// table per workload would hold the whole space.
+	memo  *search.Memo[int32, offload.Measurement]
+	table *offload.MeasureTable
+}
+
+// workloadStateFor returns the per-workload shared state, creating it
+// on first use. Every concurrent job for the same workload funnels its
+// measurements through its memo, so overlapping searches pay for each
+// configuration once.
+func (s *Server) workloadStateFor(k workloadKey, st *platformState, w offload.Workload) *workloadState {
 	s.evalMu.Lock()
 	defer s.evalMu.Unlock()
-	m, ok := s.memos[k]
+	ws, ok := s.workloads[k]
 	if !ok {
-		m = search.NewShardedMemo[int32, offload.Measurement](16, hashOrdinal)
-		s.memos[k] = m
-		s.memoOrder = append(s.memoOrder, k)
-		if len(s.memoOrder) > maxWorkloadStates {
-			delete(s.memos, s.memoOrder[0])
-			s.memoOrder = s.memoOrder[1:]
+		ws = &workloadState{
+			memo:  search.NewShardedMemo[int32, offload.Measurement](16, hashOrdinal),
+			table: st.platform.NewMeasureTable(w, st.schema),
+		}
+		s.workloads[k] = ws
+		s.wlOrder = append(s.wlOrder, k)
+		if len(s.wlOrder) > maxWorkloadStates {
+			delete(s.workloads, s.wlOrder[0])
+			s.wlOrder = s.wlOrder[1:]
 		}
 	}
-	return m
+	return ws
 }
 
 // hashOrdinal routes ordinals onto memo shards: consecutive ordinals
@@ -744,13 +756,13 @@ func hashOrdinal(ord int32) uint64 { return uint64(uint32(ord)) }
 // warmth or scheduling.
 type memoEval struct {
 	schema  *space.Schema
-	shared  *search.Memo[int32, offload.Measurement]
+	shared  *workloadState
 	meas    *core.Measurer
 	charged []atomic.Uint64 // bit ord set once ord has been charged
 }
 
 // newMemoEval builds the two-layer evaluator for one job.
-func newMemoEval(schema *space.Schema, shared *search.Memo[int32, offload.Measurement], meas *core.Measurer) *memoEval {
+func newMemoEval(schema *space.Schema, shared *workloadState, meas *core.Measurer) *memoEval {
 	return &memoEval{
 		schema:  schema,
 		shared:  shared,
@@ -768,12 +780,12 @@ func (e *memoEval) Evaluate(cfg space.Config) (offload.Measurement, error) {
 		return e.meas.Evaluate(cfg)
 	}
 	key := int32(ord)
-	m, ok, err := e.shared.Get(key)
+	m, ok, err := e.shared.memo.Get(key)
 	computed := false
 	if !ok {
-		m, err = e.shared.Do(key, func() (offload.Measurement, error) {
+		m, err = e.shared.memo.Do(key, func() (offload.Measurement, error) {
 			computed = true
-			return e.meas.Platform.MeasureFull(e.meas.Workload, cfg, e.meas.Trial)
+			return e.shared.table.Measure(ord, e.meas.Trial)
 		})
 	}
 	// Charge the job's first visit only. A replayed failure is not
@@ -956,7 +968,7 @@ func (s *Server) runTune(req TuneRequest) (TuneResult, error) {
 	inst := &core.Instance{
 		Schema:       st.schema,
 		Measurer:     meas,
-		MeasureCache: newMemoEval(st.schema, s.sharedMemo(wk), meas),
+		MeasureCache: newMemoEval(st.schema, s.workloadStateFor(wk, st, w), meas),
 	}
 	if method.UsesML() {
 		pred, err := s.predictor(wk, st, fam, w)

@@ -381,7 +381,9 @@ func TestSharedEvaluationMemo(t *testing.T) {
 	if second.State != JobDone {
 		t.Fatalf("second job failed: %+v", second)
 	}
-	memo := s.sharedMemo(workloadKey{platform: first.Request.Platform, name: "human", sizeMB: first.Request.SizeMB})
+	s.evalMu.Lock()
+	memo := s.workloads[workloadKey{platform: first.Request.Platform, name: "human", sizeMB: first.Request.SizeMB}].memo
+	s.evalMu.Unlock()
 	if memo.Hits() == 0 {
 		t.Fatalf("shared memo saw no hits across overlapping jobs (lookups=%d unique=%d)",
 			memo.Lookups(), memo.Unique())

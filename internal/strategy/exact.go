@@ -10,16 +10,20 @@ import (
 )
 
 // Bounded is optionally implemented by product-space problems that can
-// bound partial assignments. LowerBound must return an admissible (never
-// overestimating) lower bound on Energy over every state that agrees
-// with prefix[:fixed]; entries at and beyond fixed are undefined and
-// must not be read. Bounds must be monotone: fixing one more dimension
-// never lowers the bound. LowerBound must be pure and safe for
-// concurrent use. internal/core derives one from the roofline
-// performance model, internal/graph from DAG critical paths.
+// bound partial assignments. ChildBounds bounds every child of the node
+// prefix[:fixed] in one call: out[v], for each level v of dimension
+// fixed, must be an admissible (never overestimating) lower bound on
+// Energy over every state that agrees with prefix[:fixed] and takes
+// level v in dimension fixed. len(out) is Levels(fixed); prefix entries
+// at and beyond fixed are undefined and must not be read. Bounds should
+// be monotone (a child's bound not below its parent's, up to rounding);
+// correctness rests on admissibility alone. ChildBounds must be safe
+// for concurrent use and write nothing but out.
+// internal/core derives one from the roofline performance model,
+// internal/graph from DAG critical paths.
 type Bounded interface {
 	Spaced
-	LowerBound(prefix []int, fixed int) float64
+	ChildBounds(prefix []int, fixed int, out []float64)
 }
 
 // Pool-knob defaults, mirroring the Gurobi solution-pool parameters the
@@ -129,6 +133,9 @@ type solver struct {
 	poolSize int     // requested pool size (0 = no pool)
 	gap      float64 // effective pool gap (0 when no pool)
 	poolCap  int     // per-root candidate buffer cap
+	// offsets[d] is where depth d's children start in a root's
+	// per-depth buffers; offsets[len(levels)] is their total length.
+	offsets []int
 	// dive incumbent shared read-only by every root.
 	diveState []int
 	diveE     float64
@@ -145,9 +152,12 @@ type candidate struct {
 
 // rootState is the mutable per-root search state.
 type rootState struct {
-	s       *solver
-	prefix  []int
-	scratch [][]childRef // per-depth child buffers
+	s      *solver
+	prefix []int
+	// bounds and refs hold every depth's child bounds and ordering
+	// buffer back to back: depth d's start at s.offsets[d].
+	bounds  []float64
+	refs    []childRef
 	bestE   float64
 	bestOrd int
 	best    []int
@@ -169,14 +179,43 @@ type childRef struct {
 // Minimize implements Strategy. The returned Result carries the
 // certificate and pool (Result.Certificate()/Result.PoolEntries()).
 func (e Exact) Minimize(p Problem, opt Options) (Result, error) {
-	sp, sh, err := productSpace("exact", p)
+	s, err := e.newSolver(p, opt)
 	if err != nil {
 		return Result{}, err
 	}
-	if sh.size == 0 {
-		return Result{}, fmt.Errorf("strategy: exact: space size overflows")
+	depth, roots := s.split()
+	outs := make([]*rootState, roots)
+	ferr := search.ForEach(roots, opt.Parallelism, func(r int) error {
+		rs := s.newRootState()
+		// Root r's prefix is the digits of its first state's ordinal.
+		s.unflatten(rs.prefix, r*(s.size/roots))
+		outs[r] = rs
+		if depth == len(s.levels) {
+			// Degenerate split: each root is a single leaf.
+			return s.visitLeaf(rs, s.leafBound(rs))
+		}
+		return s.expand(rs, depth)
+	})
+	if ferr != nil {
+		return Result{}, ferr
 	}
-	s := &solver{shape: sh, p: sp, budget: -1}
+	return s.merge(outs), nil
+}
+
+// newSolver validates p and builds the solve's shared state, dive
+// incumbent included.
+func (e Exact) newSolver(p Problem, opt Options) (*solver, error) {
+	sp, sh, err := productSpace("exact", p)
+	if err != nil {
+		return nil, err
+	}
+	if sh.size == 0 {
+		return nil, fmt.Errorf("strategy: exact: space size overflows")
+	}
+	s := &solver{shape: sh, p: sp, budget: -1, offsets: make([]int, len(sh.levels)+1)}
+	for d, n := range sh.levels {
+		s.offsets[d+1] = s.offsets[d] + n
+	}
 	if b, ok := p.(Bounded); ok {
 		s.b = b
 	}
@@ -192,34 +231,22 @@ func (e Exact) Minimize(p Problem, opt Options) (Result, error) {
 		s.poolCap = max(4*e.PoolSize, 64)
 	}
 	if err := s.dive(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
+	return s, nil
+}
 
-	// Split the tree at the smallest depth whose prefix count reaches
-	// rootTarget (a pure function of the space shape).
-	depth, roots := 0, 1
+// split is where the tree is cut into independent roots: the smallest
+// depth whose prefix count reaches rootTarget (a pure function of the
+// space shape).
+func (s *solver) split() (depth, roots int) {
+	roots = 1
 	target := min(rootTarget, s.size)
 	for depth < len(s.levels) && roots < target {
 		roots *= s.levels[depth]
 		depth++
 	}
-
-	outs := make([]*rootState, roots)
-	ferr := search.ForEach(roots, opt.Parallelism, func(r int) error {
-		rs := s.newRootState()
-		// Root r's prefix is the digits of its first state's ordinal.
-		s.unflatten(rs.prefix, r*(s.size/roots))
-		outs[r] = rs
-		if depth == len(s.levels) {
-			// Degenerate split: each root is a single leaf.
-			return s.visitLeaf(rs, s.rootBound(rs, depth))
-		}
-		return s.expand(rs, depth)
-	})
-	if ferr != nil {
-		return Result{}, ferr
-	}
-	return s.merge(outs), nil
+	return depth, roots
 }
 
 // dive establishes the shared initial incumbent: a single greedy descent
@@ -227,13 +254,17 @@ func (e Exact) Minimize(p Problem, opt Options) (Result, error) {
 // index; index 0 throughout when the problem is unbounded).
 func (s *solver) dive() error {
 	state := make([]int, len(s.levels))
+	var out []float64
+	if s.b != nil {
+		out = make([]float64, slices.Max(s.levels))
+	}
 	for d, n := range s.levels {
 		bestV := 0
 		if s.b != nil && n > 1 {
+			s.b.ChildBounds(state, d, out[:n])
 			bestBd := math.Inf(1)
-			for v := 0; v < n; v++ {
-				state[d] = v
-				if bd := s.b.LowerBound(state, d+1); bd < bestBd {
+			for v, bd := range out[:n] {
+				if bd < bestBd {
 					bestBd, bestV = bd, v
 				}
 			}
@@ -251,20 +282,25 @@ func (s *solver) dive() error {
 }
 
 func (s *solver) newRootState() *rootState {
-	rs := &rootState{
+	total := s.offsets[len(s.levels)]
+	return &rootState{
 		s:        s,
 		prefix:   make([]int, len(s.levels)),
-		scratch:  make([][]childRef, len(s.levels)),
+		bounds:   make([]float64, total),
+		refs:     make([]childRef, total),
 		bestE:    s.diveE,
 		bestOrd:  s.diveOrd,
 		best:     append([]int(nil), s.diveState...),
 		frontier: math.Inf(1),
 		budget:   s.budget,
 	}
-	for d, n := range s.levels {
-		rs.scratch[d] = make([]childRef, 0, n)
-	}
-	return rs
+}
+
+// children returns depth d's child-bound buffer and its empty ordering
+// buffer.
+func (rs *rootState) children(d int) ([]float64, []childRef) {
+	lo, hi := rs.s.offsets[d], rs.s.offsets[d+1]
+	return rs.bounds[lo:hi], rs.refs[lo:lo:hi]
 }
 
 // thresh is the pruning threshold: the incumbent, widened by the pool
@@ -278,31 +314,88 @@ func (rs *rootState) thresh() float64 {
 	return rs.bestE + rs.s.gap*math.Abs(rs.bestE)
 }
 
-// rootBound bounds the root's own subtree (used only for the degenerate
-// single-leaf-root split).
-func (s *solver) rootBound(rs *rootState, fixed int) float64 {
+// leafBound bounds the root's own single-leaf subtree (used only for
+// the degenerate single-leaf-root split): the last dimension's child
+// bound of the leaf's parent, unsanitized.
+func (s *solver) leafBound(rs *rootState) float64 {
 	if s.b == nil {
 		return math.Inf(-1)
 	}
-	return s.b.LowerBound(rs.prefix, fixed)
+	last := len(s.levels) - 1
+	out, _ := rs.children(last)
+	s.b.ChildBounds(rs.prefix, last, out)
+	return out[rs.prefix[last]]
 }
 
 // expand enumerates dimension `fixed` of the node prefix[:fixed],
-// bounding every child, then visiting them in (bound, index) order so
-// the most promising subtree tightens the incumbent first.
+// bounding every child in one ChildBounds call, then visiting them in
+// (bound, index) order so the most promising subtree tightens the
+// incumbent first. Only the survivors, children at or under the
+// threshold on entry, are sorted: the rest would come after every
+// survivor in that order, and there the sorted loop prunes them all at
+// once (the threshold never loosens) or, once the budget ran out,
+// prices them into the frontier, which depends on no order.
 func (s *solver) expand(rs *rootState, fixed int) error {
-	ch := rs.scratch[fixed][:0]
-	for v := 0; v < s.levels[fixed]; v++ {
-		bd := math.Inf(-1)
-		if s.b != nil {
-			rs.prefix[fixed] = v
-			bd = s.b.LowerBound(rs.prefix, fixed+1)
+	bounds, ch := rs.children(fixed)
+	if s.b != nil {
+		s.b.ChildBounds(rs.prefix, fixed, bounds)
+		for v, bd := range bounds {
 			if math.IsNaN(bd) {
-				bd = math.Inf(-1)
+				bounds[v] = math.Inf(-1)
 			}
 		}
-		ch = append(ch, childRef{v: v, bound: bd})
+	} else {
+		for v := range bounds {
+			bounds[v] = math.Inf(-1)
+		}
 	}
+	t := rs.thresh()
+	rest, restMin := 0, math.Inf(1)
+	for v, bd := range bounds {
+		if bd <= t {
+			ch = append(ch, childRef{v: v, bound: bd})
+			continue
+		}
+		rest++
+		// Strict, in index order: the first of equal bounds wins, as
+		// it would in (bound, index) order.
+		if bd < restMin {
+			restMin = bd
+		}
+	}
+	done, err := s.visitChildren(rs, fixed, ch, rest)
+	if err != nil || done || rest == 0 {
+		return err
+	}
+	switch {
+	case rs.trunc || rs.budget == 0:
+		rs.trunc = true
+		if restMin < rs.frontier {
+			rs.frontier = restMin
+		}
+	case restMin > rs.thresh():
+		rs.pruned += rest * s.strides[fixed]
+	default:
+		// The threshold no longer prunes the smallest of the rest: it
+		// loosened since entry (a pool gap of 1 or more over negative
+		// energies) or is NaN. Sort and walk the rest exactly as the
+		// full sort would have.
+		ch = ch[:0]
+		for v, bd := range bounds {
+			if !(bd <= t) {
+				ch = append(ch, childRef{v: v, bound: bd})
+			}
+		}
+		_, err = s.visitChildren(rs, fixed, ch, 0)
+	}
+	return err
+}
+
+// visitChildren visits the children ch of the node prefix[:fixed] in
+// (bound, index) order; after stops more unsorted children follow
+// them. done reports that the walk ended early by pruning every child
+// left, those after included.
+func (s *solver) visitChildren(rs *rootState, fixed int, ch []childRef, after int) (done bool, err error) {
 	// Bounds are never NaN here, so (bound, index) is a strict total
 	// order and the sorted permutation is unique.
 	slices.SortFunc(ch, func(a, b childRef) int {
@@ -322,8 +415,8 @@ func (s *solver) expand(rs *rootState, fixed int) error {
 		if c.bound > rs.thresh() {
 			// Children are bound-sorted and the threshold only ever
 			// tightens: every remaining sibling prunes too.
-			rs.pruned += (len(ch) - i) * below
-			break
+			rs.pruned += (len(ch) - i + after) * below
+			return true, nil
 		}
 		rs.prefix[fixed] = c.v
 		var err error
@@ -333,10 +426,10 @@ func (s *solver) expand(rs *rootState, fixed int) error {
 			err = s.expand(rs, fixed+1)
 		}
 		if err != nil {
-			return err
+			return false, err
 		}
 	}
-	return nil
+	return false, nil
 }
 
 // visitLeaf evaluates the complete state in prefix.

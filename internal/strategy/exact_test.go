@@ -38,7 +38,20 @@ func (p *quadProblem) Energy(state []int) (float64, error) {
 // terms at their per-dimension minimum (0 when the target is in range).
 type boundedQuad struct{ *quadProblem }
 
-func (p boundedQuad) LowerBound(prefix []int, fixed int) float64 {
+func (p boundedQuad) ChildBounds(prefix []int, fixed int, out []float64) {
+	childBoundsOf(p.nodeBound, prefix, fixed, out)
+}
+
+// childBoundsOf fills out from a per-node bound, one child at a time,
+// on a copy of the prefix.
+func childBoundsOf(lb func(prefix []int, fixed int) float64, prefix []int, fixed int, out []float64) {
+	node := append([]int(nil), prefix[:fixed]...)
+	for v := range out {
+		out[v] = lb(append(node, v), fixed+1)
+	}
+}
+
+func (p boundedQuad) nodeBound(prefix []int, fixed int) float64 {
 	e := p.base
 	for i := 0; i < fixed; i++ {
 		e += p.term(i, prefix[i])
@@ -187,7 +200,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 }
 
 func TestExactUnboundedIsCertifiedExhaustive(t *testing.T) {
-	p := newQuad() // no LowerBound method
+	p := newQuad() // no ChildBounds method
 	wantState, wantE := bruteForce(t, p)
 	res, err := Exact{Prove: true}.Minimize(p, Options{})
 	if err != nil {
@@ -281,8 +294,12 @@ func TestExactPoolDiversityInvariant(t *testing.T) {
 // gaps instead of proving the optimum from the frontier bounds alone.
 type looseQuad struct{ boundedQuad }
 
-func (p looseQuad) LowerBound(prefix []int, fixed int) float64 {
-	return 0.6 * p.boundedQuad.LowerBound(prefix, fixed)
+func (p looseQuad) ChildBounds(prefix []int, fixed int, out []float64) {
+	childBoundsOf(p.nodeBound, prefix, fixed, out)
+}
+
+func (p looseQuad) nodeBound(prefix []int, fixed int) float64 {
+	return 0.6 * p.boundedQuad.nodeBound(prefix, fixed)
 }
 
 // TestExactBudgetGapMonotonicity: growing the budget extends the same

@@ -293,14 +293,14 @@ type spacedMemoProblem struct{ *memoProblem }
 
 func (m spacedMemoProblem) Levels(i int) int { return m.Problem.(Spaced).Levels(i) }
 
-// boundedSpacedMemoProblem additionally forwards LowerBound, so the
+// boundedSpacedMemoProblem additionally forwards ChildBounds, so the
 // exact strategy still prunes when racing over a shared memo inside
 // Portfolio. It is a distinct type (not a method on the plain memo
 // wrappers) so a memo never advertises bounds its problem lacks.
 type boundedSpacedMemoProblem struct{ spacedMemoProblem }
 
-func (m boundedSpacedMemoProblem) LowerBound(prefix []int, fixed int) float64 {
-	return m.Problem.(Bounded).LowerBound(prefix, fixed)
+func (m boundedSpacedMemoProblem) ChildBounds(prefix []int, fixed int, out []float64) {
+	m.Problem.(Bounded).ChildBounds(prefix, fixed, out)
 }
 
 // withMemo wraps p in a fresh single-flight memo, preserving Spaced
