@@ -91,7 +91,7 @@ func TestDefsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs benchmarks")
 	}
-	cheap := map[string]bool{"store-key": true, "measure-full": true, "cache-evaluate-hit": true}
+	cheap := map[string]bool{"store-key": true, "measure-full": true, "cache-evaluate-hit": true, "memo-scattered-hit": true}
 	var defs []Def
 	for _, d := range Defs() {
 		if cheap[d.Name] {
@@ -111,8 +111,8 @@ func TestDefsRun(t *testing.T) {
 		}
 	}
 	for _, r := range f.Benchmarks {
-		if r.Name == "cache-evaluate-hit" && r.AllocsPerOp != 0 {
-			t.Fatalf("cache-evaluate-hit allocates: %d allocs/op", r.AllocsPerOp)
+		if (r.Name == "cache-evaluate-hit" || r.Name == "memo-scattered-hit") && r.AllocsPerOp != 0 {
+			t.Fatalf("%s allocates: %d allocs/op", r.Name, r.AllocsPerOp)
 		}
 	}
 }
@@ -120,7 +120,7 @@ func TestDefsRun(t *testing.T) {
 func TestDefNamesAreStable(t *testing.T) {
 	want := []string{"em-enumeration", "sam-multichain", "measure-full",
 		"predictor-evaluate-hit", "cache-evaluate-hit", "store-key", "model-training",
-		"strategy-step-memo", "cold-divisible-job"}
+		"strategy-step-memo", "cold-divisible-job", "memo-scattered-hit"}
 	defs := Defs()
 	if len(defs) < len(want) {
 		t.Fatalf("tracked set shrank: %d < %d", len(defs), len(want))

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -99,6 +100,7 @@ func Defs() []Def {
 		{Name: "measure-full", Bench: benchMeasureFull},
 		{Name: "predictor-evaluate-hit", Bench: benchPredictorEvaluateHit},
 		{Name: "cache-evaluate-hit", Bench: benchCacheEvaluateHit},
+		{Name: "memo-scattered-hit", Bench: benchMemoScatteredHit},
 		{Name: "store-key", Bench: benchStoreKey},
 		{Name: "store-peek", Bench: benchStorePeek},
 		{Name: "warm-hit-post", Bench: benchWarmHitPost},
@@ -504,6 +506,32 @@ func benchCacheEvaluateHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := cache.Evaluate(cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// benchMemoScatteredHit is one hit on a shared measurement memo the
+// way serve's jobs hit it: a 16-shard Memo[int32, Measurement] holding
+// every ordinal of the paper space, read along a fixed pseudo-random
+// permutation so each Get lands on a cold slot. cache-evaluate-hit
+// hits one key in L1 and hides that cache-miss cost.
+func benchMemoScatteredHit(b *testing.B) {
+	n := space.PaperSchema().Size()
+	memo := search.NewShardedMemo[int32, offload.Measurement](16, func(ord int32) uint64 { return uint64(uint32(ord)) })
+	for ord := int32(0); ord < int32(n); ord++ {
+		if _, err := memo.Do(ord, func() (offload.Measurement, error) {
+			return offload.Measurement{Times: offload.Times{Host: float64(ord)}}, nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	perm := rand.New(rand.NewSource(1)).Perm(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ord := int32(perm[i%n])
+		if m, ok, _ := memo.Get(ord); !ok || m.Times.Host != float64(ord) {
+			b.Fatal("scattered memo hit missed")
 		}
 	}
 }

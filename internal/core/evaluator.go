@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -181,6 +182,12 @@ type sideKey struct {
 	sizeMB  float64
 }
 
+// hashSideKey spreads side-memo keys over their table's slots; no
+// prediction depends on it.
+func hashSideKey(k sideKey) uint64 {
+	return (uint64(k.threads)<<8^uint64(k.aff))*0x9E3779B97F4A7C15 ^ math.Float64bits(k.sizeMB)
+}
+
 // NewPredictor binds trained models to a workload. power is the analytic
 // model whose power constants price the predicted times into joules; use
 // the platform the models were trained on (Platform.Model()).
@@ -198,8 +205,8 @@ func NewPredictor(models *Models, w offload.Workload, power *perf.Model) (*Predi
 		models:   models,
 		workload: w,
 		power:    power,
-		hostMemo: search.NewMemo[sideKey, float64](),
-		devMemo:  search.NewMemo[sideKey, float64](),
+		hostMemo: search.NewMemo[sideKey, float64](hashSideKey),
+		devMemo:  search.NewMemo[sideKey, float64](hashSideKey),
 	}, nil
 }
 

@@ -139,7 +139,7 @@ func TestDenseMemoHitZeroAllocs(t *testing.T) {
 func TestDenseMemoAccountingMatchesMemo(t *testing.T) {
 	const n = 50
 	dense := NewDenseMemo[int](n)
-	memo := NewMemo[int, int]()
+	memo := NewMemo[int, int](hashInt)
 	rng := rand.New(rand.NewSource(3))
 	boom := errors.New("boom")
 	for i := 0; i < 2000; i++ {

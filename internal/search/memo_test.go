@@ -1,0 +1,190 @@
+package search
+
+import (
+	"errors"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"hetopt/internal/offload"
+	"hetopt/internal/space"
+)
+
+func hashInt(k int) uint64 { return uint64(k) }
+
+func hashInt32(k int32) uint64 { return uint64(uint32(k)) }
+
+func hashString(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 0x100000001b3
+	}
+	return h
+}
+
+// TestMemoConcurrentGrowth: goroutines Get and Do overlapping key
+// ranges while every shard's table doubles many times over. Every hit
+// must return its own key's value and every key must be computed once.
+// Run under -race, this exercises the lock-free read of a table being
+// replaced.
+func TestMemoConcurrentGrowth(t *testing.T) {
+	const (
+		keys       = 5000
+		goroutines = 8
+	)
+	m := NewShardedMemo[int, int](4, hashInt)
+	var calls atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			defer wg.Done()
+			// Each goroutine walks the keys from its own offset, so
+			// neighbours race on the same keys as the tables grow.
+			for i := 0; i < keys; i++ {
+				k := (i + g*keys/goroutines) % keys
+				if v, ok, err := m.Get(k); ok {
+					if err != nil || v != 3*k+1 {
+						t.Errorf("Get(%d) = %d, %v; want %d", k, v, err, 3*k+1)
+						return
+					}
+					continue
+				}
+				v, err := m.Do(k, func() (int, error) {
+					calls.Add(1)
+					return 3*k + 1, nil
+				})
+				if err != nil || v != 3*k+1 {
+					t.Errorf("Do(%d) = %d, %v; want %d", k, v, err, 3*k+1)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := calls.Load(); got != keys {
+		t.Fatalf("computed %d times, want once per key (%d)", got, keys)
+	}
+	if m.Unique() != keys || m.Lookups() != goroutines*keys {
+		t.Fatalf("accounting %d/%d, want %d/%d", m.Lookups(), m.Unique(), goroutines*keys, keys)
+	}
+	for k := 0; k < keys; k++ {
+		if v, ok, err := m.Get(k); !ok || err != nil || v != 3*k+1 {
+			t.Fatalf("after growth Get(%d) = %d, %v, %v", k, v, ok, err)
+		}
+	}
+}
+
+// TestMemoGetReplaysError: a failed computation is a hit for Get, which
+// returns the stored value and the very error Do returned.
+func TestMemoGetReplaysError(t *testing.T) {
+	m := NewShardedMemo[string, int](2, hashString)
+	boom := errors.New("boom")
+	if _, ok, _ := m.Get("k"); ok {
+		t.Fatal("hit before any Do")
+	}
+	if v, err := m.Do("k", func() (int, error) { return 5, boom }); v != 5 || err != boom {
+		t.Fatalf("Do = %d, %v", v, err)
+	}
+	v, ok, err := m.Get("k")
+	if !ok || v != 5 || err != boom {
+		t.Fatalf("Get = %d, %v, %v; want the cached 5, boom", v, ok, err)
+	}
+	if m.Lookups() != 2 || m.Unique() != 1 || m.Hits() != 1 {
+		t.Fatalf("accounting %d/%d/%d, want 2/1/1", m.Lookups(), m.Unique(), m.Hits())
+	}
+}
+
+// TestMemoPanicClearsFlight: a computation that panics leaves nothing
+// behind. A caller already waiting on it wakes and computes the key
+// itself, and a later Do gets that value instead of hanging or
+// replaying a zero value.
+func TestMemoPanicClearsFlight(t *testing.T) {
+	m := NewMemo[int, int](hashInt)
+	started, release := make(chan struct{}), make(chan struct{})
+	panicked := make(chan any)
+	go func() {
+		defer func() { panicked <- recover() }()
+		_, _ = m.Do(1, func() (int, error) {
+			close(started)
+			<-release
+			panic("fn failed")
+		})
+	}()
+	<-started
+	waiter := make(chan int)
+	go func() {
+		v, _ := m.Do(1, func() (int, error) { return 7, nil })
+		waiter <- v
+	}()
+	time.Sleep(10 * time.Millisecond) // let the waiter block on the flight
+	close(release)
+	if r := <-panicked; r != "fn failed" {
+		t.Fatalf("panic value %v did not propagate", r)
+	}
+	select {
+	case v := <-waiter:
+		if v != 7 {
+			t.Fatalf("waiter got %d, want its own 7", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("waiter still blocked on a panicked flight")
+	}
+	v, err := m.Do(1, func() (int, error) { t.Error("recomputed a landed key"); return 0, nil })
+	if v != 7 || err != nil {
+		t.Fatalf("later Do = %d, %v; want 7", v, err)
+	}
+}
+
+func TestMemoRejectsNilHash(t *testing.T) {
+	for name, build := range map[string]func(){
+		"NewMemo":        func() { NewMemo[int, int](nil) },
+		"NewShardedMemo": func() { NewShardedMemo[int, int](16, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a nil hash", name)
+				}
+			}()
+			build()
+		}()
+	}
+}
+
+// TestMemoHitZeroAllocs pins both Memo shapes the search stack hits on
+// its hot paths as allocation-free: serve's shared ordinal memo and the
+// Cache's configuration memo.
+func TestMemoHitZeroAllocs(t *testing.T) {
+	ords := NewShardedMemo[int32, offload.Measurement](16, hashInt32)
+	for k := int32(0); k < 1000; k++ {
+		if _, err := ords.Do(k, func() (offload.Measurement, error) {
+			return offload.Measurement{Times: offload.Times{Host: float64(k)}}, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k := int32(0)
+	if allocs := testing.AllocsPerRun(200, func() {
+		k = (k + 397) % 1000
+		if v, ok, _ := ords.Get(k); !ok || v.Times.Host != float64(k) {
+			t.Fatalf("Get(%d) = %v, %v", k, v, ok)
+		}
+	}); allocs != 0 {
+		t.Fatalf("ordinal memo hit allocates %g allocs/op, want 0", allocs)
+	}
+
+	cfgs := NewShardedMemo[space.Config, offload.Measurement](16, HashConfig)
+	cfg := space.Config{HostThreads: 48, DeviceThreads: 240, HostFraction: 60}
+	if _, err := cfgs.Do(cfg, func() (offload.Measurement, error) { return offload.Measurement{}, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, ok, _ := cfgs.Get(cfg); !ok {
+			t.Fatal("miss")
+		}
+	}); allocs != 0 {
+		t.Fatalf("configuration memo hit allocates %g allocs/op, want 0", allocs)
+	}
+}

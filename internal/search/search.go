@@ -28,110 +28,6 @@ type Evaluator interface {
 	Evaluate(cfg space.Config) (offload.Measurement, error)
 }
 
-// memoEntry holds one memoized computation; once guards the single
-// flight, done publishes completion to the lock-free Get fast path.
-type memoEntry[V any] struct {
-	once sync.Once
-	done atomic.Bool
-	val  V
-	err  error
-}
-
-// memoShard is one lock stripe of a Memo: a mutex plus the entries it
-// guards.
-type memoShard[K comparable, V any] struct {
-	mu      sync.Mutex
-	entries map[K]*memoEntry[V]
-}
-
-// Memo is a concurrency-safe, single-flight memo table: concurrent Do
-// calls with the same key perform the computation exactly once and share
-// the result (including the error). Entries may be striped over several
-// independently locked shards (NewShardedMemo) so concurrent chains do
-// not serialize on one mutex. The zero value is not usable; construct
-// with NewMemo or NewShardedMemo.
-type Memo[K comparable, V any] struct {
-	shards []memoShard[K, V]
-	hash   func(K) uint64
-
-	lookups atomic.Int64
-	unique  atomic.Int64
-}
-
-// NewMemo returns an empty single-shard memo table.
-func NewMemo[K comparable, V any]() *Memo[K, V] {
-	return NewShardedMemo[K, V](1, nil)
-}
-
-// NewShardedMemo returns an empty memo table striped over shards locks,
-// routing each key by hash. Sharding never changes results — only which
-// mutex a key contends on. shards < 2 or a nil hash yields the plain
-// single-shard table.
-func NewShardedMemo[K comparable, V any](shards int, hash func(K) uint64) *Memo[K, V] {
-	if shards < 2 || hash == nil {
-		shards, hash = 1, nil
-	}
-	m := &Memo[K, V]{shards: make([]memoShard[K, V], shards), hash: hash}
-	for i := range m.shards {
-		m.shards[i].entries = map[K]*memoEntry[V]{}
-	}
-	return m
-}
-
-func (m *Memo[K, V]) shard(key K) *memoShard[K, V] {
-	if len(m.shards) == 1 {
-		return &m.shards[0]
-	}
-	return &m.shards[m.hash(key)%uint64(len(m.shards))]
-}
-
-// Do returns the memoized result for key, computing it with fn on the
-// first call. Concurrent first calls block until the single computation
-// finishes.
-func (m *Memo[K, V]) Do(key K, fn func() (V, error)) (V, error) {
-	m.lookups.Add(1)
-	s := m.shard(key)
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	if !ok {
-		e = &memoEntry[V]{}
-		s.entries[key] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() {
-		m.unique.Add(1)
-		e.val, e.err = fn()
-		e.done.Store(true)
-	})
-	return e.val, e.err
-}
-
-// Get returns the memoized result for key when its computation has
-// already completed, without blocking and without allocating. A miss —
-// absent key or a computation still in flight — reports ok false and
-// counts nothing, so a Get-then-Do sequence still records exactly one
-// lookup per logical evaluation.
-func (m *Memo[K, V]) Get(key K) (v V, ok bool, err error) {
-	s := m.shard(key)
-	s.mu.Lock()
-	e := s.entries[key]
-	s.mu.Unlock()
-	if e == nil || !e.done.Load() {
-		return v, false, nil
-	}
-	m.lookups.Add(1)
-	return e.val, true, e.err
-}
-
-// Lookups returns the number of Do calls so far.
-func (m *Memo[K, V]) Lookups() int { return int(m.lookups.Load()) }
-
-// Unique returns the number of distinct keys computed (cache misses).
-func (m *Memo[K, V]) Unique() int { return int(m.unique.Load()) }
-
-// Hits returns the number of Do calls served from the memo.
-func (m *Memo[K, V]) Hits() int { return m.Lookups() - m.Unique() }
-
 // DenseMemo states of one ordinal.
 const (
 	denseEmpty uint32 = iota
@@ -267,8 +163,8 @@ func (m *DenseMemo[V]) Hits() int { return m.Lookups() - m.Unique() }
 // chains rarely collide, few enough that the table stays cheap to build.
 const cacheShards = 16
 
-// HashConfig mixes a configuration into a 64-bit shard-routing hash.
-// It only spreads keys over memo shards; no result depends on it.
+// HashConfig mixes a configuration into a 64-bit hash for a Memo. It
+// only spreads keys over memo shards and slots; no result depends on it.
 func HashConfig(cfg space.Config) uint64 {
 	h := splitmix64(uint64(cfg.HostThreads)<<32 ^ uint64(cfg.DeviceThreads))
 	h ^= splitmix64(uint64(cfg.HostAffinity)<<8 ^ uint64(cfg.DeviceAffinity))
@@ -283,8 +179,9 @@ func HashConfig(cfg space.Config) uint64 {
 // never changes any returned value, only the effort spent. The memo is
 // keyed on the configuration alone and stores the full Measurement
 // (times and energy), so every objective is served from one evaluation.
-// Entries are striped over sharded locks and hits are served through the
-// allocation-free Get fast path (see DESIGN.md, "The hot path").
+// Entries are striped over sharded tables and hits are served through
+// the lock-free, allocation-free Get fast path (see DESIGN.md, "The hot
+// path").
 type Cache struct {
 	eval Evaluator
 	memo *Memo[space.Config, offload.Measurement]

@@ -12,7 +12,7 @@ import (
 )
 
 func TestMemoSingleFlight(t *testing.T) {
-	m := NewMemo[int, int]()
+	m := NewMemo[int, int](hashInt)
 	var calls atomic.Int64
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -46,7 +46,7 @@ func TestMemoSingleFlight(t *testing.T) {
 }
 
 func TestMemoCachesErrors(t *testing.T) {
-	m := NewMemo[string, int]()
+	m := NewMemo[string, int](hashString)
 	calls := 0
 	fail := func() (int, error) { calls++; return 0, fmt.Errorf("boom") }
 	if _, err := m.Do("k", fail); err == nil {

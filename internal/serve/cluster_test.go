@@ -303,16 +303,13 @@ func TestClusterFailoverServesWarm(t *testing.T) {
 func TestMetricsClusterSplit(t *testing.T) {
 	servers, urls := newTestCluster(t, 2, nil)
 
-	// A seed sweep posted entirely to node 0: roughly half the keys
-	// forward to node 1, the rest compute locally.
-	for seed := int64(1); seed <= 8; seed++ {
-		raw := TuneRequest{Method: "sam", Iterations: 40, Seed: seed}
-		body, err := json.Marshal(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
+	// One request owned by each node, both posted to node 0: the first
+	// computes locally, the second forwards to node 1. Node IDs are
+	// random test URLs, so the seeds are picked by ring ownership.
+	for _, owner := range urls {
+		req, _, body := requestOwnedBy(t, servers[0], owner)
 		if code, b := postRaw(t, urls[0]+"/v1/jobs?wait=1", body); code != http.StatusOK {
-			t.Fatalf("seed %d: status %d body %s", seed, code, b)
+			t.Fatalf("seed %d (owner %s): status %d body %s", req.Seed, owner, code, b)
 		}
 	}
 	// An error answer (malformed body) counts local too.
@@ -332,7 +329,7 @@ func TestMetricsClusterSplit(t *testing.T) {
 	}
 	m0 := servers[0].Metrics()
 	if m0.Cluster.Forwarded == 0 || m0.Cluster.Local == 0 {
-		t.Fatalf("an 8-seed sweep should split both ways, got local=%d forwarded=%d",
+		t.Fatalf("one request per owner should split both ways, got local=%d forwarded=%d",
 			m0.Cluster.Local, m0.Cluster.Forwarded)
 	}
 

@@ -413,7 +413,8 @@ func (s *Server) submitJob(req TuneRequest) (JobStatus, *job, error) {
 			// I/O can never block the warm path.
 			s.replicateEntry(key, body)
 		}
-		j.setDone(res, err, hit)
+		// Count the job before releasing its waiters, so a client
+		// woken by completion always finds its own job in /v1/metrics.
 		if err != nil {
 			s.met.failed.Add(1)
 		} else {
@@ -423,6 +424,7 @@ func (s *Server) submitJob(req TuneRequest) (JobStatus, *job, error) {
 			}
 		}
 		s.met.observeCold(time.Since(start))
+		j.setDone(res, err, hit)
 	})
 	if err != nil {
 		s.met.rejected.Add(1)
@@ -459,22 +461,21 @@ func (s *Server) register(j *job) {
 	defer s.jobsMu.Unlock()
 	s.jobs[j.id] = j
 	s.jobOrder = append(s.jobOrder, j.id)
-	if len(s.jobs) <= s.opt.JobRetention {
-		return
-	}
-	kept := s.jobOrder[:0]
-	for _, id := range s.jobOrder {
-		jj, ok := s.jobs[id]
-		if !ok {
+	// Scan from the oldest job and stop once the bound holds, so a full
+	// registry costs one eviction per registration, not a full pass.
+	for i := 0; i < len(s.jobOrder) && len(s.jobs) > s.opt.JobRetention; {
+		id := s.jobOrder[i]
+		if !s.jobs[id].finished() {
+			i++
 			continue
 		}
-		if len(s.jobs) > s.opt.JobRetention && jj.finished() {
-			delete(s.jobs, id)
-			continue
+		delete(s.jobs, id)
+		if i == 0 {
+			s.jobOrder = s.jobOrder[1:]
+		} else {
+			s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
 		}
-		kept = append(kept, id)
 	}
-	s.jobOrder = kept
 }
 
 // lookup resolves a job id.
@@ -710,9 +711,10 @@ const maxWorkloadStates = 64
 // evaluation memo and the measurement table its misses are measured
 // through.
 type workloadState struct {
-	// memo is keyed by configuration ordinal and stays a sharded map:
-	// it holds only the configurations some job visited, where a flat
-	// table per workload would hold the whole space.
+	// memo is keyed by configuration ordinal and stays a sharded hash
+	// table: its inline slots (40 bytes each, no pointers) grow with
+	// the configurations some job visited, where a flat table per
+	// workload would hold the whole space.
 	memo  *search.Memo[int32, offload.Measurement]
 	table *offload.MeasureTable
 }
@@ -740,8 +742,9 @@ func (s *Server) workloadStateFor(k workloadKey, st *platformState, w offload.Wo
 	return ws
 }
 
-// hashOrdinal routes ordinals onto memo shards: consecutive ordinals
-// land on consecutive shards.
+// hashOrdinal is the shared memo's hash: its low bits put consecutive
+// ordinals on consecutive shards, and the memo's multiplicative probe
+// spreads each shard's ordinals over its slots.
 func hashOrdinal(ord int32) uint64 { return uint64(uint32(ord)) }
 
 // memoEval is a per-job evaluator funneling this job's measurer

@@ -456,6 +456,49 @@ func TestJobRetentionBound(t *testing.T) {
 	}
 }
 
+// TestJobRetentionKeepsRunningJobs: eviction skips a job still
+// running at the front of the registry and forgets the oldest finished
+// ones instead.
+func TestJobRetentionKeepsRunningJobs(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 2, QueueSize: 8, JobRetention: 3})
+	release := make(chan struct{})
+	s.runFn = func(req TuneRequest) (TuneResult, error) {
+		if req.Seed == 1 {
+			<-release
+		}
+		return TuneResult{Method: req.Method}, nil
+	}
+	code, resp := post(t, ts.URL+"/v1/jobs", `{"method":"sam","seed":1}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("blocked job: status %d body %s", code, resp)
+	}
+	var running JobStatus
+	if err := json.Unmarshal(resp, &running); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for seed := 2; seed <= 6; seed++ {
+		st := submitAndWait(t, ts.URL, fmt.Sprintf(`{"method":"sam","seed":%d}`, seed))
+		if st.State != JobDone {
+			t.Fatalf("seed %d failed: %+v", seed, st)
+		}
+		ids = append(ids, st.ID)
+	}
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+running.ID, nil); code != http.StatusOK {
+		t.Fatalf("running job evicted (status %d)", code)
+	}
+	for i, id := range ids {
+		want := http.StatusNotFound
+		if i >= len(ids)-2 {
+			want = http.StatusOK
+		}
+		if code := getJSON(t, ts.URL+"/v1/jobs/"+id, nil); code != want {
+			t.Fatalf("job %s (seed %d): status %d, want %d", id, i+2, code, want)
+		}
+	}
+	close(release)
+}
+
 // TestBadRequests exercises the failure envelope.
 func TestBadRequests(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, QueueSize: 4})
@@ -658,6 +701,32 @@ func TestWaitInlineCompletion(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/jobs/"+st.ID, &g)
 	if g.State != JobDone {
 		t.Fatalf("wait=1 job not pollable afterwards: %+v", g)
+	}
+}
+
+// TestWaitedJobCountedBeforeRelease: a ?wait=1 client released by its
+// job's completion finds that job already counted in the metrics.
+func TestWaitedJobCountedBeforeRelease(t *testing.T) {
+	s := New(Options{Workers: 2, QueueSize: 4})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = s.Drain(ctx)
+	})
+	s.runFn = func(req TuneRequest) (TuneResult, error) {
+		return TuneResult{Method: req.Method, TimeSec: 2.5}, nil
+	}
+	for seed := 1; seed <= 300; seed++ {
+		before := s.Metrics().Jobs.Completed
+		body := fmt.Sprintf(`{"method":"sam","seed":%d}`, seed)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs?wait=1", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("seed %d: status %d body %s", seed, rec.Code, rec.Body)
+		}
+		if after := s.Metrics().Jobs.Completed; after != before+1 {
+			t.Fatalf("seed %d: completed %d -> %d right after the waited job returned, want +1", seed, before, after)
+		}
 	}
 }
 

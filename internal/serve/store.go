@@ -15,8 +15,7 @@ import (
 // eviction and with "did this call pay?" reporting so jobs can be
 // marked as store hits.
 //
-// Entries are striped over independently locked shards (the same
-// 16-shard/atomic-done idiom as search.NewShardedMemo) so the warm-hit
+// Entries are striped over 16 independently locked shards, so the warm-hit
 // fast path of concurrent submissions never serializes on one mutex,
 // and each completed entry can carry its marshaled response bytes
 // (SetBody/PeekWarm): warm hits are served by writing stored bytes, so
