@@ -46,7 +46,6 @@ type params struct {
 	workers      int
 	queue        int
 	cacheSize    int
-	cacheShards  int
 	parallel     int
 	pretrain     bool
 	drainTimeout time.Duration
@@ -99,9 +98,6 @@ func (p *params) validate() error {
 	if p.cacheSize <= 0 {
 		return fmt.Errorf("-cache-size must be > 0, got %d", p.cacheSize)
 	}
-	if p.cacheShards <= 0 {
-		return fmt.Errorf("-cache-shards must be > 0, got %d", p.cacheShards)
-	}
 	if p.parallel < 0 {
 		return fmt.Errorf("-parallel must be >= 0, got %d", p.parallel)
 	}
@@ -145,7 +141,6 @@ func main() {
 	flag.IntVar(&p.workers, "workers", 4, "worker-pool size (must be positive)")
 	flag.IntVar(&p.queue, "queue", 64, "pending-job queue bound; full queue answers 429 (must be positive)")
 	flag.IntVar(&p.cacheSize, "cache-size", 1024, "warm-start store capacity, LRU-evicted beyond it (must be positive)")
-	flag.IntVar(&p.cacheShards, "cache-shards", 16, "warm-start store lock stripes; 1 = exact global LRU (must be positive)")
 	flag.IntVar(&p.parallel, "parallel", 1, "per-job search worker count; never affects results")
 	flag.BoolVar(&p.pretrain, "pretrain", false, "train the prediction models at startup instead of on the first EML/SAML job")
 	flag.DurationVar(&p.drainTimeout, "drain-timeout", 60*time.Second, "graceful-shutdown budget for draining accepted jobs")
@@ -176,7 +171,6 @@ func run(p params) error {
 		Workers:         p.workers,
 		QueueSize:       p.queue,
 		StoreSize:       p.cacheSize,
-		StoreShards:     p.cacheShards,
 		Parallelism:     p.parallel,
 		DefaultWorkload: p.workload,
 		DefaultPlatform: p.platform,
@@ -199,8 +193,8 @@ func run(p params) error {
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 
-	fmt.Printf("hetserved: listening on %s (%d workers, queue %d, store %d x%d shards)\n",
-		p.addr, p.workers, p.queue, p.cacheSize, p.cacheShards)
+	fmt.Printf("hetserved: listening on %s (%d workers, queue %d, store %d)\n",
+		p.addr, p.workers, p.queue, p.cacheSize)
 	for _, ep := range serve.Endpoints() {
 		fmt.Println("  ", ep)
 	}

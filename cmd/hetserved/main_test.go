@@ -13,7 +13,6 @@ func valid() params {
 		workers:        4,
 		queue:          64,
 		cacheSize:      1024,
-		cacheShards:    16,
 		parallel:       1,
 		drainTimeout:   time.Minute,
 		forwardTimeout: 30 * time.Second,
@@ -29,7 +28,7 @@ func TestValidateAccepts(t *testing.T) {
 		mut  func(*params)
 	}{
 		{"defaults", func(p *params) {}},
-		{"minimum sizing", func(p *params) { p.workers, p.queue, p.cacheSize, p.cacheShards = 1, 1, 1, 1 }},
+		{"minimum sizing", func(p *params) { p.workers, p.queue, p.cacheSize = 1, 1, 1 }},
 		{"sequential search", func(p *params) { p.parallel = 0 }},
 		{"scenario defaults", func(p *params) { p.workload, p.platform = "spmv:large", "gpu-like" }},
 		{"genome alias default", func(p *params) { p.workload = "human" }},
@@ -66,7 +65,6 @@ func TestValidateRejects(t *testing.T) {
 		{"negative queue", func(p *params) { p.queue = -2 }, "-queue"},
 		{"zero cache", func(p *params) { p.cacheSize = 0 }, "-cache-size"},
 		{"negative cache", func(p *params) { p.cacheSize = -1 }, "-cache-size"},
-		{"zero cache shards", func(p *params) { p.cacheShards = 0 }, "-cache-shards"},
 		{"negative parallel", func(p *params) { p.parallel = -3 }, "-parallel"},
 		{"zero drain timeout", func(p *params) { p.drainTimeout = 0 }, "-drain-timeout"},
 		{"unknown workload", func(p *params) { p.workload = "plankton" }, "-workload"},

@@ -567,12 +567,7 @@ func benchStorePeek(b *testing.B) {
 		b.Fatal(err)
 	}
 	key := canon.Key()
-	if _, err, _ := store.Do(key, func() (serve.TuneResult, error) {
-		return serve.TuneResult{Method: "SAM", TimeSec: 1.25, EnergyJ: 80}, nil
-	}); err != nil {
-		b.Fatal(err)
-	}
-	store.SetBody(key, []byte(`{"state":"done"}`+"\n"))
+	store.Install(key, serve.TuneResult{Method: "SAM", TimeSec: 1.25, EnergyJ: 80}, []byte(`{"state":"done"}`+"\n"))
 	keyBytes := []byte(key)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -600,16 +595,11 @@ func benchWarmHitPost(b *testing.B) {
 		b.Fatal(err)
 	}
 	key := canon.Key()
-	if _, err, _ := store.Do(key, func() (serve.TuneResult, error) {
-		return serve.TuneResult{Method: "SAM", TimeSec: 1.25, EnergyJ: 80}, nil
-	}); err != nil {
-		b.Fatal(err)
-	}
 	body, jerr := json.Marshal(serve.JobStatus{State: serve.JobDone, Cached: true, Request: canon, Key: key})
 	if jerr != nil {
 		b.Fatal(jerr)
 	}
-	store.SetBody(key, append(body, '\n'))
+	store.Install(key, serve.TuneResult{Method: "SAM", TimeSec: 1.25, EnergyJ: 80}, append(body, '\n'))
 	keyBuf := make([]byte, 0, 192)
 	b.ReportAllocs()
 	b.ResetTimer()

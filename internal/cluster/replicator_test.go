@@ -41,10 +41,10 @@ func TestReplicatorDelivers(t *testing.T) {
 	}
 }
 
-// TestReplicatorEnqueueNeverBlocks pins the warm-path contract the
-// SetBody fix depends on: with the single worker black-holed inside a
-// send, Enqueue keeps returning immediately — filling the queue and
-// then dropping — instead of blocking the caller.
+// TestReplicatorEnqueueNeverBlocks pins the warm-path contract that
+// replicating from the pool worker depends on: with the single worker
+// black-holed inside a send, Enqueue keeps returning immediately —
+// filling the queue and then dropping — instead of blocking the caller.
 func TestReplicatorEnqueueNeverBlocks(t *testing.T) {
 	blocked := make(chan struct{})
 	release := make(chan struct{})

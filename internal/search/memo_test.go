@@ -97,43 +97,51 @@ func TestMemoGetReplaysError(t *testing.T) {
 }
 
 // TestMemoPanicClearsFlight: a computation that panics leaves nothing
-// behind. A caller already waiting on it wakes and computes the key
-// itself, and a later Do gets that value instead of hanging or
-// replaying a zero value.
+// behind, in Memo and DenseMemo alike. A caller already waiting on it
+// wakes and computes the key itself, and a later Do gets that value
+// instead of hanging or replaying a zero value.
 func TestMemoPanicClearsFlight(t *testing.T) {
-	m := NewMemo[int, int](hashInt)
-	started, release := make(chan struct{}), make(chan struct{})
-	panicked := make(chan any)
-	go func() {
-		defer func() { panicked <- recover() }()
-		_, _ = m.Do(1, func() (int, error) {
-			close(started)
-			<-release
-			panic("fn failed")
+	for name, m := range map[string]interface {
+		Do(int, func() (int, error)) (int, error)
+	}{
+		"Memo":      NewMemo[int, int](hashInt),
+		"DenseMemo": NewDenseMemo[int](4),
+	} {
+		t.Run(name, func(t *testing.T) {
+			started, release := make(chan struct{}), make(chan struct{})
+			panicked := make(chan any)
+			go func() {
+				defer func() { panicked <- recover() }()
+				_, _ = m.Do(1, func() (int, error) {
+					close(started)
+					<-release
+					panic("fn failed")
+				})
+			}()
+			<-started
+			waiter := make(chan int)
+			go func() {
+				v, _ := m.Do(1, func() (int, error) { return 7, nil })
+				waiter <- v
+			}()
+			time.Sleep(10 * time.Millisecond) // let the waiter block on the flight
+			close(release)
+			if r := <-panicked; r != "fn failed" {
+				t.Fatalf("panic value %v did not propagate", r)
+			}
+			select {
+			case v := <-waiter:
+				if v != 7 {
+					t.Fatalf("waiter got %d, want its own 7", v)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("waiter still blocked on a panicked flight")
+			}
+			v, err := m.Do(1, func() (int, error) { t.Error("recomputed a landed key"); return 0, nil })
+			if v != 7 || err != nil {
+				t.Fatalf("later Do = %d, %v; want 7", v, err)
+			}
 		})
-	}()
-	<-started
-	waiter := make(chan int)
-	go func() {
-		v, _ := m.Do(1, func() (int, error) { return 7, nil })
-		waiter <- v
-	}()
-	time.Sleep(10 * time.Millisecond) // let the waiter block on the flight
-	close(release)
-	if r := <-panicked; r != "fn failed" {
-		t.Fatalf("panic value %v did not propagate", r)
-	}
-	select {
-	case v := <-waiter:
-		if v != 7 {
-			t.Fatalf("waiter got %d, want its own 7", v)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("waiter still blocked on a panicked flight")
-	}
-	v, err := m.Do(1, func() (int, error) { t.Error("recomputed a landed key"); return 0, nil })
-	if v != 7 || err != nil {
-		t.Fatalf("later Do = %d, %v; want 7", v, err)
 	}
 }
 

@@ -51,7 +51,8 @@ type denseCell[V any] struct {
 // to the side, so a table of pointer-free values holds no pointers for
 // the garbage collector to scan. Do, Get, Lookups, Unique and Hits
 // count exactly as Memo's do for the same call sequence. A
-// computation that panics leaves its ordinal in flight for good.
+// computation that panics hands its ordinal back: its waiters wake and
+// the next Do computes it again.
 type DenseMemo[V any] struct {
 	cells []denseCell[V]
 
@@ -95,26 +96,7 @@ func (m *DenseMemo[V]) Do(ord int, fn func() (V, error)) (V, error) {
 			if !c.state.CompareAndSwap(denseEmpty, denseRunning) {
 				continue
 			}
-			m.unique.Add(1)
-			v, err := fn()
-			c.val = v
-			if err != nil {
-				m.mu.Lock()
-				if m.errs == nil {
-					m.errs = map[int]error{}
-				}
-				m.errs[ord] = err
-				m.mu.Unlock()
-				c.state.Store(denseFailed)
-			} else {
-				c.state.Store(denseDone)
-			}
-			if m.waiters.Load() > 0 {
-				m.mu.Lock()
-				m.cond.Broadcast()
-				m.mu.Unlock()
-			}
-			return v, err
+			return m.compute(c, ord, fn)
 		default:
 			m.waiters.Add(1)
 			m.mu.Lock()
@@ -125,6 +107,37 @@ func (m *DenseMemo[V]) Do(ord int, fn func() (V, error)) (V, error) {
 			m.waiters.Add(-1)
 		}
 	}
+}
+
+// compute runs fn for the ordinal this caller claimed and publishes the
+// outcome, waking any waiters. Deferred so that a panicking fn still
+// ends its flight: the ordinal goes back to empty rather than staying
+// in flight for good.
+func (m *DenseMemo[V]) compute(c *denseCell[V], ord int, fn func() (V, error)) (V, error) {
+	m.unique.Add(1)
+	next := denseEmpty
+	defer func() {
+		c.state.Store(next)
+		if m.waiters.Load() > 0 {
+			m.mu.Lock()
+			m.cond.Broadcast()
+			m.mu.Unlock()
+		}
+	}()
+	v, err := fn()
+	c.val = v
+	if err != nil {
+		m.mu.Lock()
+		if m.errs == nil {
+			m.errs = map[int]error{}
+		}
+		m.errs[ord] = err
+		m.mu.Unlock()
+		next = denseFailed
+	} else {
+		next = denseDone
+	}
+	return v, err
 }
 
 // Get returns the memoized result for ord when its computation has

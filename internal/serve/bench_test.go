@@ -13,12 +13,13 @@ import (
 func BenchmarkStoreHit(b *testing.B) {
 	b.ReportAllocs()
 	s := NewStore(0)
-	if _, err, _ := s.Do("k", func() (TuneResult, error) { return TuneResult{TimeSec: 1}, nil }); err != nil {
+	if _, err, _ := s.Do("k", render(TuneResult{TimeSec: 1})); err != nil {
 		b.Fatal(err)
 	}
+	key := []byte("k")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := s.Peek("k"); !ok {
+		if _, _, ok := s.PeekWarm(key); !ok {
 			b.Fatal("hit missed")
 		}
 	}

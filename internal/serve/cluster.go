@@ -111,54 +111,58 @@ func isForwarded(r *http.Request) bool {
 	return r.Header.Get(cluster.ForwardedHeader) != ""
 }
 
-// proxy streams one peer's answer for the canonical request body
-// through to w verbatim — status code, content type and the body bytes
-// (a warm hit streams the owner's pre-rendered response bytes without
-// re-encoding, which is what keeps proxied answers byte-identical to
-// local ones). It reports false, writing nothing, when the peer never
-// answered (failover-eligible).
-func (cl *clusterState) proxy(w http.ResponseWriter, target string, body []byte) bool {
-	resp, err := cl.client.Post(target+"/v1/jobs?wait=1", body, cl.router.Self())
-	if err != nil {
-		cl.router.MarkDown(target)
-		return false
-	}
-	defer resp.Body.Close()
-	cl.router.MarkUp(target)
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
-	return true
-}
-
-// forwardJob proxies a non-owned request to the key's owner, failing
-// over to the follower when the owner is unreachable (the follower
-// holds the replicated warm entry, so the answer stays warm and
-// byte-identical). The proxied hop always waits (?wait=1): a cold
+// peerHop sends the canonical request to the key's owner with
+// ?wait=1, failing over to the follower when the owner is unreachable
+// (the follower holds the replicated warm entry, so the answer stays
+// warm and byte-identical). The proxied hop always waits: a cold
 // forward returns the terminal status in one round trip, so clients
-// never need to poll a job id that lives on another node. It reports
-// false, with nothing written, when no peer answered — the caller
-// computes locally (results are pure functions of the request, so a
-// local recompute is still byte-identical, just not warm).
-func (s *Server) forwardJob(w http.ResponseWriter, rt cluster.Route, req TuneRequest) bool {
+// never need to poll a job id that lives on another node. The first
+// peer that answers, whatever its status, is handed to use. peerHop
+// reports false when no peer answered — the caller computes locally
+// (results are pure functions of the request, so a local recompute is
+// still byte-identical, just not warm). A follower's answer and a
+// local fallback each count one failover.
+func (cl *clusterState) peerHop(rt cluster.Route, req TuneRequest, use func(*http.Response)) bool {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return false
 	}
-	cl := s.cluster
-	if cl.proxy(w, rt.Owner, body) {
-		return true
-	}
-	if rt.Follower != rt.Owner && rt.Follower != cl.router.Self() {
-		if cl.proxy(w, rt.Follower, body) {
-			cl.failover.Add(1)
-			return true
+	self := cl.router.Self()
+	for i, target := range [2]string{rt.Owner, rt.Follower} {
+		if target == self || (i == 1 && target == rt.Owner) {
+			continue
 		}
+		resp, err := cl.client.Post(target+"/v1/jobs?wait=1", body, self)
+		if err != nil {
+			cl.router.MarkDown(target)
+			continue
+		}
+		cl.router.MarkUp(target)
+		if i == 1 {
+			cl.failover.Add(1)
+		}
+		use(resp)
+		resp.Body.Close()
+		return true
 	}
 	cl.failover.Add(1) // owner (and follower) down: recompute locally
 	return false
+}
+
+// forwardJob proxies a non-owned request through peerHop, streaming
+// the peer's answer to w verbatim — status code, content type and the
+// body bytes (a warm hit streams the owner's pre-rendered response
+// bytes without re-encoding, which is what keeps proxied answers
+// byte-identical to local ones). It reports false, with nothing
+// written, when no peer answered.
+func (s *Server) forwardJob(w http.ResponseWriter, rt cluster.Route, req TuneRequest) bool {
+	return s.cluster.peerHop(rt, req, func(resp *http.Response) {
+		if ct := resp.Header.Get("Content-Type"); ct != "" {
+			w.Header().Set("Content-Type", ct)
+		}
+		w.WriteHeader(resp.StatusCode)
+		_, _ = io.Copy(w, resp.Body)
+	})
 }
 
 // submitWait submits one canonical request locally and blocks until
@@ -180,57 +184,36 @@ func (s *Server) submitWait(req TuneRequest) JobStatus {
 	return st
 }
 
-// scatterOne resolves one non-owned batch member: proxied to the
-// owner, failed over to the follower, computed locally when no peer
-// answered. Peer rejections (429/503) are reported as rejected
-// members, mirroring the local batch contract.
+// scatterOne resolves one non-owned batch member through peerHop,
+// computed locally when no peer answered. Peer rejections (429/503)
+// are reported as rejected members, mirroring the local batch
+// contract.
 func (s *Server) scatterOne(req TuneRequest, key string, rt cluster.Route) JobStatus {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return s.submitWait(req)
-	}
-	cl := s.cluster
-	targets := [2]string{rt.Owner, rt.Follower}
-	for i, target := range targets {
-		if target == cl.router.Self() || (i == 1 && target == rt.Owner) {
-			continue
-		}
-		resp, rerr := cl.client.Post(target+"/v1/jobs?wait=1", body, cl.router.Self())
-		if rerr != nil {
-			cl.router.MarkDown(target)
-			continue
-		}
-		cl.router.MarkUp(target)
-		cl.scattered.Add(1)
-		if i == 1 {
-			cl.failover.Add(1)
-		}
-		st, derr := decodeScattered(resp, req, key)
-		if derr != nil {
-			return JobStatus{State: JobRejected, Request: req, Key: key, Error: derr.Error()}
-		}
+	var st JobStatus
+	if s.cluster.peerHop(rt, req, func(resp *http.Response) {
+		s.cluster.scattered.Add(1)
+		st = decodeScattered(resp, req, key)
+	}) {
 		return st
 	}
-	cl.failover.Add(1)
 	return s.submitWait(req)
 }
 
 // decodeScattered turns one proxied member response into a JobStatus.
-func decodeScattered(resp *http.Response, req TuneRequest, key string) (JobStatus, error) {
-	defer resp.Body.Close()
+func decodeScattered(resp *http.Response, req TuneRequest, key string) JobStatus {
 	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted {
 		var st JobStatus
 		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			return JobStatus{}, fmt.Errorf("serve: decoding scattered member: %w", err)
+			return JobStatus{State: JobRejected, Request: req, Key: key, Error: fmt.Sprintf("serve: decoding scattered member: %v", err)}
 		}
-		return st, nil
+		return st
 	}
 	var e errorJSON
 	_ = json.NewDecoder(resp.Body).Decode(&e)
 	if e.Error == "" {
 		e.Error = fmt.Sprintf("serve: peer answered status %d", resp.StatusCode)
 	}
-	return JobStatus{State: JobRejected, Request: req, Key: key, Error: e.Error}, nil
+	return JobStatus{State: JobRejected, Request: req, Key: key, Error: e.Error}
 }
 
 // scatterBatch fans the expanded batch out across the cluster — each
@@ -271,8 +254,8 @@ type replicateWire struct {
 
 // replicateEntry enqueues one completed entry for replication to the
 // key's follower (and toward the owner, after a failover compute on a
-// non-owner). Called from the pool worker after SetBody — never under
-// a store stripe lock, and Enqueue never blocks, so a slow or black-
+// non-owner). Called from the pool worker once the entry completed —
+// never under a store stripe lock, and Enqueue never blocks, so a slow or black-
 // holed follower cannot touch the warm path.
 func (s *Server) replicateEntry(key string, body []byte) {
 	cl := s.cluster

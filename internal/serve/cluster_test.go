@@ -34,6 +34,14 @@ func (sw *swapServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // servers and their base URLs (index-aligned).
 func newTestCluster(t *testing.T, n int, mut func(o *Options)) ([]*Server, []string) {
 	t.Helper()
+	servers, urls, _ := newTestClusterListeners(t, n, mut)
+	return servers, urls
+}
+
+// newTestClusterListeners is newTestCluster also returning each
+// member's listener, so a test can stop a node mid-run.
+func newTestClusterListeners(t *testing.T, n int, mut func(o *Options)) ([]*Server, []string, []*httptest.Server) {
+	t.Helper()
 	swaps := make([]*swapServer, n)
 	listeners := make([]*httptest.Server, n)
 	urls := make([]string, n)
@@ -73,7 +81,7 @@ func newTestCluster(t *testing.T, n int, mut func(o *Options)) ([]*Server, []str
 			_ = s.Drain(ctx)
 		}
 	})
-	return servers, urls
+	return servers, urls, listeners
 }
 
 // requestOwnedBy sweeps seeds until the canonical key is owned by the
@@ -417,11 +425,86 @@ func TestClusterScatterBatch(t *testing.T) {
 	}
 }
 
+// TestClusterScatterFailover: a batch member whose owner is down is
+// answered by its follower from the owner's replicated result (one
+// failover, one scattered member); with owner and follower both down
+// it is computed locally, byte-identical to a single-node run.
+func TestClusterScatterFailover(t *testing.T) {
+	servers, urls, listeners := newTestClusterListeners(t, 3, nil)
+	req, key, body := requestOwnedBy(t, servers[0], urls[0])
+	_, follower := servers[0].cluster.router.Ring().Lookup([]byte(key))
+	var fIdx, tIdx int
+	for i, u := range urls[1:] {
+		if u == follower {
+			fIdx = i + 1
+		} else {
+			tIdx = i + 1
+		}
+	}
+
+	code, cold := postRaw(t, urls[0]+"/v1/jobs?wait=1", body)
+	var coldSt JobStatus
+	if err := json.Unmarshal(cold, &coldSt); err != nil || code != http.StatusOK || coldSt.State != JobDone {
+		t.Fatalf("cold compute on the owner: status %d body %s (err %v)", code, cold, err)
+	}
+	ownerResult, _ := json.Marshal(coldSt.Result)
+	waitReplicated(t, servers[fIdx], key)
+
+	batch := BatchRequest{Requests: []TuneRequest{req}}
+	member := func() JobStatus {
+		t.Helper()
+		code, resp := post(t, urls[tIdx]+"/v1/jobs:batch", batch)
+		var br BatchResponse
+		if err := json.Unmarshal(resp, &br); err != nil || code != http.StatusOK || len(br.Jobs) != 1 {
+			t.Fatalf("batch on node %d: status %d body %s (err %v)", tIdx, code, resp, err)
+		}
+		return br.Jobs[0]
+	}
+	computes := func(s *Server) int64 {
+		m := s.Metrics()
+		return m.Jobs.Completed - m.Jobs.StoreHits
+	}
+
+	listeners[0].Close() // the owner dies
+	st := member()
+	got, _ := json.Marshal(st.Result)
+	if st.State != JobDone || !st.Cached || !bytes.Equal(got, ownerResult) {
+		t.Fatalf("follower answer %+v, want the owner's replicated result %s", st, ownerResult)
+	}
+	m := servers[tIdx].Metrics()
+	if m.Cluster.Failover != 1 || m.Cluster.Scattered != 1 || computes(servers[tIdx]) != 0 {
+		t.Fatalf("after follower failover: %+v, %d local computes; want failover=1 scattered=1, none local",
+			m.Cluster, computes(servers[tIdx]))
+	}
+
+	listeners[fIdx].Close() // the follower dies too
+	st = member()
+	got, _ = json.Marshal(st.Result)
+	if st.State != JobDone || st.Cached {
+		t.Fatalf("member with owner and follower down: %+v, want a fresh local compute", st)
+	}
+	_, single := newTestServer(t, Options{Workers: 2, QueueSize: 16})
+	code, alone := postRaw(t, single.URL+"/v1/jobs?wait=1", body)
+	var aloneSt JobStatus
+	if err := json.Unmarshal(alone, &aloneSt); err != nil || code != http.StatusOK {
+		t.Fatalf("single-node compute: status %d body %s (err %v)", code, alone, err)
+	}
+	want, _ := json.Marshal(aloneSt.Result)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("local fallback result differs from a single-node run:\n%s\n%s", got, want)
+	}
+	m = servers[tIdx].Metrics()
+	if m.Cluster.Failover != 2 || m.Cluster.Scattered != 1 || computes(servers[tIdx]) != 1 {
+		t.Fatalf("after local fallback: %+v, %d local computes; want failover=2 scattered=1, one local",
+			m.Cluster, computes(servers[tIdx]))
+	}
+}
+
 // TestStoreInstall pins the replica-apply semantics: install onto a
 // fresh key wins and disarms the single-flight slot; any existing
 // entry — the owner's own compute — wins over a late replica.
 func TestStoreInstall(t *testing.T) {
-	st := NewStoreShards(8, 2)
+	st := NewStore(8)
 	res := TuneResult{Method: "SAM", TimeSec: 1.5, EnergyJ: 60}
 	body := []byte(`{"state":"done"}` + "\n")
 	if !st.Install("k1", res, body) {
@@ -436,17 +519,17 @@ func TestStoreInstall(t *testing.T) {
 	}
 	// The installed slot never recomputes: Do returns the replica as a
 	// hit without calling the compute function.
-	r2, err, hit := st.Do("k1", func() (TuneResult, error) {
+	r2, err, hit := st.Do("k1", func() (TuneResult, []byte, error) {
 		t.Fatal("Do recomputed an installed key")
-		return TuneResult{}, nil
+		return TuneResult{}, nil, nil
 	})
 	if err != nil || !hit || r2.Method != "SAM" {
 		t.Fatalf("Do on installed key: %+v %v hit=%v", r2, err, hit)
 	}
 }
 
-// TestBlackholedFollowerNeverBlocksWarmPath is the SetBody bugfix
-// pinned at the serve layer: with the key's follower accepting
+// TestBlackholedFollowerNeverBlocksWarmPath pins replication off the
+// request path at the serve layer: with the key's follower accepting
 // connections but never answering, the cold compute and every warm hit
 // still answer promptly — replication rides a bounded async queue,
 // never the request path.

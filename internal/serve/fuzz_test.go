@@ -1,6 +1,11 @@
 package serve
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -87,6 +92,85 @@ func FuzzNormalize(f *testing.F) {
 		}
 		if nv.Key() != n.Key() {
 			t.Fatalf("respelled variant keyed differently: %q vs %q", n.Key(), nv.Key())
+		}
+	})
+}
+
+// FuzzReplicate fuzzes POST /v1/cluster/replicate, whose payload comes
+// straight from a peer. The handler never panics; it answers
+// applied:true only for a payload whose body decodes to a done
+// JobStatus carrying a result and the payload's key, after which
+// PeekWarm(key) serves that body verbatim. Any other payload leaves
+// the store's size unchanged.
+func FuzzReplicate(f *testing.F) {
+	const self = "http://127.0.0.1:1"
+	s, err := NewCluster(Options{Workers: 1, QueueSize: 1, Cluster: &ClusterOptions{NodeID: self, Peers: []string{self}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { _ = s.Drain(context.Background()) })
+	canon, err := TuneRequest{Method: "sam", Iterations: 40, Seed: 1}.Normalize()
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := canon.Key()
+	body := string(renderWarmBody(canon, key, TuneResult{Method: "SAM", TimeSec: 1.25, EnergyJ: 80}))
+	wire := func(key, body string) []byte {
+		b, err := json.Marshal(replicateWire{Key: key, Body: body})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	for _, seed := range [][]byte{
+		wire(key, body),
+		wire("other", body),
+		wire(key, strings.Replace(body, `"state":"done"`, `"state":"running"`, 1)),
+		wire(key, `{"state":"done","key":"`+key+`"}`),
+		wire(key, `{"state":"done","key":"`+key+`","result":{}}`),
+		wire("", body),
+		wire(key, ""),
+		wire(key, "not json"),
+		[]byte(`{"key":"k","body":"{}","extra":1}`),
+		[]byte(`{"key":`),
+		[]byte(``),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		// A fresh store per input keeps each run's path a function of
+		// the payload alone.
+		s.store = NewStore(0)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cluster/replicate", bytes.NewReader(payload)))
+		var ans struct {
+			Applied bool `json:"applied"`
+		}
+		if rec.Code == http.StatusOK {
+			if err := json.Unmarshal(rec.Body.Bytes(), &ans); err != nil {
+				t.Fatalf("200 answer %q does not decode: %v", rec.Body.Bytes(), err)
+			}
+		}
+		if !ans.Applied {
+			if n := s.store.Len(); n != 0 {
+				t.Fatalf("payload %q not applied, yet the store holds %d entries", payload, n)
+			}
+			return
+		}
+		var msg replicateWire
+		if err := json.NewDecoder(bytes.NewReader(payload)).Decode(&msg); err != nil {
+			t.Fatalf("applied a payload that does not decode: %q: %v", payload, err)
+		}
+		var st JobStatus
+		if err := json.Unmarshal([]byte(msg.Body), &st); err != nil || st.State != JobDone || st.Result == nil || st.Key != msg.Key {
+			t.Fatalf("applied body %q for key %q: not a done status of that key (err %v)", msg.Body, msg.Key, err)
+		}
+		got, _, ok := s.store.PeekWarm([]byte(msg.Key))
+		if !ok || string(got) != msg.Body {
+			t.Fatalf("after apply, PeekWarm(%q) = %q, %v; want the body verbatim", msg.Key, got, ok)
+		}
+		if n := s.store.Len(); n != 1 {
+			t.Fatalf("apply left the store with %d entries, want 1", n)
 		}
 	})
 }

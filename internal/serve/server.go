@@ -79,11 +79,6 @@ type Options struct {
 	// StoreSize bounds the warm-start store (LRU eviction beyond it);
 	// <= 0 means unbounded.
 	StoreSize int
-	// StoreShards is the warm-start store's lock-stripe count; <= 0
-	// selects the default (16, fewer when StoreSize is smaller). A
-	// single shard gives exact global LRU order; more shards spread
-	// concurrent warm hits over independent locks.
-	StoreShards int
 	// JobRetention bounds the job-status registry: beyond it the oldest
 	// completed jobs are forgotten (their GET answers 404; queued and
 	// running jobs are never evicted). <= 0 selects 4096.
@@ -218,13 +213,10 @@ func NewCluster(opt Options) (*Server, error) {
 	if opt.JobRetention <= 0 {
 		opt.JobRetention = 4096
 	}
-	if opt.StoreShards <= 0 {
-		opt.StoreShards = defaultStoreShards
-	}
 	s := &Server{
 		opt:        opt,
 		pool:       NewPool(opt.Workers, opt.QueueSize),
-		store:      NewStoreShards(opt.StoreSize, opt.StoreShards),
+		store:      NewStore(opt.StoreSize),
 		jobs:       map[string]*job{},
 		platforms:  map[string]*platformState{},
 		trained:    map[trainKey]*trainState{},
@@ -354,20 +346,14 @@ func jobID(n int64) string {
 	return string(b)
 }
 
-// submit turns one canonical (already-normalized) request into a job
-// status: answered inline from the warm-start store when possible (no
-// registry entry, no pool slot — the returned status is terminal and
-// has no id), registered and enqueued on the pool otherwise. A full
-// queue or a draining server is reported as an error with nothing
-// registered.
-func (s *Server) submit(req TuneRequest) (JobStatus, error) {
-	st, _, err := s.submitJob(req)
-	return st, err
-}
-
-// submitJob is submit returning the registered job alongside the
-// status, so wait=1 callers can block on its terminal transition. The
-// job is nil for warm hits (nothing to wait for) and on error.
+// submitJob turns one canonical (already-normalized) request into a
+// job status: answered inline from the warm-start store when possible
+// (no registry entry, no pool slot — the returned status is terminal
+// and has no id), registered and enqueued on the pool otherwise. The
+// registered job is returned alongside, so wait=1 callers can block on
+// its terminal transition; it is nil for warm hits (nothing to wait
+// for) and on error. A full queue or a draining server is reported as
+// an error with nothing registered.
 func (s *Server) submitJob(req TuneRequest) (JobStatus, *job, error) {
 	if s.draining.Load() {
 		return JobStatus{}, nil, ErrPoolClosed
@@ -378,7 +364,8 @@ func (s *Server) submitJob(req TuneRequest) (JobStatus, *job, error) {
 	// here — no registry entry, no poll round-trip, no pool slot
 	// (cached POSTs are never backpressured).
 	start := time.Now()
-	if res, ok := s.store.Peek(key); ok {
+	if e, ok := peek(s.store, key); ok {
+		res := e.res
 		s.met.warmHit(time.Since(start))
 		return JobStatus{
 			State:   JobDone,
@@ -400,14 +387,19 @@ func (s *Server) submitJob(req TuneRequest) (JobStatus, *job, error) {
 		j.mu.Lock()
 		j.state = JobRunning
 		j.mu.Unlock()
-		res, err, hit := s.store.Do(key, func() (TuneResult, error) {
-			return s.runFn(req)
+		var body []byte
+		res, err, hit := s.store.Do(key, func() (TuneResult, []byte, error) {
+			res, err := s.runFn(req)
+			if err != nil {
+				return res, nil, err
+			}
+			// Render the warm-hit response bytes once, inside the
+			// flight: the entry completes with them, and every hit on
+			// this key is served these exact bytes.
+			body = renderWarmBody(req, key, res)
+			return res, body, nil
 		})
-		if err == nil && !hit {
-			// Render the warm-hit response bytes once, at completion:
-			// every later hit on this key is served these exact bytes.
-			body := renderWarmBody(req, key, res)
-			s.store.SetBody(key, body)
+		if body != nil {
 			// Replication rides the same bytes, enqueued after the
 			// stripe lock is long released — the replicator's network
 			// I/O can never block the warm path.
@@ -536,19 +528,11 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 	// with the owner's exact bytes, no hop paid.
 	if !s.draining.Load() {
 		start := time.Now()
-		if body, res, ok := s.store.PeekWarm(sc.key); ok {
-			if body == nil {
-				// Completed before this PR's bytes existed (or the
-				// render raced): render once, then every later hit is
-				// served bytes-only.
-				key := string(sc.key)
-				body = renderWarmBody(req, key, res)
-				s.store.SetBody(key, body)
-			}
+		if e, ok := peek(s.store, sc.key); ok {
 			s.met.warmHit(time.Since(start))
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write(body)
+			_, _ = w.Write(e.body)
 			return
 		}
 	}
@@ -641,7 +625,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	resp := BatchResponse{Jobs: make([]JobStatus, 0, len(canon))}
 	accepted := 0
 	for _, req := range canon {
-		st, err := s.submit(req)
+		st, _, err := s.submitJob(req)
 		if err != nil {
 			// Queue backpressure mid-batch: report the member rejected
 			// in-line and keep going — accepted members stay valid.

@@ -586,7 +586,8 @@ func TestMLMethodLazyTraining(t *testing.T) {
 // TestStoreEviction keeps the store at its bound under distinct keys
 // (single shard: exact global LRU, so the eviction count is exact).
 func TestStoreEviction(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 1, QueueSize: 8, StoreSize: 2, StoreShards: 1})
+	s, ts := newTestServer(t, Options{Workers: 1, QueueSize: 8})
+	s.store = newStore(2, 1)
 	s.runFn = func(req TuneRequest) (TuneResult, error) {
 		return TuneResult{Method: req.Method}, nil
 	}

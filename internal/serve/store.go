@@ -17,8 +17,8 @@ import (
 //
 // Entries are striped over 16 independently locked shards, so the warm-hit
 // fast path of concurrent submissions never serializes on one mutex,
-// and each completed entry can carry its marshaled response bytes
-// (SetBody/PeekWarm): warm hits are served by writing stored bytes, so
+// and each completed entry carries its marshaled response bytes
+// (PeekWarm): warm hits are served by writing stored bytes, so
 // bit-identity of repeated answers is structural — every hit literally
 // returns the same bytes — rather than a property of re-marshaling.
 //
@@ -46,15 +46,11 @@ type storeShard struct {
 type storeEntry struct {
 	once sync.Once
 	res  TuneResult
-	body []byte // pre-rendered warm-hit response bytes (may lag res)
+	body []byte // rendered warm-hit response bytes, set with res
 	err  error
-	done bool          // set under the shard mutex once the computation finished
+	done bool          // set under the shard mutex once res and body are in place
 	elem *list.Element // position in the shard's LRU list
 }
-
-// defaultStoreShards stripes the store: enough locks that concurrent
-// warm hits rarely collide, few enough that the table stays cheap.
-const defaultStoreShards = 16
 
 // NewStore returns an empty store evicting least-recently-used completed
 // entries beyond capacity; capacity <= 0 means unbounded. The store is
@@ -62,25 +58,19 @@ const defaultStoreShards = 16
 // the capacity bound is enforced per shard, so the effective bound is
 // capacity rounded down to a multiple of the shard count.
 func NewStore(capacity int) *Store {
-	return NewStoreShards(capacity, defaultStoreShards)
+	return newStore(capacity, 16)
 }
 
-// NewStoreShards is NewStore with an explicit shard count (shards < 1
-// selects 1). A single-shard store enforces exact global LRU order;
-// sharded stores enforce it per stripe.
-func NewStoreShards(capacity, shards int) *Store {
-	if shards < 1 {
-		shards = 1
-	}
+// newStore is NewStore with an explicit shard count. A single-shard
+// store enforces exact global LRU order; sharded stores enforce it per
+// stripe.
+func newStore(capacity, shards int) *Store {
 	if capacity > 0 && shards > capacity {
 		shards = capacity
 	}
 	perShard := 0
 	if capacity > 0 {
 		perShard = capacity / shards
-		if perShard < 1 {
-			perShard = 1
-		}
 	}
 	s := &Store{shards: make([]storeShard, shards)}
 	for i := range s.shards {
@@ -93,29 +83,13 @@ func NewStoreShards(capacity, shards int) *Store {
 	return s
 }
 
-// shardFor routes a key to its stripe by FNV-1a over the key bytes.
-// Routing only spreads keys over locks; no result depends on it.
-func (s *Store) shardFor(key []byte) *storeShard {
-	if len(s.shards) == 1 {
-		return &s.shards[0]
-	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	var h uint64 = offset64
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return &s.shards[h%uint64(len(s.shards))]
-}
+// storeKey is a key's spelling: the canonical string, or its bytes on
+// the warm path, looked up without a conversion copy.
+type storeKey interface{ ~string | ~[]byte }
 
-// shardForString is shardFor over a string key (no conversion copy).
-func (s *Store) shardForString(key string) *storeShard {
-	if len(s.shards) == 1 {
-		return &s.shards[0]
-	}
+// shardOf routes a key to its stripe by FNV-1a over the key bytes.
+// Routing only spreads keys over locks; no result depends on it.
+func shardOf[K storeKey](s *Store, key K) *storeShard {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -128,60 +102,36 @@ func (s *Store) shardForString(key string) *storeShard {
 	return &s.shards[h%uint64(len(s.shards))]
 }
 
-// Peek returns the completed result for key without computing anything,
-// refreshing its LRU position. It counts a lookup (and a hit) only when
-// it finds one, so a Peek-miss followed by Do still accounts exactly one
-// lookup per served job.
-func (s *Store) Peek(key string) (TuneResult, bool) {
-	sh := s.shardForString(key)
+// peek returns key's completed entry without computing anything,
+// refreshing its LRU position. It counts a lookup and a hit only when
+// it finds one, so a miss followed by Do still accounts exactly one
+// lookup per served job. A completed entry's result and body never
+// change, so the caller reads them without the stripe lock.
+func peek[K storeKey](s *Store, key K) (*storeEntry, bool) {
+	sh := shardOf(s, key)
 	sh.mu.Lock()
-	e, ok := sh.entries[key]
-	if !ok || !e.done || e.err != nil {
+	e, ok := sh.entries[string(key)]
+	if !ok || !e.done {
 		sh.mu.Unlock()
-		return TuneResult{}, false
+		return nil, false
 	}
 	sh.lru.MoveToFront(e.elem)
-	res := e.res
 	sh.mu.Unlock()
 	s.lookups.Add(1)
 	s.hits.Add(1)
-	return res, true
+	return e, true
 }
 
 // PeekWarm is the warm-hit fast path of the serving layer: it looks a
 // completed entry up by its key bytes — the map access compiles to an
-// allocation-free string lookup — and returns the pre-rendered response
-// body alongside the result. A nil body with ok true means the entry
-// completed but its bytes have not been rendered yet (SetBody pending);
-// the caller renders once and every later hit is served bytes-only.
-// Accounting matches Peek: one lookup and one hit, only on success.
+// allocation-free string lookup — and returns the rendered response
+// body alongside the result. Every completed entry has its body.
 func (s *Store) PeekWarm(key []byte) (body []byte, res TuneResult, ok bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	e, found := sh.entries[string(key)]
-	if !found || !e.done || e.err != nil {
-		sh.mu.Unlock()
+	e, ok := peek(s, key)
+	if !ok {
 		return nil, TuneResult{}, false
 	}
-	sh.lru.MoveToFront(e.elem)
-	body, res = e.body, e.res
-	sh.mu.Unlock()
-	s.lookups.Add(1)
-	s.hits.Add(1)
-	return body, res, true
-}
-
-// SetBody attaches the pre-rendered warm-hit response bytes to a
-// completed entry. The first caller wins; later calls (concurrent
-// renders of the same bytes) are no-ops. The body must be immutable
-// after the call — hits hand the same slice to every writer.
-func (s *Store) SetBody(key string, body []byte) {
-	sh := s.shardForString(key)
-	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok && e.done && e.err == nil && e.body == nil {
-		e.body = body
-	}
-	sh.mu.Unlock()
+	return e.body, e.res, true
 }
 
 // Install inserts an already-completed entry — a replicated result
@@ -192,7 +142,7 @@ func (s *Store) SetBody(key string, body []byte) {
 // in-flight or completed, Install is a no-op and reports false. It
 // counts neither a lookup nor a hit (replication is not traffic).
 func (s *Store) Install(key string, res TuneResult, body []byte) bool {
-	sh := s.shardForString(key)
+	sh := shardOf(s, key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, ok := sh.entries[key]; ok {
@@ -210,14 +160,16 @@ func (s *Store) Install(key string, res TuneResult, body []byte) bool {
 
 // Do returns the stored result for key, computing it with fn on the
 // first call; concurrent first calls block until the single computation
-// finishes and share its outcome. The hit return reports whether this
-// call was served without paying for the computation. Failed
-// computations are not retained: the error is returned to every call
-// sharing the flight, then the entry is dropped so a later request
-// recomputes.
-func (s *Store) Do(key string, fn func() (TuneResult, error)) (res TuneResult, err error, hit bool) {
+// finishes and share its outcome. fn returns the result together with
+// its rendered warm-hit response bytes, and the entry turns completed
+// with both at once, so no hit ever finds a result without its bytes.
+// The hit return reports whether this call was served without paying
+// for the computation. Failed computations are not retained: the error
+// is returned to every call sharing the flight, then the entry is
+// dropped so a later request recomputes.
+func (s *Store) Do(key string, fn func() (TuneResult, []byte, error)) (res TuneResult, err error, hit bool) {
 	s.lookups.Add(1)
-	sh := s.shardForString(key)
+	sh := shardOf(s, key)
 	sh.mu.Lock()
 	e, ok := sh.entries[key]
 	if !ok {
@@ -232,7 +184,7 @@ func (s *Store) Do(key string, fn func() (TuneResult, error)) (res TuneResult, e
 	computed := false
 	e.once.Do(func() {
 		computed = true
-		e.res, e.err = fn()
+		e.res, e.body, e.err = fn()
 		sh.mu.Lock()
 		if e.err != nil {
 			// Drop failed entries (only if still ours: a concurrent
