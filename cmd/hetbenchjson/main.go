@@ -7,6 +7,7 @@
 //	hetbenchjson -o BENCH_6.json                 # record
 //	hetbenchjson -compare BENCH_6.json           # run + gate (exit 1 on regression)
 //	hetbenchjson -compare BENCH_6.json -skip-ns  # cross-machine gate (exact alloc counts only)
+//	hetbenchjson -bench model-training -compare BENCH_6.json  # run and gate one rung
 //
 // allocs/op and B/op are exact counts, so the allocation gate is
 // deterministic on any machine; ns/op is hardware-dependent — compare
@@ -17,6 +18,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"regexp"
+	"slices"
 
 	"hetopt/internal/benchjson"
 )
@@ -29,10 +32,18 @@ func main() {
 		allocTol = flag.Float64("alloc-tol", 0.10, "allowed fractional allocs/op and B/op growth vs the baseline")
 		skipNs   = flag.Bool("skip-ns", false, "skip the ns/op comparison (use for cross-machine baselines)")
 		list     = flag.Bool("list", false, "list tracked benchmark names and exit")
+		bench    = flag.String("bench", "", "run only the tracked benchmarks whose name matches this regexp; -compare gates only those")
 	)
 	flag.Parse()
 
-	defs := benchjson.Defs()
+	re, err := regexp.Compile(*bench)
+	if err != nil {
+		fatal(err)
+	}
+	defs := slices.DeleteFunc(benchjson.Defs(), func(d benchjson.Def) bool { return !re.MatchString(d.Name) })
+	if len(defs) == 0 {
+		fatal(fmt.Errorf("no tracked benchmark matches %q", *bench))
+	}
 	if *list {
 		for _, d := range defs {
 			fmt.Println(d.Name)
@@ -61,6 +72,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		old.Benchmarks = slices.DeleteFunc(old.Benchmarks, func(r benchjson.Record) bool { return !re.MatchString(r.Name) })
 		problems := benchjson.Compare(old, cur, benchjson.CompareOptions{
 			NsTolerance:    *nsTol,
 			AllocTolerance: *allocTol,

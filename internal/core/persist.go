@@ -99,6 +99,20 @@ func LoadModels(r io.Reader) (*Models, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: device model: %w", err)
 	}
+	// Predictions index the normalized feature vector by split feature,
+	// so both must fit the numFeatures-wide encoding.
+	for _, side := range []struct {
+		name  string
+		norm  ml.Normalizer
+		model *ml.BoostedTrees
+	}{{"host", header.HostNorm, host}, {"device", header.DeviceNorm, device}} {
+		if len(side.norm.Min) != numFeatures || len(side.norm.Max) != numFeatures {
+			return nil, fmt.Errorf("core: %s normalizer is %d/%d wide, want %d", side.name, len(side.norm.Min), len(side.norm.Max), numFeatures)
+		}
+		if f := side.model.MaxFeature(); f >= numFeatures {
+			return nil, fmt.Errorf("core: %s model splits on feature %d of %d", side.name, f, numFeatures)
+		}
+	}
 	hostNorm := header.HostNorm
 	deviceNorm := header.DeviceNorm
 	return &Models{

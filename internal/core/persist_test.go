@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"path/filepath"
 	"testing"
 
 	"hetopt/internal/dna"
 	"hetopt/internal/machine"
+	"hetopt/internal/ml"
 	"hetopt/internal/offload"
 )
 
@@ -124,5 +126,65 @@ func TestSaveRejectsNonBoosted(t *testing.T) {
 func TestLoadModelsRejectsGarbage(t *testing.T) {
 	if _, err := LoadModels(bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Fatal("garbage should fail")
+	}
+}
+
+// TestLoadModelsRejectsWidthMismatch: a bundle whose trees split on a
+// feature past the normalizers' width, or whose normalizers are not
+// numFeatures wide, fails to load; before the check such a bundle
+// loaded and PredictHost indexed past the feature vector.
+func TestLoadModelsRejectsWidthMismatch(t *testing.T) {
+	// node and ensemble carry ml's persisted field names, which is all
+	// gob matches on.
+	type node struct {
+		Feature     int
+		Threshold   float64
+		Left, Right int32
+		Value       float64
+	}
+	type ensemble struct {
+		Base, LearningRate float64
+		Trees              [][]node
+	}
+	splitOn := func(feature int) []byte {
+		var buf bytes.Buffer
+		trees := [][]node{{{Feature: feature, Threshold: 0.5, Left: 1, Right: 2}, {Feature: -1, Value: 1}, {Feature: -1, Value: 2}}}
+		if err := gob.NewEncoder(&buf).Encode(ensemble{LearningRate: 0.1, Trees: trees}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	norm := func(min, max int) ml.Normalizer {
+		return ml.Normalizer{Min: make([]float64, min), Max: make([]float64, max)}
+	}
+	bundle := func(hostFeature, hostMin, hostMax int) []byte {
+		var buf bytes.Buffer
+		err := gob.NewEncoder(&buf).Encode(persistedModels{
+			Kind:     BoostedTrees,
+			HostNorm: norm(hostMin, hostMax), DeviceNorm: norm(numFeatures, numFeatures),
+			HostModel: splitOn(hostFeature), DevModel: splitOn(numFeatures - 1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	good, err := LoadModels(bytes.NewReader(bundle(numFeatures-1, numFeatures, numFeatures)))
+	if err != nil {
+		t.Fatalf("valid bundle: %v", err)
+	}
+	if _, err := good.PredictHost(4, machine.AffinityCompact, 100); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"split past width": bundle(9, numFeatures, numFeatures),
+		"split at width":   bundle(numFeatures, numFeatures, numFeatures),
+		"short Min":        bundle(0, numFeatures-1, numFeatures),
+		"short Max":        bundle(0, numFeatures, numFeatures-1),
+		"wide normalizer":  bundle(0, numFeatures+4, numFeatures+4),
+	} {
+		if _, err := LoadModels(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: loaded", name)
+		}
 	}
 }

@@ -121,6 +121,8 @@ func FitBoostedTrees(d *Dataset, opt BoostOptions) (*BoostedTrees, error) {
 	step := make([]float64, n)
 	builder := newTreeBuilder(d.X, residual, opt.Tree)
 	rng := rand.New(rand.NewSource(opt.Seed))
+	// rows holds each round's row order; build reorders the fitted part.
+	rows := make([]int, n)
 
 	for round := 0; round < opt.Rounds; round++ {
 		for i := range residual {
@@ -132,10 +134,13 @@ func FitBoostedTrees(d *Dataset, opt BoostOptions) (*BoostedTrees, error) {
 			if m < 1 {
 				m = 1
 			}
-			perm := rng.Perm(n)
-			fitRows, restRows = perm[:m], perm[m:]
+			permInto(rng, rows)
+			fitRows, restRows = rows[:m], rows[m:]
 		} else {
-			fitRows = identity(n)
+			for i := range rows {
+				rows[i] = i
+			}
+			fitRows = rows
 		}
 		tree := builder.fit(fitRows, step)
 		for _, i := range restRows {
@@ -151,4 +156,14 @@ func FitBoostedTrees(d *Dataset, opt BoostOptions) (*BoostedTrees, error) {
 		model.TrainLoss = append(model.TrainLoss, mse/float64(n))
 	}
 	return model, nil
+}
+
+// permInto fills p with the permutation rng.Perm(len(p)) would return,
+// drawing the same numbers, so the generator ends in the same state.
+func permInto(rng *rand.Rand, p []int) {
+	for i := range p {
+		j := rng.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
 }

@@ -230,12 +230,8 @@ func FuzzLoadBoostedTrees(f *testing.F) {
 		// Load cannot know the feature dimension, so only probe models
 		// whose split features fit the probe vectors.
 		const dim = 8
-		for _, tree := range loaded.trees {
-			for _, n := range tree.nodes {
-				if n.feature >= dim {
-					return
-				}
-			}
+		if loaded.MaxFeature() >= dim {
+			return
 		}
 		for _, v := range []float64{math.Inf(-1), -1, 0, 0.5, 1, math.Inf(1), math.NaN()} {
 			x := make([]float64, dim)

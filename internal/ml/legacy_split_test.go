@@ -239,3 +239,106 @@ func TestBoostedMatchesLegacy(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitSearchFallsBack: on tie-heavy data some split searches are
+// left uncertified and run the sorted scan, and the trees still equal
+// the legacy ones.
+func TestSplitSearchFallsBack(t *testing.T) {
+	d := tieData(700, 1)
+	opt := TreeOptions{MaxDepth: 7, MinLeaf: 5}
+	b := newTreeBuilder(d.X, d.Y, opt)
+	got := b.fit(identity(d.Len()), nil)
+	if b.fallbacks == 0 {
+		t.Fatal("no split search fell back to the sorted scan")
+	}
+	if splits := got.NumNodes() / 2; b.fallbacks >= splits {
+		t.Fatalf("%d of %d split searches fell back: the certificate settled none", b.fallbacks, splits)
+	}
+	if err := sameTree(got, legacyFitTree(d, d.Y, opt)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzSplitSearch: on any small tie-heavy dataset FitTree builds the
+// tree the legacy sort.Slice search builds, bit for bit. data[0] and
+// the low bit of data[1] give the row count (up to 512), data[1..3] the
+// target scale, MinLeaf and MaxDepth; each row reads two bytes, cycling
+// through the rest. The columns are a thread-count grid, a one-hot
+// affinity with a duplicate and a complement of its first column, a
+// ±0 column, a constant and, from 257 rows on, a column of more than
+// maxRanks distinct values.
+func FuzzSplitSearch(f *testing.F) {
+	f.Add([]byte{40, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add([]byte{9, 2, 4, 2, 0, 0, 255, 255, 17, 34})
+	f.Add([]byte{255, 1, 1, 3, 7, 9, 11, 200, 13, 77, 5, 6})
+	f.Add([]byte{20, 4, 2, 5, 8, 8, 8, 8, 9, 9})
+	f.Add([]byte{200, 5, 3, 1, 250, 3, 128, 64, 32})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		n := 1 + int(data[0]) + 256*int(data[1]&1)
+		scale := []float64{1, 1e-160, 1e150, 1e-3, 1e155}[int(data[1]>>1)%5]
+		opt := TreeOptions{MinLeaf: 1 + int(data[2])%8, MaxDepth: 1 + int(data[3])%6}
+		body := data[4:]
+		threads := []float64{1, 2, 4, 8, 16}
+		d := &Dataset{}
+		for i := 0; i < n; i++ {
+			a, c := body[(2*i)%len(body)], body[(2*i+1)%len(body)]
+			onehot := [3]float64{}
+			onehot[a%3] = 1
+			zero := 0.0
+			switch c % 4 {
+			case 0:
+				zero = math.Copysign(0, -1)
+			case 3:
+				zero = float64(c%8) - 4
+			}
+			x := []float64{threads[a/3%5], onehot[0], onehot[1], onehot[2], onehot[0], 1 - onehot[0], zero, 3, float64(i) * 0.37}
+			d.Append(x, scale*float64(c%16)/4)
+		}
+		got, err := FitTree(d, d.Y, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameTree(got, legacyFitTree(d, d.Y, opt)); err != nil {
+			t.Fatalf("n=%d %+v scale %g: %v", n, opt, scale, err)
+		}
+	})
+}
+
+// TestSplitSearchAtGainFloor: with the targets scaled so the root's
+// best gain sits on the 1e-12 floor, and stepped across it a few ulps
+// at a time, the two summation orders disagree on which side of the
+// floor a gain lies; the trees must still equal the legacy ones.
+func TestSplitSearchAtGainFloor(t *testing.T) {
+	opt := TreeOptions{MaxDepth: 2, MinLeaf: 1}
+	for seed := int64(1); seed <= 100; seed++ {
+		base := tieData(40, seed)
+		s := nodeSums{n: base.Len()}
+		for _, y := range base.Y {
+			s.sum += y
+			s.sq += y * y
+		}
+		s.parentSSE = s.sq - s.sum*s.sum/float64(s.n)
+		b, top := newTreeBuilder(base.X, base.Y, opt), split{feature: -1}
+		for f := range base.X[0] {
+			b.scanSorted(f, identity(base.Len()), s, &top)
+		}
+		floor := math.Sqrt(1e-12 / top.gain)
+		d := &Dataset{X: base.X, Y: make([]float64, base.Len())}
+		for k := -40; k <= 40; k++ {
+			scale := floor * (1 + float64(k)*0x1p-50)
+			for i, y := range base.Y {
+				d.Y[i] = y * scale
+			}
+			got, err := FitTree(d, d.Y, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameTree(got, legacyFitTree(d, d.Y, opt)); err != nil {
+				t.Fatalf("seed %d, step %d: %v", seed, k, err)
+			}
+		}
+	}
+}

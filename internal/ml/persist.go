@@ -79,6 +79,19 @@ func LoadBoostedTrees(r io.Reader) (*BoostedTrees, error) {
 	return b, nil
 }
 
+// MaxFeature returns the largest feature index any split of the
+// ensemble reads, or -1 when every tree is a single leaf. Predict needs
+// inputs longer than that.
+func (b *BoostedTrees) MaxFeature() int {
+	m := -1
+	for _, t := range b.trees {
+		for _, n := range t.nodes {
+			m = max(m, n.feature)
+		}
+	}
+	return m
+}
+
 // validate checks structural sanity of a deserialized tree: child indices
 // in range and leaves marked consistently. Every internal node's
 // children must come after it in the arena, as build lays them out;
