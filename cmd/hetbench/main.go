@@ -22,6 +22,7 @@ import (
 
 	"hetopt"
 	"hetopt/internal/experiments"
+	"hetopt/internal/strategy"
 )
 
 func main() {
@@ -61,18 +62,6 @@ type exactKnobs struct {
 	prove    bool
 	poolSize int
 	poolGap  float64
-}
-
-// apply threads the knobs into a parsed exact strategy; validate has
-// already rejected them for any other -strategy.
-func (k exactKnobs) apply(strat hetopt.Strategy) hetopt.Strategy {
-	if ex, ok := strat.(hetopt.ExactStrategy); ok {
-		ex.Prove = k.prove
-		ex.PoolSize = k.poolSize
-		ex.PoolGap = k.poolGap
-		return ex
-	}
-	return strat
 }
 
 // validate rejects out-of-range flags before any work, so the user gets
@@ -164,7 +153,7 @@ func run(out string, ablate bool, repeats int, seed int64, jsonMode bool, parall
 	if strat, err := hetopt.ParseStrategy(strategyName); err != nil {
 		return err
 	} else if strat != nil {
-		suite.Strategy = knobs.apply(strat)
+		suite.Strategy = strategy.WithExactKnobs(strat, knobs.prove, knobs.poolSize, knobs.poolGap)
 	}
 
 	if jsonMode {

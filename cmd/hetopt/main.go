@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"hetopt"
+	"hetopt/internal/strategy"
 )
 
 // params collects the validated CLI inputs of one run.
@@ -219,7 +220,7 @@ func run(p params) error {
 	if err != nil {
 		return err
 	}
-	strat = p.applyExactKnobs(strat)
+	strat = strategy.WithExactKnobs(strat, p.prove, p.poolSize, p.poolGap)
 	if strat != nil {
 		fmt.Printf("search strategy: %s\n\n", strat.Name())
 	}
@@ -271,18 +272,6 @@ func run(p params) error {
 	return nil
 }
 
-// applyExactKnobs threads the exact-only flags into a parsed exact
-// strategy; validate has already rejected them for any other -strategy.
-func (p *params) applyExactKnobs(strat hetopt.Strategy) hetopt.Strategy {
-	if ex, ok := strat.(hetopt.ExactStrategy); ok {
-		ex.Prove = p.prove
-		ex.PoolSize = p.poolSize
-		ex.PoolGap = p.poolGap
-		return ex
-	}
-	return strat
-}
-
 // formatCertificate renders a branch-and-bound certificate on one line.
 func formatCertificate(cert hetopt.Certificate) string {
 	status := "proved optimal"
@@ -331,7 +320,7 @@ func runDAG(p params, sc hetopt.Scenario) error {
 	if err != nil {
 		return err
 	}
-	explicit = p.applyExactKnobs(explicit)
+	explicit = strategy.WithExactKnobs(explicit, p.prove, p.poolSize, p.poolGap)
 	opt := hetopt.SearchOptions{
 		Budget:      p.iterations,
 		Seed:        p.seed,

@@ -260,12 +260,6 @@ type seededProblem struct {
 
 func (p *seededProblem) Initial(dst []int, _ *rand.Rand) { copy(dst, p.seed) }
 
-// refineWith is the injected-strategy refinement path: the strategy
-// searches the measured space from the seed, and the result is the
-// better of the seed and the strategy's best, so refinement never
-// regresses. The seed evaluation and all workers evaluate through one
-// shared cache, so no configuration — the seed included, which every
-// worker re-evaluates as its initial state — is measured twice.
 // containsExhaustive reports whether s is the exhaustive strategy (by
 // value or pointer) or a portfolio carrying one, however nested.
 func containsExhaustive(s strategy.Strategy) bool {
@@ -288,14 +282,28 @@ func containsExhaustive(s strategy.Strategy) bool {
 	return false
 }
 
+// refineWith is the injected-strategy refinement path: the strategy
+// searches the measured space from the seed, and the result is the
+// better of the seed and the strategy's best, so refinement never
+// regresses. The seed evaluation and all workers evaluate through one
+// shared measurement memo, so no configuration — the seed included,
+// which every worker re-evaluates as its initial state — is measured
+// twice.
 func refineWith(inst *core.Instance, seed space.Config, idx []int, opt Options) (Result, error) {
 	if containsExhaustive(opt.Strategy) {
 		return Result{}, fmt.Errorf("adaptive: exhaustive strategy ignores the measurement budget; run core EM instead of refinement")
 	}
 	start := inst.Measurer.Count()
-	cached := search.NewCache(inst.Measurer)
+	shared, err := core.NewSharedMeasurements(inst.Measurer.Platform, inst.Measurer.Workload, inst.Schema)
+	if err != nil {
+		return Result{}, err
+	}
+	measured, err := shared.View(inst.Measurer)
+	if err != nil {
+		return Result{}, err
+	}
 	prob := &seededProblem{
-		Spaced: core.NewSearchProblem(inst.Schema, cached, opt.Objective, space.StepMove),
+		Spaced: core.NewSearchProblem(inst.Schema, measured, opt.Objective, space.StepMove),
 		seed:   idx,
 	}
 	seedE, err := prob.Energy(idx)

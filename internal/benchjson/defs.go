@@ -46,7 +46,9 @@ type benchState struct {
 	// hostData and devData are the paper plan's generated training sets.
 	hostData, devData *ml.Dataset
 	pred              *core.Predictor
-	err               error
+	// shared is the fixture workload's shared measurement memo.
+	shared *core.SharedMeasurements
+	err    error
 }
 
 // trainOptions are the options every fixture model is trained with.
@@ -63,6 +65,9 @@ func fixtures(b *testing.B) *benchState {
 		state.platform = offload.NewPlatform()
 		state.schema = space.PaperSchema()
 		state.workload = offload.GenomeWorkload(dna.Human)
+		if state.shared, state.err = core.NewSharedMeasurements(state.platform, state.workload, state.schema); state.err != nil {
+			return
+		}
 		plan := core.PaperTrainingPlan()
 		if state.hostData, state.err = core.GenerateHostData(state.platform, plan); state.err != nil {
 			return
@@ -123,20 +128,19 @@ func Defs() []Def {
 // hit. Pool sizes cycle through 0, 4 and 8 like prove-place's requests.
 func benchExactDivisibleProof(b *testing.B) {
 	s := fixtures(b)
-	meas := core.NewMeasurer(s.platform, s.workload)
-	inst := &core.Instance{Schema: s.schema, Measurer: meas, MeasureCache: search.NewCache(meas)}
+	inst := s.shared.Instance()
 	pools := []int{0, 4, 8}
 	for _, pool := range pools {
 		// Warm the cache with every configuration any of the timed
 		// proofs visits.
-		if _, err := core.Run(core.EM, inst, core.Options{Strategy: strategy.Exact{Prove: true, PoolSize: pool}, Parallelism: 1}); err != nil {
+		if _, err := core.Run(core.EM, &inst, core.Options{Strategy: strategy.Exact{Prove: true, PoolSize: pool}, Parallelism: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Run(core.EM, inst, core.Options{Strategy: strategy.Exact{Prove: true, PoolSize: pools[i%len(pools)]}, Parallelism: 1})
+		res, err := core.Run(core.EM, &inst, core.Options{Strategy: strategy.Exact{Prove: true, PoolSize: pools[i%len(pools)]}, Parallelism: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -492,11 +496,12 @@ func benchPredictorEvaluateHit(b *testing.B) {
 	}
 }
 
-// benchCacheEvaluateHit is the memo-hit path of the shared evaluation
-// cache.
+// benchCacheEvaluateHit is the memo-hit path of a view of the shared
+// measurement memo: an ordinal lookup, a memo read and a charge-bit
+// load.
 func benchCacheEvaluateHit(b *testing.B) {
 	s := fixtures(b)
-	cache := search.NewCache(core.NewMeasurer(s.platform, s.workload))
+	cache := s.shared.Instance().MeasureCache
 	cfg := trackedConfig()
 	if _, err := cache.Evaluate(cfg); err != nil {
 		b.Fatal(err)

@@ -26,7 +26,7 @@ import (
 const DefaultVirtualNodes = 128
 
 // Ring is an immutable consistent-hash ring: each node contributes
-// VirtualNodes points hashed onto a 64-bit circle (FNV-1a, the same
+// virtualNodes points hashed onto a 64-bit circle (FNV-1a, the same
 // hash family the sharded store routes stripes with), and a key is
 // owned by the first point at or clockwise of the key's own hash.
 // Construct with New; lookups are concurrency-safe and allocation-free
@@ -40,7 +40,6 @@ const DefaultVirtualNodes = 128
 type Ring struct {
 	points []ringPoint // sorted by hash, ties broken by node index
 	nodes  []string    // sorted, deduplicated
-	vnodes int
 }
 
 // ringPoint is one virtual node on the circle.
@@ -74,7 +73,6 @@ func New(nodes []string, virtualNodes int) (*Ring, error) {
 	sort.Strings(uniq)
 	r := &Ring{
 		nodes:  uniq,
-		vnodes: virtualNodes,
 		points: make([]ringPoint, 0, len(uniq)*virtualNodes),
 	}
 	var buf [24]byte
@@ -97,9 +95,6 @@ func New(nodes []string, virtualNodes int) (*Ring, error) {
 
 // Nodes returns the sorted node name set (callers must not mutate).
 func (r *Ring) Nodes() []string { return r.nodes }
-
-// VirtualNodes returns the per-node point count.
-func (r *Ring) VirtualNodes() int { return r.vnodes }
 
 const (
 	offset64 = 14695981039346656037

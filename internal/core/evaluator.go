@@ -43,16 +43,15 @@ type Evaluator interface {
 // Measurer evaluates configurations by (simulated) measurement and counts
 // how many experiments were performed — the "effort" column of Table II.
 // It is safe for concurrent use: measurement is a pure function of the
-// configuration and trial (see perf.Model) and the effort counter is
-// atomic, so sharded enumeration and concurrent annealing chains can
-// share one Measurer.
+// configuration (see perf.Model; every run measures noise trial 0, the
+// trial SharedMeasurements replays) and the effort counter is atomic,
+// so sharded enumeration and concurrent annealing chains can share one
+// Measurer.
 type Measurer struct {
 	// Platform performs the measurements.
 	Platform *offload.Platform
 	// Workload is the input under optimization.
 	Workload offload.Workload
-	// Trial selects the measurement-noise draw (see perf.Model).
-	Trial int
 
 	count atomic.Int64
 }
@@ -65,7 +64,7 @@ func NewMeasurer(p *offload.Platform, w offload.Workload) *Measurer {
 // Evaluate implements Evaluator by running one experiment.
 func (m *Measurer) Evaluate(cfg space.Config) (offload.Measurement, error) {
 	m.count.Add(1)
-	return m.Platform.MeasureFull(m.Workload, cfg, m.Trial)
+	return m.Platform.MeasureFull(m.Workload, cfg, 0)
 }
 
 // Count returns the number of experiments performed so far.
@@ -73,7 +72,7 @@ func (m *Measurer) Count() int { return int(m.count.Load()) }
 
 // Charge advances the effort counter by one without performing a
 // measurement. Interposed evaluators (Instance.MeasureCache) use it to
-// charge an evaluation that a cross-run cache served physically, so a
+// charge an evaluation that a cross-run memo served physically, so a
 // run's Experiments stays a pure function of the run itself rather
 // than of cache warmth.
 func (m *Measurer) Charge() { m.count.Add(1) }

@@ -81,15 +81,12 @@ type Instance struct {
 	// MeasureCache, when non-nil, interposes a memoizing evaluator in
 	// front of Measurer for every measurement the run performs — the
 	// search-time evaluations of EM/SAM and the final fair-comparison
-	// measurement alike. It must be backed by this instance's Measurer
-	// (e.g. a search.Cache wrapping it, or a memo shared across
-	// instances for the same workload) so the effort counter still
-	// reflects the physical experiments paid. Measurements are pure
-	// functions of the configuration, so interposing a cache never
-	// changes a returned value, only how often the experiment is
-	// actually run. The serving layer uses this to share one
-	// configuration-keyed memo across concurrent jobs for the same
-	// workload; nil measures directly.
+	// measurement alike. It must charge this instance's Measurer for
+	// the experiments the run pays (a SharedMeasurements view of it
+	// does), so Experiments stays the run's own effort. Measurements
+	// are pure functions of the configuration, so interposing a memo
+	// never changes a returned value, only how often the experiment is
+	// physically run; nil measures directly.
 	MeasureCache Evaluator
 }
 

@@ -6,7 +6,6 @@ import (
 	"hetopt/internal/core"
 	"hetopt/internal/graph"
 	"hetopt/internal/scenario"
-	"hetopt/internal/search"
 	"hetopt/internal/space"
 	"hetopt/internal/strategy"
 	"hetopt/internal/tables"
@@ -115,10 +114,14 @@ func (s *Suite) ExactGapTable(budget int) (*ExactGapResult, error) {
 				continue
 			}
 			w := fam.DefaultWorkload()
-			// One measurement cache per scenario serves the proof, the
-			// enumeration cross-check and every heuristic: measurements
-			// are pure, so sharing changes values nowhere.
-			measurer := search.NewCache(core.NewMeasurer(platform, w))
+			// One shared measurement memo per scenario serves the proof,
+			// the enumeration cross-check and every heuristic:
+			// measurements are pure, so sharing changes values nowhere.
+			shared, err := core.NewSharedMeasurements(platform, w, schema)
+			if err != nil {
+				return nil, err
+			}
+			measurer := shared.Instance().MeasureCache
 			prob := core.NewBoundedSearchProblem(schema, measurer, core.TimeObjective{}, space.StepMove, platform, w)
 			if err := solve(fam.Name, spec.Name, prob, schema.Size()); err != nil {
 				return nil, err

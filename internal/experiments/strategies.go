@@ -6,7 +6,6 @@ import (
 
 	"hetopt/internal/core"
 	"hetopt/internal/offload"
-	"hetopt/internal/search"
 	"hetopt/internal/space"
 	"hetopt/internal/strategy"
 	"hetopt/internal/tables"
@@ -76,13 +75,17 @@ func heuristicLineup() []strategy.Strategy {
 // column's regime), so rankings compare search quality, not prediction
 // error.
 func (s *Suite) StrategyComparison(w offload.Workload, budget int) (*StrategyComparisonResult, error) {
-	// One configuration-keyed cache serves the whole comparison:
-	// measurement is objective-independent (the cache stores the full
+	// One shared measurement memo serves the whole comparison:
+	// measurement is objective-independent (the memo stores the full
 	// Measurement) and seeds repeat across members and objectives, so
 	// heavily overlapping states are paid once. Logical per-run
 	// accounting (MeanEvaluations, the portfolio's memo stats) is
-	// untouched — caching never changes a reported number.
-	measurer := search.NewCache(core.NewMeasurer(s.Platform, w))
+	// untouched — sharing never changes a reported number.
+	shared, err := core.NewSharedMeasurements(s.Platform, w, s.Schema)
+	if err != nil {
+		return nil, err
+	}
+	measurer := shared.Instance().MeasureCache
 	members := heuristicLineup()
 	portfolio := strategy.Portfolio{Members: members}
 	objectives := []core.Objective{

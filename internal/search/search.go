@@ -1,8 +1,8 @@
 // Package search is the concurrent optimization substrate shared by every
-// tuning path: a concurrency-safe memoizing evaluation cache (deduplicating
-// repeated configuration evaluations across annealing chains and restarts)
-// and a deterministic worker-pool runner (sharding enumeration and fanning
-// out independent chains). See DESIGN.md, "The search layer".
+// tuning path: concurrency-safe single-flight memo tables (deduplicating
+// repeated evaluations across annealing chains, restarts and jobs) and a
+// deterministic worker-pool runner (sharding enumeration and fanning out
+// independent chains). See DESIGN.md, "The search layer".
 //
 // Determinism is the package's design constraint: every helper is written
 // so that results depend only on the inputs, never on goroutine
@@ -17,16 +17,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hetopt/internal/offload"
 	"hetopt/internal/space"
 )
-
-// Evaluator estimates the per-side execution times and energy of a
-// configuration. It is structurally identical to core.Evaluator, so
-// *core.Measurer and *core.Predictor satisfy it without an import cycle.
-type Evaluator interface {
-	Evaluate(cfg space.Config) (offload.Measurement, error)
-}
 
 // DenseMemo states of one ordinal.
 const (
@@ -172,59 +164,17 @@ func (m *DenseMemo[V]) Unique() int { return int(m.unique.Load()) }
 // Hits returns the number of lookups served from the memo.
 func (m *DenseMemo[V]) Hits() int { return m.Lookups() - m.Unique() }
 
-// cacheShards stripes the Cache memo: enough locks that 4-8 concurrent
-// chains rarely collide, few enough that the table stays cheap to build.
-const cacheShards = 16
-
-// HashConfig mixes a configuration into a 64-bit hash for a Memo. It
-// only spreads keys over memo shards and slots; no result depends on it.
+// HashConfig mixes a configuration into a 64-bit hash for a Memo keyed
+// by space.Config. It only spreads keys over memo shards and slots; no
+// result depends on it. No memo in this module is keyed by
+// space.Config; HashConfig stays for the end-to-end benchmark's replay
+// (bench/), a separate module that keys its memos by configuration.
 func HashConfig(cfg space.Config) uint64 {
 	h := splitmix64(uint64(cfg.HostThreads)<<32 ^ uint64(cfg.DeviceThreads))
 	h ^= splitmix64(uint64(cfg.HostAffinity)<<8 ^ uint64(cfg.DeviceAffinity))
 	h ^= splitmix64(math.Float64bits(cfg.HostFraction))
 	return h
 }
-
-// Cache is a concurrency-safe memoizing Evaluator: repeated evaluations
-// of the same configuration — across annealing chains, restarts or
-// refinement rounds — hit the memo instead of the underlying evaluator.
-// Because evaluations are deterministic, wrapping an evaluator in a Cache
-// never changes any returned value, only the effort spent. The memo is
-// keyed on the configuration alone and stores the full Measurement
-// (times and energy), so every objective is served from one evaluation.
-// Entries are striped over sharded tables and hits are served through
-// the lock-free, allocation-free Get fast path (see DESIGN.md, "The hot
-// path").
-type Cache struct {
-	eval Evaluator
-	memo *Memo[space.Config, offload.Measurement]
-}
-
-// NewCache wraps an evaluator in a fresh cache.
-func NewCache(eval Evaluator) *Cache {
-	return &Cache{eval: eval, memo: NewShardedMemo[space.Config, offload.Measurement](cacheShards, HashConfig)}
-}
-
-// Evaluate implements Evaluator with single-flight memoization. Hits take
-// the Get fast path, which neither blocks on in-flight computations nor
-// allocates (the Do closure is only built on a miss).
-func (c *Cache) Evaluate(cfg space.Config) (offload.Measurement, error) {
-	if v, ok, err := c.memo.Get(cfg); ok {
-		return v, err
-	}
-	return c.memo.Do(cfg, func() (offload.Measurement, error) {
-		return c.eval.Evaluate(cfg)
-	})
-}
-
-// Lookups returns the number of Evaluate calls observed.
-func (c *Cache) Lookups() int { return c.memo.Lookups() }
-
-// Unique returns the number of distinct configurations evaluated.
-func (c *Cache) Unique() int { return c.memo.Unique() }
-
-// Hits returns the number of Evaluate calls served from the cache.
-func (c *Cache) Hits() int { return c.memo.Hits() }
 
 // ChainSeed derives the seed of worker i (an annealing chain, a
 // heuristic restart, a portfolio member) from the base seed. Worker 0

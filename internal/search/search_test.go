@@ -5,10 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"hetopt/internal/machine"
-	"hetopt/internal/offload"
-	"hetopt/internal/space"
 )
 
 func TestMemoSingleFlight(t *testing.T) {
@@ -57,48 +53,6 @@ func TestMemoCachesErrors(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Fatalf("failed computation ran %d times, want 1", calls)
-	}
-}
-
-// countingEvaluator returns a deterministic measurement per configuration
-// and counts invocations.
-type countingEvaluator struct {
-	calls atomic.Int64
-}
-
-func (e *countingEvaluator) Evaluate(cfg space.Config) (offload.Measurement, error) {
-	e.calls.Add(1)
-	return offload.Measurement{
-		Times:  offload.Times{Host: cfg.HostFraction, Device: float64(cfg.DeviceThreads)},
-		Energy: offload.Energy{Host: 2 * cfg.HostFraction, Device: 3 * float64(cfg.DeviceThreads)},
-	}, nil
-}
-
-func TestCacheDeduplicates(t *testing.T) {
-	under := &countingEvaluator{}
-	c := NewCache(under)
-	cfg := space.Config{HostThreads: 4, DeviceThreads: 8, HostAffinity: machine.AffinityScatter, HostFraction: 50}
-	other := cfg
-	other.HostFraction = 75
-
-	for i := 0; i < 5; i++ {
-		if _, err := c.Evaluate(cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := c.Evaluate(other); err != nil {
-		t.Fatal(err)
-	}
-	if got := under.calls.Load(); got != 2 {
-		t.Fatalf("underlying evaluator saw %d calls, want 2", got)
-	}
-	if c.Lookups() != 6 || c.Unique() != 2 || c.Hits() != 4 {
-		t.Fatalf("cache accounting = %d/%d/%d, want 6/2/4", c.Lookups(), c.Unique(), c.Hits())
-	}
-	a, _ := c.Evaluate(cfg)
-	b, _ := under.Evaluate(cfg)
-	if a != b {
-		t.Fatal("cached value differs from direct evaluation")
 	}
 }
 

@@ -8,10 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"hetopt/internal/core"
-	"hetopt/internal/dna"
-	"hetopt/internal/offload"
-	"hetopt/internal/search"
 	"hetopt/internal/space"
 )
 
@@ -68,63 +64,9 @@ func TestExperimentsIndependentOfParallelismAndSharing(t *testing.T) {
 	}
 }
 
-// TestMemoEvalChargesOncePerOrdinal: concurrent visitors of one job to
-// one configuration charge that job exactly once, whichever of them —
-// or another job — performs the shared measurement.
-func TestMemoEvalChargesOncePerOrdinal(t *testing.T) {
-	platform := offload.NewPlatform()
-	schema := space.PaperSchema()
-	w := offload.GenomeWorkload(dna.Human)
-	shared := &workloadState{
-		memo:  search.NewShardedMemo[int32, offload.Measurement](16, hashOrdinal),
-		table: platform.NewMeasureTable(w, schema),
-	}
-	cfg, err := schema.Config([]int{3, 1, 6, 0, 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const jobs, visitors = 3, 8
-	meas := make([]*core.Measurer, jobs)
-	var wg sync.WaitGroup
-	for j := range meas {
-		meas[j] = core.NewMeasurer(platform, w)
-		ev := newMemoEval(schema, shared, meas[j])
-		for v := 0; v < visitors; v++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, err := ev.Evaluate(cfg); err != nil {
-					t.Error(err)
-				}
-			}()
-		}
-	}
-	wg.Wait()
-	for j, m := range meas {
-		if m.Count() != 1 {
-			t.Fatalf("job %d charged %d experiments for one configuration, want 1", j, m.Count())
-		}
-	}
-	if shared.memo.Unique() != 1 {
-		t.Fatalf("shared memo measured %d times, want 1", shared.memo.Unique())
-	}
-	// An off-grid configuration is measured and charged on every visit.
-	off := cfg
-	off.HostFraction = 61
-	ev := newMemoEval(schema, shared, meas[0])
-	for i := 0; i < 2; i++ {
-		if _, err := ev.Evaluate(off); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if meas[0].Count() != 3 || shared.memo.Unique() != 1 {
-		t.Fatalf("off-grid visits: %d charged, %d shared; want 3, 1", meas[0].Count(), shared.memo.Unique())
-	}
-}
-
-// TestPlatformRejectsSpaceBeyondInt32Ordinals: a schema with more
-// configurations than an int32 memo ordinal addresses is refused
-// up front instead of aliasing memo keys.
+// TestPlatformRejectsSpaceBeyondInt32Ordinals: a job on a schema with
+// more configurations than an int32 memo ordinal addresses is refused
+// instead of aliasing memo keys.
 func TestPlatformRejectsSpaceBeyondInt32Ordinals(t *testing.T) {
 	spec := space.PaperSpec()
 	threads := make([]int, 10000)

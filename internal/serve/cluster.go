@@ -31,21 +31,15 @@ type ClusterOptions struct {
 	Peers []string
 	// Replicate enables asynchronous replication of completed store
 	// entries to the key's follower (and, after a failover compute,
-	// back toward the owner).
+	// back toward the owner), through a queue of
+	// cluster.DefaultReplicationQueue entries: a full queue drops
+	// entries, never blocks the warm path.
 	Replicate bool
 	// ForwardTimeout bounds one proxied exchange end to end; <= 0
 	// selects cluster.DefaultForwardTimeout. Forwarded cold jobs are
 	// synchronous (the proxied hop always waits), so size it for
 	// compute, not for warm hits.
 	ForwardTimeout time.Duration
-	// VirtualNodes is the per-node ring point count; <= 0 selects
-	// cluster.DefaultVirtualNodes (128).
-	VirtualNodes int
-	// ReplicationQueue bounds the pending replication queue; <= 0
-	// selects cluster.DefaultReplicationQueue. The queue is drained
-	// asynchronously — a full queue drops entries, never blocks the
-	// warm path.
-	ReplicationQueue int
 }
 
 // replicationTimeout bounds one replication delivery. Deliberately
@@ -77,7 +71,7 @@ type clusterState struct {
 
 // newClusterState validates the options and builds the runtime.
 func newClusterState(opt ClusterOptions) (*clusterState, error) {
-	router, err := cluster.NewRouter(opt.NodeID, opt.Peers, opt.VirtualNodes)
+	router, err := cluster.NewRouter(opt.NodeID, opt.Peers, cluster.DefaultVirtualNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +82,7 @@ func newClusterState(opt ClusterOptions) (*clusterState, error) {
 	}
 	if opt.Replicate && len(router.Peers()) > 1 {
 		replClient := cluster.NewClient(replicationTimeout)
-		cl.repl = cluster.NewReplicator(opt.ReplicationQueue, 1, func(target string, payload []byte) error {
+		cl.repl = cluster.NewReplicator(cluster.DefaultReplicationQueue, 1, func(target string, payload []byte) error {
 			resp, err := replClient.Post(target+"/v1/cluster/replicate", payload, router.Self())
 			if err != nil {
 				router.MarkDown(target)

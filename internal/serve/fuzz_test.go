@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -171,6 +173,148 @@ func FuzzReplicate(f *testing.F) {
 		}
 		if n := s.store.Len(); n != 1 {
 			t.Fatalf("apply left the store with %d entries, want 1", n)
+		}
+	})
+}
+
+// fuzzServer is a single-node server whose runs answer at once, so a
+// fuzzer drives the decode, normalize and submit paths without tuning.
+// The store is bounded so a long fuzz run holds a bounded set of
+// results.
+func fuzzServer(f *testing.F) *Server {
+	s := New(Options{Workers: 1, QueueSize: 64, StoreSize: 64})
+	s.runFn = instantRun
+	f.Cleanup(func() { _ = s.Drain(context.Background()) })
+	return s
+}
+
+// decodeStrict decodes body into v as the only JSON value it holds,
+// rejecting unknown fields.
+func decodeStrict(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
+}
+
+// checkAnswer asserts the contract every submission answer keeps: a
+// known status, and the error envelope on every non-2xx answer. It
+// reports whether the answer was a 2xx.
+func checkAnswer(t *testing.T, rec *httptest.ResponseRecorder) bool {
+	t.Helper()
+	switch rec.Code {
+	case http.StatusOK, http.StatusAccepted:
+		return true
+	case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusTooManyRequests:
+		var e errorJSON
+		if err := decodeStrict(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+			t.Fatalf("status %d body %q is not the error envelope (err %v)", rec.Code, rec.Body.Bytes(), err)
+		}
+		return false
+	default:
+		t.Fatalf("unexpected status %d, body %q", rec.Code, rec.Body.Bytes())
+		return false
+	}
+}
+
+// submissionSeeds are request bodies shared by the jobs and batch
+// fuzzers: golden bodies, and the malformed shapes a decoder must
+// refuse cleanly.
+var submissionSeeds = []string{
+	`{"genome":"human","method":"sam","iterations":300,"seed":9}`,
+	`{"seed":9,"method":"SAM","iterations":300,"genome":"Human"}`,
+	`{"workload":"dna:human","method":"em","strategy":"exact","prove":true,"pool_size":3}`,
+	`{"workload":"dag:fork-join","method":"em","strategy":"exact","prove":true,"pool_size":2}`,
+	`{"workload":"dag:resnet-ish","platform":"gpu-like","method":"em","seed":4}`,
+	`{"workload":"spmv","platform":"edge","method":"sam","iterations":80,"seed":3}`,
+	`{"workload":"dag:resnet-ish","objective":"bounded","slack":0.1}`,
+	`{"genom":"human"}`,
+	`{"method":"sam"} trailing`,
+	`{"method":"sam"}{"method":"em"}`,
+	`{"workload":"dna:human","genome":"human"}`,
+	`{"objective":"weighted","alpha":2}`,
+	`{"genome":`,
+	``,
+	`null`,
+	`[]`,
+}
+
+// FuzzCreateJob fuzzes POST /v1/jobs (with and without ?wait=1): the
+// handler never panics, answers 200, 202, 400, 413 or 429, wraps every
+// error in the {"error":...} envelope, and every 2xx body strictly
+// decodes into one JobStatus.
+func FuzzCreateJob(f *testing.F) {
+	s := fuzzServer(f)
+	for _, seed := range submissionSeeds {
+		f.Add([]byte(seed), false)
+		f.Add([]byte(seed), true)
+	}
+	f.Fuzz(func(t *testing.T, body []byte, wait bool) {
+		url := "/v1/jobs"
+		if wait {
+			url += "?wait=1"
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, url, bytes.NewReader(body)))
+		if !checkAnswer(t, rec) {
+			return
+		}
+		var st JobStatus
+		if err := decodeStrict(rec.Body.Bytes(), &st); err != nil {
+			t.Fatalf("%d body %q does not decode into a JobStatus: %v", rec.Code, rec.Body.Bytes(), err)
+		}
+	})
+}
+
+// FuzzBatch fuzzes POST /v1/jobs:batch: besides FuzzCreateJob's status
+// and envelope contract, every 2xx body strictly decodes into a
+// BatchResponse holding exactly one status per expanded member, and
+// never more than MaxBatchMembers.
+func FuzzBatch(f *testing.F) {
+	s := fuzzServer(f)
+	for _, seed := range submissionSeeds {
+		f.Add([]byte(`{"requests":[` + seed + `]}`))
+		f.Add([]byte(`{"template":` + seed + `,"alphas":[0,0.5,1]}`))
+	}
+	over, err := json.Marshal(capBatch(TuneRequest{Method: "sam"}, MaxBatchMembers+1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		`{"template":{"method":"sam","iterations":40,"seed":3},"alphas":[0,0.5,1]}`,
+		`{"requests":[{"method":"sam"},{"genome":"plankton"}]}`,
+		`{"requests":[{"method":"sam","seed":1}],"template":{"method":"em"},"alphas":[0.25]}`,
+		`{"alphas":[0.5]}`,
+		`{"alphas":[0.5],"extra":true}`,
+		`{}`,
+		string(over),
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs:batch", bytes.NewReader(body)))
+		if !checkAnswer(t, rec) {
+			return
+		}
+		var resp BatchResponse
+		if err := decodeStrict(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%d body %q does not decode into a BatchResponse: %v", rec.Code, rec.Body.Bytes(), err)
+		}
+		// The server accepted the body, so its first JSON value is the
+		// batch it expanded.
+		var batch BatchRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&batch); err != nil {
+			t.Fatalf("accepted batch %q does not decode: %v", body, err)
+		}
+		want := len(batch.Requests) + len(batch.Alphas)
+		if len(resp.Jobs) != want || want > MaxBatchMembers {
+			t.Fatalf("batch of %d members answered %d statuses (cap %d)", want, len(resp.Jobs), MaxBatchMembers)
 		}
 	})
 }

@@ -21,7 +21,7 @@
 // Normalize) before keying the store, so identical requests — whatever
 // their field order or explicit defaults — produce bit-identical
 // results, the second one marked as a store hit. Concurrent jobs for
-// the same workload share a configuration-keyed evaluation memo (via
+// the same workload measure through one core.SharedMeasurements (via
 // core.Instance.MeasureCache), so overlapping searches never pay for
 // the same measurement twice.
 package serve
@@ -30,7 +30,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -42,7 +41,6 @@ import (
 	"hetopt/internal/graph"
 	"hetopt/internal/offload"
 	"hetopt/internal/scenario"
-	"hetopt/internal/search"
 	"hetopt/internal/space"
 	"hetopt/internal/strategy"
 )
@@ -58,19 +56,12 @@ type Options struct {
 	// Schema overrides the configuration space of the "paper" platform;
 	// nil resolves it from the scenario registry.
 	Schema *space.Schema
-	// Plan overrides the model-training grid for the ML methods on every
-	// scenario; the zero value derives a per-(platform, family) plan
-	// from the scenario registry. Models are trained lazily, once per
-	// (platform, family), on the first EML/SAML job for it.
-	Plan core.TrainingPlan
 	// DefaultWorkload and DefaultPlatform fill requests that name
 	// neither a workload nor a genome / no platform; empty keeps the
 	// wire defaults ("dna:human" on "paper"). cmd/hetserved sets them
 	// from -workload and -platform.
 	DefaultWorkload string
 	DefaultPlatform string
-	// TrainOpt configures model fitting.
-	TrainOpt core.TrainOptions
 	// Workers is the worker-pool size; <= 0 selects 4.
 	Workers int
 	// QueueSize bounds the pending-job queue (backpressure beyond it);
@@ -179,11 +170,9 @@ type Server struct {
 	trainMu sync.Mutex
 	trained map[trainKey]*trainState
 
-	evalMu     sync.Mutex
-	workloads  map[workloadKey]*workloadState
-	wlOrder    []workloadKey
-	predictors map[workloadKey]*core.Predictor
-	predOrder  []workloadKey
+	evalMu    sync.Mutex
+	workloads map[workloadKey]*workloadEntry
+	wlOrder   []workloadKey
 
 	// runFn executes one canonical request; tests substitute it to
 	// exercise pool/store semantics without real tuning runs.
@@ -214,14 +203,13 @@ func NewCluster(opt Options) (*Server, error) {
 		opt.JobRetention = 4096
 	}
 	s := &Server{
-		opt:        opt,
-		pool:       NewPool(opt.Workers, opt.QueueSize),
-		store:      NewStore(opt.StoreSize),
-		jobs:       map[string]*job{},
-		platforms:  map[string]*platformState{},
-		trained:    map[trainKey]*trainState{},
-		workloads:  map[workloadKey]*workloadState{},
-		predictors: map[workloadKey]*core.Predictor{},
+		opt:       opt,
+		pool:      NewPool(opt.Workers, opt.QueueSize),
+		store:     NewStore(opt.StoreSize),
+		jobs:      map[string]*job{},
+		platforms: map[string]*platformState{},
+		trained:   map[trainKey]*trainState{},
+		workloads: map[workloadKey]*workloadEntry{},
 	}
 	s.runFn = s.runTune
 	if opt.Cluster != nil {
@@ -279,10 +267,6 @@ func (s *Server) platformFor(name string) (*platformState, error) {
 		if err != nil {
 			return nil, err
 		}
-	}
-	if n := st.schema.Size(); n > math.MaxInt32 {
-		// The per-workload memos key configurations by int32 ordinal.
-		return nil, fmt.Errorf("serve: platform %s has %d configurations, more than the %d a memo ordinal addresses", name, n, math.MaxInt32)
 	}
 	s.platforms[name] = st
 	return st, nil
@@ -683,111 +667,60 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Metrics())
 }
 
-// maxWorkloadStates bounds the per-workload shared state maps
-// (workload states, predictors): workload identity includes the
-// caller-controlled size_mb, so without a bound a size scan would
-// accumulate state forever. Beyond the bound the oldest workload's
-// state is dropped — in-flight jobs keep their pointers (still correct,
-// just no sharing with future jobs for that workload).
-const maxWorkloadStates = 64
+// maxWorkloads bounds the per-workload shared state: workload
+// identity includes the caller-controlled size_mb, so without a bound a
+// size scan would accumulate state forever. Beyond the bound the oldest
+// workload's entry is dropped — in-flight jobs keep their pointers
+// (still correct, just no sharing with future jobs for that workload).
+const maxWorkloads = 64
 
-// workloadState is what every job on one workload shares: the
-// evaluation memo and the measurement table its misses are measured
-// through.
-type workloadState struct {
-	// memo is keyed by configuration ordinal and stays a sharded hash
-	// table: its inline slots (40 bytes each, no pointers) grow with
-	// the configurations some job visited, where a flat table per
-	// workload would hold the whole space.
-	memo  *search.Memo[int32, offload.Measurement]
-	table *offload.MeasureTable
+// workloadEntry is what every job on one workload shares: the
+// measurement memo, and the predictor bound on the first ML job.
+type workloadEntry struct {
+	shared *core.SharedMeasurements
+
+	predOnce sync.Once
+	pred     *core.Predictor
+	predErr  error
 }
 
-// workloadStateFor returns the per-workload shared state, creating it
-// on first use. Every concurrent job for the same workload funnels its
-// measurements through its memo, so overlapping searches pay for each
+// workloadFor returns the per-workload shared entry, creating it on
+// first use. Every concurrent job for the same workload funnels its
+// measurements through one memo, so overlapping searches pay for each
 // configuration once.
-func (s *Server) workloadStateFor(k workloadKey, st *platformState, w offload.Workload) *workloadState {
+func (s *Server) workloadFor(k workloadKey, st *platformState, w offload.Workload) (*workloadEntry, error) {
 	s.evalMu.Lock()
 	defer s.evalMu.Unlock()
-	ws, ok := s.workloads[k]
-	if !ok {
-		ws = &workloadState{
-			memo:  search.NewShardedMemo[int32, offload.Measurement](16, hashOrdinal),
-			table: st.platform.NewMeasureTable(w, st.schema),
+	if e, ok := s.workloads[k]; ok {
+		return e, nil
+	}
+	shared, err := core.NewSharedMeasurements(st.platform, w, st.schema)
+	if err != nil {
+		return nil, err
+	}
+	e := &workloadEntry{shared: shared}
+	s.workloads[k] = e
+	s.wlOrder = append(s.wlOrder, k)
+	if len(s.wlOrder) > maxWorkloads {
+		delete(s.workloads, s.wlOrder[0])
+		s.wlOrder = s.wlOrder[1:]
+	}
+	return e, nil
+}
+
+// predictor returns the workload's predictor, binding the trained
+// models of its (platform, family) to it on first use. Its internal
+// memo tables are concurrency-safe, so jobs share prediction work too.
+func (s *Server) predictor(e *workloadEntry, st *platformState, fam scenario.Family, w offload.Workload) (*core.Predictor, error) {
+	e.predOnce.Do(func() {
+		models, err := s.trainedModels(st, fam)
+		if err != nil {
+			e.predErr = err
+			return
 		}
-		s.workloads[k] = ws
-		s.wlOrder = append(s.wlOrder, k)
-		if len(s.wlOrder) > maxWorkloadStates {
-			delete(s.workloads, s.wlOrder[0])
-			s.wlOrder = s.wlOrder[1:]
-		}
-	}
-	return ws
-}
-
-// hashOrdinal is the shared memo's hash: its low bits put consecutive
-// ordinals on consecutive shards, and the memo's multiplicative probe
-// spreads each shard's ordinals over its slots.
-func hashOrdinal(ord int32) uint64 { return uint64(uint32(ord)) }
-
-// memoEval is a per-job evaluator funneling this job's measurer
-// through the workload's shared memo. The shared memo ensures each
-// configuration is physically measured at most once per workload
-// across the whole server; the job's own bitset over configuration
-// ordinals charges this job's effort counter exactly once per distinct
-// configuration it visits — whether the shared memo computes the
-// measurement or replays one another job paid, and whichever of the
-// job's own concurrent visitors wins the shared computation — so a
-// job's Experiments is a pure function of its request, not of cache
-// warmth or scheduling.
-type memoEval struct {
-	schema  *space.Schema
-	shared  *workloadState
-	meas    *core.Measurer
-	charged []atomic.Uint64 // bit ord set once ord has been charged
-}
-
-// newMemoEval builds the two-layer evaluator for one job.
-func newMemoEval(schema *space.Schema, shared *workloadState, meas *core.Measurer) *memoEval {
-	return &memoEval{
-		schema:  schema,
-		shared:  shared,
-		meas:    meas,
-		charged: make([]atomic.Uint64, (schema.Size()+63)/64),
-	}
-}
-
-// Evaluate implements core.Evaluator.
-func (e *memoEval) Evaluate(cfg space.Config) (offload.Measurement, error) {
-	ord, ok := e.schema.Ordinal(cfg)
-	if !ok {
-		// Searches only visit schema configurations; anything else is
-		// measured and charged directly, never shared.
-		return e.meas.Evaluate(cfg)
-	}
-	key := int32(ord)
-	m, ok, err := e.shared.memo.Get(key)
-	computed := false
-	if !ok {
-		m, err = e.shared.memo.Do(key, func() (offload.Measurement, error) {
-			computed = true
-			return e.shared.table.Measure(ord, e.meas.Trial)
-		})
-	}
-	// Charge the job's first visit only. A replayed failure is not
-	// charged: the experiment was never run for this job.
-	if (err == nil || computed) && e.firstVisit(ord) {
-		e.meas.Charge()
-	}
-	return m, err
-}
-
-// firstVisit marks ord visited and reports whether this call was the
-// job's first to do so.
-func (e *memoEval) firstVisit(ord int) bool {
-	w, bit := &e.charged[ord>>6], uint64(1)<<(ord&63)
-	return w.Load()&bit == 0 && w.Or(bit)&bit == 0
+		e.pred, e.predErr = core.NewPredictor(models, w, st.platform.Model())
+	})
+	return e.pred, e.predErr
 }
 
 // trainKey identifies one (platform, workload family) model pair.
@@ -804,9 +737,8 @@ type trainState struct {
 }
 
 // trainedModels trains the prediction models for one (platform, family)
-// pair exactly once (first ML job for it) and replays the outcome
-// afterwards. Options.Plan, when set, overrides the registry-derived
-// training grid.
+// pair exactly once (first ML job for it), on the registry's training
+// plan for the pair, and replays the outcome afterwards.
 func (s *Server) trainedModels(st *platformState, fam scenario.Family) (*core.Models, error) {
 	key := trainKey{platform: strings.ToLower(st.spec.Name), family: strings.ToLower(fam.Name)}
 	s.trainMu.Lock()
@@ -817,11 +749,7 @@ func (s *Server) trainedModels(st *platformState, fam scenario.Family) (*core.Mo
 	}
 	s.trainMu.Unlock()
 	ts.once.Do(func() {
-		plan := s.opt.Plan
-		if len(plan.Workloads) == 0 {
-			plan = st.spec.TrainingPlan(fam)
-		}
-		ts.models, ts.err = core.Train(st.platform, plan, s.opt.TrainOpt)
+		ts.models, ts.err = core.Train(st.platform, st.spec.TrainingPlan(fam), core.TrainOptions{})
 	})
 	return ts.models, ts.err
 }
@@ -895,31 +823,6 @@ func Scenarios() ScenariosResponse {
 	return resp
 }
 
-// predictor returns the shared per-workload predictor (its internal
-// memo tables are concurrency-safe, so jobs share prediction work too).
-func (s *Server) predictor(k workloadKey, st *platformState, fam scenario.Family, w offload.Workload) (*core.Predictor, error) {
-	models, err := s.trainedModels(st, fam)
-	if err != nil {
-		return nil, err
-	}
-	s.evalMu.Lock()
-	defer s.evalMu.Unlock()
-	if p, ok := s.predictors[k]; ok {
-		return p, nil
-	}
-	p, err := core.NewPredictor(models, w, st.platform.Model())
-	if err != nil {
-		return nil, err
-	}
-	s.predictors[k] = p
-	s.predOrder = append(s.predOrder, k)
-	if len(s.predOrder) > maxWorkloadStates {
-		delete(s.predictors, s.predOrder[0])
-		s.predOrder = s.predOrder[1:]
-	}
-	return p, nil
-}
-
 // runTune executes one canonical request on the strategy layer.
 func (s *Server) runTune(req TuneRequest) (TuneResult, error) {
 	fam, w, err := req.workload()
@@ -938,27 +841,20 @@ func (s *Server) runTune(req TuneRequest) (TuneResult, error) {
 	if err != nil {
 		return TuneResult{}, err
 	}
-	if ex, ok := strat.(strategy.Exact); ok {
-		// The exact-only request knobs configure the parsed strategy;
-		// Normalize guarantees they are zero for every other strategy.
-		ex.Prove = req.Prove
-		ex.PoolSize = req.PoolSize
-		ex.PoolGap = req.PoolGap
-		strat = ex
-	}
+	// Normalize guarantees the exact-only knobs are zero for every
+	// other strategy.
+	strat = strategy.WithExactKnobs(strat, req.Prove, req.PoolSize, req.PoolGap)
 	if fam.IsDAG() {
 		return s.runDAGTune(req, st, method, strat)
 	}
 
-	wk := workloadKey{platform: req.Platform, name: w.Name, sizeMB: w.SizeMB}
-	meas := core.NewMeasurer(st.platform, w)
-	inst := &core.Instance{
-		Schema:       st.schema,
-		Measurer:     meas,
-		MeasureCache: newMemoEval(st.schema, s.workloadStateFor(wk, st, w), meas),
+	e, err := s.workloadFor(workloadKey{platform: req.Platform, name: w.Name, sizeMB: w.SizeMB}, st, w)
+	if err != nil {
+		return TuneResult{}, err
 	}
+	inst := e.shared.Instance()
 	if method.UsesML() {
-		pred, err := s.predictor(wk, st, fam, w)
+		pred, err := s.predictor(e, st, fam, w)
 		if err != nil {
 			return TuneResult{}, err
 		}
@@ -974,7 +870,7 @@ func (s *Server) runTune(req TuneRequest) (TuneResult, error) {
 	}
 
 	if req.Objective == "bounded" {
-		timeRes, energyRes, err := core.RunWithTimeSlack(method, inst, opt, req.Slack)
+		timeRes, energyRes, err := core.RunWithTimeSlack(method, &inst, opt, req.Slack)
 		if err != nil {
 			return TuneResult{}, err
 		}
@@ -989,7 +885,7 @@ func (s *Server) runTune(req TuneRequest) (TuneResult, error) {
 		return TuneResult{}, err
 	}
 	opt.Objective = obj
-	res, err := core.Run(method, inst, opt)
+	res, err := core.Run(method, &inst, opt)
 	if err != nil {
 		return TuneResult{}, err
 	}

@@ -382,7 +382,7 @@ func TestSharedEvaluationMemo(t *testing.T) {
 		t.Fatalf("second job failed: %+v", second)
 	}
 	s.evalMu.Lock()
-	memo := s.workloads[workloadKey{platform: first.Request.Platform, name: "human", sizeMB: first.Request.SizeMB}].memo
+	memo := s.workloads[workloadKey{platform: first.Request.Platform, name: "human", sizeMB: first.Request.SizeMB}].shared
 	s.evalMu.Unlock()
 	if memo.Hits() == 0 {
 		t.Fatalf("shared memo saw no hits across overlapping jobs (lookups=%d unique=%d)",

@@ -557,8 +557,18 @@ type BatchRequest struct {
 	Alphas   []float64    `json:"alphas,omitempty"`
 }
 
-// expand flattens the batch into the submission list.
+// MaxBatchMembers bounds the requests one batch may expand into. A
+// batch is one HTTP exchange whose every member runs (or, in a
+// cluster, is scattered to its owner) concurrently, so an unbounded
+// list would fan a single request out into unbounded work.
+const MaxBatchMembers = 1024
+
+// expand flattens the batch into the submission list. A batch past
+// MaxBatchMembers is refused before any member is built.
 func (b BatchRequest) expand() ([]TuneRequest, error) {
+	if n := len(b.Requests) + len(b.Alphas); n > MaxBatchMembers {
+		return nil, fmt.Errorf("serve: batch expands to %d requests, more than the %d allowed", n, MaxBatchMembers)
+	}
 	reqs := append([]TuneRequest(nil), b.Requests...)
 	if len(b.Alphas) > 0 {
 		if b.Template == nil {

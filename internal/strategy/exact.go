@@ -95,6 +95,18 @@ type Exact struct {
 // Name implements Strategy.
 func (Exact) Name() string { return "exact" }
 
+// WithExactKnobs threads the exact-only knobs of a request or command
+// line into a parsed strategy: s with Prove, PoolSize and PoolGap set
+// when s is Exact, s unchanged otherwise. Callers reject the knobs for
+// any other strategy before they get here.
+func WithExactKnobs(s Strategy, prove bool, poolSize int, poolGap float64) Strategy {
+	if ex, ok := s.(Exact); ok {
+		ex.Prove, ex.PoolSize, ex.PoolGap = prove, poolSize, poolGap
+		return ex
+	}
+	return s
+}
+
 // Certificate is the provable part of an exact Result.
 type Certificate struct {
 	// Optimal reports that the tree was exhausted: BestEnergy is the
