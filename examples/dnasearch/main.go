@@ -45,7 +45,7 @@ func main() {
 	// Execute the 32 MiB sample for real with the tuned split: host share
 	// on host workers, device share on the device-simulating executor.
 	workload := fullGenome.Scaled(float64(totalBytes) / (1 << 20))
-	report, err := tuner.Platform.Execute(workload, res.Config, dfa, gen, totalBytes, 0)
+	report, err := hetopt.Execute(tuner.Platform, workload, res.Config, dfa, gen, totalBytes)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -38,7 +38,8 @@
 //
 // The package re-exports the building blocks for advanced use: the
 // configuration space (Schema), the platform simulator (Platform), the
-// finite-automata matching engine (CompileMotifs, CountMatches), and the
+// finite-automata matching engine (CompileMotifs, CountMatches, and
+// Execute for a real run of a configuration), and the
 // four optimization methods (EM, EML, SAM, SAML). The internal packages
 // documented in DESIGN.md provide the full substrate.
 package hetopt
@@ -56,6 +57,7 @@ import (
 	"hetopt/internal/machine"
 	"hetopt/internal/multi"
 	"hetopt/internal/offload"
+	"hetopt/internal/parem"
 	"hetopt/internal/perf"
 	"hetopt/internal/scenario"
 	"hetopt/internal/serve"
@@ -151,6 +153,10 @@ type (
 	Generator = dna.Generator
 	// DFA is a compiled matching automaton.
 	DFA = automata.DFA
+	// Source supplies input bytes by position (a Generator is one);
+	// ExecutionReport is the outcome of Execute.
+	Source          = parem.Source
+	ExecutionReport = parem.ExecutionReport
 	// PerfModel is the analytic performance model behind a Platform.
 	PerfModel = perf.Model
 	// Calibration collects the performance model's constants.
@@ -289,6 +295,14 @@ func CompileMotifs(motifs []Motif) (*DFA, error) { return automata.CompileMotifs
 // CompilePattern compiles a single regex-like motif pattern into a search
 // automaton.
 func CompilePattern(pattern string) (*DFA, error) { return automata.CompilePattern(pattern) }
+
+// Execute really runs the matching automaton d over total bytes from
+// src, split between the host and the simulated device as cfg says. The
+// match counts are real and equal a sequential scan; the times come from
+// p's performance model for the actual share sizes.
+func Execute(p *Platform, w Workload, cfg Config, d *DFA, src Source, total int64) (ExecutionReport, error) {
+	return parem.Execute(p, w, cfg, d, src, total)
+}
 
 // NewGenerator creates a deterministic synthetic-DNA generator for a
 // genome's composition.

@@ -116,7 +116,7 @@ func TestFacadeExecuteRealRun(t *testing.T) {
 		DeviceThreads: 240, DeviceAffinity: AffinityBalanced,
 		HostFraction: 60,
 	}
-	rep, err := tu.Platform.Execute(GenomeWorkload(Mouse), cfg, d, gen, total, 0)
+	rep, err := Execute(tu.Platform, GenomeWorkload(Mouse), cfg, d, gen, total)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,17 +62,6 @@ func (d *DFA) Step(state int32, sym uint8) int32 {
 	return d.Next[state][sym]
 }
 
-// StepByte advances one raw input byte. Bytes outside ACGT reset the
-// automaton to its start state (treating N runs and separators as match
-// breakers).
-func (d *DFA) StepByte(state int32, b byte) int32 {
-	code, ok := dna.EncodeByte(b)
-	if !ok {
-		return d.Start
-	}
-	return d.Next[state][code]
-}
-
 // CountMatches streams text through the automaton from the start state and
 // returns the total match multiplicity (sum of Out over every position).
 func (d *DFA) CountMatches(text []byte) uint64 {

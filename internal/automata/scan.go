@@ -38,17 +38,6 @@ func (d *DFA) Scan(state int32, base int64, text []byte, fn func(Match) bool) in
 	return state
 }
 
-// FindAll returns every match event in text, up to limit events (limit
-// <= 0 means unbounded). The automaton starts in its start state.
-func (d *DFA) FindAll(text []byte, limit int) []Match {
-	var out []Match
-	d.Scan(d.Start, 0, text, func(m Match) bool {
-		out = append(out, m)
-		return limit <= 0 || len(out) < limit
-	})
-	return out
-}
-
 // CompileMotifsBothStrands builds an Aho-Corasick automaton matching each
 // motif on both DNA strands: the motif itself and its reverse complement.
 // Palindromic motifs (reverse complement equal to the motif, like EcoRI's

@@ -8,13 +8,24 @@ import (
 	"hetopt/internal/dna"
 )
 
+// scanAll collects every match event Scan reports over text from the
+// start state.
+func scanAll(d *DFA, text []byte) []Match {
+	var out []Match
+	d.Scan(d.Start, 0, text, func(m Match) bool {
+		out = append(out, m)
+		return true
+	})
+	return out
+}
+
 func TestFindAllPositions(t *testing.T) {
 	d, err := CompileMotifs(motifs("ACG"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// ACG ends at 3; ACGACG ends at 3 and 6.
-	matches := d.FindAll([]byte("ACGACG"), 0)
+	matches := scanAll(d, []byte("ACGACG"))
 	if len(matches) != 2 {
 		t.Fatalf("matches = %v", matches)
 	}
@@ -26,14 +37,25 @@ func TestFindAllPositions(t *testing.T) {
 	}
 }
 
+// TestFindAllLimit: returning false from the callback stops the scan,
+// and the state Scan returns is the one after the stopping byte.
 func TestFindAllLimit(t *testing.T) {
 	d, err := CompileMotifs(motifs("AA"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches := d.FindAll([]byte("AAAAAAAA"), 3)
-	if len(matches) != 3 {
-		t.Fatalf("limit ignored: %d matches", len(matches))
+	text := []byte("AAAAAAAA")
+	calls := 0
+	state := d.Scan(d.Start, 0, text, func(Match) bool {
+		calls++
+		return calls < 3
+	})
+	if calls != 3 {
+		t.Fatalf("limit ignored: %d matches", calls)
+	}
+	// The third AA ends at byte 4, so the scan stopped there.
+	if _, want := d.CountFrom(d.Start, text[:4]); state != want {
+		t.Fatalf("stopped in state %d, want %d", state, want)
 	}
 }
 
@@ -42,7 +64,7 @@ func TestFindAllMultiplicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches := d.FindAll([]byte("ACG"), 0)
+	matches := scanAll(d, []byte("ACG"))
 	// Both ACG and CG end at position 3.
 	if len(matches) != 1 || matches[0].Count != 2 {
 		t.Fatalf("matches = %v, want one event of count 2", matches)

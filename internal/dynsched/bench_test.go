@@ -19,16 +19,3 @@ func BenchmarkSimulate(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkBestChunk(b *testing.B) {
-	b.ReportAllocs()
-	s := NewScheduler()
-	w := offload.GenomeWorkload(dna.Human)
-	candidates := []float64{1, 4, 16, 64, 128, 256, 512, 1024}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := s.BestChunk(w, fullConfig(0), candidates); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

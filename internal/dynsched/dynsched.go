@@ -146,27 +146,3 @@ func (s *Scheduler) Simulate(w offload.Workload, cfg Config) (Result, error) {
 	}
 	return res, nil
 }
-
-// BestChunk sweeps candidate chunk sizes and returns the one minimizing
-// the makespan together with its result.
-func (s *Scheduler) BestChunk(w offload.Workload, cfg Config, candidatesMB []float64) (float64, Result, error) {
-	if len(candidatesMB) == 0 {
-		return 0, Result{}, fmt.Errorf("dynsched: no chunk candidates")
-	}
-	bestChunk := 0.0
-	var best Result
-	bestMakespan := math.Inf(1)
-	for _, c := range candidatesMB {
-		cfg.ChunkMB = c
-		r, err := s.Simulate(w, cfg)
-		if err != nil {
-			return 0, Result{}, err
-		}
-		if r.Makespan < bestMakespan {
-			bestMakespan = r.Makespan
-			bestChunk = c
-			best = r
-		}
-	}
-	return bestChunk, best, nil
-}

@@ -100,9 +100,15 @@ func TestDynamicTracksStaticOptimum(t *testing.T) {
 	s.Model.Cal.NoiseStdHost = 0
 	s.Model.Cal.NoiseStdDevice = 0
 	w := offload.GenomeWorkload(dna.Human)
-	_, best, err := s.BestChunk(w, fullConfig(0), []float64{8, 16, 32, 64, 128, 256, 512})
-	if err != nil {
-		t.Fatal(err)
+	best := Result{Makespan: math.Inf(1)}
+	for _, chunk := range []float64{8, 16, 32, 64, 128, 256, 512} {
+		r, err := s.Simulate(w, fullConfig(chunk))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Makespan < best.Makespan {
+			best = r
+		}
 	}
 	// Static noiseless optimum is ~0.40 s (see perf tests); host-only is
 	// ~0.62 s.
@@ -129,14 +135,6 @@ func TestFewHostThreadsShiftShare(t *testing.T) {
 	}
 	if weak.HostShare() >= full.HostShare() {
 		t.Fatalf("4 host threads should take a smaller share (%.2f vs %.2f)", weak.HostShare(), full.HostShare())
-	}
-}
-
-func TestBestChunkValidation(t *testing.T) {
-	s := NewScheduler()
-	w := offload.GenomeWorkload(dna.Human)
-	if _, _, err := s.BestChunk(w, fullConfig(0), nil); err == nil {
-		t.Error("no candidates should fail")
 	}
 }
 

@@ -69,17 +69,3 @@ func BenchmarkFitPoisson(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkCrossValidate(b *testing.B) {
-	b.ReportAllocs()
-	d := benchData(800)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := CrossValidate(d, 4, 1, func(train *Dataset) (Regressor, error) {
-			return FitBoostedTrees(train, BoostOptions{Rounds: 30, Seed: 1})
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}

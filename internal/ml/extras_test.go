@@ -9,110 +9,6 @@ import (
 	"testing"
 )
 
-func TestCrossValidate(t *testing.T) {
-	d := synth(300, 2, 21, 0.05, func(x []float64) float64 { return 3*x[0] + x[1] })
-	evals, err := CrossValidate(d, 5, 1, func(train *Dataset) (Regressor, error) {
-		return FitLinear(train, 1e-9)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evals) != 5 {
-		t.Fatalf("folds = %d, want 5", len(evals))
-	}
-	total := 0
-	for _, e := range evals {
-		total += e.N
-		if e.MeanPercentError > 5 {
-			t.Errorf("fold percent error %.2f%% too high for a linear ground truth", e.MeanPercentError)
-		}
-	}
-	if total != d.Len() {
-		t.Fatalf("folds cover %d samples, want %d", total, d.Len())
-	}
-	summary, err := SummarizeCrossValidation(evals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if summary.Folds != 5 || summary.MeanPercentError <= 0 {
-		t.Fatalf("summary = %+v", summary)
-	}
-	if summary.WorstFoldPercentError < summary.MeanPercentError {
-		t.Fatal("worst fold cannot beat the mean")
-	}
-}
-
-func TestCrossValidateValidation(t *testing.T) {
-	d := synth(10, 1, 22, 0, func(x []float64) float64 { return x[0] })
-	trainer := func(train *Dataset) (Regressor, error) { return FitLinear(train, 0) }
-	if _, err := CrossValidate(d, 1, 1, trainer); err == nil {
-		t.Error("k=1 should fail")
-	}
-	if _, err := CrossValidate(d, 20, 1, trainer); err == nil {
-		t.Error("more folds than samples should fail")
-	}
-	if _, err := CrossValidate(d, 2, 1, nil); err == nil {
-		t.Error("nil trainer should fail")
-	}
-	if _, err := SummarizeCrossValidation(nil); err == nil {
-		t.Error("empty evals should fail")
-	}
-}
-
-func TestCrossValidateDeterministic(t *testing.T) {
-	d := synth(100, 2, 23, 0.1, func(x []float64) float64 { return x[0] * x[1] })
-	trainer := func(train *Dataset) (Regressor, error) {
-		return FitBoostedTrees(train, BoostOptions{Rounds: 20, Seed: 1})
-	}
-	a, err := CrossValidate(d, 4, 9, trainer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := CrossValidate(d, 4, 9, trainer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i].MeanPercentError != b[i].MeanPercentError {
-			t.Fatal("same seed must reproduce folds")
-		}
-	}
-}
-
-func TestFeatureImportanceIdentifiesRelevantFeature(t *testing.T) {
-	// y depends strongly on x0, weakly on x1, not at all on x2.
-	rng := rand.New(rand.NewSource(31))
-	d := &Dataset{}
-	for i := 0; i < 600; i++ {
-		x := []float64{rng.Float64() * 10, rng.Float64() * 10, rng.Float64() * 10}
-		d.Append(x, 10*x[0]+0.5*x[1])
-	}
-	m, err := FitBoostedTrees(d, BoostOptions{Rounds: 80, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	imp, err := FeatureImportance(m, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if imp[0] <= imp[1] || imp[1] <= imp[2] {
-		t.Fatalf("importance ordering wrong: %v (want x0 > x1 > x2)", imp)
-	}
-	if imp[2] > imp[0]*0.05 {
-		t.Errorf("irrelevant feature importance %g too large vs %g", imp[2], imp[0])
-	}
-}
-
-func TestFeatureImportanceValidation(t *testing.T) {
-	d := synth(10, 1, 32, 0, func(x []float64) float64 { return x[0] })
-	if _, err := FeatureImportance(nil, d); err == nil {
-		t.Error("nil model should fail")
-	}
-	if _, err := FeatureImportance(&LinearModel{Weights: []float64{1, 0}}, &Dataset{}); err == nil {
-		t.Error("empty dataset should fail")
-	}
-}
-
 func TestBoostedTreesSaveLoadRoundTrip(t *testing.T) {
 	d := synth(400, 3, 33, 0.05, func(x []float64) float64 { return x[0]*x[1] - x[2] })
 	orig, err := FitBoostedTrees(d, BoostOptions{Rounds: 40, Seed: 3})
@@ -241,34 +137,6 @@ func FuzzLoadBoostedTrees(f *testing.F) {
 			loaded.Predict(x)
 		}
 	})
-}
-
-func TestCrossValidationOfPaperModelShape(t *testing.T) {
-	// Sanity: BDTR cross-validated on a performance-like surface keeps a
-	// stable error across folds (low std deviation).
-	f := func(x []float64) float64 { return 100/x[0] + 0.01*x[1] }
-	rng := rand.New(rand.NewSource(36))
-	d := &Dataset{}
-	for i := 0; i < 500; i++ {
-		x := []float64{float64(rng.Intn(48) + 1), rng.Float64() * 3000}
-		d.Append(x, f(x)*(1+rng.NormFloat64()*0.03))
-	}
-	evals, err := CrossValidate(d, 4, 2, func(train *Dataset) (Regressor, error) {
-		return FitBoostedTrees(train, BoostOptions{Rounds: 60, Seed: 1})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := SummarizeCrossValidation(evals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.StdDevPercentError > s.MeanPercentError {
-		t.Fatalf("fold errors unstable: mean %.2f%%, std %.2f%%", s.MeanPercentError, s.StdDevPercentError)
-	}
-	if math.IsNaN(s.StdDevPercentError) {
-		t.Fatal("NaN in summary")
-	}
 }
 
 // TestEvaluatePredictionsMatchesEvaluate: aggregating predictions made

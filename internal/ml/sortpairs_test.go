@@ -95,8 +95,8 @@ func killerInput(n int) []float64 {
 	return out
 }
 
-// TestSortPairsMatchesSortSlice: the vendored sort leaves exactly the
-// permutation sort.Slice leaves, on the tie-heavy inputs the split
+// TestSortPairsMatchesSortSlice: sortPairs (slices.SortFunc) leaves
+// exactly the permutation sort.Slice leaves, on the tie-heavy inputs the split
 // search sees (0/1 columns, a few distinct levels, constant columns) and
 // on the shapes that steer pdqsort into each of its paths: short runs
 // (insertion sort), sorted and reversed runs (partial insertion sort,
@@ -139,7 +139,7 @@ func TestSortPairsMatchesSortSlice(t *testing.T) {
 	}
 }
 
-// FuzzSortPairs: for any input the vendored sort and sort.Slice agree.
+// FuzzSortPairs: for any input sortPairs and sort.Slice agree.
 // The first byte picks how many distinct values the rest map to, so the
 // fuzzer stays in tie-heavy territory.
 func FuzzSortPairs(f *testing.F) {

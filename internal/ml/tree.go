@@ -3,6 +3,7 @@ package ml
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -424,6 +425,27 @@ func (c split) result() (feature int, threshold float64, ok bool) {
 		return 0, 0, false
 	}
 	return c.feature, c.threshold, true
+}
+
+// splitPair is one sample seen by the split search: its value of the
+// feature being scanned and its regression target.
+type splitPair struct {
+	v, y float64
+}
+
+// sortPairs sorts data by v and leaves exactly the permutation
+// sort.Slice would: both run Go's pdqsort template, and every call
+// the template makes is cmp(x, y) < 0, which holds iff x.v < y.v here
+// (cmp.Compare would order NaN differently). The permutation fixes the
+// order in which tied targets are summed, and rounding in those sums
+// decides between splits of equal gain.
+func sortPairs(data []splitPair) {
+	slices.SortFunc(data, func(a, b splitPair) int {
+		if a.v < b.v {
+			return -1
+		}
+		return 0
+	})
 }
 
 // scanSorted sorts the node's (value, target) pairs of feature f with

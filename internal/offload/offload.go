@@ -8,27 +8,20 @@
 // paper's use of the Intel offload programming model with overlapped
 // host/device execution.
 //
-// Two paths are provided:
-//
-//   - Measure: the "testbed" path. Execution time comes from the
-//     calibrated perf.Model (see DESIGN.md on hardware substitution), so
-//     paper-scale multi-gigabyte runs are evaluated in microseconds.
-//
-//   - Execute: the real-computation path. The DNA matching engine
-//     (internal/parem) actually processes the input bytes for both
-//     shares — the device share on a simulated executor that runs the
-//     identical code on local CPU threads — and the report combines real
-//     match counts with modeled times.
+// Measure is the "testbed" path: execution time comes from the
+// calibrated perf.Model (see DESIGN.md on hardware substitution), so
+// paper-scale multi-gigabyte runs are evaluated in microseconds. The
+// real-computation path, which runs the DNA matching engine over the
+// input bytes and reports real match counts with these modeled times,
+// is parem.Execute, next to the kernels it runs.
 package offload
 
 import (
 	"fmt"
 	"math"
 
-	"hetopt/internal/automata"
 	"hetopt/internal/dna"
 	"hetopt/internal/machine"
-	"hetopt/internal/parem"
 	"hetopt/internal/perf"
 	"hetopt/internal/space"
 )
@@ -211,81 +204,6 @@ func (p *Platform) MeasureFull(w Workload, cfg space.Config, trial int) (Measure
 		return Measurement{}, err
 	}
 	return m, nil
-}
-
-// ExecutionReport combines real matching results with modeled times.
-type ExecutionReport struct {
-	// Times are the modeled execution times for the actual input size.
-	Times Times
-	// HostMatches and DeviceMatches are the real match counts of each
-	// share; Matches is their sum.
-	HostMatches, DeviceMatches, Matches uint64
-	// HostBytes and DeviceBytes record the byte split.
-	HostBytes, DeviceBytes int64
-	// HostRun and DeviceRun describe the parallel-matching execution.
-	HostRun, DeviceRun parem.Result
-}
-
-// Execute really runs the matching engine over total bytes from src,
-// split according to cfg: the host share on cfg.HostThreads workers and
-// the device share on a device-simulating executor with
-// cfg.DeviceThreads workers. Reported times come from the performance
-// model applied to the actual share sizes; match counts are real and
-// chunking-independent.
-func (p *Platform) Execute(w Workload, cfg space.Config, d *automata.DFA, src parem.Source, total int64, trial int) (ExecutionReport, error) {
-	if err := w.Validate(); err != nil {
-		return ExecutionReport{}, err
-	}
-	if total < 0 {
-		return ExecutionReport{}, fmt.Errorf("offload: negative input size %d", total)
-	}
-	if total == 0 {
-		return ExecutionReport{}, nil // nothing to do: empty report
-	}
-	hostBytes := int64(float64(total) * cfg.HostFraction / 100)
-	if cfg.HostFraction < 0 || cfg.HostFraction > 100 {
-		return ExecutionReport{}, fmt.Errorf("offload: host fraction %g outside [0,100]", cfg.HostFraction)
-	}
-	devBytes := total - hostBytes
-
-	report := ExecutionReport{HostBytes: hostBytes, DeviceBytes: devBytes}
-
-	// Model the times for the actual byte sizes.
-	times, err := p.Measure(w.Scaled(float64(total)/(1<<20)), cfg, trial)
-	if err != nil {
-		return ExecutionReport{}, err
-	}
-	report.Times = times
-
-	// Real matching. The "device" executor runs the same engine: the
-	// substitution for unavailable Xeon Phi hardware (DESIGN.md). The
-	// device share resumes from the host share's final automaton state so
-	// matches straddling the distribution boundary are counted exactly
-	// once; the total therefore equals a sequential pass over the whole
-	// input.
-	boundary := d.Start
-	if hostBytes > 0 {
-		res, err := parem.CountSource(d, src, hostBytes, parem.Options{Workers: cfg.HostThreads})
-		if err != nil {
-			return ExecutionReport{}, fmt.Errorf("offload: host share: %w", err)
-		}
-		report.HostRun = res
-		report.HostMatches = res.Matches
-		boundary = res.Final
-	}
-	if devBytes > 0 {
-		res, err := parem.CountSource(d, parem.Section(src, hostBytes), devBytes, parem.Options{
-			Workers:    cfg.DeviceThreads,
-			StartState: &boundary,
-		})
-		if err != nil {
-			return ExecutionReport{}, fmt.Errorf("offload: device share: %w", err)
-		}
-		report.DeviceRun = res
-		report.DeviceMatches = res.Matches
-	}
-	report.Matches = report.HostMatches + report.DeviceMatches
-	return report, nil
 }
 
 // MeasureTable measures one workload at the levels of one schema through

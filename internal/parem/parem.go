@@ -25,6 +25,11 @@
 //
 // Inputs are abstracted behind Source so that multi-gigabyte virtual
 // sequences (dna.Generator) can be streamed without materializing them.
+//
+// Execute runs one system configuration for real: the host share and
+// the device share of the input go through the engine on their own
+// worker counts, and the report pairs the real match counts with the
+// platform's modeled times.
 package parem
 
 import (

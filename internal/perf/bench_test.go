@@ -35,7 +35,7 @@ func BenchmarkThroughputPlacement(b *testing.B) {
 	m := NewPaperModel()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.HostThroughputMBs(36, machine.AffinityCompact); err != nil {
+		if _, err := m.HostThroughputFor(36, machine.AffinityCompact, Traits{}); err != nil {
 			b.Fatal(err)
 		}
 	}

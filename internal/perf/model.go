@@ -288,29 +288,17 @@ func throughput(p *machine.Processor, pl machine.Placement, coreRate float64, sm
 	return rate
 }
 
-// HostThroughputMBs returns the modeled host streaming rate for a thread
-// count and affinity, for the reference workload.
-func (m *Model) HostThroughputMBs(threads int, aff machine.Affinity) (float64, error) {
-	return m.HostThroughputFor(threads, aff, Traits{})
-}
-
 // HostThroughputFor returns the modeled host streaming rate for a thread
 // count and affinity under a workload's traits: the per-core rate scales
 // with HostRateFactor and the roofline with the workload's
-// bytes-per-byte traffic ratio. Zero-value traits reproduce
-// HostThroughputMBs exactly. Rates are served from the model's
+// bytes-per-byte traffic ratio; zero-value traits give the reference
+// workload's rate. Rates are served from the model's
 // precomputed table (tables.go); the trait-scaled core rate and traffic
 // ratio are part of the key, so distinct workloads never share an entry.
 func (m *Model) HostThroughputFor(threads int, aff machine.Affinity, w Traits) (float64, error) {
 	return m.hostRate(threads, aff,
 		m.Cal.HostCoreRateMBs*factorOrDefault(w.HostRateFactor),
 		w.bytesPerByteOr(m.Cal.BytesPerByte))
-}
-
-// DeviceThroughputMBs returns the modeled device streaming rate for a
-// thread count and affinity, for the reference workload.
-func (m *Model) DeviceThroughputMBs(threads int, aff machine.Affinity) (float64, error) {
-	return m.DeviceThroughputFor(threads, aff, Traits{})
 }
 
 // DeviceThroughputFor is the device analogue of HostThroughputFor.

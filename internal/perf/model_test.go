@@ -95,8 +95,8 @@ func TestDeviceMoreThreadsFaster(t *testing.T) {
 func TestSublinearScaling(t *testing.T) {
 	// Doubling threads must help, but less than 2x (gamma < 1 and SMT).
 	m := quiet()
-	t12, _ := m.HostThroughputMBs(12, machine.AffinityScatter)
-	t24, _ := m.HostThroughputMBs(24, machine.AffinityScatter)
+	t12, _ := m.HostThroughputFor(12, machine.AffinityScatter, Traits{})
+	t24, _ := m.HostThroughputFor(24, machine.AffinityScatter, Traits{})
 	if t24 <= t12 || t24 >= 2*t12 {
 		t.Fatalf("scaling 12->24: %g -> %g, want sublinear speedup", t12, t24)
 	}
@@ -105,8 +105,8 @@ func TestSublinearScaling(t *testing.T) {
 func TestHyperThreadingGain(t *testing.T) {
 	// 48 threads on 24 cores must beat 24 threads, by less than 30%.
 	m := quiet()
-	t24, _ := m.HostThroughputMBs(24, machine.AffinityScatter)
-	t48, _ := m.HostThroughputMBs(48, machine.AffinityScatter)
+	t24, _ := m.HostThroughputFor(24, machine.AffinityScatter, Traits{})
+	t48, _ := m.HostThroughputFor(48, machine.AffinityScatter, Traits{})
 	gain := t48 / t24
 	if gain <= 1.0 || gain > 1.31 {
 		t.Fatalf("HT gain = %g, want (1, 1.31]", gain)
@@ -117,8 +117,8 @@ func TestCompactSlowerAtLowCounts(t *testing.T) {
 	// Compact packs 2 threads on 1 core; scatter uses 2 cores: scatter
 	// must win at low thread counts.
 	m := quiet()
-	sc, _ := m.HostThroughputMBs(2, machine.AffinityScatter)
-	co, _ := m.HostThroughputMBs(2, machine.AffinityCompact)
+	sc, _ := m.HostThroughputFor(2, machine.AffinityScatter, Traits{})
+	co, _ := m.HostThroughputFor(2, machine.AffinityCompact, Traits{})
 	if co >= sc {
 		t.Fatalf("compact 2T (%g) should be slower than scatter 2T (%g)", co, sc)
 	}
@@ -126,8 +126,8 @@ func TestCompactSlowerAtLowCounts(t *testing.T) {
 
 func TestNonePenalty(t *testing.T) {
 	m := quiet()
-	sc, _ := m.HostThroughputMBs(24, machine.AffinityScatter)
-	no, _ := m.HostThroughputMBs(24, machine.AffinityNone)
+	sc, _ := m.HostThroughputFor(24, machine.AffinityScatter, Traits{})
+	no, _ := m.HostThroughputFor(24, machine.AffinityNone, Traits{})
 	if no >= sc {
 		t.Fatalf("none (%g) should be slower than scatter (%g)", no, sc)
 	}
@@ -291,7 +291,7 @@ func TestBandwidthRooflineBinds(t *testing.T) {
 	m := quiet()
 	// Crank traffic per byte until the roofline must bind.
 	m.Cal.BytesPerByte = 1000
-	got, err := m.HostThroughputMBs(48, machine.AffinityScatter)
+	got, err := m.HostThroughputFor(48, machine.AffinityScatter, Traits{})
 	if err != nil {
 		t.Fatal(err)
 	}

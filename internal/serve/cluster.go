@@ -285,8 +285,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	sc := getScratch()
 	defer putScratch(sc)
 	var msg replicateWire
-	if err := sc.decode(w, r, &msg); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{err.Error()})
+	if !sc.decode(w, r, &msg) {
 		return
 	}
 	if msg.Key == "" || msg.Body == "" {

@@ -99,8 +99,9 @@ func FuzzNormalize(f *testing.F) {
 }
 
 // FuzzReplicate fuzzes POST /v1/cluster/replicate, whose payload comes
-// straight from a peer. The handler never panics; it answers
-// applied:true only for a payload whose body decodes to a done
+// straight from a peer. The handler never panics; it answers 200 only
+// for a payload holding exactly one JSON value, and applied:true only
+// for a payload whose body decodes to a done
 // JobStatus carrying a result and the payload's key, after which
 // PeekWarm(key) serves that body verbatim. Any other payload leaves
 // the store's size unchanged.
@@ -136,6 +137,9 @@ func FuzzReplicate(f *testing.F) {
 		[]byte(`{"key":"k","body":"{}","extra":1}`),
 		[]byte(`{"key":`),
 		[]byte(``),
+		append(wire(key, body), '}'),
+		append(wire(key, body), wire(key, body)...),
+		append(wire(key, body), '\n'),
 	} {
 		f.Add(seed)
 	}
@@ -149,6 +153,9 @@ func FuzzReplicate(f *testing.F) {
 			Applied bool `json:"applied"`
 		}
 		if rec.Code == http.StatusOK {
+			if !json.Valid(payload) {
+				t.Fatalf("200 for payload %q, which is not exactly one JSON value", payload)
+			}
 			if err := json.Unmarshal(rec.Body.Bytes(), &ans); err != nil {
 				t.Fatalf("200 answer %q does not decode: %v", rec.Body.Bytes(), err)
 			}
@@ -202,13 +209,17 @@ func decodeStrict(body []byte, v any) error {
 	return nil
 }
 
-// checkAnswer asserts the contract every submission answer keeps: a
-// known status, and the error envelope on every non-2xx answer. It
-// reports whether the answer was a 2xx.
-func checkAnswer(t *testing.T, rec *httptest.ResponseRecorder) bool {
+// checkAnswer asserts the contract every submission answer to body
+// keeps: a known status, a 2xx only for a body holding exactly one JSON
+// value, and the error envelope on every non-2xx answer. It reports
+// whether the answer was a 2xx.
+func checkAnswer(t *testing.T, rec *httptest.ResponseRecorder, body []byte) bool {
 	t.Helper()
 	switch rec.Code {
 	case http.StatusOK, http.StatusAccepted:
+		if !json.Valid(body) {
+			t.Fatalf("status %d for %q, which is not exactly one JSON value", rec.Code, body)
+		}
 		return true
 	case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusTooManyRequests:
 		var e errorJSON
@@ -236,6 +247,10 @@ var submissionSeeds = []string{
 	`{"genom":"human"}`,
 	`{"method":"sam"} trailing`,
 	`{"method":"sam"}{"method":"em"}`,
+	`{"method":"sam"}}`,
+	`{"method":"sam"}]`,
+	"{\"method\":\"sam\"}\n",
+	" \n\t",
 	`{"workload":"dna:human","genome":"human"}`,
 	`{"objective":"weighted","alpha":2}`,
 	`{"genome":`,
@@ -245,9 +260,10 @@ var submissionSeeds = []string{
 }
 
 // FuzzCreateJob fuzzes POST /v1/jobs (with and without ?wait=1): the
-// handler never panics, answers 200, 202, 400, 413 or 429, wraps every
-// error in the {"error":...} envelope, and every 2xx body strictly
-// decodes into one JobStatus.
+// handler never panics, answers 200, 202, 400, 413 or 429, answers 2xx
+// only to a body holding exactly one JSON value, wraps every error in
+// the {"error":...} envelope, and every 2xx body strictly decodes into
+// one JobStatus.
 func FuzzCreateJob(f *testing.F) {
 	s := fuzzServer(f)
 	for _, seed := range submissionSeeds {
@@ -261,7 +277,7 @@ func FuzzCreateJob(f *testing.F) {
 		}
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, url, bytes.NewReader(body)))
-		if !checkAnswer(t, rec) {
+		if !checkAnswer(t, rec, body) {
 			return
 		}
 		var st JobStatus
@@ -292,6 +308,11 @@ func FuzzBatch(f *testing.F) {
 		`{"alphas":[0.5]}`,
 		`{"alphas":[0.5],"extra":true}`,
 		`{}`,
+		`{"requests":[{"method":"sam"}]} trailing`,
+		`{"requests":[{"method":"sam"}]}{"requests":[{"method":"em"}]}`,
+		`{"requests":[{"method":"sam"}]}}`,
+		`{"requests":[{"method":"sam"}]}]`,
+		"{\"requests\":[{\"method\":\"sam\"}]}\n",
 		string(over),
 	} {
 		f.Add([]byte(seed))
@@ -299,14 +320,14 @@ func FuzzBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs:batch", bytes.NewReader(body)))
-		if !checkAnswer(t, rec) {
+		if !checkAnswer(t, rec, body) {
 			return
 		}
 		var resp BatchResponse
 		if err := decodeStrict(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatalf("%d body %q does not decode into a BatchResponse: %v", rec.Code, rec.Body.Bytes(), err)
 		}
-		// The server accepted the body, so its first JSON value is the
+		// The server accepted the body, so its one JSON value is the
 		// batch it expanded.
 		var batch BatchRequest
 		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&batch); err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"sync"
@@ -36,10 +35,29 @@ func getScratch() *postScratch { return scratchPool.Get().(*postScratch) }
 func putScratch(sc *postScratch) { scratchPool.Put(sc) }
 
 // decode reads the bounded request body into the pooled buffer and
-// strictly decodes it into v (unknown fields rejected), resetting the
-// pooled TuneRequest first so a reused scratch never leaks fields from
-// an earlier request into a sparse body.
-func (sc *postScratch) decode(w http.ResponseWriter, r *http.Request, v any) error {
+// strictly decodes it into v: unknown fields are rejected, and the body
+// must hold exactly one JSON value (trailing whitespace is fine). The
+// pooled TuneRequest is reset first so a reused scratch never leaks
+// fields from an earlier request into a sparse body. A body decode
+// refuses is answered here, 413 past maxBodyBytes and 400 otherwise, and
+// decode reports false.
+func (sc *postScratch) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := sc.decodeBody(w, r, v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, code, errorJSON{"serve: decoding request body: " + err.Error()})
+	return false
+}
+
+// decodeBody is decode without the answer: it returns why the body was
+// refused, or nil.
+func (sc *postScratch) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	sc.req = TuneRequest{}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	buf := sc.buf[:0]
@@ -54,14 +72,19 @@ func (sc *postScratch) decode(w http.ResponseWriter, r *http.Request, v any) err
 			if errors.Is(err, io.EOF) {
 				break
 			}
-			return fmt.Errorf("serve: decoding request body: %w", err)
+			return err
 		}
 	}
 	sc.rd.Reset(sc.buf)
 	dec := json.NewDecoder(&sc.rd)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("serve: decoding request body: %w", err)
+		return err
+	}
+	for _, c := range sc.buf[dec.InputOffset():] {
+		if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+			return errors.New("data after the JSON value")
+		}
 	}
 	return nil
 }

@@ -492,8 +492,7 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	if err := sc.decode(w, r, &sc.req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{err.Error()})
+	if !sc.decode(w, r, &sc.req) {
 		return
 	}
 	s.applyDefaults(&sc.req)
@@ -563,8 +562,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	sc := getScratch()
 	defer putScratch(sc)
 	var batch BatchRequest
-	if err := sc.decode(w, r, &batch); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{err.Error()})
+	if !sc.decode(w, r, &batch) {
 		return
 	}
 	reqs, err := batch.expand()
