@@ -3,6 +3,10 @@
 // optimization methods, and reports the suggested system configuration
 // together with the speedups over host-only and device-only execution.
 //
+// The flags map onto a serve.TuneRequest that runs on a serve.Runner, the
+// same runner the tuning service executes its cold jobs on, so hetopt
+// answers exactly what hetserved answers for the same request.
+//
 // Usage:
 //
 //	hetopt -method saml -genome human -iterations 1000
@@ -20,17 +24,21 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
 
-	"hetopt"
+	"hetopt/internal/core"
+	"hetopt/internal/scenario"
+	"hetopt/internal/serve"
 	"hetopt/internal/strategy"
 )
 
-// params collects the validated CLI inputs of one run.
+// params collects the CLI inputs of one run.
 type params struct {
 	method     string
 	strategy   string
@@ -52,73 +60,43 @@ type params struct {
 	poolGap    float64
 }
 
+// request maps the flags onto a normalized TuneRequest. Normalize makes
+// every check it can, and its refusals are reported under the flag of
+// the field at fault. The CLI adds only the checks Normalize cannot
+// make, because Normalize canonicalizes those values instead of
+// refusing them.
+func (p *params) request() (serve.TuneRequest, error) {
+	req, err := serve.TuneRequest{
+		Workload: p.workload, Platform: p.platform, Genome: p.genome, SizeMB: p.sizeMB,
+		Method: p.method, Strategy: p.strategy, Objective: p.objective, Alpha: p.alpha, Slack: p.slack,
+		Iterations: p.iterations, Restarts: p.restarts, Seed: p.seed,
+		PoolSize: p.poolSize, PoolGap: p.poolGap, Prove: p.prove,
+	}.Normalize()
+	var fe *serve.FieldError
+	switch {
+	case errors.As(err, &fe):
+		return req, fmt.Errorf("-%s: %w", strings.ReplaceAll(strings.TrimSuffix(fe.Field, "_mb"), "_", "-"), err)
+	case err != nil:
+		return req, err
+	case p.parallel < 0:
+		return req, fmt.Errorf("-parallel must be >= 0 (0 = all CPUs), got %d", p.parallel)
+	case p.alpha < 0 || p.alpha > 1:
+		return req, fmt.Errorf("-alpha must be in [0,1], got %g", p.alpha)
+	case p.slack < 0:
+		return req, fmt.Errorf("-slack must be >= 0, got %g", p.slack)
+	case (p.prove || p.poolSize != 0 || p.poolGap != 0) && req.Strategy != "exact":
+		return req, fmt.Errorf("-prove, -pool-size and -pool-gap require -strategy exact, got -strategy %q", p.strategy)
+	case p.poolSize > strategy.MaxPoolSize:
+		return req, fmt.Errorf("-pool-size must be at most %d, got %d", strategy.MaxPoolSize, p.poolSize)
+	}
+	return req, nil
+}
+
 // validate rejects flag combinations before any expensive work, so the
 // user gets a usage error instead of a silently clamped run.
 func (p *params) validate() error {
-	if p.parallel < 0 {
-		return fmt.Errorf("-parallel must be >= 0 (0 = all CPUs), got %d", p.parallel)
-	}
-	if p.restarts < 0 {
-		return fmt.Errorf("-restarts must be >= 0, got %d", p.restarts)
-	}
-	if p.iterations < 0 {
-		return fmt.Errorf("-iterations must be >= 0, got %d", p.iterations)
-	}
-	if _, err := hetopt.ParseStrategy(p.strategy); err != nil {
-		return fmt.Errorf("-strategy must be auto or one of %s, got %q",
-			strings.Join(hetopt.StrategyNames(), ", "), p.strategy)
-	}
-	if p.poolSize < 0 || p.poolSize > hetopt.MaxPoolSize {
-		return fmt.Errorf("-pool-size must be in [0,%d], got %d", hetopt.MaxPoolSize, p.poolSize)
-	}
-	if p.poolGap < 0 {
-		return fmt.Errorf("-pool-gap must be >= 0, got %g", p.poolGap)
-	}
-	if (p.prove || p.poolSize != 0 || p.poolGap != 0) && p.strategy != "exact" {
-		return fmt.Errorf("-prove, -pool-size and -pool-gap require -strategy exact, got -strategy %q", p.strategy)
-	}
-	if p.workload != "" && p.genome != "" {
-		return fmt.Errorf("-workload %q and -genome %q both set; -genome is a workload alias, set exactly one (the serving layer enforces the same rule)", p.workload, p.genome)
-	}
-	if _, err := hetopt.ScenarioWorkload(p.workloadName()); err != nil {
-		return fmt.Errorf("-workload: %v", err)
-	}
-	if _, err := hetopt.ScenarioPlatformByName(p.platformName()); err != nil {
-		return fmt.Errorf("-platform: %v", err)
-	}
-	if p.alpha < 0 || p.alpha > 1 {
-		return fmt.Errorf("-alpha must be in [0,1], got %g", p.alpha)
-	}
-	if p.slack < 0 {
-		return fmt.Errorf("-slack must be >= 0, got %g", p.slack)
-	}
-	switch p.objective {
-	case "time", "energy", "weighted", "bounded", "":
-	default:
-		return fmt.Errorf("-objective must be time, energy, weighted or bounded, got %q", p.objective)
-	}
-	return nil
-}
-
-// platformName resolves the effective platform name; the empty value
-// (library-style callers bypassing flag defaults) selects "paper".
-func (p *params) platformName() string {
-	if p.platform == "" {
-		return "paper"
-	}
-	return p.platform
-}
-
-// workloadName resolves the effective workload name: -workload wins,
-// -genome is the backward-compatible alias, "human" is the default.
-func (p *params) workloadName() string {
-	if p.workload != "" {
-		return p.workload
-	}
-	if p.genome != "" {
-		return p.genome
-	}
-	return "human"
+	_, err := p.request()
+	return err
 }
 
 func main() {
@@ -132,24 +110,21 @@ func main() {
 	flag.Int64Var(&p.seed, "seed", 1, "base random seed for the search strategy")
 	flag.Float64Var(&p.sizeMB, "size", 0, "override the workload size in MB (0 = genome size)")
 	flag.BoolVar(&p.compare, "compare", false, "run all four methods and compare")
-	flag.StringVar(&p.modelCache, "model-cache", "", "path for persisted prediction models (loaded if present, written after training)")
+	flag.StringVar(&p.modelCache, "model-cache", "", "path for persisted prediction models (loaded if trained for the same platform and family, else trained and written)")
 	flag.IntVar(&p.parallel, "parallel", 1, "search worker count (0 = all CPUs); results are identical at any level")
 	flag.IntVar(&p.restarts, "restarts", 1, "independent search workers: annealing chains or heuristic restarts (best one wins)")
 	flag.StringVar(&p.objective, "objective", "time", "search objective: time, energy, weighted or bounded")
 	flag.Float64Var(&p.alpha, "alpha", 0.5, "time weight in [0,1] for -objective weighted")
 	flag.Float64Var(&p.slack, "slack", 0.10, "makespan slack over the time optimum for -objective bounded")
 	flag.BoolVar(&p.prove, "prove", false, "with -strategy exact: ignore the budget and exhaust the branch-and-bound tree, certifying the optimum")
-	flag.IntVar(&p.poolSize, "pool-size", 0, fmt.Sprintf("with -strategy exact: keep up to this many diverse near-optimal configurations (max %d)", hetopt.MaxPoolSize))
-	flag.Float64Var(&p.poolGap, "pool-gap", 0, fmt.Sprintf("with -strategy exact: relative objective gap admitting pool members (0 selects the default %g)", hetopt.DefaultPoolGap))
+	flag.IntVar(&p.poolSize, "pool-size", 0, fmt.Sprintf("with -strategy exact: keep up to this many diverse near-optimal configurations (max %d)", strategy.MaxPoolSize))
+	flag.Float64Var(&p.poolGap, "pool-gap", 0, fmt.Sprintf("with -strategy exact: relative objective gap admitting pool members (0 selects the default %g)", strategy.DefaultPoolGap))
 	flag.Parse()
 
 	if err := p.validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "hetopt:", err)
 		flag.Usage()
 		os.Exit(2)
-	}
-	if p.parallel == 0 {
-		p.parallel = runtime.GOMAXPROCS(0)
 	}
 	if err := run(p); err != nil {
 		fmt.Fprintln(os.Stderr, "hetopt:", err)
@@ -158,202 +133,119 @@ func main() {
 }
 
 func run(p params) error {
-	if err := p.validate(); err != nil {
-		return err
-	}
-	sc, err := hetopt.ScenarioLookup(p.platformName(), p.workloadName())
-	if err != nil {
-		return err
-	}
-	if sc.IsDAG() {
-		return runDAG(p, sc)
-	}
-	tuner, workload, err := hetopt.NewScenarioTuner(p.platformName(), p.workloadName())
-	if err != nil {
-		return err
-	}
-	if p.sizeMB > 0 {
-		workload = workload.Scaled(p.sizeMB)
-	}
-	if p.modelCache != "" {
-		if models, err := hetopt.LoadModelsFile(p.modelCache); err == nil {
-			tuner.Models = models
-			fmt.Printf("loaded prediction models from %s\n", p.modelCache)
-		}
-	}
-	if tuner.Models == nil {
-		fmt.Printf("training prediction models (%d+%d experiments)...\n",
-			tuner.Plan.HostExperiments(), tuner.Plan.DeviceExperiments())
-		if err := tuner.Train(); err != nil {
-			return err
-		}
-		if p.modelCache != "" {
-			if err := hetopt.SaveModelsFile(tuner.Models, p.modelCache); err != nil {
-				return err
-			}
-			fmt.Printf("saved prediction models to %s\n", p.modelCache)
-		}
-	}
-	fmt.Printf("  host model:   %.3f%% mean percent error\n", tuner.Models.HostReport.Eval.MeanPercentError)
-	fmt.Printf("  device model: %.3f%% mean percent error\n\n", tuner.Models.DeviceReport.Eval.MeanPercentError)
+	_, err := tune(p, os.Stdout)
+	return err
+}
 
-	hostOnly, deviceOnly, err := tuner.Baselines(workload)
+// tune runs the flags' requests — one, or one per method with -compare —
+// on a fresh serve.Runner, writes the report to w and returns the
+// results.
+func tune(p params, w io.Writer) ([]serve.TuneResult, error) {
+	req, err := p.request()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	fmt.Printf("workload: %s (%.0f MB) on %s, objective: %s\n", workload.Name, workload.SizeMB, p.platformName(), p.objective)
-	fmt.Printf("host-only   (%dT):  %.4f s, %.1f J\n", hostOnly.Config.HostThreads, hostOnly.MeasuredE(), hostOnly.MeasuredJ())
-	fmt.Printf("device-only (%dT): %.4f s, %.1f J\n\n", deviceOnly.Config.DeviceThreads, deviceOnly.MeasuredE(), deviceOnly.MeasuredJ())
-
-	methods := []hetopt.Method{}
+	if p.parallel == 0 {
+		p.parallel = runtime.GOMAXPROCS(0)
+	}
+	reqs := []serve.TuneRequest{req}
 	if p.compare {
-		methods = append(methods, hetopt.EM, hetopt.EML, hetopt.SAM, hetopt.SAML)
-	} else {
-		m, err := hetopt.ParseMethod(p.method)
+		reqs = nil
+		for _, m := range []core.Method{core.EM, core.EML, core.SAM, core.SAML} {
+			r := req
+			r.Method = m.String()
+			reqs = append(reqs, r)
+		}
+	}
+	fam, _, err := scenario.Resolve(req.Workload)
+	if err != nil {
+		return nil, err
+	}
+	r := serve.NewRunner(nil, nil)
+	fmt.Fprintf(w, "workload: %s (%.0f MB) on %s, strategy: %s, objective: %s\n",
+		req.Workload, req.SizeMB, req.Platform, req.Strategy, req.Objective)
+	var hostOnly, deviceOnly serve.TuneResult
+	if !fam.IsDAG() {
+		if err := printModels(w, r, reqs, p.modelCache); err != nil {
+			return nil, err
+		}
+		if hostOnly, deviceOnly, err = r.Baselines(req); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(w, "host-only   (%dT):  %.4f s, %.1f J\n", hostOnly.Config.HostThreads, hostOnly.TimeSec, hostOnly.EnergyJ)
+		fmt.Fprintf(w, "device-only (%dT): %.4f s, %.1f J\n", deviceOnly.Config.DeviceThreads, deviceOnly.TimeSec, deviceOnly.EnergyJ)
+	}
+	fmt.Fprintln(w)
+
+	var results []serve.TuneResult
+	for _, rq := range reqs {
+		res, err := r.Run(rq, p.parallel)
+		if err != nil {
+			return nil, err
+		}
+		printResult(w, res, hostOnly, deviceOnly)
+		results = append(results, res)
+	}
+	return results, nil
+}
+
+// printModels reports the accuracy of the prediction models the ML
+// requests among reqs share, backing them with the -model-cache file
+// when one is named. Requests without an ML method need no models.
+func printModels(w io.Writer, r *serve.Runner, reqs []serve.TuneRequest, cache string) error {
+	for _, req := range reqs {
+		if m, _ := core.ParseMethod(req.Method); !m.UsesML() {
+			continue
+		}
+		models, loaded, err := r.Models(req, cache)
 		if err != nil {
 			return err
 		}
-		methods = append(methods, m)
-	}
-
-	strat, err := hetopt.ParseStrategy(p.strategy)
-	if err != nil {
-		return err
-	}
-	strat = strategy.WithExactKnobs(strat, p.prove, p.poolSize, p.poolGap)
-	if strat != nil {
-		fmt.Printf("search strategy: %s\n\n", strat.Name())
-	}
-	opt := hetopt.Options{
-		Iterations:  p.iterations,
-		Seed:        p.seed,
-		Parallelism: p.parallel,
-		Restarts:    p.restarts,
-		Strategy:    strat,
-	}
-	for _, m := range methods {
-		var res hetopt.Result
-		if p.objective == "bounded" {
-			timeRes, ecoRes, err := tuner.TuneWithTimeSlack(workload, m, opt, p.slack)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-4s time-opt:  %v (T=%.4f s, %.1f J)\n", m, timeRes.Config, timeRes.MeasuredE(), timeRes.MeasuredJ())
-			res = ecoRes
-		} else {
-			obj, err := hetopt.ParseObjective(p.objective, p.alpha)
-			if err != nil {
-				return err
-			}
-			opt.Objective = obj
-			res, err = tuner.Tune(workload, m, opt)
-			if err != nil {
-				return err
-			}
+		switch {
+		case loaded:
+			fmt.Fprintf(w, "loaded prediction models from %s\n", cache)
+		case cache != "":
+			fmt.Fprintf(w, "trained prediction models, saved to %s\n", cache)
 		}
-		fmt.Printf("%-4s suggested: %v\n", m, res.Config)
-		fmt.Printf("     measured: T_host=%.4f s, T_device=%.4f s, E=%.4f s\n",
-			res.Measured.Host, res.Measured.Device, res.MeasuredE())
-		fmt.Printf("     energy:   J_host=%.1f, J_device=%.1f, total=%.1f J (%s objective value %.4f)\n",
-			res.MeasuredEnergy.Host, res.MeasuredEnergy.Device, res.MeasuredJ(), res.Objective, res.MeasuredObjective)
-		fmt.Printf("     speedup:  %.2fx vs host-only, %.2fx vs device-only; energy: %.2fx vs host-only, %.2fx vs device-only\n",
-			hostOnly.MeasuredE()/res.MeasuredE(), deviceOnly.MeasuredE()/res.MeasuredE(),
-			hostOnly.MeasuredJ()/res.MeasuredJ(), deviceOnly.MeasuredJ()/res.MeasuredJ())
-		fmt.Printf("     effort:   %d search evaluations, %d experiments\n",
-			res.SearchEvaluations, res.Experiments)
-		if cert, ok := res.Certificate(); ok {
-			fmt.Printf("     proof:    %s\n", formatCertificate(cert))
-		}
-		for i, e := range res.Pool {
-			fmt.Printf("     pool[%d]:  %v (objective %.4f)\n", i, e.Config, e.Objective)
-		}
-		fmt.Println()
+		fmt.Fprintf(w, "host model:   %.3f%% mean percent error\n", models.HostReport.Eval.MeanPercentError)
+		fmt.Fprintf(w, "device model: %.3f%% mean percent error\n", models.DeviceReport.Eval.MeanPercentError)
+		return nil
 	}
 	return nil
 }
 
-// formatCertificate renders a branch-and-bound certificate on one line.
-func formatCertificate(cert hetopt.Certificate) string {
-	status := "proved optimal"
-	if !cert.Optimal {
-		status = fmt.Sprintf("gap %.2f%% to lower bound (budget exhausted; rerun with -prove)", 100*cert.Gap)
-	}
-	return fmt.Sprintf("%s — lower bound %.4f, %d nodes explored, %d pruned",
-		status, cert.LowerBound, cert.Explored, cert.Pruned)
-}
-
-// runDAG tunes a task-graph scenario: instead of splitting one kernel
-// by a fraction, the search assigns each graph node to the host or the
-// device and the list-scheduling simulator prices the resulting
-// makespan. The methods map onto the placement search the way the
-// serving layer maps them: EM/EML enumerate, SAM/SAML anneal, and an
-// explicit -strategy overrides either.
-func runDAG(p params, sc hetopt.Scenario) error {
-	if p.objective != "" && p.objective != "time" {
-		return fmt.Errorf("workload %s is a task graph; the placement simulator prices time only (-objective %s unsupported)", p.workloadName(), p.objective)
-	}
-	if p.sizeMB > 0 {
-		return fmt.Errorf("workload %s is a task graph; -size cannot rescale it", p.workloadName())
-	}
-	sim, err := sc.DAGSim()
-	if err != nil {
-		return err
-	}
-	host, device := sim.SideNames()
-	g := sim.Workload()
-	fmt.Printf("workload: %s — %s\n", p.workloadName(), g.Description)
-	fmt.Printf("graph: %d nodes, %d edges, %.0f MB total work on %s (%s + %s)\n\n",
-		len(g.Nodes), len(g.Edges), g.TotalWorkMB(), p.platformName(), host, device)
-	fmt.Printf("host-only:   %.4f s\ndevice-only: %.4f s\n\n", sim.HostOnlySec(), sim.DeviceOnlySec())
-
-	methods := []hetopt.Method{}
-	if p.compare {
-		methods = append(methods, hetopt.EM, hetopt.EML, hetopt.SAM, hetopt.SAML)
+// printResult renders one result; hostOnly and deviceOnly are the
+// baselines of a divisible workload (a task graph's come with its
+// placement).
+func printResult(w io.Writer, res serve.TuneResult, hostOnly, deviceOnly serve.TuneResult) {
+	if pl := res.Placement; pl != nil {
+		fmt.Fprintf(w, "%-4s placement: %s\n", res.Method, res.Distribution)
+		fmt.Fprintf(w, "     encoded:  %s (host share %.0f%% of node work)\n", pl.Encoded, res.Config.HostFraction)
+		fmt.Fprintf(w, "     makespan: %.4f s | round-robin %.4f s\n", pl.MakespanSec, pl.RoundRobinSec)
+		fmt.Fprintf(w, "     speedup:  %.2fx vs host-only, %.2fx vs device-only\n",
+			pl.HostOnlySec/pl.MakespanSec, pl.DeviceOnlySec/pl.MakespanSec)
+		fmt.Fprintf(w, "     effort:   %d placements priced\n", res.SearchEvaluations)
 	} else {
-		m, err := hetopt.ParseMethod(p.method)
-		if err != nil {
-			return err
+		if ref := res.TimeReference; ref != nil {
+			fmt.Fprintf(w, "%-4s time-opt:  %s (T=%.4f s, %.1f J)\n", res.Method, ref.Distribution, ref.TimeSec, ref.EnergyJ)
 		}
-		methods = append(methods, m)
+		fmt.Fprintf(w, "%-4s suggested: %s\n", res.Method, res.Distribution)
+		fmt.Fprintf(w, "     measured: T_host=%.4f s, T_device=%.4f s, E=%.4f s\n", res.HostSec, res.DeviceSec, res.TimeSec)
+		fmt.Fprintf(w, "     energy:   J_host=%.1f, J_device=%.1f, total=%.1f J (%s objective value %.4f)\n",
+			res.HostJ, res.DeviceJ, res.EnergyJ, res.Objective, res.MeasuredObjective)
+		fmt.Fprintf(w, "     speedup:  %.2fx vs host-only, %.2fx vs device-only; energy: %.2fx vs host-only, %.2fx vs device-only\n",
+			hostOnly.TimeSec/res.TimeSec, deviceOnly.TimeSec/res.TimeSec, hostOnly.EnergyJ/res.EnergyJ, deviceOnly.EnergyJ/res.EnergyJ)
+		fmt.Fprintf(w, "     effort:   %d search evaluations, %d experiments\n", res.SearchEvaluations, res.Experiments)
 	}
-	explicit, err := hetopt.ParseStrategy(p.strategy)
-	if err != nil {
-		return err
+	if c := res.Certificate; c != nil {
+		status := "proved optimal"
+		if !c.Optimal {
+			status = fmt.Sprintf("gap %.2f%% to lower bound (budget exhausted; rerun with -prove)", 100*c.Gap)
+		}
+		fmt.Fprintf(w, "     proof:    %s — lower bound %.4f, %d nodes explored, %d pruned\n", status, c.LowerBound, c.Explored, c.Pruned)
 	}
-	explicit = strategy.WithExactKnobs(explicit, p.prove, p.poolSize, p.poolGap)
-	opt := hetopt.SearchOptions{
-		Budget:      p.iterations,
-		Seed:        p.seed,
-		Restarts:    p.restarts,
-		Parallelism: p.parallel,
+	for i, e := range res.Pool {
+		fmt.Fprintf(w, "     pool[%d]:  %s (objective %.4f)\n", i, e.Distribution, e.Objective)
 	}
-	for _, m := range methods {
-		strat := explicit
-		if strat == nil { // auto: the method's preset explorer
-			if m.UsesAnnealing() {
-				strat = hetopt.DefaultAnneal()
-			} else {
-				strat = hetopt.ExhaustiveStrategy{}
-			}
-		}
-		res, err := hetopt.TunePlacement(sim, strat, opt)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-4s placement: %s\n", m, sim.FormatPlacement(res.Placement))
-		fmt.Printf("     encoded:  %s (host share %.0f%% of node work)\n",
-			hetopt.PlacementString(res.Placement), sim.HostWorkFraction(res.Placement))
-		fmt.Printf("     makespan: %.4f s | round-robin %.4f s\n", res.MakespanSec, res.RoundRobinSec)
-		fmt.Printf("     speedup:  %.2fx vs host-only, %.2fx vs device-only\n",
-			res.HostOnlySec/res.MakespanSec, res.DeviceOnlySec/res.MakespanSec)
-		fmt.Printf("     effort:   %d placements priced\n", res.Evaluations)
-		if cert, ok := res.Certificate(); ok {
-			fmt.Printf("     proof:    %s\n", formatCertificate(cert))
-		}
-		for i, e := range res.PoolEntries() {
-			fmt.Printf("     pool[%d]:  %s (%.4f s)\n", i, hetopt.PlacementString(e.State), e.Energy)
-		}
-		fmt.Println()
-	}
-	return nil
+	fmt.Fprintln(w)
 }

@@ -29,9 +29,6 @@ const (
 	SAML
 )
 
-// Methods lists all four in the paper's order.
-func Methods() []Method { return []Method{EM, EML, SAM, SAML} }
-
 // String implements fmt.Stringer.
 func (m Method) String() string {
 	switch m {

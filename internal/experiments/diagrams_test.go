@@ -7,7 +7,6 @@ import (
 
 	"hetopt/internal/dna"
 	"hetopt/internal/offload"
-	"hetopt/internal/stats"
 )
 
 func TestRenderFig1(t *testing.T) {
@@ -81,7 +80,7 @@ func TestPredictionCurvesRankCorrelation(t *testing.T) {
 				measured[i] = p.Measured
 				predicted[i] = p.Predicted
 			}
-			rho, err := stats.Spearman(measured, predicted)
+			rho, err := spearman(measured, predicted)
 			if err != nil {
 				t.Fatal(err)
 			}

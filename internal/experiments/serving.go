@@ -51,9 +51,11 @@ type ServingThroughputResult struct {
 // HTTP: for each worker count a fresh server receives jobs = distinct *
 // repeats SAM tune requests (seeds 0..distinct-1, cycled), and the
 // experiment records throughput and the warm-start hit ratio. The
-// store's single-flight discipline makes the accounting deterministic —
-// exactly distinct runs are paid, every other submission is a hit — while
-// elapsed time and requests/sec vary with the machine.
+// store's single-flight discipline makes the hit accounting
+// deterministic — exactly distinct runs are paid, every other submission
+// is a hit. How many hits are answered inline on the POST depends on
+// whether a repeat arrives after its first run finished, so Inline, like
+// elapsed time and requests/sec, follows scheduling and the machine.
 func (s *Suite) ServingThroughput(workerCounts []int, distinct, repeats, iterations int) (*ServingThroughputResult, error) {
 	if distinct < 1 || repeats < 1 {
 		return nil, fmt.Errorf("experiments: serving throughput needs distinct >= 1 and repeats >= 1")
@@ -194,7 +196,8 @@ func RenderServingThroughput(res *ServingThroughputResult) string {
 		)
 	}
 	return tb.String() +
-		"(hit accounting is deterministic: single-flight guarantees each distinct request is paid exactly once,\n" +
-		" and every inline answer is a warm hit served on the POST itself;\n" +
-		" elapsed/req-s and the warm/cold latency split are wall-clock and vary with the machine)\n"
+		"(hit accounting is deterministic: single-flight guarantees each distinct request is paid exactly once;\n" +
+		" inline counts the hits served on the POST itself, which depends on whether a repeat arrives after its\n" +
+		" first run finished, so inline, elapsed/req-s and the warm/cold latency split follow wall-clock\n" +
+		" scheduling and vary from run to run)\n"
 }

@@ -37,12 +37,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hetopt/internal/core"
-	"hetopt/internal/graph"
 	"hetopt/internal/offload"
 	"hetopt/internal/scenario"
 	"hetopt/internal/space"
-	"hetopt/internal/strategy"
 )
 
 // Options configures a Server. The zero value selects the paper
@@ -139,14 +136,6 @@ func (j *job) status() JobStatus {
 	return st
 }
 
-// workloadKey identifies the shared evaluation state of one workload on
-// one platform.
-type workloadKey struct {
-	platform string
-	name     string
-	sizeMB   float64
-}
-
 // Server is the tuning service. Construct with New; it implements
 // http.Handler.
 type Server struct {
@@ -164,15 +153,8 @@ type Server struct {
 
 	draining atomic.Bool
 
-	platMu    sync.Mutex
-	platforms map[string]*platformState
-
-	trainMu sync.Mutex
-	trained map[trainKey]*trainState
-
-	evalMu    sync.Mutex
-	workloads map[workloadKey]*workloadEntry
-	wlOrder   []workloadKey
+	// Runner executes the cold jobs; its Pretrain is the server's.
+	*Runner
 
 	// runFn executes one canonical request; tests substitute it to
 	// exercise pool/store semantics without real tuning runs.
@@ -203,13 +185,11 @@ func NewCluster(opt Options) (*Server, error) {
 		opt.JobRetention = 4096
 	}
 	s := &Server{
-		opt:       opt,
-		pool:      NewPool(opt.Workers, opt.QueueSize),
-		store:     NewStore(opt.StoreSize),
-		jobs:      map[string]*job{},
-		platforms: map[string]*platformState{},
-		trained:   map[trainKey]*trainState{},
-		workloads: map[workloadKey]*workloadEntry{},
+		opt:    opt,
+		pool:   NewPool(opt.Workers, opt.QueueSize),
+		store:  NewStore(opt.StoreSize),
+		jobs:   map[string]*job{},
+		Runner: NewRunner(opt.Platform, opt.Schema),
 	}
 	s.runFn = s.runTune
 	if opt.Cluster != nil {
@@ -230,46 +210,6 @@ func NewCluster(opt Options) (*Server, error) {
 		s.mux.HandleFunc("POST /v1/cluster/replicate", s.handleReplicate)
 	}
 	return s, nil
-}
-
-// platformState is the lazily built per-platform substrate shared by
-// every job on that platform.
-type platformState struct {
-	spec     scenario.PlatformSpec
-	platform *offload.Platform
-	schema   *space.Schema
-}
-
-// platformFor resolves a canonical platform name into its shared state,
-// building it on first use. Options.Platform/Schema, when set, override
-// the "paper" platform so embedders and tests can substitute their own
-// substrate without touching the registry.
-func (s *Server) platformFor(name string) (*platformState, error) {
-	s.platMu.Lock()
-	defer s.platMu.Unlock()
-	if st, ok := s.platforms[name]; ok {
-		return st, nil
-	}
-	spec, err := scenario.PlatformByName(name)
-	if err != nil {
-		return nil, err
-	}
-	st := &platformState{spec: spec}
-	if name == "paper" && s.opt.Platform != nil {
-		st.platform = s.opt.Platform
-	} else {
-		st.platform = spec.Platform()
-	}
-	if name == "paper" && s.opt.Schema != nil {
-		st.schema = s.opt.Schema
-	} else {
-		st.schema, err = spec.Schema()
-		if err != nil {
-			return nil, err
-		}
-	}
-	s.platforms[name] = st
-	return st, nil
 }
 
 // ServeHTTP implements http.Handler.
@@ -665,109 +605,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Metrics())
 }
 
-// maxWorkloads bounds the per-workload shared state: workload
-// identity includes the caller-controlled size_mb, so without a bound a
-// size scan would accumulate state forever. Beyond the bound the oldest
-// workload's entry is dropped — in-flight jobs keep their pointers
-// (still correct, just no sharing with future jobs for that workload).
-const maxWorkloads = 64
-
-// workloadEntry is what every job on one workload shares: the
-// measurement memo, and the predictor bound on the first ML job.
-type workloadEntry struct {
-	shared *core.SharedMeasurements
-
-	predOnce sync.Once
-	pred     *core.Predictor
-	predErr  error
-}
-
-// workloadFor returns the per-workload shared entry, creating it on
-// first use. Every concurrent job for the same workload funnels its
-// measurements through one memo, so overlapping searches pay for each
-// configuration once.
-func (s *Server) workloadFor(k workloadKey, st *platformState, w offload.Workload) (*workloadEntry, error) {
-	s.evalMu.Lock()
-	defer s.evalMu.Unlock()
-	if e, ok := s.workloads[k]; ok {
-		return e, nil
-	}
-	shared, err := core.NewSharedMeasurements(st.platform, w, st.schema)
-	if err != nil {
-		return nil, err
-	}
-	e := &workloadEntry{shared: shared}
-	s.workloads[k] = e
-	s.wlOrder = append(s.wlOrder, k)
-	if len(s.wlOrder) > maxWorkloads {
-		delete(s.workloads, s.wlOrder[0])
-		s.wlOrder = s.wlOrder[1:]
-	}
-	return e, nil
-}
-
-// predictor returns the workload's predictor, binding the trained
-// models of its (platform, family) to it on first use. Its internal
-// memo tables are concurrency-safe, so jobs share prediction work too.
-func (s *Server) predictor(e *workloadEntry, st *platformState, fam scenario.Family, w offload.Workload) (*core.Predictor, error) {
-	e.predOnce.Do(func() {
-		models, err := s.trainedModels(st, fam)
-		if err != nil {
-			e.predErr = err
-			return
-		}
-		e.pred, e.predErr = core.NewPredictor(models, w, st.platform.Model())
-	})
-	return e.pred, e.predErr
-}
-
-// trainKey identifies one (platform, workload family) model pair.
-type trainKey struct {
-	platform string
-	family   string
-}
-
-// trainState trains once per key and replays the outcome afterwards.
-type trainState struct {
-	once   sync.Once
-	models *core.Models
-	err    error
-}
-
-// trainedModels trains the prediction models for one (platform, family)
-// pair exactly once (first ML job for it), on the registry's training
-// plan for the pair, and replays the outcome afterwards.
-func (s *Server) trainedModels(st *platformState, fam scenario.Family) (*core.Models, error) {
-	key := trainKey{platform: strings.ToLower(st.spec.Name), family: strings.ToLower(fam.Name)}
-	s.trainMu.Lock()
-	ts, ok := s.trained[key]
-	if !ok {
-		ts = &trainState{}
-		s.trained[key] = ts
-	}
-	s.trainMu.Unlock()
-	ts.once.Do(func() {
-		ts.models, ts.err = core.Train(st.platform, st.spec.TrainingPlan(fam), core.TrainOptions{})
-	})
-	return ts.models, ts.err
-}
-
-// Pretrain trains the default scenario's prediction models (the DNA
-// family on the paper platform) eagerly; otherwise the first EML/SAML
-// job for a scenario pays that scenario's one-time training cost.
-func (s *Server) Pretrain() error {
-	st, err := s.platformFor("paper")
-	if err != nil {
-		return err
-	}
-	fam, err := scenario.FamilyByName("dna")
-	if err != nil {
-		return err
-	}
-	_, err = s.trainedModels(st, fam)
-	return err
-}
-
 // applyDefaults fills a raw request's workload/platform from the
 // server's configured defaults before normalization.
 func (s *Server) applyDefaults(r *TuneRequest) {
@@ -821,111 +658,10 @@ func Scenarios() ScenariosResponse {
 	return resp
 }
 
-// runTune executes one canonical request on the strategy layer.
+// runTune executes one canonical request on the server's Runner at
+// its per-job parallelism.
 func (s *Server) runTune(req TuneRequest) (TuneResult, error) {
-	fam, w, err := req.workload()
-	if err != nil {
-		return TuneResult{}, err
-	}
-	st, err := s.platformFor(req.Platform)
-	if err != nil {
-		return TuneResult{}, err
-	}
-	method, err := core.ParseMethod(req.Method)
-	if err != nil {
-		return TuneResult{}, err
-	}
-	strat, err := core.ParseStrategy(req.Strategy)
-	if err != nil {
-		return TuneResult{}, err
-	}
-	// Normalize guarantees the exact-only knobs are zero for every
-	// other strategy.
-	strat = strategy.WithExactKnobs(strat, req.Prove, req.PoolSize, req.PoolGap)
-	if fam.IsDAG() {
-		return s.runDAGTune(req, st, method, strat)
-	}
-
-	e, err := s.workloadFor(workloadKey{platform: req.Platform, name: w.Name, sizeMB: w.SizeMB}, st, w)
-	if err != nil {
-		return TuneResult{}, err
-	}
-	inst := e.shared.Instance()
-	if method.UsesML() {
-		pred, err := s.predictor(e, st, fam, w)
-		if err != nil {
-			return TuneResult{}, err
-		}
-		inst.Predictor = pred
-	}
-
-	opt := core.Options{
-		Iterations:  req.Iterations,
-		Seed:        req.Seed,
-		Restarts:    req.Restarts,
-		Parallelism: s.opt.Parallelism,
-		Strategy:    strat,
-	}
-
-	if req.Objective == "bounded" {
-		timeRes, energyRes, err := core.RunWithTimeSlack(method, &inst, opt, req.Slack)
-		if err != nil {
-			return TuneResult{}, err
-		}
-		out := tuneResult(energyRes)
-		ref := tuneResult(timeRes)
-		out.TimeReference = &ref
-		return out, nil
-	}
-
-	obj, err := core.ParseObjective(req.Objective, req.Alpha)
-	if err != nil {
-		return TuneResult{}, err
-	}
-	opt.Objective = obj
-	res, err := core.Run(method, &inst, opt)
-	if err != nil {
-		return TuneResult{}, err
-	}
-	return tuneResult(res), nil
-}
-
-// runDAGTune executes one canonical DAG placement request: the graph
-// simulator replaces the measurement substrate, and the method's preset
-// explorer maps onto the placement search — EM/EML enumerate the 2^n
-// placements, SAM/SAML anneal; an explicit strategy overrides either.
-// The ML methods have no separate prediction phase here (the simulator
-// is already a model), so EML/SAML behave like EM/SAM on graphs.
-func (s *Server) runDAGTune(req TuneRequest, st *platformState, method core.Method, strat strategy.Strategy) (TuneResult, error) {
-	fam, preset, err := scenario.Resolve(req.Workload)
-	if err != nil {
-		return TuneResult{}, err
-	}
-	g, err := fam.Graph(preset.Name)
-	if err != nil {
-		return TuneResult{}, err
-	}
-	sim, err := st.spec.DAGSim(g)
-	if err != nil {
-		return TuneResult{}, err
-	}
-	if strat == nil { // "auto": the method's preset explorer
-		if method.UsesAnnealing() {
-			strat = strategy.DefaultAnneal()
-		} else {
-			strat = strategy.Exhaustive{}
-		}
-	}
-	res, err := graph.Tune(sim, strat, strategy.Options{
-		Budget:      req.Iterations,
-		Seed:        req.Seed,
-		Restarts:    req.Restarts,
-		Parallelism: s.opt.Parallelism,
-	})
-	if err != nil {
-		return TuneResult{}, err
-	}
-	return dagTuneResult(method, sim, res), nil
+	return s.Run(req, s.opt.Parallelism)
 }
 
 // Endpoints lists the service's routes in presentation order (used by

@@ -77,29 +77,42 @@ type TuneRequest struct {
 	Prove bool `json:"prove,omitempty"`
 }
 
+// FieldError is a Normalize refusal: Err's text is the refusal (and a
+// 400 body's error), Field the JSON name of the request field at fault.
+type FieldError struct {
+	Field string
+	Err   error
+}
+
+func (e *FieldError) Error() string { return e.Err.Error() }
+func (e *FieldError) Unwrap() error { return e.Err }
+
+func fieldErr(field string, err error) error { return &FieldError{Field: field, Err: err} }
+
 // Normalize validates the request and returns its canonical form:
 // names lower/upper-cased to their parseable spellings, defaults made
 // explicit, and fields that the selected objective ignores zeroed. Two
 // requests describing the same run normalize to equal values (and hence
 // equal Key strings), which is what makes the warm-start store
-// deterministic.
+// deterministic. Every refusal is a *FieldError.
 func (r TuneRequest) Normalize() (TuneRequest, error) {
 	n := r
 
 	n.Workload = strings.ToLower(strings.TrimSpace(r.Workload))
 	n.Genome = strings.ToLower(strings.TrimSpace(r.Genome))
 	if n.Workload != "" && n.Genome != "" {
-		return TuneRequest{}, fmt.Errorf("serve: set workload %q or genome %q, not both (genome is a workload alias)", r.Workload, r.Genome)
+		return TuneRequest{}, fieldErr("genome", fmt.Errorf("serve: set workload %q or genome %q, not both (genome is a workload alias)", r.Workload, r.Genome))
 	}
+	workloadField := "workload"
 	if n.Workload == "" {
-		n.Workload = n.Genome // genome names are workload aliases
+		n.Workload, workloadField = n.Genome, "genome" // genome names are workload aliases
 	}
 	if n.Workload == "" {
 		n.Workload = "dna:human"
 	}
 	fam, preset, err := scenario.Resolve(n.Workload)
 	if err != nil {
-		return TuneRequest{}, fmt.Errorf("serve: %w", err)
+		return TuneRequest{}, fieldErr(workloadField, fmt.Errorf("serve: %w", err))
 	}
 	n.Workload = preset.Qualified(fam)
 	n.Genome = "" // folded into the canonical workload
@@ -110,18 +123,18 @@ func (r TuneRequest) Normalize() (TuneRequest, error) {
 		n.Platform = "paper"
 	}
 	if _, err := scenario.PlatformByName(n.Platform); err != nil {
-		return TuneRequest{}, fmt.Errorf("serve: %w", err)
+		return TuneRequest{}, fieldErr("platform", fmt.Errorf("serve: %w", err))
 	}
 
 	if n.SizeMB < 0 || math.IsNaN(n.SizeMB) || math.IsInf(n.SizeMB, 0) {
-		return TuneRequest{}, fmt.Errorf("serve: size_mb %g must be finite and non-negative", n.SizeMB)
+		return TuneRequest{}, fieldErr("size_mb", fmt.Errorf("serve: size_mb %g must be finite and non-negative", n.SizeMB))
 	}
 	if isDAG && n.SizeMB != 0 && n.SizeMB != preset.SizeMB {
 		// A task graph's size is the sum of its node works; it cannot be
 		// rescaled by a divisor the way a divisible kernel can. The
 		// preset's own size is accepted so canonical requests re-normalize
 		// to themselves.
-		return TuneRequest{}, fmt.Errorf("serve: workload %s is a task graph (%g MB of node work); size_mb cannot rescale it — omit it", n.Workload, preset.SizeMB)
+		return TuneRequest{}, fieldErr("size_mb", fmt.Errorf("serve: workload %s is a task graph (%g MB of node work); size_mb cannot rescale it — omit it", n.Workload, preset.SizeMB))
 	}
 	if n.SizeMB == 0 {
 		n.SizeMB = preset.SizeMB
@@ -132,7 +145,7 @@ func (r TuneRequest) Normalize() (TuneRequest, error) {
 	} else {
 		m, err := core.ParseMethod(r.Method)
 		if err != nil {
-			return TuneRequest{}, fmt.Errorf("serve: %w", err)
+			return TuneRequest{}, fieldErr("method", fmt.Errorf("serve: %w", err))
 		}
 		n.Method = m.String()
 	}
@@ -142,7 +155,7 @@ func (r TuneRequest) Normalize() (TuneRequest, error) {
 		n.Strategy = "auto"
 	}
 	if _, err := core.ParseStrategy(n.Strategy); err != nil {
-		return TuneRequest{}, fmt.Errorf("serve: %w", err)
+		return TuneRequest{}, fieldErr("strategy", fmt.Errorf("serve: %w", err))
 	}
 
 	n.Objective = strings.ToLower(strings.TrimSpace(r.Objective))
@@ -152,47 +165,52 @@ func (r TuneRequest) Normalize() (TuneRequest, error) {
 	switch n.Objective {
 	case "time", "energy", "weighted", "bounded":
 	default:
-		return TuneRequest{}, fmt.Errorf("serve: unknown objective %q (want time, energy, weighted or bounded)", r.Objective)
+		return TuneRequest{}, fieldErr("objective", fmt.Errorf("serve: unknown objective %q (want time, energy, weighted or bounded)", r.Objective))
 	}
 	if isDAG && n.Objective != "time" {
-		return TuneRequest{}, fmt.Errorf("serve: workload %s is a task graph; the placement simulator prices time only (objective %q unsupported)", n.Workload, n.Objective)
+		return TuneRequest{}, fieldErr("objective", fmt.Errorf("serve: workload %s is a task graph; the placement simulator prices time only (objective %q unsupported)", n.Workload, n.Objective))
 	}
-	if math.IsNaN(n.Alpha) || math.IsInf(n.Alpha, 0) || math.IsNaN(n.Slack) || math.IsInf(n.Slack, 0) {
-		return TuneRequest{}, fmt.Errorf("serve: alpha %g and slack %g must be finite", n.Alpha, n.Slack)
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"alpha", n.Alpha}, {"slack", n.Slack}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return TuneRequest{}, fieldErr(f.name, fmt.Errorf("serve: alpha %g and slack %g must be finite", n.Alpha, n.Slack))
+		}
 	}
 	if n.Objective == "weighted" {
 		if n.Alpha < 0 || n.Alpha > 1 {
-			return TuneRequest{}, fmt.Errorf("serve: weighted objective needs alpha in [0,1], got %g", n.Alpha)
+			return TuneRequest{}, fieldErr("alpha", fmt.Errorf("serve: weighted objective needs alpha in [0,1], got %g", n.Alpha))
 		}
 	} else {
 		n.Alpha = 0
 	}
 	if n.Objective == "bounded" {
 		if n.Slack < 0 {
-			return TuneRequest{}, fmt.Errorf("serve: bounded objective needs slack >= 0, got %g", n.Slack)
+			return TuneRequest{}, fieldErr("slack", fmt.Errorf("serve: bounded objective needs slack >= 0, got %g", n.Slack))
 		}
 	} else {
 		n.Slack = 0
 	}
 
 	if n.Iterations < 0 {
-		return TuneRequest{}, fmt.Errorf("serve: iterations %d must be non-negative", n.Iterations)
+		return TuneRequest{}, fieldErr("iterations", fmt.Errorf("serve: iterations %d must be non-negative", n.Iterations))
 	}
 	if n.Iterations == 0 {
 		n.Iterations = 1000
 	}
 	if n.Restarts < 0 {
-		return TuneRequest{}, fmt.Errorf("serve: restarts %d must be non-negative", n.Restarts)
+		return TuneRequest{}, fieldErr("restarts", fmt.Errorf("serve: restarts %d must be non-negative", n.Restarts))
 	}
 	if n.Restarts == 0 {
 		n.Restarts = 1
 	}
 
 	if math.IsNaN(n.PoolGap) || math.IsInf(n.PoolGap, 0) || n.PoolGap < 0 {
-		return TuneRequest{}, fmt.Errorf("serve: pool_gap %g must be finite and non-negative", n.PoolGap)
+		return TuneRequest{}, fieldErr("pool_gap", fmt.Errorf("serve: pool_gap %g must be finite and non-negative", n.PoolGap))
 	}
 	if n.PoolSize < 0 {
-		return TuneRequest{}, fmt.Errorf("serve: pool_size %d must be non-negative", n.PoolSize)
+		return TuneRequest{}, fieldErr("pool_size", fmt.Errorf("serve: pool_size %d must be non-negative", n.PoolSize))
 	}
 	if n.Strategy == "exact" {
 		if n.PoolSize > strategy.MaxPoolSize {

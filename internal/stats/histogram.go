@@ -70,18 +70,6 @@ func (h *Histogram) Total() int {
 	return total
 }
 
-// MaxCount returns the largest bucket count (ignoring overflow), useful for
-// scaling plots.
-func (h *Histogram) MaxCount() int {
-	maxC := 0
-	for _, c := range h.Counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	return maxC
-}
-
 // Fractions returns per-bucket fractions of the total (0 when empty).
 func (h *Histogram) Fractions() []float64 {
 	out := make([]float64, len(h.Counts))

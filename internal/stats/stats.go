@@ -26,15 +26,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
-}
-
 // Min returns the smallest element of xs. It returns ErrEmpty when xs is
 // empty.
 func Min(xs []float64) (float64, error) {
@@ -162,38 +153,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 		return 0, nil
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Spearman returns the Spearman rank correlation of two series: the
-// Pearson correlation of their ranks, robust to monotone nonlinearities.
-// Ties receive their average rank.
-func Spearman(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("stats: series lengths differ (%d vs %d)", len(xs), len(ys))
-	}
-	return Pearson(ranks(xs), ranks(ys))
-}
-
-// ranks assigns average ranks (1-based) with tie handling.
-func ranks(xs []float64) []float64 {
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	out := make([]float64, len(xs))
-	for i := 0; i < len(idx); {
-		j := i
-		for j < len(idx) && xs[idx[j]] == xs[idx[i]] {
-			j++
-		}
-		avg := float64(i+j+1) / 2 // average of 1-based ranks i+1..j
-		for k := i; k < j; k++ {
-			out[idx[k]] = avg
-		}
-		i = j
-	}
-	return out
 }
 
 // Summary aggregates the descriptive statistics reported for an experiment

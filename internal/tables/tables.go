@@ -28,9 +28,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Render writes the table to w.
 func (t *Table) Render(w io.Writer) error {
 	cols := len(t.Columns)

@@ -38,9 +38,6 @@ func TestTableRaggedRows(t *testing.T) {
 	if !strings.Contains(out, "extra") {
 		t.Error("extra cell dropped")
 	}
-	if tb.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tb.NumRows())
-	}
 }
 
 func TestFormatters(t *testing.T) {

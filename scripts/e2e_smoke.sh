@@ -3,21 +3,26 @@
 # pass the hetserved binary as $1 (default ./hetserved). Starts the
 # server, submits one tune job and one batch (alpha sweep) with curl,
 # polls everything to completion, asserts the cached re-POST is a
-# bit-identical store hit, and shuts the server down gracefully.
+# bit-identical store hit, and shuts the server down gracefully. With
+# the hetopt binary as the optional $2, it also asserts that the CLI
+# suggests exactly the served distribution for a SAML and an EM request.
 #
 # Local use:
-#   go build -o hetserved ./cmd/hetserved && scripts/e2e_smoke.sh ./hetserved
+#   go build -o hetserved ./cmd/hetserved && go build -o hetopt ./cmd/hetopt &&
+#     scripts/e2e_smoke.sh ./hetserved ./hetopt
 #
 # Requires curl and jq.
 set -euo pipefail
 
 BIN=${1:-./hetserved}
+CLI=${2:-}
 ADDR=127.0.0.1:18080
 BASE="http://$ADDR/v1"
 
 command -v jq >/dev/null || { echo "e2e: jq is required" >&2; exit 1; }
 command -v curl >/dev/null || { echo "e2e: curl is required" >&2; exit 1; }
 [ -x "$BIN" ] || { echo "e2e: $BIN is not executable" >&2; exit 1; }
+[ -z "$CLI" ] || [ -x "$CLI" ] || { echo "e2e: $CLI is not executable" >&2; exit 1; }
 
 "$BIN" -addr "$ADDR" -workers 2 -queue 16 -cache-size 64 &
 SERVER_PID=$!
@@ -146,6 +151,18 @@ d1=$(echo "$dres" | jq -cS .result)
 d2=$(echo "$dsecond" | jq -cS .result)
 [ "$d1" = "$d2" ] \
   || { echo "e2e: identical dag requests returned different results:" >&2; echo "$d1" >&2; echo "$d2" >&2; exit 1; }
+
+if [ -n "$CLI" ]; then
+  for method in saml em; do
+    echo "e2e: hetopt -method $method suggests the served distribution"
+    served=$(curl -fsS -X POST "$BASE/jobs?wait=1" \
+      -d "{\"genome\":\"cat\",\"method\":\"$method\",\"iterations\":200,\"seed\":5}" | jq -r .result.distribution)
+    out=$("$CLI" -genome cat -method "$method" -iterations 200 -seed 5)
+    cli=$(echo "$out" | sed -n 's/^[A-Z]* *suggested: //p')
+    [ -n "$served" ] && [ "$cli" = "$served" ] \
+      || { echo "e2e: hetopt suggests '$cli', the service '$served'" >&2; exit 1; }
+  done
+fi
 
 echo "e2e: graceful shutdown (SIGTERM)"
 kill -TERM "$SERVER_PID"
