@@ -99,7 +99,7 @@ type (
 	TimeObjective = core.TimeObjective
 	// EnergyObjective minimizes total joules across engaged units.
 	EnergyObjective = core.EnergyObjective
-	// WeightedSumObjective minimizes alpha*T + (1-alpha)*E/PowerScaleW.
+	// WeightedSumObjective minimizes alpha*T + (1-alpha)*E/(50 W).
 	WeightedSumObjective = core.WeightedSumObjective
 	// TimeBoundedObjective minimizes energy subject to a makespan bound.
 	TimeBoundedObjective = core.TimeBoundedObjective
@@ -108,8 +108,7 @@ type (
 	// Options tunes an optimization run.
 	Options = core.Options
 	// Strategy is a pluggable search strategy over the configuration
-	// space (set via Options.Strategy, MultiTuneOptions.Strategy or
-	// RefineOptions.Strategy; nil keeps the method presets).
+	// space (set via Options.Strategy; nil keeps the method presets).
 	Strategy = strategy.Strategy
 	// AnnealStrategy is the paper's simulated annealing as an injectable
 	// strategy; ExhaustiveStrategy enumerates; GeneticStrategy,
@@ -168,8 +167,8 @@ type (
 	MultiProblem  = multi.Problem
 	MultiConfig   = multi.Config
 	MultiResult   = multi.Result
-	// MultiTuneOptions configures a parallel multi-accelerator tuning run
-	// (chain count and worker pool).
+	// MultiTuneOptions configures a parallel multi-accelerator annealing
+	// run (chain count and worker pool).
 	MultiTuneOptions = multi.TuneOptions
 	// DynamicScheduler simulates CoreTsar-style dynamic self-scheduling,
 	// the related-work baseline.
@@ -447,7 +446,6 @@ func NewScenarioTuner(platformName, workloadName string) (*Tuner, Workload, erro
 		Platform: sc.Platform.Platform(),
 		Schema:   sc.Schema,
 		Plan:     sc.TrainingPlan(),
-		TrainOpt: TrainOptions{SplitSeed: 7},
 	}, sc.Workload, nil
 }
 
@@ -472,7 +470,10 @@ func ParseAffinity(s string) (Affinity, error) { return machine.ParseAffinity(s)
 
 // Tuner is the high-level entry point: it owns a platform, a
 // configuration space and (after Train) the prediction models, and runs
-// any of the four optimization methods against a workload.
+// any of the four optimization methods against a workload. It trains
+// and measures as the tuning service does, so on a registered scenario
+// a run answers what cmd/hetopt and cmd/hetserved answer for the same
+// request.
 type Tuner struct {
 	// Platform is the measurement substrate (replaceable for custom
 	// machines).
@@ -481,8 +482,6 @@ type Tuner struct {
 	Schema *Schema
 	// Plan is the training grid used by Train.
 	Plan TrainingPlan
-	// TrainOpt configures model fitting.
-	TrainOpt TrainOptions
 	// Models holds the trained predictors (nil until Train, unless
 	// assigned directly).
 	Models *Models
@@ -494,14 +493,13 @@ func NewTuner() *Tuner {
 		Platform: NewPlatform(),
 		Schema:   PaperSchema(),
 		Plan:     PaperTrainingPlan(),
-		TrainOpt: TrainOptions{SplitSeed: 7},
 	}
 }
 
 // Train generates training data and fits the prediction models. It is
 // required before running the ML-based methods (EML, SAML).
 func (t *Tuner) Train() error {
-	models, err := core.Train(t.Platform, t.Plan, t.TrainOpt)
+	models, err := core.Train(t.Platform, t.Plan, TrainOptions{})
 	if err != nil {
 		return err
 	}
@@ -509,12 +507,18 @@ func (t *Tuner) Train() error {
 	return nil
 }
 
-// instance assembles the optimizer inputs for a workload.
+// instance assembles the optimizer inputs for a workload. It measures
+// through a fresh shared memo, so a run's Experiments counts each
+// distinct configuration once, as the service charges it.
 func (t *Tuner) instance(w Workload, needML bool) (*core.Instance, error) {
-	inst := &core.Instance{
-		Schema:   t.Schema,
-		Measurer: core.NewMeasurer(t.Platform, w),
+	if t.Schema == nil {
+		return nil, fmt.Errorf("hetopt: tuner needs a schema")
 	}
+	shared, err := core.NewSharedMeasurements(t.Platform, w, t.Schema)
+	if err != nil {
+		return nil, err
+	}
+	inst := shared.Instance()
 	if t.Models != nil {
 		pred, err := core.NewPredictor(t.Models, w, t.Platform.Model())
 		if err != nil {
@@ -524,7 +528,7 @@ func (t *Tuner) instance(w Workload, needML bool) (*core.Instance, error) {
 	} else if needML {
 		return nil, fmt.Errorf("hetopt: method requires trained models; call Tuner.Train first")
 	}
-	return inst, nil
+	return &inst, nil
 }
 
 // Tune runs the given optimization method for a workload and returns the

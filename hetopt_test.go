@@ -3,6 +3,8 @@ package hetopt
 import (
 	"sync"
 	"testing"
+
+	"hetopt/internal/serve"
 )
 
 // trainedTuner is shared across tests; training dominates runtime and is
@@ -49,6 +51,70 @@ func TestTunerSAMLEndToEnd(t *testing.T) {
 	}
 	if devSpeedup < 1.2 {
 		t.Errorf("speedup vs device-only = %.2f, expected > 1.2", devSpeedup)
+	}
+}
+
+// TestTunerAnswersWhatServeAnswers: the facade trains and measures as
+// the service does, so a Tuner answers a request with the
+// configuration, measurement and effort serve's runner reports for it.
+func TestTunerAnswersWhatServeAnswers(t *testing.T) {
+	paper := sharedTuner(t)
+	gpu, spmv, err := NewScenarioTuner("gpu-like", "spmv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gpu.Train(); err != nil {
+		t.Fatal(err)
+	}
+	human := GenomeWorkload(Human)
+	runner := serve.NewRunner(nil, nil)
+	for _, tc := range []struct {
+		name  string
+		req   TuneRequest
+		tuner *Tuner
+		w     Workload
+	}{
+		{"paper-human-saml", TuneRequest{Method: "saml"}, paper, human},
+		{"paper-human-eml", TuneRequest{Method: "eml"}, paper, human},
+		{"paper-human-sam", TuneRequest{Method: "sam"}, paper, human},
+		{"paper-human-sam-bounded", TuneRequest{Method: "sam", Objective: "bounded", Slack: 0.1}, paper, human},
+		{"gpu-like-spmv-saml", TuneRequest{Platform: "gpu-like", Workload: "spmv", Method: "saml"}, gpu, spmv},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.req.Seed, tc.req.Iterations = 1, 1000
+			req, err := tc.req.Normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := runner.Run(req, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := ParseMethod(req.Method)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := Options{Iterations: req.Iterations, Seed: req.Seed}
+			var res Result
+			if req.Objective == "bounded" {
+				_, res, err = tc.tuner.TuneWithTimeSlack(tc.w, m, opt, req.Slack)
+			} else {
+				res, err = tc.tuner.Tune(tc.w, m, opt)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			type answer struct {
+				Distribution       string
+				TimeSec, EnergyJ   float64
+				Evals, Experiments int
+			}
+			got := answer{res.Config.String(), res.MeasuredE(), res.MeasuredJ(), res.SearchEvaluations, res.Experiments}
+			served := answer{want.Distribution, want.TimeSec, want.EnergyJ, want.SearchEvaluations, want.Experiments}
+			if got != served {
+				t.Fatalf("facade answered %+v, serve %+v", got, served)
+			}
+		})
 	}
 }
 

@@ -14,12 +14,10 @@ package adaptive
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"hetopt/internal/core"
 	"hetopt/internal/search"
 	"hetopt/internal/space"
-	"hetopt/internal/strategy"
 )
 
 // Options configures Refine.
@@ -40,31 +38,6 @@ type Options struct {
 	// makespan). Use the same objective as the seeding search so the
 	// hill-climb improves the quantity the search optimized.
 	Objective core.Objective
-	// Strategy, when non-nil, replaces the built-in hill-climb: the
-	// strategy searches the measured space with MeasureBudget as its
-	// per-worker evaluation budget and Restarts workers seeded from
-	// Seed. Initial/Neighbor-driven strategies (Anneal, a Portfolio of
-	// such members) start every worker at the seed configuration and
-	// explore its neighborhood; the heuristics-based strategies draw
-	// their own restart points and use the seed only as the incumbent
-	// to beat. Either way the refined configuration is the better of
-	// the seed and the strategy's best, so refinement can never
-	// regress. The seed evaluation and every worker share one
-	// measurement cache, so a configuration is measured at most once no
-	// matter how often the search revisits it; Measurements reports the
-	// distinct configurations actually measured, which is bounded by
-	// Restarts x MeasureBudget (+1 for each worker's initialization)
-	// rather than capped at MeasureBudget — size the per-worker budget
-	// accordingly. strategy.Exhaustive is rejected: it ignores
-	// evaluation budgets, and enumerating the space under measurement
-	// is EM, not refinement. Nil keeps the paper-faithful neighborhood
-	// hill-climb, whose MeasureBudget is a hard cap, bit-identical to
-	// the pre-strategy-layer behavior.
-	Strategy strategy.Strategy
-	// Seed and Restarts configure an injected Strategy (ignored by the
-	// built-in hill-climb, which is deterministic).
-	Seed     int64
-	Restarts int
 }
 
 func (o Options) budget() int {
@@ -107,12 +80,11 @@ func (r Result) Improvement() float64 {
 }
 
 // Refine measures the seed configuration and improves it under real
-// measurements. By default it hill-climbs: each round evaluates the
+// measurements. It hill-climbs: each round evaluates the
 // one-step neighbors (adjacent levels for ordered parameters, all
 // alternatives for categorical ones) of the incumbent and moves to the
 // best improvement, stopping at a local measured optimum, the
-// measurement budget, or the round cap. With Options.Strategy set, the
-// injected search strategy explores from the seed instead.
+// measurement budget, or the round cap.
 func Refine(inst *core.Instance, seed space.Config, opt Options) (Result, error) {
 	if err := inst.Validate(core.EM); err != nil {
 		return Result{}, err
@@ -122,10 +94,6 @@ func Refine(inst *core.Instance, seed space.Config, opt Options) (Result, error)
 	if err != nil {
 		return Result{}, fmt.Errorf("adaptive: seed configuration: %w", err)
 	}
-	if opt.Strategy != nil {
-		return refineWith(inst, seed, idx, opt)
-	}
-
 	budget := opt.budget()
 	used := 0
 	obj := opt.Objective
@@ -247,87 +215,6 @@ func Refine(inst *core.Instance, seed space.Config, opt Options) (Result, error)
 	res.Config = cfg
 	res.MeasuredE = curE
 	res.Measurements = used
-	return res, nil
-}
-
-// seededProblem fixes the starting state of a search problem: every
-// worker begins at the seed configuration, so the search refines
-// around it rather than restarting from random points.
-type seededProblem struct {
-	strategy.Spaced
-	seed []int
-}
-
-func (p *seededProblem) Initial(dst []int, _ *rand.Rand) { copy(dst, p.seed) }
-
-// containsExhaustive reports whether s is the exhaustive strategy (by
-// value or pointer) or a portfolio carrying one, however nested.
-func containsExhaustive(s strategy.Strategy) bool {
-	switch t := s.(type) {
-	case strategy.Exhaustive, *strategy.Exhaustive:
-		return true
-	case strategy.Portfolio:
-		for _, m := range t.Members {
-			if containsExhaustive(m) {
-				return true
-			}
-		}
-	case *strategy.Portfolio:
-		for _, m := range t.Members {
-			if containsExhaustive(m) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// refineWith is the injected-strategy refinement path: the strategy
-// searches the measured space from the seed, and the result is the
-// better of the seed and the strategy's best, so refinement never
-// regresses. The seed evaluation and all workers evaluate through one
-// shared measurement memo, so no configuration — the seed included,
-// which every worker re-evaluates as its initial state — is measured
-// twice.
-func refineWith(inst *core.Instance, seed space.Config, idx []int, opt Options) (Result, error) {
-	if containsExhaustive(opt.Strategy) {
-		return Result{}, fmt.Errorf("adaptive: exhaustive strategy ignores the measurement budget; run core EM instead of refinement")
-	}
-	start := inst.Measurer.Count()
-	shared, err := core.NewSharedMeasurements(inst.Measurer.Platform, inst.Measurer.Workload, inst.Schema)
-	if err != nil {
-		return Result{}, err
-	}
-	measured, err := shared.View(inst.Measurer)
-	if err != nil {
-		return Result{}, err
-	}
-	prob := &seededProblem{
-		Spaced: core.NewSearchProblem(inst.Schema, measured, opt.Objective, space.StepMove),
-		seed:   idx,
-	}
-	seedE, err := prob.Energy(idx)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{Start: seed, StartE: seedE, Config: seed, MeasuredE: seedE}
-	sres, err := opt.Strategy.Minimize(prob, strategy.Options{
-		Budget:      opt.budget(),
-		Seed:        opt.Seed,
-		Restarts:    opt.Restarts,
-		Parallelism: opt.Parallelism,
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	if sres.BestEnergy < seedE {
-		cfg, err := inst.Schema.Config(sres.Best)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Config, res.MeasuredE = cfg, sres.BestEnergy
-	}
-	res.Measurements = inst.Measurer.Count() - start
 	return res, nil
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"hetopt/internal/core"
 	"hetopt/internal/dna"
-	"hetopt/internal/strategy"
 )
 
 // TestRefineParallelMatchesSequential: a round's neighborhood is only
@@ -26,70 +25,6 @@ func TestRefineParallelMatchesSequential(t *testing.T) {
 		}
 		if !reflect.DeepEqual(seq, par) {
 			t.Fatalf("parallelism %d diverged:\nseq %+v\npar %+v", p, seq, par)
-		}
-	}
-}
-
-// TestRefineInjectedStrategy: an injected strategy refines from the
-// seed (every worker starts there), never regresses below the seed, and
-// is bit-identical at every parallelism level.
-func TestRefineInjectedStrategy(t *testing.T) {
-	inst := fixture(t, dna.Human)
-	for _, tc := range []struct {
-		name string
-		s    strategy.Strategy
-	}{
-		{"anneal", strategy.DefaultAnneal()},
-		{"tabu", strategy.Tabu{}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			run := func(parallelism int) Result {
-				res, err := Refine(inst, seedConfig(), Options{
-					MeasureBudget: 60,
-					Strategy:      tc.s,
-					Seed:          5,
-					Restarts:      3,
-					Parallelism:   parallelism,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			want := run(1)
-			for _, p := range []int{4, 8} {
-				if got := run(p); !reflect.DeepEqual(want, got) {
-					t.Fatalf("parallelism %d diverged:\nwant %+v\ngot  %+v", p, want, got)
-				}
-			}
-			if want.MeasuredE > want.StartE {
-				t.Fatalf("strategy refinement regressed: %g > seed %g", want.MeasuredE, want.StartE)
-			}
-			if want.Measurements <= 0 {
-				t.Fatal("no measurements accounted")
-			}
-			// All workers and the seed evaluation share one cache: the
-			// physical count must stay below the un-deduplicated worst
-			// case (3 workers x (60+1) evaluations + 1 seed), since at
-			// minimum every worker re-evaluates the shared seed state.
-			if worst := 3*(60+1) + 1; want.Measurements >= worst {
-				t.Fatalf("measurements = %d, want < %d (shared cache must deduplicate)", want.Measurements, worst)
-			}
-		})
-	}
-}
-
-// TestRefineRejectsExhaustive: enumeration ignores evaluation budgets,
-// so it must be refused instead of measuring the whole space.
-func TestRefineRejectsExhaustive(t *testing.T) {
-	inst := fixture(t, dna.Human)
-	for name, s := range map[string]strategy.Strategy{
-		"value":     strategy.Exhaustive{},
-		"pointer":   &strategy.Exhaustive{},
-		"portfolio": strategy.Portfolio{Members: []strategy.Strategy{strategy.DefaultAnneal(), strategy.Exhaustive{}}},
-	} {
-		if _, err := Refine(inst, seedConfig(), Options{MeasureBudget: 20, Strategy: s}); err == nil {
-			t.Fatalf("%s: exhaustive refinement must be rejected", name)
 		}
 	}
 }

@@ -299,25 +299,9 @@ func (b *rooflineBounder) ChildBounds(prefix []int, fixed int, out []float64) {
 // run's objective. All four built-in objectives are monotone in both
 // arguments, so feeding them lower bounds yields a lower bound.
 func (b *rooflineBounder) objectiveBound(lbT, lbE float64) float64 {
-	switch o := b.obj.(type) {
-	case EnergyObjective:
-		return lbE
-	case WeightedSumObjective:
-		scale := o.PowerScaleW
-		if scale <= 0 {
-			scale = DefaultPowerScaleW
-		}
-		return o.Alpha*lbT + (1-o.Alpha)*lbE/scale
-	case TimeBoundedObjective:
-		v := lbE
-		if lbT > o.TimeBoundSec {
-			penalty := o.PenaltyW
-			if penalty <= 0 {
-				penalty = DefaultBoundPenaltyW
-			}
-			v += penalty * (lbT - o.TimeBoundSec)
-		}
-		return v
+	switch b.obj.(type) {
+	case EnergyObjective, WeightedSumObjective, TimeBoundedObjective:
+		return b.obj.Value(lbT, lbE)
 	default: // nil or TimeObjective
 		return lbT
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"hetopt/internal/offload"
@@ -122,12 +123,6 @@ type Options struct {
 	// Seed drives the strategy's stochastic choices; worker i derives
 	// search.ChainSeed(Seed, i).
 	Seed int64
-	// InitialTemp overrides the SA starting temperature of the annealing
-	// preset (zero selects DefaultInitialTemp). The stop temperature is
-	// derived as InitialTemp/TempSpan, preserving the paper's schedule
-	// shape (T: 10^4 -> 1) rescaled to seconds-valued energies. Ignored
-	// when Strategy is injected.
-	InitialTemp float64
 	// NeighborMode selects the neighborhood structure used by
 	// Initial/Neighbor-driven strategies (SA).
 	NeighborMode space.NeighborMode
@@ -162,16 +157,6 @@ type Options struct {
 	Strategy strategy.Strategy
 }
 
-// DefaultInitialTemp is the SA starting temperature for seconds-scale
-// energies. The paper anneals from 10^4 down to 1; our objective is
-// measured in seconds (0.1-40) rather than the milliseconds-scale numbers
-// that schedule implies, so the same 10^4 dynamic range is anchored at 5.
-const DefaultInitialTemp = strategy.DefaultInitialTemp
-
-// TempSpan is the ratio between initial and stop temperature (10^4, the
-// paper's 10000 -> "T < 1" span).
-const TempSpan = strategy.TempSpan
-
 func (o Options) iterations() int {
 	if o.Iterations <= 0 {
 		return 1000
@@ -187,18 +172,14 @@ func (o Options) objective() Objective {
 }
 
 // strategyFor resolves the search strategy of a run: the injected one,
-// or the method's preset (EM/EML enumerate, SAM/SAML anneal with the
-// run's temperature override).
+// or the method's preset (EM/EML enumerate, SAM/SAML anneal on the
+// paper schedule).
 func (o Options) strategyFor(m Method) strategy.Strategy {
 	if o.Strategy != nil {
 		return o.Strategy
 	}
 	if m.UsesAnnealing() {
-		t0 := o.InitialTemp
-		if t0 == 0 {
-			t0 = DefaultInitialTemp
-		}
-		return strategy.Anneal{InitialTemp: t0, StopTemp: t0 / TempSpan}
+		return strategy.DefaultAnneal()
 	}
 	return strategy.Exhaustive{}
 }
@@ -465,8 +446,8 @@ func sideOnlyBaseline(inst *Instance, host bool) (Result, error) {
 		return Result{}, err
 	}
 	base := space.Config{
-		HostThreads: maxInt(inst.Schema.HostThreadValues()), HostAffinity: inst.Schema.HostAffinityValues()[0],
-		DeviceThreads: maxInt(inst.Schema.DeviceThreadValues()), DeviceAffinity: inst.Schema.DeviceAffinityValues()[0],
+		HostThreads: slices.Max(inst.Schema.HostThreadValues()), HostAffinity: inst.Schema.HostAffinityValues()[0],
+		DeviceThreads: slices.Max(inst.Schema.DeviceThreadValues()), DeviceAffinity: inst.Schema.DeviceAffinityValues()[0],
 	}
 	affs := inst.Schema.DeviceAffinityValues()
 	if host {
@@ -496,14 +477,4 @@ func sideOnlyBaseline(inst *Instance, host bool) (Result, error) {
 		Objective: TimeObjective{}.Name(), MeasuredObjective: bestE,
 		SearchEvaluations: len(affs),
 		Experiments:       len(affs)}, nil
-}
-
-func maxInt(xs []int) int {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -55,16 +55,13 @@ const DefaultPowerScaleW = 50.0
 
 // WeightedSumObjective is the scalarized bi-objective
 //
-//	alpha * T + (1-alpha) * E / PowerScaleW
+//	alpha * T + (1-alpha) * E / DefaultPowerScaleW
 //
 // with T in seconds and E in joules. Alpha = 1 reduces to TimeObjective,
-// alpha = 0 to a rescaled EnergyObjective; PowerScaleW <= 0 selects
-// DefaultPowerScaleW.
+// alpha = 0 to a rescaled EnergyObjective.
 type WeightedSumObjective struct {
 	// Alpha is the time weight in [0,1].
 	Alpha float64
-	// PowerScaleW converts joules to equivalent seconds.
-	PowerScaleW float64
 }
 
 // Name implements Objective.
@@ -74,11 +71,7 @@ func (o WeightedSumObjective) Name() string {
 
 // Value implements Objective.
 func (o WeightedSumObjective) Value(timeSec, energyJ float64) float64 {
-	scale := o.PowerScaleW
-	if scale <= 0 {
-		scale = DefaultPowerScaleW
-	}
-	return o.Alpha*timeSec + (1-o.Alpha)*energyJ/scale
+	return o.Alpha*timeSec + (1-o.Alpha)*energyJ/DefaultPowerScaleW
 }
 
 // DefaultBoundPenaltyW is the penalty slope of TimeBoundedObjective:
@@ -91,13 +84,12 @@ const DefaultBoundPenaltyW = 1e6
 // TimeBoundedObjective is the constrained mode: minimize energy subject
 // to the makespan staying within TimeBoundSec. Violations are penalized
 // linearly rather than scored +Inf so annealing chains that wander out of
-// the feasible region are pulled back instead of random-walking.
-// Construct the bound from a time-optimal run, e.g. via RunWithTimeSlack.
+// the feasible region are pulled back instead of random-walking, at
+// DefaultBoundPenaltyW per second over the bound. Construct the bound
+// from a time-optimal run, e.g. via RunWithTimeSlack.
 type TimeBoundedObjective struct {
 	// TimeBoundSec is the makespan budget in seconds.
 	TimeBoundSec float64
-	// PenaltyW is the violation slope; <= 0 selects DefaultBoundPenaltyW.
-	PenaltyW float64
 }
 
 // Name implements Objective.
@@ -109,11 +101,7 @@ func (o TimeBoundedObjective) Name() string {
 func (o TimeBoundedObjective) Value(timeSec, energyJ float64) float64 {
 	v := energyJ
 	if timeSec > o.TimeBoundSec {
-		penalty := o.PenaltyW
-		if penalty <= 0 {
-			penalty = DefaultBoundPenaltyW
-		}
-		v += penalty * (timeSec - o.TimeBoundSec)
+		v += DefaultBoundPenaltyW * (timeSec - o.TimeBoundSec)
 	}
 	return v
 }

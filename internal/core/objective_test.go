@@ -19,14 +19,13 @@ func TestObjectiveValues(t *testing.T) {
 	if got := (EnergyObjective{}).Value(timeSec, energyJ); got != energyJ {
 		t.Errorf("energy objective = %g, want %g", got, energyJ)
 	}
-	w := WeightedSumObjective{Alpha: 0.25, PowerScaleW: 100}
-	if got, want := w.Value(timeSec, energyJ), 0.25*2+0.75*3.0; math.Abs(got-want) > 1e-12 {
+	w := WeightedSumObjective{Alpha: 0.25}
+	if got, want := w.Value(timeSec, energyJ), 0.25*2+0.75*energyJ/DefaultPowerScaleW; math.Abs(got-want) > 1e-12 {
 		t.Errorf("weighted objective = %g, want %g", got, want)
 	}
-	// Zero scale falls back to the default.
 	wd := WeightedSumObjective{Alpha: 0}
 	if got, want := wd.Value(timeSec, energyJ), energyJ/DefaultPowerScaleW; math.Abs(got-want) > 1e-12 {
-		t.Errorf("weighted objective with default scale = %g, want %g", got, want)
+		t.Errorf("energy-only weighted objective = %g, want %g", got, want)
 	}
 	b := TimeBoundedObjective{TimeBoundSec: 1.5}
 	if got, want := b.Value(1.4, energyJ), energyJ; got != want {

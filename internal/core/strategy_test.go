@@ -66,7 +66,7 @@ func TestRunInjectedStrategyDeterministicAcrossParallelism(t *testing.T) {
 // equals plain EM/EML.
 func TestInjectedPresetsMatchMethodDefaults(t *testing.T) {
 	inst, _ := instance(t, dna.Human)
-	annealPreset := strategy.Anneal{InitialTemp: DefaultInitialTemp, StopTemp: DefaultInitialTemp / TempSpan}
+	annealPreset := strategy.DefaultAnneal()
 	cases := []struct {
 		name string
 		m    Method
@@ -102,7 +102,7 @@ func TestInjectedPresetsMatchMethodDefaults(t *testing.T) {
 // becomes SAM (same evaluator, same explorer, same result).
 func TestInjectedStrategySwapsExplorer(t *testing.T) {
 	inst, _ := instance(t, dna.Human)
-	annealPreset := strategy.Anneal{InitialTemp: DefaultInitialTemp, StopTemp: DefaultInitialTemp / TempSpan}
+	annealPreset := strategy.DefaultAnneal()
 	opt := Options{Iterations: 150, Seed: 3}
 	sam, err := Run(SAM, inst, opt)
 	if err != nil {

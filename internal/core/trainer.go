@@ -27,8 +27,6 @@ type TrainingPlan struct {
 	// Device side grid.
 	DeviceThreads    []int
 	DeviceAffinities []machine.Affinity
-	// Trial selects the measurement-noise draw for data generation.
-	Trial int
 }
 
 // PaperTrainingPlan reproduces the paper's grid: 4 genomes x 40 fractions
@@ -109,7 +107,7 @@ func GenerateHostData(platform *offload.Platform, plan TrainingPlan) (*ml.Datase
 						DeviceThreads: 2, DeviceAffinity: machine.AffinityBalanced,
 						HostFraction: 100,
 					}
-					t, err := platform.Measure(w.Scaled(sizeMB), cfg, plan.Trial)
+					t, err := platform.Measure(w.Scaled(sizeMB), cfg, 0)
 					if err != nil {
 						return nil, fmt.Errorf("core: host sample (%s %g%% %dT %s): %w", w.Name, f, n, aff, err)
 					}
@@ -137,7 +135,7 @@ func GenerateDeviceData(platform *offload.Platform, plan TrainingPlan) (*ml.Data
 						DeviceThreads: n, DeviceAffinity: aff,
 						HostFraction: 0,
 					}
-					t, err := platform.Measure(w.Scaled(sizeMB), cfg, plan.Trial)
+					t, err := platform.Measure(w.Scaled(sizeMB), cfg, 0)
 					if err != nil {
 						return nil, fmt.Errorf("core: device sample (%s %g%% %dT %s): %w", w.Name, f, n, aff, err)
 					}

@@ -37,21 +37,15 @@ type Config struct {
 type Scheduler struct {
 	// Model provides the throughput and overhead constants.
 	Model *perf.Model
-	// PerChunkLaunchSec is the device-side overhead paid per chunk
-	// (offload pragma invocation, signalling). Zero selects 4 ms.
-	PerChunkLaunchSec float64
 }
+
+// perChunkLaunchSec is the device-side overhead paid per chunk (offload
+// pragma invocation, signalling).
+const perChunkLaunchSec = 0.004
 
 // NewScheduler wraps the paper platform's model.
 func NewScheduler() *Scheduler {
 	return &Scheduler{Model: perf.NewPaperModel()}
-}
-
-func (s *Scheduler) perChunkLaunch() float64 {
-	if s.PerChunkLaunchSec <= 0 {
-		return 0.004
-	}
-	return s.PerChunkLaunchSec
 }
 
 // Result reports a simulated dynamic run.
@@ -111,7 +105,7 @@ func (s *Scheduler) Simulate(w offload.Workload, cfg Config) (Result, error) {
 		// Transfer of the next chunk overlaps computation of the current
 		// one; the slower of the two paces the pipeline, plus the
 		// per-chunk launch overhead.
-		return math.Max(compute, transfer) + s.perChunkLaunch() + s.Model.Cal.TransferResidual*transfer
+		return math.Max(compute, transfer) + perChunkLaunchSec + s.Model.Cal.TransferResidual*transfer
 	}
 
 	res := Result{Chunks: chunks}

@@ -8,6 +8,7 @@ import (
 	"hetopt/internal/ml"
 	"hetopt/internal/offload"
 	"hetopt/internal/space"
+	"hetopt/internal/strategy"
 	"hetopt/internal/tables"
 )
 
@@ -31,15 +32,13 @@ func (s *Suite) AblationCoolingRate(w offload.Workload, iterations int) (string,
 	tb := tables.New(fmt.Sprintf("Ablation: SA initial temperature (genome %s, %d iterations, %d seeds)",
 		w.Name, iterations, s.repeats()),
 		"initial temp", "mean SAML E [s]", "pct diff vs EM")
-	for _, t0 := range []float64{0.05, 0.5, core.DefaultInitialTemp, 50, 10000} {
+	for _, t0 := range []float64{0.05, 0.5, strategy.DefaultInitialTemp, 50, 10000} {
 		sum := 0.0
 		for r := 0; r < s.repeats(); r++ {
 			opt := s.coreOpts(iterations, s.Seed+int64(r))
-			// This ablation probes the SA preset's temperature; a
-			// suite-injected strategy would carry its own schedule and
-			// silently ignore InitialTemp, flattening the sweep.
-			opt.Strategy = nil
-			opt.InitialTemp = t0
+			// This ablation probes the SA temperature, so it replaces a
+			// suite-injected strategy with the annealer at t0.
+			opt.Strategy = strategy.Anneal{InitialTemp: t0}
 			res, err := core.Run(core.SAML, inst, opt)
 			if err != nil {
 				return "", err
@@ -110,7 +109,7 @@ func (s *Suite) AblationRegressors(w offload.Workload) (string, error) {
 	tb := tables.New(fmt.Sprintf("Ablation: regressor family (%s, 1000 iterations)", w.Name),
 		"regressor", "host pct err", "device pct err", "SAML pct diff vs EM")
 	for _, kind := range []core.RegressorKind{core.BoostedTrees, core.Linear, core.Poisson} {
-		models, err := core.TrainOnData(hostData, devData, core.TrainOptions{Kind: kind, SplitSeed: s.TrainOpt.SplitSeed})
+		models, err := core.TrainOnData(hostData, devData, core.TrainOptions{Kind: kind, SplitSeed: trainSplitSeed})
 		if err != nil {
 			return "", err
 		}
@@ -153,7 +152,7 @@ func (s *Suite) AblationBoosting() (string, error) {
 		{Rounds: 100, LearningRate: 0.1, Tree: ml.TreeOptions{MaxDepth: 5, MinLeaf: 5}, Subsample: 0.9, Seed: 1},
 		{Rounds: 300, LearningRate: 0.08, Tree: ml.TreeOptions{MaxDepth: 7, MinLeaf: 5}, Subsample: 0.9, Seed: 1},
 	} {
-		models, err := core.TrainOnData(hostData, devData, core.TrainOptions{Boost: cfg, SplitSeed: s.TrainOpt.SplitSeed})
+		models, err := core.TrainOnData(hostData, devData, core.TrainOptions{Boost: cfg, SplitSeed: trainSplitSeed})
 		if err != nil {
 			return "", err
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"hetopt/internal/core"
 	"hetopt/internal/graph"
@@ -73,7 +74,7 @@ func (s *Suite) ExactGapTable(budget int) (*ExactGapResult, error) {
 			Scenario:           scenarioName,
 			Platform:           platformName,
 			OptimumSec:         er.BestEnergy,
-			MatchesEnumeration: er.BestEnergy == ref.BestEnergy && equalStates(er.Best, ref.Best),
+			MatchesEnumeration: er.BestEnergy == ref.BestEnergy && slices.Equal(er.Best, ref.Best),
 			SpaceSize:          size,
 			Explored:           cert.Explored,
 		}
@@ -129,18 +130,6 @@ func (s *Suite) ExactGapTable(budget int) (*ExactGapResult, error) {
 		}
 	}
 	return res, nil
-}
-
-func equalStates(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // RenderExactGapTable renders the proven-optimum study.

@@ -59,7 +59,7 @@ type StrategyComparisonResult struct {
 // optimum.
 func heuristicLineup() []strategy.Strategy {
 	return []strategy.Strategy{
-		strategy.Anneal{InitialTemp: core.DefaultInitialTemp, StopTemp: core.DefaultInitialTemp / core.TempSpan},
+		strategy.DefaultAnneal(),
 		strategy.Genetic{},
 		strategy.Tabu{},
 		strategy.Local{},

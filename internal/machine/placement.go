@@ -110,7 +110,7 @@ func Place(p *Processor, n int, a Affinity) (Placement, error) {
 
 	pl := Placement{
 		Threads:       n,
-		ThreadsOnCore: make([]int, maxInt(tpc, ceilDiv(n, cores))),
+		ThreadsOnCore: make([]int, max(tpc, ceilDiv(n, cores))),
 		OSManaged:     osManaged,
 	}
 	socketsSeen := make(map[int]bool)
@@ -133,11 +133,4 @@ func Place(p *Processor, n int, a Affinity) (Placement, error) {
 
 func ceilDiv(a, b int) int {
 	return (a + b - 1) / b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

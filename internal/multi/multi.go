@@ -275,7 +275,7 @@ func (p *Platform) MeasureFull(w offload.Workload, cfg Config, trial int) (Measu
 //
 // State layout: [hostThreadIdx, hostAffIdx,
 // (devThreadIdx, devAffIdx) x K, unit_0 ... unit_K] where unit_i counts
-// FractionUnits-ths of the workload on unit i (index 0 = host) and the
+// fractionUnits-ths of the workload on unit i (index 0 = host) and the
 // unit counts are kept on the simplex by the neighbor move (shifting one
 // unit between two random processors).
 type Problem struct {
@@ -287,11 +287,6 @@ type Problem struct {
 	HostAffinities   []machine.Affinity
 	DeviceThreads    []int
 	DeviceAffinities []machine.Affinity
-	// FractionUnits is the simplex resolution; 40 yields the paper's
-	// 2.5% grid. Zero selects 40.
-	FractionUnits int
-	// Trial selects the measurement noise draw.
-	Trial int
 	// Objective selects what tuning minimizes: nil or core.TimeObjective
 	// is the generalized makespan (max over units), core.EnergyObjective
 	// the total joules over engaged units, and the weighted/bounded
@@ -299,12 +294,9 @@ type Problem struct {
 	Objective core.Objective
 }
 
-func (p *Problem) units() int {
-	if p.FractionUnits <= 0 {
-		return 40
-	}
-	return p.FractionUnits
-}
+// fractionUnits is the simplex resolution: 40 units yield the paper's
+// 2.5% fraction grid.
+const fractionUnits = 40
 
 // Validate checks the problem definition.
 func (p *Problem) Validate() error {
@@ -342,7 +334,7 @@ func (p *Problem) Initial(dst []int, rng *rand.Rand) {
 	for i := 0; i <= p.numDevices(); i++ {
 		dst[base+i] = 0
 	}
-	for u := 0; u < p.units(); u++ {
+	for u := 0; u < fractionUnits; u++ {
 		dst[base+rng.Intn(p.numDevices()+1)]++
 	}
 }
@@ -399,7 +391,7 @@ func (p *Problem) Decode(state []int) (Config, error) {
 		return Config{}, fmt.Errorf("multi: state has %d entries, want %d", len(state), p.Dim())
 	}
 	base := p.unitBase()
-	unitPct := 100 / float64(p.units())
+	unitPct := 100 / float64(fractionUnits)
 	cfg := Config{
 		Host: Assignment{
 			Threads:     p.HostThreads[state[0]],
@@ -428,7 +420,7 @@ func (p *Problem) objective() core.Objective {
 
 // Energy implements strategy.Problem by measuring the decoded
 // configuration and scoring it under the problem's objective.
-// Measurement is a pure function of the state and trial, so the
+// Measurement is a pure function of the state, so the
 // strategy layer's shared memo (installed for multi-worker runs) never
 // changes a value, only the physical effort spent.
 func (p *Problem) Energy(state []int) (float64, error) {
@@ -436,7 +428,7 @@ func (p *Problem) Energy(state []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	t, err := p.Platform.MeasureFull(p.Workload, cfg, p.Trial)
+	t, err := p.Platform.MeasureFull(p.Workload, cfg, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -453,35 +445,25 @@ type Result struct {
 	// is its value on the final measurement.
 	Objective      string
 	ObjectiveValue float64
-	// Iterations counts search steps beyond each worker's initialization
-	// (annealing candidates summed over chains; for an injected strategy,
-	// its evaluation total minus one initial evaluation per worker).
+	// Iterations counts annealing candidates summed over chains.
 	Iterations int
-	// Chain is the index of the winning search worker (the annealing
-	// chain for the default strategy; 0 for single-worker runs).
+	// Chain is the index of the winning annealing chain (0 for
+	// single-chain runs).
 	Chain int
 }
 
 // TuneOptions configures a TuneParallel run.
 type TuneOptions struct {
-	// Iterations is the per-worker candidate budget. Zero selects 2000.
+	// Iterations is the per-chain candidate budget. Zero selects 2000.
 	Iterations int
-	// Seed is the base seed; worker i derives search.ChainSeed(Seed, i).
+	// Seed is the base seed; chain i derives search.ChainSeed(Seed, i).
 	Seed int64
-	// Restarts is the number of independent search workers (annealing
-	// chains for the default strategy). Zero or one runs a single
-	// worker, reproducing Tune exactly.
+	// Restarts is the number of independent annealing chains. Zero or
+	// one runs a single chain, reproducing Tune exactly.
 	Restarts int
-	// Parallelism caps the number of workers searching concurrently. The
+	// Parallelism caps the number of chains annealing concurrently. The
 	// result is identical at any parallelism level.
 	Parallelism int
-	// Strategy injects the search strategy. Nil selects the annealing
-	// preset (InitialTemp 5, StopTemp 5e-4, the multi-device schedule).
-	// The multi-device state couples the fraction simplex, so only
-	// Initial/Neighbor-driven strategies apply — strategy.Anneal, or a
-	// strategy.Portfolio of such members; product-space strategies
-	// (exhaustive, genetic, tabu, local, random) fail with an error.
-	Strategy strategy.Strategy
 }
 
 // Tune runs simulated annealing over the multi-device space and returns
@@ -490,12 +472,12 @@ func Tune(p *Problem, iterations int, seed int64) (Result, error) {
 	return TuneParallel(p, TuneOptions{Iterations: iterations, Seed: seed})
 }
 
-// TuneParallel runs a search strategy — one or more simulated-annealing
-// chains by default — over the multi-device space and returns the best
-// configuration with its measurement. Workers share a memoizing
-// evaluation cache, so states visited by several workers are measured
-// once. For fixed (Seed, Restarts, Strategy) the result is
-// bit-identical at every Parallelism level.
+// TuneParallel runs one or more simulated-annealing chains on the
+// paper schedule over the multi-device space and returns the best
+// configuration with its measurement. Chains share a memoizing
+// evaluation cache, so states visited by several chains are measured
+// once. For fixed (Seed, Restarts) the result is bit-identical at every
+// Parallelism level.
 func TuneParallel(p *Problem, opt TuneOptions) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
@@ -504,11 +486,7 @@ func TuneParallel(p *Problem, opt TuneOptions) (Result, error) {
 	if iterations <= 0 {
 		iterations = 2000
 	}
-	strat := opt.Strategy
-	if strat == nil {
-		strat = strategy.Anneal{InitialTemp: 5, StopTemp: 5e-4}
-	}
-	res, err := strat.Minimize(p, strategy.Options{
+	res, err := strategy.DefaultAnneal().Minimize(p, strategy.Options{
 		Budget:      iterations,
 		Seed:        opt.Seed,
 		Restarts:    opt.Restarts,
@@ -521,7 +499,7 @@ func TuneParallel(p *Problem, opt TuneOptions) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	meas, err := p.Platform.MeasureFull(p.Workload, cfg, p.Trial)
+	meas, err := p.Platform.MeasureFull(p.Workload, cfg, 0)
 	if err != nil {
 		return Result{}, err
 	}

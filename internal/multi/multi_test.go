@@ -170,7 +170,7 @@ func TestProblemValidate(t *testing.T) {
 }
 
 // Property: Initial and Neighbor preserve the simplex invariant (unit
-// counts are non-negative and sum to FractionUnits) and keep indices in
+// counts are non-negative and sum to fractionUnits) and keep indices in
 // range.
 func TestSimplexInvariantProperty(t *testing.T) {
 	p := quietProblem(t, 2)
@@ -189,7 +189,7 @@ func TestSimplexInvariantProperty(t *testing.T) {
 			}
 			sum += state[i]
 		}
-		if sum != p.units() {
+		if sum != fractionUnits {
 			return false
 		}
 		cfg, err := p.Decode(state)

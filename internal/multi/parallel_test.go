@@ -2,10 +2,7 @@ package multi
 
 import (
 	"reflect"
-	"strings"
 	"testing"
-
-	"hetopt/internal/strategy"
 )
 
 func TestTuneParallelSingleChainMatchesTune(t *testing.T) {
@@ -43,45 +40,6 @@ func TestTuneParallelDeterministicAcrossParallelism(t *testing.T) {
 	}
 	if want.Iterations != 4*500 {
 		t.Fatalf("iterations = %d, want %d", want.Iterations, 4*500)
-	}
-}
-
-// TestTuneParallelInjectedStrategy: the multi-device simplex couples
-// its fraction coordinates, so product-space strategies must be
-// rejected with a clear error, while Initial/Neighbor-driven ones (a
-// portfolio of annealing schedules) tune it deterministically at every
-// parallelism level.
-func TestTuneParallelInjectedStrategy(t *testing.T) {
-	_, err := TuneParallel(quietProblem(t, 2), TuneOptions{Iterations: 50, Strategy: strategy.Genetic{}})
-	if err == nil || !strings.Contains(err.Error(), "product-space") {
-		t.Fatalf("genetic on the simplex should fail naming the requirement, got %v", err)
-	}
-
-	pf := strategy.Portfolio{Members: []strategy.Strategy{
-		strategy.Anneal{InitialTemp: 5, StopTemp: 5e-4},
-		strategy.Anneal{InitialTemp: 50, StopTemp: 5e-3},
-	}}
-	run := func(parallelism int) Result {
-		res, err := TuneParallel(quietProblem(t, 2), TuneOptions{
-			Iterations:  300,
-			Seed:        4,
-			Restarts:    2,
-			Parallelism: parallelism,
-			Strategy:    pf,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	want := run(1)
-	for _, p := range []int{4, 8} {
-		if got := run(p); !reflect.DeepEqual(want, got) {
-			t.Fatalf("parallelism %d diverged:\nwant %+v\ngot  %+v", p, want, got)
-		}
-	}
-	if err := want.Config.Validate(2); err != nil {
-		t.Fatalf("winning config invalid: %v", err)
 	}
 }
 

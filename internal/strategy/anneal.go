@@ -21,13 +21,14 @@ const TempSpan = 1e4
 // exactly as Section III-A and Figure 3 describe it:
 //
 //   - the schedule is T = T * (1 - coolingRate) (Equation 3), with the
-//     rate derived so T falls from InitialTemp to StopTemp over exactly
-//     the budget;
+//     rate derived so T falls from InitialTemp to the stop temperature
+//     InitialTemp/TempSpan over exactly the budget;
 //   - a candidate with energy E' is accepted unconditionally when
 //     E' < E, and otherwise with probability exp((E - E') / T)
 //     (Equation 4);
-//   - a chain stops once T < StopTemp or its budget is spent, tracking
-//     the best state seen alongside the current one.
+//   - a chain stops once T drops below the stop temperature or its
+//     budget is spent, tracking the best state seen alongside the
+//     current one.
 //
 // K independent chains (Options.Restarts) run through the shared
 // restart runner, sharing a single-flight evaluation memo when K > 1 so
@@ -36,12 +37,9 @@ const TempSpan = 1e4
 // any Problem (Spaced not required). Options.OnStep observes chain 0.
 type Anneal struct {
 	// InitialTemp is the starting temperature; zero selects
-	// DefaultInitialTemp.
+	// DefaultInitialTemp. The stop temperature is InitialTemp/TempSpan,
+	// preserving the paper's schedule shape.
 	InitialTemp float64
-	// StopTemp stops a chain once T drops below it; zero selects
-	// InitialTemp/TempSpan, preserving the paper's schedule shape. The
-	// cooling rate is derived so the schedule spans exactly the budget.
-	StopTemp float64
 }
 
 // DefaultAnneal is the paper-preset annealing strategy.
@@ -94,10 +92,7 @@ func (a Anneal) Minimize(p Problem, opt Options) (Result, error) {
 	if t0 < 0 {
 		return Result{}, fmt.Errorf("anneal: negative initial temperature %g", t0)
 	}
-	stop := a.StopTemp
-	if stop == 0 {
-		stop = t0 / TempSpan
-	}
+	stop := t0 / TempSpan
 	budget := opt.budget()
 	rate, err := CoolingRateFor(budget, t0, stop)
 	if err != nil {

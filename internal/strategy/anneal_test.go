@@ -80,29 +80,36 @@ func annealSteps(t *testing.T, a Anneal, p Problem, opt Options) ([]Step, Result
 	return steps, res
 }
 
-// TestAnnealScheduleSpansBudget: the derived cooling rate takes T from
-// InitialTemp to StopTemp over exactly the budget, never dropping below
-// the stop temperature while the chain runs.
+// TestAnnealScheduleSpansBudget: over the initial temperatures the SA
+// ablation sweeps, the derived cooling rate takes T from InitialTemp to
+// InitialTemp/TempSpan over exactly the budget: the chain spends every
+// step, starts at InitialTemp and never steps below the stop
+// temperature.
 func TestAnnealScheduleSpansBudget(t *testing.T) {
-	a := Anneal{InitialTemp: 100, StopTemp: 1}
-	steps, _ := annealSteps(t, a, newBowl(), Options{Budget: 50, Seed: 3})
-	if len(steps) != 50 {
-		t.Fatalf("ran %d steps, want 50", len(steps))
-	}
-	if steps[0].Temp != 100 {
-		t.Fatalf("first step at T=%g, want 100", steps[0].Temp)
-	}
-	rate, err := CoolingRateFor(50, 100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range steps {
-		if s.Iter != i || s.Temp < 1 {
-			t.Fatalf("step %d: iter %d at T=%g, want iter %d at T >= 1", i, s.Iter, s.Temp, i)
+	const budget = 50
+	for _, t0 := range []float64{0.05, 0.5, DefaultInitialTemp, 50, 10000} {
+		b := newBowl()
+		steps, res := annealSteps(t, Anneal{InitialTemp: t0}, b, Options{Budget: budget, Seed: 3})
+		if len(steps) != budget || res.Evaluations != budget+1 || b.evals.Load() != budget+1 {
+			t.Fatalf("t0=%g: ran %d steps and %d evaluations (problem saw %d), want %d and %d",
+				t0, len(steps), res.Evaluations, b.evals.Load(), budget, budget+1)
 		}
-	}
-	if final := steps[49].Temp * (1 - rate); math.Abs(final-1) > 1e-9 {
-		t.Fatalf("schedule ends at T=%g, want the stop temperature 1", final)
+		if steps[0].Temp != t0 {
+			t.Fatalf("t0=%g: first step at T=%g", t0, steps[0].Temp)
+		}
+		stop := t0 / TempSpan
+		for i, s := range steps {
+			if s.Iter != i || s.Temp < stop {
+				t.Fatalf("t0=%g: step %d: iter %d at T=%g, want iter %d at T >= %g", t0, i, s.Iter, s.Temp, i, stop)
+			}
+		}
+		rate, err := CoolingRateFor(budget, t0, stop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final := steps[budget-1].Temp * (1 - rate); math.Abs(final-stop) > 1e-9*stop {
+			t.Fatalf("t0=%g: schedule ends at T=%g, want the stop temperature %g", t0, final, stop)
+		}
 	}
 }
 
@@ -167,11 +174,8 @@ func TestAnnealValidation(t *testing.T) {
 	if _, err := (Anneal{InitialTemp: -5}).Minimize(newBowl(), Options{}); err == nil {
 		t.Error("negative initial temperature should fail")
 	}
-	if _, err := (Anneal{InitialTemp: 1, StopTemp: 2}).Minimize(newBowl(), Options{}); err == nil {
-		t.Error("stop temperature above the initial one should fail")
-	}
-	// A schedule this flat rounds its derived rate to exactly 0.
-	if _, err := (Anneal{InitialTemp: 1, StopTemp: math.Nextafter(1, 0)}).Minimize(newBowl(), Options{Budget: 1 << 20}); err == nil {
+	// A budget this long rounds the derived rate to exactly 0.
+	if _, err := DefaultAnneal().Minimize(newBowl(), Options{Budget: 1 << 60}); err == nil {
 		t.Error("a cooling rate outside (0,1) should fail")
 	}
 }
@@ -258,7 +262,7 @@ func TestAnnealBestIsTrulyBestProperty(t *testing.T) {
 // TestAnnealSingleChainMatchesPlainRun: Restarts 1 is the plain run,
 // step for step.
 func TestAnnealSingleChainMatchesPlainRun(t *testing.T) {
-	a := Anneal{InitialTemp: 50, StopTemp: 0.01}
+	a := Anneal{InitialTemp: 50}
 	mk := func() *bowl { return &bowl{levels: []int{12, 12, 12}, target: []int{3, 7, 1}} }
 	plainSteps, plain := annealSteps(t, a, mk(), Options{Budget: 400, Seed: 9})
 	oneSteps, one := annealSteps(t, a, mk(), Options{Budget: 400, Seed: 9, Restarts: 1})
@@ -275,7 +279,7 @@ func newRugged() rugged {
 }
 
 func TestAnnealRestartsDeterministicAcrossParallelism(t *testing.T) {
-	a := Anneal{InitialTemp: 100, StopTemp: 0.01}
+	a := Anneal{InitialTemp: 100}
 	run := func(parallelism int) ([]Step, Result) {
 		return annealSteps(t, a, newRugged(), Options{Budget: 300, Seed: 4, Restarts: 6, Parallelism: parallelism})
 	}
@@ -290,7 +294,7 @@ func TestAnnealRestartsDeterministicAcrossParallelism(t *testing.T) {
 // TestAnnealPicksBestChain: the winner is the best of the standalone
 // chain-seeded chains, and the effort is every chain's budget+1.
 func TestAnnealPicksBestChain(t *testing.T) {
-	a := Anneal{InitialTemp: 100, StopTemp: 0.01}
+	a := Anneal{InitialTemp: 100}
 	res, err := a.Minimize(newRugged(), Options{Budget: 200, Seed: 11, Restarts: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +322,7 @@ func TestAnnealPicksBestChain(t *testing.T) {
 // TestAnnealChainsImproveOnRugged: on a deceptive landscape more chains
 // can only help, the winner being a min over a superset of chain 0.
 func TestAnnealChainsImproveOnRugged(t *testing.T) {
-	a := Anneal{InitialTemp: 100, StopTemp: 0.01}
+	a := Anneal{InitialTemp: 100}
 	single, err := a.Minimize(newRugged(), Options{Budget: 150, Seed: 3})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package strategy
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -163,36 +162,23 @@ func (Local) Minimize(p Problem, opt Options) (Result, error) {
 	})
 }
 
-// Tabu is tabu search with a short-term memory: the best sampled
-// non-tabu neighbor is accepted even when worse, reversing a move is
-// tabu for Tenure iterations, and tabu moves are still taken when they
-// beat the global best (aspiration).
-type Tabu struct {
-	// Tenure is the number of iterations a reversed move stays
-	// forbidden; zero selects 2*Dim.
-	Tenure int
-	// Samples is the number of random single-coordinate moves examined
-	// per iteration; zero selects 4*Dim.
-	Samples int
-}
+// Tabu is tabu search with a short-term memory: each iteration samples
+// 4*Dim random single-coordinate moves and accepts the best non-tabu
+// one even when worse, reversing a move is tabu for 2*Dim iterations,
+// and tabu moves are still taken when they beat the global best
+// (aspiration).
+type Tabu struct{}
 
 // Name implements Strategy.
 func (Tabu) Name() string { return "tabu" }
 
 // Minimize implements Strategy.
-func (t Tabu) Minimize(p Problem, opt Options) (Result, error) {
+func (Tabu) Minimize(p Problem, opt Options) (Result, error) {
 	sp, _, err := productSpace("tabu", p)
 	if err != nil {
 		return Result{}, err
 	}
-	tenure := t.Tenure
-	if tenure <= 0 {
-		tenure = 2 * p.Dim()
-	}
-	samples := t.Samples
-	if samples <= 0 {
-		samples = 4 * p.Dim()
-	}
+	tenure, samples := 2*p.Dim(), 4*p.Dim()
 	// A space without a two-level dimension has no moves: sampling
 	// would never spend budget, so each restart stops after its start.
 	movable := false
@@ -255,50 +241,22 @@ func (t Tabu) Minimize(p Problem, opt Options) (Result, error) {
 }
 
 // Genetic is a generational genetic algorithm with tournament
-// selection, uniform crossover, per-gene mutation and elitism. Each
-// generation's children are drawn first and evaluated in one batch;
-// evaluation consumes no randomness, so batching never changes a
-// result.
-type Genetic struct {
-	// Population is the number of individuals; zero selects 24.
-	Population int
-	// MutationRate is the per-gene mutation probability; zero selects
-	// 1/Dim.
-	MutationRate float64
-	// Elite is the number of best individuals copied unchanged into the
-	// next generation; zero selects 2.
-	Elite int
-}
+// selection, uniform crossover, per-gene mutation at rate 1/Dim and
+// elitism: a population of 24 whose best 2 are copied unchanged into
+// the next generation. Each generation's children are drawn first and
+// evaluated in one batch; evaluation consumes no randomness, so
+// batching never changes a result.
+type Genetic struct{}
 
 // Name implements Strategy.
 func (Genetic) Name() string { return "genetic" }
 
 // Minimize implements Strategy.
-func (g Genetic) Minimize(p Problem, opt Options) (Result, error) {
+func (Genetic) Minimize(p Problem, opt Options) (Result, error) {
 	if _, _, err := productSpace("genetic", p); err != nil {
 		return Result{}, err
 	}
-	pop := g.Population
-	if pop <= 0 {
-		pop = 24
-	}
-	if pop < 2 {
-		return Result{}, fmt.Errorf("strategy: genetic: population must be at least 2, got %d", pop)
-	}
-	mut := g.MutationRate
-	if mut == 0 {
-		mut = 1 / float64(p.Dim())
-	}
-	if mut < 0 || mut > 1 {
-		return Result{}, fmt.Errorf("strategy: genetic: mutation rate %g outside [0,1]", mut)
-	}
-	elite := g.Elite
-	if elite == 0 {
-		elite = 2
-	}
-	if elite < 0 || elite >= pop {
-		return Result{}, fmt.Errorf("strategy: genetic: elite count %d outside [0,%d)", elite, pop)
-	}
+	pop, mut, elite := 24, 1/float64(p.Dim()), 2
 	return runWorkers(p, opt, func(_ int, p Problem, rng *rand.Rand) (Result, error) {
 		c := newCounter(p, opt.budget())
 		type indiv struct {

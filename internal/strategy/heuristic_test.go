@@ -50,11 +50,6 @@ func TestHeuristicValidation(t *testing.T) {
 			t.Errorf("%s: zero levels should fail", s.Name())
 		}
 	}
-	for _, g := range []Genetic{{Population: 1}, {MutationRate: 2}, {Elite: 50}} {
-		if _, err := g.Minimize(newBowl(), Options{Budget: 10}); err == nil {
-			t.Errorf("%+v should fail", g)
-		}
-	}
 }
 
 // TestHeuristicsReturnOnSingleLevelSpace: a space whose dimensions all

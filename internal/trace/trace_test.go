@@ -40,7 +40,7 @@ func (b *bowl) Energy(state []int) (float64, error) {
 func record(t *testing.T, iters int) *Recorder {
 	t.Helper()
 	rec := &Recorder{}
-	_, err := strategy.Anneal{InitialTemp: 50, StopTemp: 0.005}.Minimize(&bowl{target: []int{7, 12}}, strategy.Options{
+	_, err := strategy.Anneal{InitialTemp: 50}.Minimize(&bowl{target: []int{7, 12}}, strategy.Options{
 		Budget: iters,
 		Seed:   3,
 		OnStep: rec.Hook(),
