@@ -118,6 +118,8 @@ func Defs() []Def {
 		{Name: "strategy-step-memo", Bench: benchStrategyStepMemo},
 		{Name: "cold-divisible-job", Bench: benchColdDivisibleJob},
 		{Name: "exact-divisible-proof", Bench: benchExactDivisibleProof},
+		{Name: "exact-divisible-proof-cold", Bench: benchExactDivisibleProofCold},
+		{Name: "table-measure-levels", Bench: benchTableMeasureLevels},
 	}
 }
 
@@ -146,6 +148,61 @@ func benchExactDivisibleProof(b *testing.B) {
 		}
 		if c, ok := res.Certificate(); !ok || !c.Optimal || c.Pruned == 0 {
 			b.Fatal("solve returned no pruning proof")
+		}
+	}
+}
+
+// benchExactDivisibleProofCold is exact-divisible-proof with every op
+// proving on a fresh core.SharedMeasurements: the case of a workload
+// evicted from serve's memo map, where every leaf the proof explores
+// is a memo miss and a level-table measurement, the run's first miss
+// makes its noise-draw cache, and the memo grows from empty.
+func benchExactDivisibleProofCold(b *testing.B) {
+	s := fixtures(b)
+	pools := []int{0, 4, 8}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		shared, err := core.NewSharedMeasurements(s.platform, s.workload, s.schema)
+		if err != nil {
+			b.Fatal(err)
+		}
+		inst := shared.Instance()
+		res, err := core.Run(core.EM, &inst, core.Options{Strategy: strategy.Exact{Prove: true, PoolSize: pools[i%len(pools)]}, Parallelism: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if c, ok := res.Certificate(); !ok || !c.Optimal || c.Pruned == 0 {
+			b.Fatal("solve returned no pruning proof")
+		}
+	}
+}
+
+// benchTableMeasureLevels is one measurement of the tracked
+// configuration through the fixture workload's level table, the way a
+// shared memo miss measures a search state: by level indices, with the
+// run's noise draws already cached. The gap to measure-full is what the
+// table saves; the gap to cache-evaluate-hit is what a memo hit saves.
+func benchTableMeasureLevels(b *testing.B) {
+	s := fixtures(b)
+	mt := s.platform.NewMeasureTable(s.workload, s.schema)
+	d := mt.NewDraws()
+	lv, _, ok := s.schema.Levels(trackedConfig())
+	if !ok {
+		b.Fatal("tracked configuration off the schema grid")
+	}
+	want, err := s.platform.MeasureFull(s.workload, trackedConfig(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if m, err := mt.MeasureLevels(lv, d); err != nil || m != want {
+		b.Fatal("level-table measurement differs from MeasureFull")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mt.MeasureLevels(lv, d); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

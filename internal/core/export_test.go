@@ -18,3 +18,10 @@ func CheckRooflineChildBounds(t *testing.T, schema *space.Schema, platform *offl
 	checkChildBounds(t, b, schema)
 	return true
 }
+
+// EvaluateState measures a search state through ev's state path when
+// ev is a shared measurement view, the path a search problem over the
+// view's schema takes.
+func EvaluateState(ev Evaluator, state []int) (offload.Measurement, error) {
+	return ev.(*sharedView).evaluateState(state)
+}

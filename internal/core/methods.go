@@ -343,11 +343,17 @@ func NewSearchProblem(schema *space.Schema, eval Evaluator, obj Objective, mode 
 }
 
 // newSearchProblem builds the adapter, wiring a predictor's
-// whole-evaluation ordinal memo in front of it.
+// whole-evaluation ordinal memo in front of it, or handing a shared
+// measurement view of schema the states themselves.
 func newSearchProblem(schema *space.Schema, eval Evaluator, obj Objective, mode space.NeighborMode) *searchProblem {
 	p := &searchProblem{schema: schema, eval: eval, mode: mode, obj: obj}
-	if pred, ok := eval.(*Predictor); ok {
-		p.dense = pred.evalMemo(schema)
+	switch e := eval.(type) {
+	case *Predictor:
+		p.dense = e.evalMemo(schema)
+	case *sharedView:
+		if e.shared.schema == schema {
+			p.view = e
+		}
 	}
 	return p
 }
@@ -362,6 +368,9 @@ type searchProblem struct {
 	// dense, when non-nil, memoizes eval's measurements by the state's
 	// ordinal (a predictor's whole-evaluation memo over schema).
 	dense *search.DenseMemo[offload.Measurement]
+	// view, when non-nil, is eval as a shared measurement view over
+	// schema, which measures states without decoding them.
+	view *sharedView
 }
 
 func (p *searchProblem) Dim() int { return p.schema.Space().Dim() }
@@ -401,6 +410,9 @@ func (p *searchProblem) measure(state []int) (offload.Measurement, error) {
 
 // evaluate decodes a state and runs the evaluator on it.
 func (p *searchProblem) evaluate(state []int) (offload.Measurement, error) {
+	if p.view != nil {
+		return p.view.evaluateState(state)
+	}
 	cfg, err := p.schema.Config(state)
 	if err != nil {
 		return offload.Measurement{}, err

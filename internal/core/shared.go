@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"hetopt/internal/offload"
+	"hetopt/internal/perf"
 	"hetopt/internal/search"
 	"hetopt/internal/space"
 )
@@ -53,7 +54,7 @@ func NewSharedMeasurements(p *offload.Platform, w offload.Workload, schema *spac
 // spreads each shard's ordinals over its slots.
 func hashOrdinal(ord int32) uint64 { return uint64(uint32(ord)) }
 
-// View returns an evaluator that funnels m's measurements through the
+// view returns an evaluator that funnels m's measurements through the
 // shared memo, for Instance.MeasureCache. It charges m once per
 // distinct configuration the view is asked for — whether the memo
 // computes the measurement or replays one another run paid, and
@@ -65,8 +66,8 @@ func hashOrdinal(ord int32) uint64 { return uint64(uint32(ord)) }
 // grid is measured and charged on every visit, and never shared.
 //
 // m must measure the memo's own workload on its own platform;
-// otherwise View refuses it.
-func (s *SharedMeasurements) View(m *Measurer) (Evaluator, error) {
+// otherwise view refuses it.
+func (s *SharedMeasurements) view(m *Measurer) (*sharedView, error) {
 	if m.Platform != s.platform || m.Workload != s.workload {
 		return nil, fmt.Errorf("core: measurer of %q on another platform or workload cannot view the shared measurements of %q", m.Workload.Name, s.workload.Name)
 	}
@@ -82,7 +83,7 @@ func (s *SharedMeasurements) View(m *Measurer) (Evaluator, error) {
 // a caller that runs it through &inst keeps it off the heap.
 func (s *SharedMeasurements) Instance() Instance {
 	m := NewMeasurer(s.platform, s.workload)
-	view, _ := s.View(m) // m matches by construction
+	view, _ := s.view(m) // m matches by construction
 	return Instance{Schema: s.schema, Measurer: m, MeasureCache: view}
 }
 
@@ -96,28 +97,52 @@ func (s *SharedMeasurements) Unique() int { return s.memo.Unique() }
 // measurement already taken.
 func (s *SharedMeasurements) Hits() int { return s.memo.Hits() }
 
-// sharedView is one Measurer's window on a SharedMeasurements: the
-// bitset over configuration ordinals records which ones it has already
-// been charged for.
+// sharedView is one Measurer's window on a SharedMeasurements, and so
+// one run's: the bitset over configuration ordinals records which ones
+// it has already been charged for, and draws caches the noise draws of
+// the measurements it runs. The draws live here, per run, and not per
+// table: a table shared by every job of a workload would keep the
+// draws of every state any job ever measured.
 type sharedView struct {
 	shared  *SharedMeasurements
 	meas    *Measurer
 	charged []atomic.Uint64 // bit ord set once ord has been charged
+	draws   atomic.Pointer[perf.Draws]
 }
 
-// Evaluate implements Evaluator.
+// Evaluate implements Evaluator: a configuration on the schema's grid
+// takes the search states' path, one off it is measured directly.
 func (v *sharedView) Evaluate(cfg space.Config) (offload.Measurement, error) {
-	ord, ok := v.shared.schema.Ordinal(cfg)
+	lv, ord, ok := v.shared.schema.Levels(cfg)
 	if !ok {
 		return v.meas.Evaluate(cfg)
 	}
+	return v.measure(ord, &lv)
+}
+
+// evaluateState measures a search state: the memo key and charge bit
+// are its ordinal, and a memo miss measures its level indices directly.
+// An invalid state fails as Schema.Config fails on it.
+func (v *sharedView) evaluateState(state []int) (offload.Measurement, error) {
+	ord, err := v.shared.schema.Space().Flatten(state)
+	if err != nil {
+		return offload.Measurement{}, err
+	}
+	var lv space.Levels
+	copy(lv[:], state)
+	return v.measure(ord, &lv)
+}
+
+// measure is the one path of every measurement of the view: the state
+// with ordinal ord and level indices lv, through the shared memo.
+func (v *sharedView) measure(ord int, lv *space.Levels) (offload.Measurement, error) {
 	key := int32(ord)
 	m, ok, err := v.shared.memo.Get(key)
 	computed := false
 	if !ok {
 		m, err = v.shared.memo.Do(key, func() (offload.Measurement, error) {
 			computed = true
-			return v.shared.table.Measure(ord, 0)
+			return v.shared.table.MeasureLevels(*lv, v.runDraws())
 		})
 	}
 	if (err == nil || computed) && v.firstVisit(ord) {
@@ -126,9 +151,29 @@ func (v *sharedView) Evaluate(cfg space.Config) (offload.Measurement, error) {
 	return m, err
 }
 
+// runDraws returns the run's noise-draw cache, made on its first memo
+// miss so a run the memo answers entirely allocates none.
+func (v *sharedView) runDraws() *perf.Draws {
+	if d := v.draws.Load(); d != nil {
+		return d
+	}
+	v.draws.CompareAndSwap(nil, v.shared.table.NewDraws())
+	return v.draws.Load()
+}
+
 // firstVisit marks ord visited and reports whether this call was the
-// view's first to do so.
+// view's first to do so. It loops on CompareAndSwap rather than testing
+// the result of atomic.Uint64.Or: go1.24.0 on amd64 miscompiled that
+// result here (a caller SIGSEGVed; building with inlining off hid it).
 func (v *sharedView) firstVisit(ord int) bool {
 	w, bit := &v.charged[ord>>6], uint64(1)<<(ord&63)
-	return w.Load()&bit == 0 && w.Or(bit)&bit == 0
+	for {
+		old := w.Load()
+		if old&bit != 0 {
+			return false
+		}
+		if w.CompareAndSwap(old, old|bit) {
+			return true
+		}
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"hetopt/internal/dna"
 	"hetopt/internal/offload"
 	"hetopt/internal/space"
+	"hetopt/internal/strategy"
 )
 
 // newShared builds the shared measurements of a workload on the paper
@@ -89,7 +90,7 @@ func TestSharedMemoChargesOncePerOrdinal(t *testing.T) {
 	var wg sync.WaitGroup
 	for j := range meas {
 		meas[j] = NewMeasurer(platform, w)
-		ev, err := shared.View(meas[j])
+		ev, err := shared.view(meas[j])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +115,7 @@ func TestSharedMemoChargesOncePerOrdinal(t *testing.T) {
 	}
 	off := cfg
 	off.HostFraction = 61
-	ev, err := shared.View(meas[0])
+	ev, err := shared.view(meas[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestSharedMemoReplayedFailureUncharged(t *testing.T) {
 	cfg := paperConfig(t, 3, 1, 6, 0, 20)
 	payer, replayer := NewMeasurer(platform, bad), NewMeasurer(platform, bad)
 	for _, m := range []*Measurer{payer, replayer} {
-		ev, err := shared.View(m)
+		ev, err := shared.view(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,11 +219,11 @@ func TestSharedMemoRefusesOtherMeasurer(t *testing.T) {
 		"other size":     NewMeasurer(platform, w.Scaled(2*w.SizeMB)),
 		"other platform": NewMeasurer(offload.NewPlatform(), w),
 	} {
-		if ev, err := shared.View(m); err == nil || ev != nil {
+		if ev, err := shared.view(m); err == nil || ev != nil {
 			t.Errorf("%s: view handed out (err %v)", name, err)
 		}
 	}
-	if _, err := shared.View(NewMeasurer(platform, w)); err != nil {
+	if _, err := shared.view(NewMeasurer(platform, w)); err != nil {
 		t.Fatalf("own workload refused: %v", err)
 	}
 }
@@ -247,5 +248,60 @@ func TestSharedMemoRejectsSpaceBeyondInt32Ordinals(t *testing.T) {
 	_, err = NewSharedMeasurements(offload.NewPlatform(), offload.GenomeWorkload(dna.Human), huge)
 	if err == nil || !strings.Contains(err.Error(), "memo ordinal") {
 		t.Fatalf("%d-configuration space: err %v, want the ordinal-range refusal", huge.Size(), err)
+	}
+}
+
+// TestSharedMemoProofBesideSAMRuns: a Parallelism: 2 exact proof and
+// two concurrent SAM runs on one SharedMeasurements — racing on its
+// memo's first misses while each run fills its own noise-draw cache
+// and charge bits — each return exactly what it returns alone on a
+// fresh memo, experiments included. CI repeats it under the race
+// detector.
+func TestSharedMemoProofBesideSAMRuns(t *testing.T) {
+	platform := offload.NewPlatform()
+	w := offload.GenomeWorkload(dna.Human)
+	runs := []struct {
+		method Method
+		opt    Options
+	}{
+		{EM, Options{Strategy: strategy.Exact{Prove: true, PoolSize: 4}, Parallelism: 2, Objective: EnergyObjective{}}},
+		{SAM, Options{Iterations: 300, Seed: 1, Restarts: 2, Parallelism: 2}},
+		{SAM, Options{Iterations: 300, Seed: 2, Restarts: 2, Parallelism: 2, Objective: EnergyObjective{}}},
+	}
+	alone := make([]Result, len(runs))
+	for i, r := range runs {
+		inst := newShared(t, platform, w).Instance()
+		res, err := Run(r.method, &inst, r.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone[i] = res
+	}
+	shared := newShared(t, platform, w)
+	together := make([]Result, len(runs))
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for i, r := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			inst := shared.Instance()
+			together[i], errs[i] = Run(r.method, &inst, r.opt)
+		}()
+	}
+	wg.Wait()
+	for i := range runs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		a, b := alone[i], together[i]
+		if a.Config != b.Config || a.SearchE != b.SearchE || a.Measured != b.Measured ||
+			a.MeasuredEnergy != b.MeasuredEnergy || a.SearchEvaluations != b.SearchEvaluations ||
+			a.Experiments != b.Experiments {
+			t.Fatalf("run %d on a shared memo diverged:\nalone    %+v\ntogether %+v", i, a, b)
+		}
+	}
+	if c, ok := together[0].Certificate(); !ok || !c.Optimal {
+		t.Fatal("the exact run returned no optimality proof")
 	}
 }

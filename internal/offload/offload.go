@@ -217,8 +217,6 @@ type MeasureTable struct {
 	p      *Platform
 	w      Workload
 	schema *space.Schema
-	// levels[i] is the level count of schema parameter i.
-	levels [space.ParamHostFraction + 1]int
 	t      *perf.LevelTable // nil when the workload is invalid
 }
 
@@ -226,9 +224,6 @@ type MeasureTable struct {
 // schema on the platform.
 func (p *Platform) NewMeasureTable(w Workload, schema *space.Schema) *MeasureTable {
 	mt := &MeasureTable{p: p, w: w, schema: schema}
-	for i, param := range schema.Space().Params {
-		mt.levels[i] = param.Levels()
-	}
 	if w.Validate() != nil {
 		return mt
 	}
@@ -247,40 +242,46 @@ func (p *Platform) NewMeasureTable(w Workload, schema *space.Schema) *MeasureTab
 	return mt
 }
 
-// Measure measures the schema configuration with ordinal ord under
-// noise trial: MeasureFull(w, schema config ord, trial), bit for bit.
-func (mt *MeasureTable) Measure(ord, trial int) (Measurement, error) {
-	if ord < 0 || ord >= mt.schema.Size() {
-		return Measurement{}, fmt.Errorf("offload: configuration ordinal %d outside [0,%d)", ord, mt.schema.Size())
+// NewDraws returns an empty cache of the table's trial-0 noise draws
+// for one run to pass to MeasureLevels, or nil when the table measures
+// nothing itself (an invalid workload).
+func (mt *MeasureTable) NewDraws() *perf.Draws {
+	if mt.t == nil {
+		return nil
 	}
-	idx := mt.levelsOf(ord)
-	if m, ok := mt.fromTable(idx, trial); ok {
+	return mt.t.NewDraws()
+}
+
+// MeasureLevels measures the schema configuration at level indices lv,
+// which must address one of its states, under noise trial 0:
+// MeasureFull(w, schema.Config(lv), 0), bit for bit. Its noise draws
+// come from d, a cache from NewDraws of this table (nil, or a cache of
+// another table, draws them afresh).
+func (mt *MeasureTable) MeasureLevels(lv space.Levels, d *perf.Draws) (Measurement, error) {
+	return mt.measure(lv, 0, d)
+}
+
+// measure measures the configuration at level indices lv under noise
+// trial: the level table when it can serve it, MeasureFull otherwise.
+func (mt *MeasureTable) measure(lv space.Levels, trial int, d *perf.Draws) (Measurement, error) {
+	if m, ok := mt.fromTable(lv, trial, d); ok {
 		return m, nil
 	}
-	cfg, err := mt.schema.Config(idx[:])
+	cfg, err := mt.schema.Config(lv[:])
 	if err != nil {
 		return Measurement{}, err
 	}
 	return mt.p.MeasureFull(mt.w, cfg, trial)
 }
 
-// levelsOf decodes an in-range ordinal into its schema level indices.
-func (mt *MeasureTable) levelsOf(ord int) (idx [space.ParamHostFraction + 1]int) {
-	for i := len(idx) - 1; i >= 0; i-- {
-		idx[i] = ord % mt.levels[i]
-		ord /= mt.levels[i]
-	}
-	return idx
-}
-
-// fromTable measures the configuration at level indices idx through
+// fromTable measures the configuration at level indices lv through
 // the level table; ok is false when the table cannot serve it.
-func (mt *MeasureTable) fromTable(idx [space.ParamHostFraction + 1]int, trial int) (Measurement, bool) {
+func (mt *MeasureTable) fromTable(lv space.Levels, trial int, d *perf.Draws) (Measurement, bool) {
 	if mt.t == nil {
 		return Measurement{}, false
 	}
-	s, ok := mt.t.Measure(idx[space.ParamHostThreads], idx[space.ParamHostAffinity],
-		idx[space.ParamDeviceThreads], idx[space.ParamDeviceAffinity], idx[space.ParamHostFraction], trial)
+	s, ok := mt.t.Measure(lv[space.ParamHostThreads], lv[space.ParamHostAffinity],
+		lv[space.ParamDeviceThreads], lv[space.ParamDeviceAffinity], lv[space.ParamHostFraction], trial, d)
 	if !ok {
 		return Measurement{}, false
 	}

@@ -71,6 +71,9 @@ func tableSchema(t testing.TB) *space.Schema {
 // noise seed, a fingerprinted constant, a replaced SMT-gain slice, a
 // trait-scaled rate input, and constants the table reads live — falling
 // back where what it derived went stale and serving where it did not.
+// Each state is also measured through one run's draw cache: twice
+// before the change (drawing, then replaying the draws) and once after
+// it, where the cached draws must meet the live noise deviations.
 // The paper host does not support balanced affinity, so those levels
 // fail and their states fall back to MeasureFull (an error wherever the
 // host gets work); 96 host threads oversubscribe its cores.
@@ -95,26 +98,77 @@ func TestMeasureTableFollowsModelMutations(t *testing.T) {
 		t.Run(mut.name, func(t *testing.T) {
 			p := NewPlatform()
 			mt := p.NewMeasureTable(w, schema)
+			d := mt.NewDraws()
+			// checkDrawn measures lv through d and requires MeasureFull's
+			// trial-0 answer, served by the table when served is set.
+			checkDrawn := func(lv space.Levels, cfg space.Config, served bool) {
+				t.Helper()
+				want, wantErr := p.MeasureFull(w, cfg, 0)
+				got, err := mt.MeasureLevels(lv, d)
+				if !sameMeasurement(got, err, want, wantErr) {
+					t.Fatalf("%v through the draw cache: %+v (%v), MeasureFull %+v (%v)", cfg, got, err, want, wantErr)
+				}
+				if _, ok := mt.MeasureLevelsByTable(lv, d); ok != served {
+					t.Fatalf("%v through the draw cache: served by the table = %v, want %v", cfg, ok, served)
+				}
+			}
+			for pass := 0; pass < 2; pass++ {
+				for ord := 0; ord < schema.Size(); ord++ {
+					lv := mt.levelsOf(ord)
+					cfg, err := schema.Config(lv[:])
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkDrawn(lv, cfg, cfg.HostAffinity != machine.AffinityBalanced)
+				}
+			}
 			mut.apply(&p.Model().Cal)
 			for ord := 0; ord < schema.Size(); ord++ {
-				idx := mt.levelsOf(ord)
-				cfg, err := schema.Config(idx[:])
+				lv := mt.levelsOf(ord)
+				cfg, err := schema.Config(lv[:])
 				if err != nil {
 					t.Fatal(err)
 				}
+				wantServed := !mut.stale && cfg.HostAffinity != machine.AffinityBalanced
+				checkDrawn(lv, cfg, wantServed)
 				for _, trial := range []int{0, 3} {
 					want, wantErr := p.MeasureFull(w, cfg, trial)
 					got, err := mt.Measure(ord, trial)
 					if !sameMeasurement(got, err, want, wantErr) {
 						t.Fatalf("%v trial %d: table %+v (%v), MeasureFull %+v (%v)", cfg, trial, got, err, want, wantErr)
 					}
-					_, served := mt.MeasureByTable(ord, trial)
-					if wantServed := !mut.stale && cfg.HostAffinity != machine.AffinityBalanced; served != wantServed {
+					if _, served := mt.MeasureByTable(ord, trial); served != wantServed {
 						t.Fatalf("%v: served by the table = %v, want %v", cfg, served, wantServed)
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestMeasureTableIgnoresOtherTablesDraws: a draw cache made by another
+// table — here another workload's, whose draws differ — is never read;
+// the measurement equals MeasureFull as if no cache were passed.
+func TestMeasureTableIgnoresOtherTablesDraws(t *testing.T) {
+	p := NewPlatform()
+	schema := space.PaperSchema()
+	human, mouse := GenomeWorkload(dna.Human), GenomeWorkload(dna.Mouse)
+	mt, other := p.NewMeasureTable(human, schema), p.NewMeasureTable(mouse, schema)
+	foreign := other.NewDraws()
+	for ord := 0; ord < schema.Size(); ord += 97 {
+		lv := mt.levelsOf(ord)
+		cfg, err := schema.Config(lv[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := other.MeasureLevels(lv, foreign); err != nil { // fill the foreign cache
+			t.Fatal(err)
+		}
+		want, wantErr := p.MeasureFull(human, cfg, 0)
+		got, err := mt.MeasureLevels(lv, foreign)
+		if !sameMeasurement(got, err, want, wantErr) {
+			t.Fatalf("%v with another table's draws: %+v (%v), MeasureFull %+v (%v)", cfg, got, err, want, wantErr)
+		}
 	}
 }
 
@@ -133,11 +187,13 @@ func TestMeasureTableInvalidWorkload(t *testing.T) {
 }
 
 // TestMeasureTableZeroAllocs: a served table measurement allocates
-// nothing.
+// nothing, drawing its noise afresh or through a draw cache, whether
+// the cache draws or replays.
 func TestMeasureTableZeroAllocs(t *testing.T) {
 	p := NewPlatform()
 	schema := space.PaperSchema()
 	mt := p.NewMeasureTable(GenomeWorkload(dna.Human), schema)
+	d := mt.NewDraws()
 	ord := 0
 	var sink float64
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -146,7 +202,11 @@ func TestMeasureTableZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sink += m.E()
+		drawn, err := mt.MeasureLevels(mt.levelsOf(ord), d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink += m.E() + drawn.E()
 	})
 	if allocs != 0 {
 		t.Fatalf("table measurement allocates %g allocs/op, want 0", allocs)
@@ -156,7 +216,9 @@ func TestMeasureTableZeroAllocs(t *testing.T) {
 
 // FuzzMeasureTable: for any workload size, trial, configuration and
 // calibration perturbation, the table measures exactly what MeasureFull
-// measures.
+// measures — directly, and at trial 0 through one draw cache twice
+// (drawing, then replaying) and once more after the noise deviations,
+// which the table reads live, are rescaled.
 func FuzzMeasureTable(f *testing.F) {
 	f.Add(1948.0, 0, 12345, 1.0, 1.0, uint64(0))
 	f.Add(0.37, 1, 0, 0.5, 2.0, uint64(7))
@@ -187,6 +249,23 @@ func FuzzMeasureTable(f *testing.F) {
 		}
 		if _, ok := mt.MeasureByTable(ord, trial); !ok {
 			t.Fatalf("%v: a fresh table must serve every paper-schema state", cfg)
+		}
+		d := mt.NewDraws()
+		for pass := 0; pass < 3; pass++ {
+			if pass == 2 {
+				cal.NoiseStdHost *= devScale
+				cal.NoiseStdDevice *= hostScale
+				cal.NoiseStdHostPower *= hostScale
+				cal.NoiseStdDevicePower *= devScale
+			}
+			want, wantErr := p.MeasureFull(w, cfg, 0)
+			got, ok := mt.MeasureLevelsByTable(idx, d)
+			if !ok {
+				t.Fatalf("%v pass %d: the table must serve through the draw cache", cfg, pass)
+			}
+			if !sameMeasurement(got, nil, want, wantErr) {
+				t.Fatalf("%v pass %d through the draw cache: %+v, MeasureFull %+v (%v)", cfg, pass, got, want, wantErr)
+			}
 		}
 	})
 }

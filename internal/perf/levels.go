@@ -2,6 +2,7 @@ package perf
 
 import (
 	"math"
+	"sync/atomic"
 
 	"hetopt/internal/machine"
 )
@@ -19,10 +20,18 @@ import (
 //
 // The table snapshots what it derived under: the model fingerprint of
 // tables.go, the noise seed and the calibration's trait-scaled rate
-// inputs. Measure revalidates that snapshot once per call and reports
-// a miss when the caller mutated any of it, so Cal stays as freely
-// mutable between calls as the model documents. Every other constant
-// is read live.
+// inputs. Measure revalidates that snapshot once per call, field by
+// field against the model in place, and reports a miss when the caller
+// mutated any of it, so Cal stays as freely mutable between calls as
+// the model documents. Every other constant is read live.
+//
+// A run that measures many states at trial 0 can also hand Measure a
+// Draws: its cache of the table's clamped standard-normal draws, one
+// per (noise role, side level, split). A draw is a pure function of
+// the noise seed, the role, the workload name, the share size and the
+// side's threads and affinity — all fixed by the table — so a cached
+// draw never goes stale. The noise's standard deviation is not part
+// of it: σ is read live on every call like every other constant.
 
 // Levels lists the per-side thread and affinity levels and the share
 // sizes a LevelTable covers; level (t, a) of a side is its t-th thread
@@ -60,6 +69,18 @@ func (m *Model) levelStamp() levelStamp {
 	}
 }
 
+// matches reports whether m.levelStamp() == *s without building the
+// stamp: the same fields, compared in place with the same ==.
+func (s *levelStamp) matches(m *Model) bool {
+	c := &m.Cal
+	return s.noiseSeed == c.NoiseSeed && s.hostCoreRate == c.HostCoreRateMBs &&
+		s.devCoreRate == c.DeviceCoreRateMBs && s.bytesPer == c.BytesPerByte &&
+		s.fp.host.matches(m.Host, c.HostSMTGain, c.HostCoreScalingExp, c.BandwidthEfficiency,
+			c.OversubscriptionDecay, c.HostCompactBonus, c.HostNonePenalty) &&
+		s.fp.device.matches(m.Device, c.DeviceSMTGain, c.DeviceCoreScalingExp, c.BandwidthEfficiency,
+			c.OversubscriptionDecay, c.DeviceBalancedBonus, c.DeviceCompactBonus)
+}
+
 // sideLevels holds one side's per-(threads, affinity) entries in
 // row-major order; ok is false where the placement or rate failed.
 type sideLevels struct {
@@ -81,6 +102,9 @@ const (
 
 var roleNames = [numRoles]string{"host", "device", "host-energy", "device-energy"}
 
+// roleOnHost reports whether a noise role perturbs the host side.
+func roleOnHost(role int) bool { return role == roleHost || role == roleHostEnergy }
+
 // LevelTable is one workload's level-indexed measurement table over a
 // fixed set of levels. It is immutable after construction and safe for
 // concurrent use.
@@ -92,6 +116,35 @@ type LevelTable struct {
 	hostMB    []float64
 	devMB     []float64
 	keys      [numRoles][]uint64 // keyHead state per role and split
+}
+
+// Draws caches one LevelTable's trial-0 noise draws for one run: the
+// clamped standard-normal draw of each (noise role, side level, split),
+// filled on first use. It is safe for concurrent use, and a table only
+// reads draws it made itself. A run owns its Draws so the cache lives
+// and dies with the run instead of growing every table it measures.
+type Draws struct {
+	t *LevelTable
+	// z[role][level*splits+si] holds the draw's float64 bits; 0 marks
+	// one not drawn yet (a draw of exactly +0 is redrawn each time,
+	// which changes no value).
+	z [numRoles][]atomic.Uint64
+}
+
+// NewDraws returns an empty draw cache of t, its four roles cut from
+// one allocation.
+func (t *LevelTable) NewDraws() *Draws {
+	hostN, devN := len(t.host.rate)*len(t.hostMB), len(t.dev.rate)*len(t.hostMB)
+	z := make([]atomic.Uint64, 2*(hostN+devN))
+	d := &Draws{t: t}
+	for role := range d.z {
+		n := devN
+		if roleOnHost(role) {
+			n = hostN
+		}
+		d.z[role], z = z[:n:n], z[n:]
+	}
+	return d
 }
 
 // NewLevelTable builds the table of workload w over lv. Levels whose
@@ -122,9 +175,9 @@ func (m *Model) NewLevelTable(w Traits, lv Levels) *LevelTable {
 		return r, c, err
 	})
 	for role, name := range roleNames {
-		sizes := t.hostMB
-		if role == roleDevice || role == roleDeviceEnergy {
-			sizes = t.devMB
+		sizes := t.devMB
+		if roleOnHost(role) {
+			sizes = t.hostMB
 		}
 		t.keys[role] = make([]uint64, len(sizes))
 		for i, mb := range sizes {
@@ -156,37 +209,54 @@ func buildSide(threads []int, affs []machine.Affinity, at func(int, machine.Affi
 // Measure is one measurement at host level (ht, ha), device level
 // (dt, da), split si and noise trial: bit-identical to HostTime,
 // DeviceTime, HostEnergy and DeviceEnergy on those shares, composed as
-// an offload runtime composes them. ok is false when the model changed
-// since the table was built or a needed level failed; the caller then
-// measures directly. It allocates nothing.
-func (t *LevelTable) Measure(ht, ha, dt, da, si, trial int) (s Sample, ok bool) {
+// an offload runtime composes them. At trial 0 it takes its noise draws
+// from d when d is a cache of t (nil draws them directly). ok is false
+// when the model changed since the table was built or a needed level
+// failed; the caller then measures directly. It allocates nothing.
+func (t *LevelTable) Measure(ht, ha, dt, da, si, trial int, d *Draws) (s Sample, ok bool) {
 	m := t.m
 	hl, dl := ht*len(t.host.affs)+ha, dt*len(t.dev.affs)+da
-	if !t.host.ok[hl] || !t.dev.ok[dl] || m.levelStamp() != t.stamp {
+	if !t.host.ok[hl] || !t.dev.ok[dl] || !t.stamp.matches(m) {
 		return Sample{}, false
+	}
+	if trial != 0 || d == nil || d.t != t {
+		d = nil
 	}
 	host := Assignment{SizeMB: t.hostMB[si], Threads: t.host.threads[ht], Affinity: t.host.affs[ha]}
 	dev := Assignment{SizeMB: t.devMB[si], Threads: t.dev.threads[dt], Affinity: t.dev.affs[da]}
-	noise := func(role int, a Assignment, sigma float64) float64 {
-		if sigma <= 0 {
-			return 1
-		}
-		return noiseFactor(keyTail(t.keys[role][si], a.Threads, a.Affinity, trial), sigma)
-	}
 	if host.SizeMB > 0 {
-		s.HostSec = m.hostSec(host, t.cx, t.host.rate[hl], noise(roleHost, host, m.hostSigma(host.Affinity)))
+		s.HostSec = m.hostSec(host, t.cx, t.host.rate[hl], t.noise(d, roleHost, hl, si, host, trial, m.hostSigma(host.Affinity)))
 	}
 	if dev.SizeMB > 0 {
-		s.DeviceSec = m.deviceSec(dev, t.cx, t.dev.rate[dl], noise(roleDevice, dev, m.Cal.NoiseStdDevice))
+		s.DeviceSec = m.deviceSec(dev, t.cx, t.dev.rate[dl], t.noise(d, roleDevice, dl, si, dev, trial, m.Cal.NoiseStdDevice))
 	}
 	makespan := math.Max(s.HostSec, s.DeviceSec)
 	if !(host.SizeMB <= 0) {
 		e := modeledJoules(m.hostPowerW(t.host.cores[hl], host.Threads, host.Affinity), m.Cal.HostIdleW, s.HostSec, makespan)
-		s.HostJ = e * noise(roleHostEnergy, host, m.Cal.NoiseStdHostPower)
+		s.HostJ = e * t.noise(d, roleHostEnergy, hl, si, host, trial, m.Cal.NoiseStdHostPower)
 	}
 	if !(dev.SizeMB <= 0) {
 		e := modeledJoules(m.devicePowerW(t.dev.cores[dl], dev.Threads), m.Cal.DeviceIdleW, s.DeviceSec, makespan)
-		s.DeviceJ = e * noise(roleDeviceEnergy, dev, m.Cal.NoiseStdDevicePower)
+		s.DeviceJ = e * t.noise(d, roleDeviceEnergy, dl, si, dev, trial, m.Cal.NoiseStdDevicePower)
 	}
 	return s, true
+}
+
+// noise is the factor 1 + sigma*z of role's draw for side assignment a
+// at side level level and split si; d, when non-nil, is a cache of t
+// and trial is 0.
+func (t *LevelTable) noise(d *Draws, role, level, si int, a Assignment, trial int, sigma float64) float64 {
+	if sigma <= 0 {
+		return 1
+	}
+	if d == nil {
+		return noiseFactor(keyTail(t.keys[role][si], a.Threads, a.Affinity, trial), sigma)
+	}
+	w := &d.z[role][level*len(t.hostMB)+si]
+	z := math.Float64frombits(w.Load())
+	if z == 0 {
+		z = clampedNormal(keyTail(t.keys[role][si], a.Threads, a.Affinity, 0))
+		w.Store(math.Float64bits(z))
+	}
+	return scaledNoise(z, sigma)
 }

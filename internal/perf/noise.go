@@ -20,12 +20,23 @@ func (m *Model) noise(role, workload string, a Assignment, trial int, sigma floa
 // (sigma > 0): z is the hash's standard-normal draw clamped to +-3, the
 // factor floored at 0.01.
 func noiseFactor(key uint64, sigma float64) float64 {
+	return scaledNoise(clampedNormal(key), sigma)
+}
+
+// clampedNormal is a key hash's standard-normal draw clamped to +-3.
+func clampedNormal(key uint64) float64 {
 	z := normalFromHash(key)
 	if z > 3 {
 		z = 3
 	} else if z < -3 {
 		z = -3
 	}
+	return z
+}
+
+// scaledNoise is the factor 1 + sigma*z of a clamped draw z, floored
+// at 0.01.
+func scaledNoise(z, sigma float64) float64 {
 	f := 1 + sigma*z
 	if f < 0.01 {
 		f = 0.01

@@ -132,6 +132,24 @@ func procFP(p *machine.Processor) (fp sideFP) {
 	return fp
 }
 
+// matches reports whether fp equals the fingerprint of processor p with
+// the given side constants — what procFP and fingerprint would build —
+// comparing in place instead of building it.
+func (fp *sideFP) matches(p *machine.Processor, smt []float64, gamma, bwEff, overDecay, factorA, factorB float64) bool {
+	if fp.proc != p || fp.smtPtr != firstFloat(smt) || fp.smtLen != len(smt) ||
+		fp.coreScalingExp != gamma || fp.bandwidthEff != bwEff || fp.oversubDecay != overDecay ||
+		fp.factorA != factorA || fp.factorB != factorB {
+		return false
+	}
+	if p == nil {
+		return true // procFP leaves the processor fields zero on both sides
+	}
+	return fp.sockets == p.Sockets && fp.coresPerSocket == p.CoresPerSocket &&
+		fp.threadsPerCore == p.ThreadsPerCore && fp.reservedCores == p.ReservedCores &&
+		fp.affPtr == firstAff(p.Affinities) && fp.affLen == len(p.Affinities) &&
+		fp.memBandwidthGBs == p.MemBandwidthGBs
+}
+
 // fingerprint snapshots every non-key input of the cached computations.
 func (m *Model) fingerprint() tableFP {
 	h := procFP(m.Host)

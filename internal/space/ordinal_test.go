@@ -2,6 +2,7 @@ package space_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"hetopt/internal/scenario"
@@ -33,7 +34,8 @@ func shippedSchemas(t testing.TB) map[string]*space.Schema {
 }
 
 // TestSchemaOrdinalMatchesFlatten: for every configuration of every
-// shipped schema, Ordinal agrees with Flatten(Index(cfg)).
+// shipped schema, Levels returns Index(cfg) and the ordinal
+// Flatten(Index(cfg)).
 func TestSchemaOrdinalMatchesFlatten(t *testing.T) {
 	for name, sc := range shippedSchemas(t) {
 		n := 0
@@ -50,9 +52,8 @@ func TestSchemaOrdinalMatchesFlatten(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			got, ok := sc.Ordinal(cfg)
-			if !ok || got != want {
-				t.Fatalf("%s: Ordinal(%v) = %d, %v; want %d", name, cfg, got, ok, want)
+			if lv, ord, ok := sc.Levels(cfg); !ok || ord != want || !slices.Equal(lv[:], back) {
+				t.Fatalf("%s: Levels(%v) = %v, %d, %v; want %v, %d", name, cfg, lv, ord, ok, back, want)
 			}
 			n++
 			return nil
@@ -67,7 +68,7 @@ func TestSchemaOrdinalMatchesFlatten(t *testing.T) {
 }
 
 // TestSchemaOrdinalRejectsOffGrid: a value that is not one of the
-// schema's levels in any one field makes Ordinal fail, exactly when
+// schema's levels in any one field makes Levels fail, exactly when
 // Index fails.
 func TestSchemaOrdinalRejectsOffGrid(t *testing.T) {
 	sc := space.PaperSchema()
@@ -75,7 +76,7 @@ func TestSchemaOrdinalRejectsOffGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sc.Ordinal(base); !ok {
+	if _, _, ok := sc.Levels(base); !ok {
 		t.Fatalf("on-grid %v rejected", base)
 	}
 	offGrid := []func(c *space.Config){
@@ -95,17 +96,17 @@ func TestSchemaOrdinalRejectsOffGrid(t *testing.T) {
 	for i, mutate := range offGrid {
 		cfg := base
 		mutate(&cfg)
-		if ord, ok := sc.Ordinal(cfg); ok {
+		if _, ord, ok := sc.Levels(cfg); ok {
 			t.Errorf("case %d: off-grid %v accepted as ordinal %d", i, cfg, ord)
 		}
 		if _, err := sc.Index(cfg); err == nil {
-			t.Errorf("case %d: Index accepts %v, Ordinal must too", i, cfg)
+			t.Errorf("case %d: Index accepts %v, Levels must too", i, cfg)
 		}
 	}
-	// Negative zero is the level 0 under ==, for Index and Ordinal alike.
+	// Negative zero is the level 0 under ==, for Index and Levels alike.
 	cfg := base
 	cfg.HostFraction = math.Copysign(0, -1)
-	if _, ok := sc.Ordinal(cfg); !ok {
+	if _, _, ok := sc.Levels(cfg); !ok {
 		t.Error("-0 fraction rejected")
 	}
 }
@@ -126,15 +127,15 @@ func TestSchemaOrdinalOffTableGrid(t *testing.T) {
 			return err
 		}
 		want, _ := sc.Space().Flatten(idx)
-		if got, ok := sc.Ordinal(cfg); !ok || got != want {
-			t.Fatalf("Ordinal(%v) = %d, %v; want %d", cfg, got, ok, want)
+		if _, got, ok := sc.Levels(cfg); !ok || got != want {
+			t.Fatalf("Levels(%v) = %d, %v; want %d", cfg, got, ok, want)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sc.Ordinal(space.Config{HostThreads: 3, HostFraction: 1.0 / 4}); ok {
+	if _, _, ok := sc.Levels(space.Config{HostThreads: 3, HostFraction: 1.0 / 4}); ok {
 		t.Fatal("off-grid fraction accepted on the map path")
 	}
 }
@@ -146,17 +147,17 @@ func TestSchemaOrdinalZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, ok := sc.Ordinal(cfg); !ok {
+		if _, _, ok := sc.Levels(cfg); !ok {
 			t.Fatal("rejected")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Ordinal allocates %g allocs/op, want 0", allocs)
+		t.Fatalf("Levels allocates %g allocs/op, want 0", allocs)
 	}
 }
 
 // FuzzSchemaOrdinal round-trips random index vectors of the Table I
-// schema through Config, Ordinal and Unflatten.
+// schema through Config, Levels and Unflatten.
 func FuzzSchemaOrdinal(f *testing.F) {
 	sc, err := space.NewSchema(space.Table1Spec())
 	if err != nil {
@@ -174,9 +175,9 @@ func FuzzSchemaOrdinal(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ord, ok := sc.Ordinal(cfg)
+		_, ord, ok := sc.Levels(cfg)
 		if !ok {
-			t.Fatalf("Ordinal rejected %v", cfg)
+			t.Fatalf("Levels rejected %v", cfg)
 		}
 		back, err := sc.Space().Unflatten(ord)
 		if err != nil {
@@ -198,7 +199,7 @@ func BenchmarkSchemaOrdinal(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, ok := sc.Ordinal(cfg); !ok {
+		if _, _, ok := sc.Levels(cfg); !ok {
 			b.Fatal("rejected")
 		}
 	}

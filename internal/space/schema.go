@@ -49,7 +49,7 @@ type Schema struct {
 	devAff      []machine.Affinity
 	fractions   []float64
 	// levels maps each parameter's values back to level indices for
-	// Ordinal, in parameter order.
+	// Levels, in parameter order.
 	levels [numParams]levelIndex
 }
 
@@ -187,7 +187,7 @@ func (li *levelIndex) level(v float64) (int, bool) {
 		return 0, false
 	}
 	// The scaled grid can round a nearby off-grid value onto a level;
-	// the exact comparison keeps Ordinal in step with Index.
+	// the exact comparison keeps Levels in step with Index.
 	l := int(li.table[i]) - 1
 	return l, l >= 0 && li.values[l] == v
 }
@@ -285,11 +285,16 @@ func (sc *Schema) Index(cfg Config) ([]int, error) {
 	return idx, nil
 }
 
-// Ordinal returns the mixed-radix ordinal of a configuration — the
-// value Space().Flatten gives its Index vector — without allocating:
-// each field is mapped to its level by a lookup table, not a scan. ok
-// is false when any field is not one of the schema's levels.
-func (sc *Schema) Ordinal(cfg Config) (ord int, ok bool) {
+// Levels is a configuration's level index per parameter, in parameter
+// order: a Space index vector of the schema held in an array.
+type Levels [numParams]int
+
+// Levels returns a configuration's level indices — the values
+// Index(cfg) gives — and its mixed-radix ordinal, the value
+// Space().Flatten gives them, without allocating: each field is mapped
+// to its level by a lookup table, not a scan. ok is false when any
+// field is not one of the schema's levels.
+func (sc *Schema) Levels(cfg Config) (lv Levels, ord int, ok bool) {
 	fields := [numParams]float64{
 		ParamHostThreads:    float64(cfg.HostThreads),
 		ParamHostAffinity:   float64(cfg.HostAffinity),
@@ -300,11 +305,12 @@ func (sc *Schema) Ordinal(cfg Config) (ord int, ok bool) {
 	for i := range fields {
 		l, ok := sc.levels[i].level(fields[i])
 		if !ok {
-			return 0, false
+			return Levels{}, 0, false
 		}
+		lv[i] = l
 		ord = ord*len(sc.levels[i].values) + l
 	}
-	return ord, true
+	return lv, ord, true
 }
 
 // HostThreadValues returns the host thread levels (copy).
