@@ -12,9 +12,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
-	"hetopt"
+	"hetopt/internal/dna"
 )
 
 func main() {
@@ -35,20 +36,23 @@ func main() {
 }
 
 func run(genomeName string, sizeMB float64, seed uint64, out, plant string, interval int) error {
-	genome, err := hetopt.GenomeByName(genomeName)
+	genome, err := dna.GenomeByName(genomeName)
 	if err != nil {
 		return err
 	}
-	if sizeMB <= 0 {
-		return fmt.Errorf("size must be positive, got %g", sizeMB)
+	// Negated so that NaN fails too: the base count must be at least one
+	// and fit in an int before anything is allocated.
+	bases := sizeMB * (1 << 20)
+	if !(bases >= 1 && bases < math.MaxInt) {
+		return fmt.Errorf("size must be a finite positive number of MiB whose base count fits in an int, got %g", sizeMB)
 	}
-	gen := hetopt.NewGenerator(genome, seed)
+	gen := dna.NewGenerator(genome, seed)
 	if plant != "" {
 		if _, err := gen.WithPlantedMotif(plant, interval); err != nil {
 			return err
 		}
 	}
-	n := int(sizeMB * (1 << 20))
+	n := int(bases)
 	seq := gen.Generate(n)
 
 	w := os.Stdout
@@ -61,7 +65,7 @@ func run(genomeName string, sizeMB float64, seed uint64, out, plant string, inte
 		w = f
 	}
 	header := fmt.Sprintf("synthetic %s GC=%.2f seed=%d size=%d", genome.Name, genome.GC, seed, n)
-	if err := hetopt.WriteFASTA(w, header, seq); err != nil {
+	if err := dna.WriteFASTA(w, header, seq); err != nil {
 		return err
 	}
 	if plant != "" {

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
-	"hetopt"
+	"hetopt/internal/dna"
 )
 
 func TestRunWritesValidFASTA(t *testing.T) {
@@ -19,7 +21,7 @@ func TestRunWritesValidFASTA(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	records, err := hetopt.ReadFASTA(f)
+	records, err := dna.ReadFASTA(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,5 +63,27 @@ func TestRunValidation(t *testing.T) {
 	}
 	if err := run("human", 0.01, 7, "", "ACGT", 2); err == nil {
 		t.Error("tiny plant interval should fail")
+	}
+}
+
+// TestRunRejectsUnallocatableSizes: a size that is not finite, or whose
+// base count does not fit in a positive int, fails before the sequence
+// is allocated instead of panicking in makeslice.
+func TestRunRejectsUnallocatableSizes(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "seq.fa")
+	for _, size := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e13, -1, 1e-9} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := run("human", size, 7, out, "", 0)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "size") {
+			t.Errorf("size %g: err = %v, want a size error", size, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+			t.Errorf("size %g: allocated %d bytes before rejecting it", size, grew)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("size %g: output file created (stat err %v)", size, err)
+		}
 	}
 }

@@ -20,29 +20,30 @@ import (
 	"strings"
 	"time"
 
-	"hetopt"
+	"hetopt/internal/core"
 	"hetopt/internal/experiments"
+	"hetopt/internal/scenario"
 	"hetopt/internal/strategy"
 )
 
 func main() {
 	var (
-		out      = flag.String("out", "", "output file (empty = stdout)")
-		ablate   = flag.Bool("ablate", false, "include ablation and extension studies")
-		repeats  = flag.Int("repeats", 7, "SA seeds averaged per table cell")
-		seed     = flag.Int64("seed", 1, "base random seed")
-		jsonMode = flag.Bool("json", false, "emit the machine-readable JSON report instead of text")
-		parallel = flag.Int("parallel", 0, "search worker count (0 = all CPUs); the report is identical at any level")
-		strategy = flag.String("strategy", "auto", "search strategy injected into every method run: auto (method presets), anneal, exhaustive, exact, genetic, tabu, local, random or portfolio")
-		workload = flag.String("workload", "dna:human", `registered workload the report runs on: a family ("spmv"), a preset ("stencil:large"), or a genome name`)
-		platform = flag.String("platform", "paper", "registered platform spec: paper, gpu-like or edge")
-		prove    = flag.Bool("prove", false, "with -strategy exact: exhaust the branch-and-bound tree in every injected run, certifying each optimum")
-		poolSize = flag.Int("pool-size", 0, fmt.Sprintf("with -strategy exact: diverse solution pool size per run (max %d)", hetopt.MaxPoolSize))
-		poolGap  = flag.Float64("pool-gap", 0, fmt.Sprintf("with -strategy exact: relative objective gap admitting pool members (0 selects the default %g)", hetopt.DefaultPoolGap))
+		out       = flag.String("out", "", "output file (empty = stdout)")
+		ablate    = flag.Bool("ablate", false, "include ablation and extension studies")
+		repeats   = flag.Int("repeats", 7, "SA seeds averaged per table cell")
+		seed      = flag.Int64("seed", 1, "base random seed")
+		jsonMode  = flag.Bool("json", false, "emit the machine-readable JSON report instead of text")
+		parallel  = flag.Int("parallel", 0, "search worker count (0 = all CPUs); the report is identical at any level")
+		stratName = flag.String("strategy", "auto", "search strategy injected into every method run: auto (method presets), anneal, exhaustive, exact, genetic, tabu, local, random or portfolio")
+		workload  = flag.String("workload", "dna:human", `registered workload the report runs on: a family ("spmv"), a preset ("stencil:large"), or a genome name`)
+		platform  = flag.String("platform", "paper", "registered platform spec: paper, gpu-like or edge")
+		prove     = flag.Bool("prove", false, "with -strategy exact: exhaust the branch-and-bound tree in every injected run, certifying each optimum")
+		poolSize  = flag.Int("pool-size", 0, fmt.Sprintf("with -strategy exact: diverse solution pool size per run (max %d)", strategy.MaxPoolSize))
+		poolGap   = flag.Float64("pool-gap", 0, fmt.Sprintf("with -strategy exact: relative objective gap admitting pool members (0 selects the default %g)", strategy.DefaultPoolGap))
 	)
 	flag.Parse()
 
-	if err := validate(*repeats, *parallel, *strategy, *workload, *platform, *prove, *poolSize, *poolGap); err != nil {
+	if err := validate(*repeats, *parallel, *stratName, *workload, *platform, *prove, *poolSize, *poolGap); err != nil {
 		fmt.Fprintln(os.Stderr, "hetbench:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -51,7 +52,7 @@ func main() {
 		*parallel = runtime.GOMAXPROCS(0)
 	}
 	knobs := exactKnobs{prove: *prove, poolSize: *poolSize, poolGap: *poolGap}
-	if err := run(*out, *ablate, *repeats, *seed, *jsonMode, *parallel, *strategy, *workload, *platform, knobs); err != nil {
+	if err := run(*out, *ablate, *repeats, *seed, *jsonMode, *parallel, *stratName, *workload, *platform, knobs); err != nil {
 		fmt.Fprintln(os.Stderr, "hetbench:", err)
 		os.Exit(1)
 	}
@@ -66,30 +67,30 @@ type exactKnobs struct {
 
 // validate rejects out-of-range flags before any work, so the user gets
 // a usage error instead of a silently clamped report.
-func validate(repeats, parallel int, strategy, workload, platform string, prove bool, poolSize int, poolGap float64) error {
+func validate(repeats, parallel int, strategyName, workload, platform string, prove bool, poolSize int, poolGap float64) error {
 	if repeats < 1 {
 		return fmt.Errorf("-repeats must be >= 1, got %d", repeats)
 	}
 	if parallel < 0 {
 		return fmt.Errorf("-parallel must be >= 0 (0 = all CPUs), got %d", parallel)
 	}
-	if _, err := hetopt.ParseStrategy(strategy); err != nil {
+	if _, err := core.ParseStrategy(strategyName); err != nil {
 		return fmt.Errorf("-strategy must be auto or one of %s, got %q",
-			strings.Join(hetopt.StrategyNames(), ", "), strategy)
+			strings.Join(strategy.Names(), ", "), strategyName)
 	}
-	if poolSize < 0 || poolSize > hetopt.MaxPoolSize {
-		return fmt.Errorf("-pool-size must be in [0,%d], got %d", hetopt.MaxPoolSize, poolSize)
+	if poolSize < 0 || poolSize > strategy.MaxPoolSize {
+		return fmt.Errorf("-pool-size must be in [0,%d], got %d", strategy.MaxPoolSize, poolSize)
 	}
 	if poolGap < 0 {
 		return fmt.Errorf("-pool-gap must be >= 0, got %g", poolGap)
 	}
-	if (prove || poolSize != 0 || poolGap != 0) && strategy != "exact" {
-		return fmt.Errorf("-prove, -pool-size and -pool-gap require -strategy exact, got -strategy %q", strategy)
+	if (prove || poolSize != 0 || poolGap != 0) && strategyName != "exact" {
+		return fmt.Errorf("-prove, -pool-size and -pool-gap require -strategy exact, got -strategy %q", strategyName)
 	}
-	if _, err := hetopt.ScenarioWorkload(workloadOrDefault(workload)); err != nil {
+	if _, err := scenario.ResolveWorkload(workloadOrDefault(workload)); err != nil {
 		return fmt.Errorf("-workload: %v", err)
 	}
-	if _, err := hetopt.ScenarioPlatformByName(platformOrDefault(platform)); err != nil {
+	if _, err := scenario.PlatformByName(platformOrDefault(platform)); err != nil {
 		return fmt.Errorf("-platform: %v", err)
 	}
 	return nil
@@ -125,7 +126,7 @@ func run(out string, ablate bool, repeats int, seed int64, jsonMode bool, parall
 		w = f
 	}
 
-	sc, err := hetopt.ScenarioLookup(platformOrDefault(platform), workloadOrDefault(workload))
+	sc, err := scenario.Lookup(platformOrDefault(platform), workloadOrDefault(workload))
 	if err != nil {
 		return err
 	}
@@ -150,7 +151,7 @@ func run(out string, ablate bool, repeats int, seed int64, jsonMode bool, parall
 	suite.Repeats = repeats
 	suite.Seed = seed
 	suite.Parallelism = parallel
-	if strat, err := hetopt.ParseStrategy(strategyName); err != nil {
+	if strat, err := core.ParseStrategy(strategyName); err != nil {
 		return err
 	} else if strat != nil {
 		suite.Strategy = strategy.WithExactKnobs(strat, knobs.prove, knobs.poolSize, knobs.poolGap)

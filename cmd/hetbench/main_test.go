@@ -1,12 +1,12 @@
 package main
 
 import (
-	"hetopt"
-
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hetopt/internal/scenario"
 )
 
 func TestRunWritesCompleteReport(t *testing.T) {
@@ -95,12 +95,12 @@ func TestRunJSONMode(t *testing.T) {
 // TestScenarioFlagsRoundTripRegistry: every registered scenario name is
 // accepted by the -workload/-platform validation.
 func TestScenarioFlagsRoundTripRegistry(t *testing.T) {
-	for _, name := range hetopt.Scenarios().WorkloadNames() {
+	for _, name := range scenario.Default().WorkloadNames() {
 		if err := validate(1, 0, "auto", name, "", false, 0, 0); err != nil {
 			t.Errorf("registered workload %q rejected: %v", name, err)
 		}
 	}
-	for _, name := range hetopt.Scenarios().PlatformNames() {
+	for _, name := range scenario.Default().PlatformNames() {
 		if err := validate(1, 0, "auto", "", name, false, 0, 0); err != nil {
 			t.Errorf("registered platform %q rejected: %v", name, err)
 		}

@@ -1,13 +1,15 @@
 package main
 
 import (
-	"hetopt"
-
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"hetopt/internal/core"
+	"hetopt/internal/scenario"
+	"hetopt/internal/strategy"
 )
 
 // base returns the default parameters of one CLI run, mirroring the flag
@@ -145,7 +147,7 @@ func TestRunModelCache(t *testing.T) {
 // advertises is accepted by the -workload/-platform flag validation,
 // and unknown names are rejected with an actionable error.
 func TestFlagsRoundTripRegistry(t *testing.T) {
-	for _, name := range hetopt.Scenarios().WorkloadNames() {
+	for _, name := range scenario.Default().WorkloadNames() {
 		p := base()
 		p.genome = ""
 		p.workload = name
@@ -153,7 +155,7 @@ func TestFlagsRoundTripRegistry(t *testing.T) {
 			t.Errorf("registered workload %q rejected: %v", name, err)
 		}
 	}
-	for _, name := range hetopt.Scenarios().PlatformNames() {
+	for _, name := range scenario.Default().PlatformNames() {
 		p := base()
 		p.platform = name
 		if err := p.validate(); err != nil {
@@ -180,16 +182,16 @@ func TestFlagsRoundTripRegistry(t *testing.T) {
 	}
 }
 
-// TestStrategyNamesStayInSync: every name StrategyNames advertises —
+// TestStrategyNamesStayInSync: every name strategy.Names advertises —
 // the listing the -strategy usage error prints — parses back to a
 // strategy answering to that name, and the exact strategy is among
 // them. A strategy added to the registry can never be missing from the
 // CLI's did-you-mean listing, and vice versa.
 func TestStrategyNamesStayInSync(t *testing.T) {
-	names := hetopt.StrategyNames()
+	names := strategy.Names()
 	sawExact := false
 	for _, name := range names {
-		strat, err := hetopt.ParseStrategy(name)
+		strat, err := core.ParseStrategy(name)
 		if err != nil {
 			t.Errorf("advertised strategy %q does not parse: %v", name, err)
 			continue

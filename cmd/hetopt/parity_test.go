@@ -7,12 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"hetopt/internal/core"
 	"hetopt/internal/serve"
 )
 
@@ -136,7 +136,14 @@ func TestModelCacheKeyedByTrainPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.SaveModelsFile(models, cache); err != nil {
+	f, err := os.Create(cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := models.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	run(spmv, false)

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"hetopt/internal/core"
 	"hetopt/internal/serve"
 )
 
@@ -70,15 +71,14 @@ func TestTunerAnswersWhatServeAnswers(t *testing.T) {
 	runner := serve.NewRunner(nil, nil)
 	for _, tc := range []struct {
 		name  string
-		req   TuneRequest
+		req   serve.TuneRequest
 		tuner *Tuner
 		w     Workload
 	}{
-		{"paper-human-saml", TuneRequest{Method: "saml"}, paper, human},
-		{"paper-human-eml", TuneRequest{Method: "eml"}, paper, human},
-		{"paper-human-sam", TuneRequest{Method: "sam"}, paper, human},
-		{"paper-human-sam-bounded", TuneRequest{Method: "sam", Objective: "bounded", Slack: 0.1}, paper, human},
-		{"gpu-like-spmv-saml", TuneRequest{Platform: "gpu-like", Workload: "spmv", Method: "saml"}, gpu, spmv},
+		{"paper-human-saml", serve.TuneRequest{Method: "saml"}, paper, human},
+		{"paper-human-eml", serve.TuneRequest{Method: "eml"}, paper, human},
+		{"paper-human-sam", serve.TuneRequest{Method: "sam"}, paper, human},
+		{"gpu-like-spmv-saml", serve.TuneRequest{Platform: "gpu-like", Workload: "spmv", Method: "saml"}, gpu, spmv},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.req.Seed, tc.req.Iterations = 1, 1000
@@ -90,17 +90,11 @@ func TestTunerAnswersWhatServeAnswers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := ParseMethod(req.Method)
+			m, err := core.ParseMethod(req.Method)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt := Options{Iterations: req.Iterations, Seed: req.Seed}
-			var res Result
-			if req.Objective == "bounded" {
-				_, res, err = tc.tuner.TuneWithTimeSlack(tc.w, m, opt, req.Slack)
-			} else {
-				res, err = tc.tuner.Tune(tc.w, m, opt)
-			}
+			res, err := tc.tuner.Tune(tc.w, m, Options{Iterations: req.Iterations, Seed: req.Seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,23 +124,16 @@ func TestTunerRequiresTrainingForML(t *testing.T) {
 }
 
 func TestFacadeHelpers(t *testing.T) {
-	if len(Genomes()) != 4 {
-		t.Error("Genomes() should return 4 genomes")
+	for i, g := range []Genome{Human, Mouse, Cat, Dog} {
+		if want := []string{"human", "mouse", "cat", "dog"}[i]; g.Name != want {
+			t.Errorf("genome %d = %q, want %q", i, g.Name, want)
+		}
 	}
-	g, err := GenomeByName("dog")
-	if err != nil || g.Name != "dog" {
-		t.Fatalf("GenomeByName: %v %v", g, err)
+	if size := NewTuner().Schema.Size(); size != 19926 {
+		t.Errorf("paper schema size = %d, want 19926", size)
 	}
-	m, err := ParseMethod("saml")
-	if err != nil || m != SAML {
-		t.Fatalf("ParseMethod: %v %v", m, err)
-	}
-	a, err := ParseAffinity("balanced")
-	if err != nil || a != AffinityBalanced {
-		t.Fatalf("ParseAffinity: %v %v", a, err)
-	}
-	if PaperSchema().Size() != 19926 {
-		t.Error("paper schema size wrong")
+	if len(DefaultMotifs()) == 0 {
+		t.Error("DefaultMotifs() is empty")
 	}
 }
 
@@ -160,11 +147,7 @@ func TestFacadeMatchingPipeline(t *testing.T) {
 	if d.CountMatches(text) == 0 {
 		t.Error("default motifs should occur in 64 KiB of synthetic DNA")
 	}
-	re, err := CompilePattern("GT(A|G)AGT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := re.Validate(); err != nil {
+	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -205,35 +188,5 @@ func TestCustomSchema(t *testing.T) {
 	}
 	if sc.Size() != 2*1*1*1*3 {
 		t.Fatalf("custom schema size = %d", sc.Size())
-	}
-}
-
-func TestTunerTuneAndRefine(t *testing.T) {
-	tu := sharedTuner(t)
-	saml, refined, err := tu.TuneAndRefine(GenomeWorkload(Dog),
-		Options{Iterations: 400, Seed: 9},
-		RefineOptions{MeasureBudget: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refined.MeasuredE > saml.MeasuredE() {
-		t.Fatalf("refinement worsened the suggestion: %g -> %g", saml.MeasuredE(), refined.MeasuredE)
-	}
-	if refined.Measurements > 40 {
-		t.Fatalf("budget exceeded: %d", refined.Measurements)
-	}
-}
-
-func TestBothStrandsFacade(t *testing.T) {
-	d, err := CompileMotifsBothStrands([]Motif{{Name: "tata", Pattern: "TATAAA"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.CountMatches([]byte("TTTATA")); got != 1 {
-		t.Fatalf("reverse strand count = %d", got)
-	}
-	rc := ReverseComplement([]byte("AACG"))
-	if string(rc) != "CGTT" {
-		t.Fatalf("rc = %s", rc)
 	}
 }

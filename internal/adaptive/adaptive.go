@@ -5,7 +5,7 @@
 //
 // SAML's residual gap to the EM optimum (Table VI: ~10% at 1000
 // iterations) comes from prediction error: the predicted optimum is near,
-// but not at, the measured optimum. Refine spends a few dozen real
+// but not at, the measured optimum. refine spends a few dozen real
 // experiments hill-climbing from SAML's suggestion under measurement,
 // closing most of that gap at a tiny fraction of EM's 19,926
 // experiments.
@@ -20,7 +20,7 @@ import (
 	"hetopt/internal/space"
 )
 
-// Options configures Refine.
+// Options configures refine.
 type Options struct {
 	// MeasureBudget caps the number of real measurements spent on
 	// refinement. Zero selects 48.
@@ -79,13 +79,13 @@ func (r Result) Improvement() float64 {
 	return (r.StartE - r.MeasuredE) / r.StartE
 }
 
-// Refine measures the seed configuration and improves it under real
+// refine measures the seed configuration and improves it under real
 // measurements. It hill-climbs: each round evaluates the
 // one-step neighbors (adjacent levels for ordered parameters, all
 // alternatives for categorical ones) of the incumbent and moves to the
 // best improvement, stopping at a local measured optimum, the
 // measurement budget, or the round cap.
-func Refine(inst *core.Instance, seed space.Config, opt Options) (Result, error) {
+func refine(inst *core.Instance, seed space.Config, opt Options) (Result, error) {
 	if err := inst.Validate(core.EM); err != nil {
 		return Result{}, err
 	}
@@ -219,7 +219,7 @@ func Refine(inst *core.Instance, seed space.Config, opt Options) (Result, error)
 }
 
 // TuneAndRefine is the adaptive workload-aware pipeline: SAML proposes a
-// configuration from predictions (one real experiment), then Refine
+// configuration from predictions (one real experiment), then refine
 // spends the measurement budget improving it. The total experiment count
 // stays two orders of magnitude below enumeration. When refineOpt leaves
 // Objective nil, refinement inherits the objective of the SAML search so
@@ -232,7 +232,7 @@ func TuneAndRefine(inst *core.Instance, samlOpt core.Options, refineOpt Options)
 	if refineOpt.Objective == nil {
 		refineOpt.Objective = samlOpt.Objective
 	}
-	refined, err := Refine(inst, saml.Config, refineOpt)
+	refined, err := refine(inst, saml.Config, refineOpt)
 	if err != nil {
 		return core.Result{}, Result{}, err
 	}

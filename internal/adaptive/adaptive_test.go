@@ -45,7 +45,7 @@ func seedConfig() space.Config {
 
 func TestRefineImprovesPoorSeed(t *testing.T) {
 	inst := fixture(t, dna.Human)
-	res, err := Refine(inst, seedConfig(), Options{MeasureBudget: 120})
+	res, err := refine(inst, seedConfig(), Options{MeasureBudget: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestRefineImprovesPoorSeed(t *testing.T) {
 func TestRefineRespectsBudget(t *testing.T) {
 	inst := fixture(t, dna.Cat)
 	inst.Measurer.ResetCount()
-	res, err := Refine(inst, seedConfig(), Options{MeasureBudget: 10})
+	res, err := refine(inst, seedConfig(), Options{MeasureBudget: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,14 +80,14 @@ func TestRefineRespectsBudget(t *testing.T) {
 
 func TestRefineStopsAtLocalOptimum(t *testing.T) {
 	inst := fixture(t, dna.Dog)
-	// Refine twice: the second run from the first result must make no
+	// refine twice: the second run from the first result must make no
 	// further progress (it is already a measured local optimum) as long
 	// as the budget was not the binding constraint.
-	first, err := Refine(inst, seedConfig(), Options{MeasureBudget: 500, MaxRounds: 50})
+	first, err := refine(inst, seedConfig(), Options{MeasureBudget: 500, MaxRounds: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := Refine(inst, first.Config, Options{MeasureBudget: 500, MaxRounds: 50})
+	second, err := refine(inst, first.Config, Options{MeasureBudget: 500, MaxRounds: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRefineRejectsForeignSeed(t *testing.T) {
 	inst := fixture(t, dna.Human)
 	bad := seedConfig()
 	bad.HostThreads = 7 // not a schema level
-	if _, err := Refine(inst, bad, Options{}); err == nil {
+	if _, err := refine(inst, bad, Options{}); err == nil {
 		t.Fatal("foreign seed should fail")
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // measureInstance builds a measurement-only instance over the paper
-// space (Refine never needs the predictor).
+// space (refine never needs the predictor).
 func measureInstance(g dna.Genome) *core.Instance {
 	platform := offload.NewPlatform()
 	w := offload.GenomeWorkload(g)
@@ -27,7 +27,7 @@ func measureInstance(g dna.Genome) *core.Instance {
 // values, not makespans.
 func TestRefineUnderEnergyObjective(t *testing.T) {
 	inst := measureInstance(dna.Human)
-	res, err := Refine(inst, seedConfig(), Options{
+	res, err := refine(inst, seedConfig(), Options{
 		MeasureBudget: 200,
 		Objective:     core.EnergyObjective{},
 	})
@@ -59,7 +59,7 @@ func TestRefineObjectiveDeterministicAcrossParallelism(t *testing.T) {
 	var want Result
 	for i, p := range []int{1, 4, 8} {
 		inst := measureInstance(dna.Human)
-		res, err := Refine(inst, seedConfig(), Options{
+		res, err := refine(inst, seedConfig(), Options{
 			MeasureBudget: 150,
 			Parallelism:   p,
 			Objective:     core.WeightedSumObjective{Alpha: 0.5},

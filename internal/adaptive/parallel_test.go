@@ -14,12 +14,12 @@ import (
 // parallelism level.
 func TestRefineParallelMatchesSequential(t *testing.T) {
 	inst := fixture(t, dna.Human)
-	seq, err := Refine(inst, seedConfig(), Options{MeasureBudget: 60})
+	seq, err := refine(inst, seedConfig(), Options{MeasureBudget: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 8} {
-		par, err := Refine(inst, seedConfig(), Options{MeasureBudget: 60, Parallelism: p})
+		par, err := refine(inst, seedConfig(), Options{MeasureBudget: 60, Parallelism: p})
 		if err != nil {
 			t.Fatal(err)
 		}

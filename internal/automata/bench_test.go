@@ -20,16 +20,6 @@ func BenchmarkCompileMotifs(b *testing.B) {
 	}
 }
 
-func BenchmarkCompileMotifsBothStrands(b *testing.B) {
-	b.ReportAllocs()
-	set := dna.DefaultMotifs()
-	for i := 0; i < b.N; i++ {
-		if _, err := CompileMotifsBothStrands(set); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCompilePattern(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -1,10 +1,6 @@
 package automata
 
-import (
-	"fmt"
-
-	"hetopt/internal/dna"
-)
+import "hetopt/internal/dna"
 
 // Match is one match event: the end position of an occurrence in the
 // scanned text and the number of motifs ending there.
@@ -36,28 +32,4 @@ func (d *DFA) Scan(state int32, base int64, text []byte, fn func(Match) bool) in
 		}
 	}
 	return state
-}
-
-// CompileMotifsBothStrands builds an Aho-Corasick automaton matching each
-// motif on both DNA strands: the motif itself and its reverse complement.
-// Palindromic motifs (reverse complement equal to the motif, like EcoRI's
-// GAATTC) are added once, so a palindromic site is counted once per
-// position rather than twice.
-func CompileMotifsBothStrands(motifs []dna.Motif) (*DFA, error) {
-	var expanded []dna.Motif
-	for _, m := range motifs {
-		if err := m.Validate(); err != nil {
-			return nil, err
-		}
-		expanded = append(expanded, m)
-		rc, err := dna.ReverseComplementPattern(m.Pattern)
-		if err != nil {
-			return nil, fmt.Errorf("automata: motif %q: %w", m.Name, err)
-		}
-		if rc == m.Pattern {
-			continue // palindrome: one strand's automaton already covers both
-		}
-		expanded = append(expanded, dna.Motif{Name: m.Name + "(rc)", Pattern: rc})
-	}
-	return CompileMotifs(expanded)
 }

@@ -108,50 +108,3 @@ func TestScanCountsAgreeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestBothStrandsFindsReverseComplement(t *testing.T) {
-	// TATAAA's reverse complement is TTTATA.
-	d, err := CompileMotifsBothStrands([]dna.Motif{{Name: "tata", Pattern: "TATAAA"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.CountMatches([]byte("ccTATAAAcc")); got != 1 {
-		t.Fatalf("forward count = %d", got)
-	}
-	if got := d.CountMatches([]byte("ccTTTATAcc")); got != 1 {
-		t.Fatalf("reverse-strand count = %d", got)
-	}
-}
-
-func TestBothStrandsPalindromeCountedOnce(t *testing.T) {
-	// GAATTC is its own reverse complement (EcoRI site).
-	d, err := CompileMotifsBothStrands([]dna.Motif{{Name: "EcoRI", Pattern: "GAATTC"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.CountMatches([]byte("GAATTC")); got != 1 {
-		t.Fatalf("palindromic site counted %d times, want 1", got)
-	}
-}
-
-func TestBothStrandsIUPAC(t *testing.T) {
-	// GTRAGT (R = A|G) reverse complement is ACTYAC (Y = C|T).
-	d, err := CompileMotifsBothStrands([]dna.Motif{{Name: "donor", Pattern: "GTRAGT"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, hit := range []string{"GTAAGT", "GTGAGT", "ACTCAC", "ACTTAC"} {
-		if got := d.CountMatches([]byte(hit)); got != 1 {
-			t.Errorf("%s counted %d times, want 1", hit, got)
-		}
-	}
-	if got := d.CountMatches([]byte("GTCAGT")); got != 0 {
-		t.Errorf("non-matching strand variant counted %d times", got)
-	}
-}
-
-func TestBothStrandsValidation(t *testing.T) {
-	if _, err := CompileMotifsBothStrands([]dna.Motif{{Name: "bad", Pattern: ""}}); err == nil {
-		t.Fatal("empty motif should fail")
-	}
-}

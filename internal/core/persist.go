@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 
 	"hetopt/internal/ml"
 )
@@ -124,27 +123,4 @@ func LoadModels(r io.Reader) (*Models, error) {
 		HostReport:   SideReport{Eval: fromSavedEval(header.HostEval)},
 		DeviceReport: SideReport{Eval: fromSavedEval(header.DeviceEval)},
 	}, nil
-}
-
-// SaveModelsFile and LoadModelsFile are file-path conveniences.
-func SaveModelsFile(m *Models, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("core: creating model file: %w", err)
-	}
-	if err := m.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadModelsFile loads a model bundle from a file.
-func LoadModelsFile(path string) (*Models, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: opening model file: %w", err)
-	}
-	defer f.Close()
-	return LoadModels(f)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
-	"path/filepath"
 	"testing"
 
 	"hetopt/internal/dna"
@@ -89,25 +88,6 @@ func TestLoadedModelsDriveOptimization(t *testing.T) {
 	}
 	if res.MeasuredE() <= 0 {
 		t.Fatal("loaded models produced an unusable run")
-	}
-}
-
-func TestModelsFileHelpers(t *testing.T) {
-	platform := offload.NewPlatform()
-	orig := testModels(t, platform)
-	path := filepath.Join(t.TempDir(), "models.gob")
-	if err := SaveModelsFile(orig, path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadModelsFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.DeviceReport.Eval.MeanPercentError != orig.DeviceReport.Eval.MeanPercentError {
-		t.Fatal("file round trip lost accuracy numbers")
-	}
-	if _, err := LoadModelsFile(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
-		t.Error("missing file should fail")
 	}
 }
 

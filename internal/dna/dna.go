@@ -86,57 +86,6 @@ func ExpandIUPAC(b byte) ([]uint8, error) {
 	return set, nil
 }
 
-// iupacComplement maps every IUPAC code to its complement (the code
-// denoting the complements of the bases it denotes).
-var iupacComplement = map[byte]byte{
-	'A': 'T', 'T': 'A', 'U': 'A', 'C': 'G', 'G': 'C',
-	'R': 'Y', 'Y': 'R', 'S': 'S', 'W': 'W', 'K': 'M', 'M': 'K',
-	'B': 'V', 'V': 'B', 'D': 'H', 'H': 'D', 'N': 'N',
-}
-
-// Complement returns the IUPAC complement of a nucleotide code (either
-// case; the result is upper case). It fails for non-IUPAC bytes.
-func Complement(b byte) (byte, error) {
-	up := b
-	if up >= 'a' && up <= 'z' {
-		up -= 'a' - 'A'
-	}
-	c, ok := iupacComplement[up]
-	if !ok {
-		return 0, fmt.Errorf("dna: %q has no complement (not an IUPAC code)", string(b))
-	}
-	return c, nil
-}
-
-// ReverseComplementPattern returns the reverse complement of a motif
-// pattern (IUPAC codes allowed): the pattern matching the other DNA
-// strand.
-func ReverseComplementPattern(pattern string) (string, error) {
-	out := make([]byte, len(pattern))
-	for i := 0; i < len(pattern); i++ {
-		c, err := Complement(pattern[i])
-		if err != nil {
-			return "", err
-		}
-		out[len(pattern)-1-i] = c
-	}
-	return string(out), nil
-}
-
-// ReverseComplement returns the reverse complement of a concrete ACGT
-// sequence; bytes outside IUPAC map to 'N'.
-func ReverseComplement(seq []byte) []byte {
-	out := make([]byte, len(seq))
-	for i := 0; i < len(seq); i++ {
-		c, err := Complement(seq[i])
-		if err != nil {
-			c = 'N'
-		}
-		out[len(seq)-1-i] = c
-	}
-	return out
-}
-
 // Genome describes one of the evaluation inputs.
 type Genome struct {
 	// Name is the organism, e.g. "human".

@@ -9,7 +9,7 @@ import (
 
 func BenchmarkSimulate(b *testing.B) {
 	b.ReportAllocs()
-	s := NewScheduler()
+	s := paperScheduler()
 	w := offload.GenomeWorkload(dna.Human)
 	cfg := fullConfig(64)
 	b.ResetTimer()

@@ -43,11 +43,6 @@ type Scheduler struct {
 // pragma invocation, signalling).
 const perChunkLaunchSec = 0.004
 
-// NewScheduler wraps the paper platform's model.
-func NewScheduler() *Scheduler {
-	return &Scheduler{Model: perf.NewPaperModel()}
-}
-
 // Result reports a simulated dynamic run.
 type Result struct {
 	// Makespan is the completion time of the last chunk.

@@ -8,7 +8,11 @@ import (
 	"hetopt/internal/dna"
 	"hetopt/internal/machine"
 	"hetopt/internal/offload"
+	"hetopt/internal/perf"
 )
+
+// paperScheduler simulates on the paper platform's model.
+func paperScheduler() *Scheduler { return &Scheduler{Model: perf.NewPaperModel()} }
 
 func fullConfig(chunkMB float64) Config {
 	return Config{
@@ -19,7 +23,7 @@ func fullConfig(chunkMB float64) Config {
 }
 
 func TestSimulateBasics(t *testing.T) {
-	s := NewScheduler()
+	s := paperScheduler()
 	w := offload.GenomeWorkload(dna.Human)
 	res, err := s.Simulate(w, fullConfig(64))
 	if err != nil {
@@ -41,7 +45,7 @@ func TestSimulateBasics(t *testing.T) {
 }
 
 func TestSimulateValidation(t *testing.T) {
-	s := NewScheduler()
+	s := paperScheduler()
 	w := offload.GenomeWorkload(dna.Human)
 	if _, err := s.Simulate(w, fullConfig(0)); err == nil {
 		t.Error("zero chunk should fail")
@@ -57,7 +61,7 @@ func TestSimulateValidation(t *testing.T) {
 }
 
 func TestTinyChunksPayOverhead(t *testing.T) {
-	s := NewScheduler()
+	s := paperScheduler()
 	w := offload.GenomeWorkload(dna.Human)
 	small, err := s.Simulate(w, fullConfig(1))
 	if err != nil {
@@ -73,7 +77,7 @@ func TestTinyChunksPayOverhead(t *testing.T) {
 }
 
 func TestHugeChunksLoadImbalance(t *testing.T) {
-	s := NewScheduler()
+	s := paperScheduler()
 	w := offload.GenomeWorkload(dna.Human)
 	// Chunk = whole input: one side does everything.
 	huge, err := s.Simulate(w, fullConfig(w.SizeMB))
@@ -96,7 +100,7 @@ func TestDynamicTracksStaticOptimum(t *testing.T) {
 	// With a sensible chunk size, dynamic self-scheduling must land in
 	// the same ballpark as the noiseless static optimum (it load-balances
 	// by construction) and must beat host-only execution.
-	s := NewScheduler()
+	s := paperScheduler()
 	s.Model.Cal.NoiseStdHost = 0
 	s.Model.Cal.NoiseStdDevice = 0
 	w := offload.GenomeWorkload(dna.Human)
@@ -121,7 +125,7 @@ func TestDynamicTracksStaticOptimum(t *testing.T) {
 }
 
 func TestFewHostThreadsShiftShare(t *testing.T) {
-	s := NewScheduler()
+	s := paperScheduler()
 	w := offload.GenomeWorkload(dna.Human)
 	cfg := fullConfig(64)
 	full, err := s.Simulate(w, cfg)
@@ -141,7 +145,7 @@ func TestFewHostThreadsShiftShare(t *testing.T) {
 // Property: chunks are conserved and busy times never exceed the
 // makespan.
 func TestConservationProperty(t *testing.T) {
-	s := NewScheduler()
+	s := paperScheduler()
 	w := offload.GenomeWorkload(dna.Cat)
 	f := func(chunkRaw uint16, hostIdx, devIdx uint8) bool {
 		chunk := float64(chunkRaw%1000) + 1

@@ -231,19 +231,3 @@ func Tune(sim *Sim, strat strategy.Strategy, opt strategy.Options) (Result, erro
 		Pool:          res.Pool,
 	}, nil
 }
-
-// ParsePlacement decodes the canonical 'h'/'d' placement string.
-func ParsePlacement(s string) ([]int, error) {
-	out := make([]int, len(s))
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case 'h':
-			out[i] = SideHost
-		case 'd':
-			out[i] = SideDevice
-		default:
-			return nil, fmt.Errorf("graph: placement %q has invalid side %q at %d", s, s[i], i)
-		}
-	}
-	return out, nil
-}

@@ -14,10 +14,7 @@
 // internal/perf.
 package machine
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Affinity names a thread pinning strategy. The host accepts None, Scatter
 // and Compact; the device accepts Balanced, Scatter and Compact, matching
@@ -51,23 +48,6 @@ func (a Affinity) String() string {
 		return s
 	}
 	return fmt.Sprintf("affinity(%d)", int(a))
-}
-
-// ParseAffinity converts a KMP-style name into an Affinity. It accepts any
-// case and returns an error for unknown names.
-func ParseAffinity(s string) (Affinity, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "none":
-		return AffinityNone, nil
-	case "scatter":
-		return AffinityScatter, nil
-	case "compact":
-		return AffinityCompact, nil
-	case "balanced":
-		return AffinityBalanced, nil
-	default:
-		return 0, fmt.Errorf("machine: unknown affinity %q", s)
-	}
 }
 
 // Processor describes one processing unit (a CPU package pair or an

@@ -22,26 +22,6 @@ func TestAffinityString(t *testing.T) {
 	}
 }
 
-func TestParseAffinity(t *testing.T) {
-	for _, s := range []string{"none", "Scatter", " COMPACT ", "balanced"} {
-		if _, err := ParseAffinity(s); err != nil {
-			t.Errorf("ParseAffinity(%q) error: %v", s, err)
-		}
-	}
-	if _, err := ParseAffinity("weird"); err == nil {
-		t.Error("ParseAffinity(weird) should fail")
-	}
-}
-
-func TestParseAffinityRoundTrip(t *testing.T) {
-	for _, a := range []Affinity{AffinityNone, AffinityScatter, AffinityCompact, AffinityBalanced} {
-		got, err := ParseAffinity(a.String())
-		if err != nil || got != a {
-			t.Errorf("round trip %v -> %v (%v)", a, got, err)
-		}
-	}
-}
-
 func TestXeonE5HostSpec(t *testing.T) {
 	h := XeonE5Host()
 	if err := h.Validate(); err != nil {

@@ -7,14 +7,14 @@ import (
 	"hetopt/internal/space"
 )
 
-// Measure measures the schema configuration with ordinal ord under
-// noise trial through the table: MeasureFull(w, schema config ord,
-// trial), bit for bit. Tests use it to reach every ordinal and trial.
-func (mt *MeasureTable) Measure(ord, trial int) (Measurement, error) {
+// Measure measures the schema configuration with ordinal ord through
+// the table: MeasureFull(w, schema config ord, 0), bit for bit. Tests
+// use it to reach every ordinal.
+func (mt *MeasureTable) Measure(ord int) (Measurement, error) {
 	if ord < 0 || ord >= mt.schema.Size() {
 		return Measurement{}, fmt.Errorf("offload: configuration ordinal %d outside [0,%d)", ord, mt.schema.Size())
 	}
-	return mt.measure(mt.levelsOf(ord), trial, nil)
+	return mt.MeasureLevels(mt.levelsOf(ord), nil)
 }
 
 // levelsOf decodes an in-range ordinal into its schema level indices.
@@ -32,12 +32,12 @@ func (mt *MeasureTable) levelsOf(ord int) (lv space.Levels) {
 // is false when the table cannot serve it and Measure would fall back to
 // MeasureFull. Tests use it to tell a served measurement from a
 // fallback.
-func (mt *MeasureTable) MeasureByTable(ord, trial int) (Measurement, bool) {
-	return mt.fromTable(mt.levelsOf(ord), trial, nil)
+func (mt *MeasureTable) MeasureByTable(ord int) (Measurement, bool) {
+	return mt.fromTable(mt.levelsOf(ord), nil)
 }
 
 // MeasureLevelsByTable is MeasureLevels through the level table alone,
 // drawing noise through d; ok is false when the table cannot serve lv.
 func (mt *MeasureTable) MeasureLevelsByTable(lv space.Levels, d *perf.Draws) (Measurement, bool) {
-	return mt.fromTable(lv, 0, d)
+	return mt.fromTable(lv, d)
 }

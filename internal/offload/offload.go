@@ -256,32 +256,27 @@ func (mt *MeasureTable) NewDraws() *perf.Draws {
 // which must address one of its states, under noise trial 0:
 // MeasureFull(w, schema.Config(lv), 0), bit for bit. Its noise draws
 // come from d, a cache from NewDraws of this table (nil, or a cache of
-// another table, draws them afresh).
+// another table, draws them afresh). The level table measures it when
+// it can serve lv, MeasureFull otherwise.
 func (mt *MeasureTable) MeasureLevels(lv space.Levels, d *perf.Draws) (Measurement, error) {
-	return mt.measure(lv, 0, d)
-}
-
-// measure measures the configuration at level indices lv under noise
-// trial: the level table when it can serve it, MeasureFull otherwise.
-func (mt *MeasureTable) measure(lv space.Levels, trial int, d *perf.Draws) (Measurement, error) {
-	if m, ok := mt.fromTable(lv, trial, d); ok {
+	if m, ok := mt.fromTable(lv, d); ok {
 		return m, nil
 	}
 	cfg, err := mt.schema.Config(lv[:])
 	if err != nil {
 		return Measurement{}, err
 	}
-	return mt.p.MeasureFull(mt.w, cfg, trial)
+	return mt.p.MeasureFull(mt.w, cfg, 0)
 }
 
 // fromTable measures the configuration at level indices lv through
 // the level table; ok is false when the table cannot serve it.
-func (mt *MeasureTable) fromTable(lv space.Levels, trial int, d *perf.Draws) (Measurement, bool) {
+func (mt *MeasureTable) fromTable(lv space.Levels, d *perf.Draws) (Measurement, bool) {
 	if mt.t == nil {
 		return Measurement{}, false
 	}
 	s, ok := mt.t.Measure(lv[space.ParamHostThreads], lv[space.ParamHostAffinity],
-		lv[space.ParamDeviceThreads], lv[space.ParamDeviceAffinity], lv[space.ParamHostFraction], trial, d)
+		lv[space.ParamDeviceThreads], lv[space.ParamDeviceAffinity], lv[space.ParamHostFraction], d)
 	if !ok {
 		return Measurement{}, false
 	}

@@ -9,7 +9,7 @@ import (
 
 // TestMeasureTableMatchesMeasureFullOnPresets is the exhaustive
 // identity check: on every state of every shipped platform x divisible
-// preset, at sizes {0.5, 1, 2, 0.37}x and trials {0, 1}, the level
+// preset, at sizes {0.5, 1, 2, 0.37}x, the level
 // table itself serves the measurement and it equals MeasureFull bit for
 // bit — both times and both energies.
 func TestMeasureTableMatchesMeasureFullOnPresets(t *testing.T) {
@@ -41,22 +41,20 @@ func TestMeasureTableMatchesMeasureFullOnPresets(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						for trial := 0; trial < 2; trial++ {
-							states++
-							want, err := p.MeasureFull(w, cfg, trial)
-							if err != nil {
-								t.Fatal(err)
-							}
-							got, ok := mt.MeasureByTable(ord, trial)
-							if !ok {
-								t.Fatalf("%s/%s %v: the table did not serve a schema state", spec.Name, w.Name, cfg)
-							}
-							if math.Float64bits(got.Times.Host) != math.Float64bits(want.Times.Host) ||
-								math.Float64bits(got.Times.Device) != math.Float64bits(want.Times.Device) ||
-								math.Float64bits(got.Energy.Host) != math.Float64bits(want.Energy.Host) ||
-								math.Float64bits(got.Energy.Device) != math.Float64bits(want.Energy.Device) {
-								t.Fatalf("%s/%s %v trial %d: table %+v, MeasureFull %+v", spec.Name, w.Name, cfg, trial, got, want)
-							}
+						states++
+						want, err := p.MeasureFull(w, cfg, 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, ok := mt.MeasureByTable(ord)
+						if !ok {
+							t.Fatalf("%s/%s %v: the table did not serve a schema state", spec.Name, w.Name, cfg)
+						}
+						if math.Float64bits(got.Times.Host) != math.Float64bits(want.Times.Host) ||
+							math.Float64bits(got.Times.Device) != math.Float64bits(want.Times.Device) ||
+							math.Float64bits(got.Energy.Host) != math.Float64bits(want.Energy.Host) ||
+							math.Float64bits(got.Energy.Device) != math.Float64bits(want.Energy.Device) {
+							t.Fatalf("%s/%s %v: table %+v, MeasureFull %+v", spec.Name, w.Name, cfg, got, want)
 						}
 					}
 				}

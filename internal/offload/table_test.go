@@ -25,9 +25,9 @@ func sameMeasurement(a Measurement, aErr error, b Measurement, bErr error) bool 
 }
 
 // checkTable fails unless mt.Measure equals MeasureFull on every state
-// of schema at the given trials; served additionally requires the level
-// table itself to serve every state.
-func checkTable(t *testing.T, p *Platform, w Workload, schema *space.Schema, mt *MeasureTable, served bool, trials ...int) {
+// of schema; served additionally requires the level table itself to
+// serve every state.
+func checkTable(t *testing.T, p *Platform, w Workload, schema *space.Schema, mt *MeasureTable, served bool) {
 	t.Helper()
 	for ord := 0; ord < schema.Size(); ord++ {
 		idx, err := schema.Space().Unflatten(ord)
@@ -38,15 +38,13 @@ func checkTable(t *testing.T, p *Platform, w Workload, schema *space.Schema, mt 
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, trial := range trials {
-			want, wantErr := p.MeasureFull(w, cfg, trial)
-			got, err := mt.Measure(ord, trial)
-			if !sameMeasurement(got, err, want, wantErr) {
-				t.Fatalf("%v trial %d: table %+v (%v), MeasureFull %+v (%v)", cfg, trial, got, err, want, wantErr)
-			}
-			if _, ok := mt.MeasureByTable(ord, trial); ok != served {
-				t.Fatalf("%v trial %d: served by the table = %v, want %v", cfg, trial, ok, served)
-			}
+		want, wantErr := p.MeasureFull(w, cfg, 0)
+		got, err := mt.Measure(ord)
+		if !sameMeasurement(got, err, want, wantErr) {
+			t.Fatalf("%v: table %+v (%v), MeasureFull %+v (%v)", cfg, got, err, want, wantErr)
+		}
+		if _, ok := mt.MeasureByTable(ord); ok != served {
+			t.Fatalf("%v: served by the table = %v, want %v", cfg, ok, served)
 		}
 	}
 }
@@ -131,15 +129,13 @@ func TestMeasureTableFollowsModelMutations(t *testing.T) {
 				}
 				wantServed := !mut.stale && cfg.HostAffinity != machine.AffinityBalanced
 				checkDrawn(lv, cfg, wantServed)
-				for _, trial := range []int{0, 3} {
-					want, wantErr := p.MeasureFull(w, cfg, trial)
-					got, err := mt.Measure(ord, trial)
-					if !sameMeasurement(got, err, want, wantErr) {
-						t.Fatalf("%v trial %d: table %+v (%v), MeasureFull %+v (%v)", cfg, trial, got, err, want, wantErr)
-					}
-					if _, served := mt.MeasureByTable(ord, trial); served != wantServed {
-						t.Fatalf("%v: served by the table = %v, want %v", cfg, served, wantServed)
-					}
+				want, wantErr := p.MeasureFull(w, cfg, 0)
+				got, err := mt.Measure(ord)
+				if !sameMeasurement(got, err, want, wantErr) {
+					t.Fatalf("%v: table %+v (%v), MeasureFull %+v (%v)", cfg, got, err, want, wantErr)
+				}
+				if _, served := mt.MeasureByTable(ord); served != wantServed {
+					t.Fatalf("%v: served by the table = %v, want %v", cfg, served, wantServed)
 				}
 			}
 		})
@@ -178,10 +174,10 @@ func TestMeasureTableInvalidWorkload(t *testing.T) {
 	p := NewPlatform()
 	schema := tableSchema(t)
 	for _, w := range []Workload{{Name: "", SizeMB: 10}, {Name: "x", SizeMB: 0}} {
-		checkTable(t, p, w, schema, p.NewMeasureTable(w, schema), false, 0)
+		checkTable(t, p, w, schema, p.NewMeasureTable(w, schema), false)
 	}
 	mt := p.NewMeasureTable(GenomeWorkload(dna.Human), schema)
-	if _, err := mt.Measure(schema.Size(), 0); err == nil {
+	if _, err := mt.Measure(schema.Size()); err == nil {
 		t.Fatal("an out-of-range ordinal must be rejected")
 	}
 }
@@ -198,7 +194,7 @@ func TestMeasureTableZeroAllocs(t *testing.T) {
 	var sink float64
 	allocs := testing.AllocsPerRun(1000, func() {
 		ord = (ord + 7919) % schema.Size()
-		m, err := mt.Measure(ord, 1)
+		m, err := mt.Measure(ord)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,17 +210,17 @@ func TestMeasureTableZeroAllocs(t *testing.T) {
 	_ = sink
 }
 
-// FuzzMeasureTable: for any workload size, trial, configuration and
+// FuzzMeasureTable: for any workload size, configuration and
 // calibration perturbation, the table measures exactly what MeasureFull
 // measures — directly, and at trial 0 through one draw cache twice
 // (drawing, then replaying) and once more after the noise deviations,
 // which the table reads live, are rescaled.
 func FuzzMeasureTable(f *testing.F) {
-	f.Add(1948.0, 0, 12345, 1.0, 1.0, uint64(0))
-	f.Add(0.37, 1, 0, 0.5, 2.0, uint64(7))
-	f.Add(8192.0, 9, 19925, 3.0, 0.1, uint64(1<<40))
+	f.Add(1948.0, 12345, 1.0, 1.0, uint64(0))
+	f.Add(0.37, 0, 0.5, 2.0, uint64(7))
+	f.Add(8192.0, 19925, 3.0, 0.1, uint64(1<<40))
 	schema := space.PaperSchema()
-	f.Fuzz(func(t *testing.T, sizeMB float64, trial, ord int, hostScale, devScale float64, seed uint64) {
+	f.Fuzz(func(t *testing.T, sizeMB float64, ord int, hostScale, devScale float64, seed uint64) {
 		if !(sizeMB > 0 && sizeMB < 1e7) || !(hostScale > 0.01 && hostScale < 100) || !(devScale > 0.01 && devScale < 100) {
 			t.Skip()
 		}
@@ -242,12 +238,12 @@ func FuzzMeasureTable(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantErr := p.MeasureFull(w, cfg, trial)
-		got, err := mt.Measure(ord, trial)
+		want, wantErr := p.MeasureFull(w, cfg, 0)
+		got, err := mt.Measure(ord)
 		if !sameMeasurement(got, err, want, wantErr) {
-			t.Fatalf("%v trial %d: table %+v (%v), MeasureFull %+v (%v)", cfg, trial, got, err, want, wantErr)
+			t.Fatalf("%v: table %+v (%v), MeasureFull %+v (%v)", cfg, got, err, want, wantErr)
 		}
-		if _, ok := mt.MeasureByTable(ord, trial); !ok {
+		if _, ok := mt.MeasureByTable(ord); !ok {
 			t.Fatalf("%v: a fresh table must serve every paper-schema state", cfg)
 		}
 		d := mt.NewDraws()

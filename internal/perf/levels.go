@@ -207,50 +207,50 @@ func buildSide(threads []int, affs []machine.Affinity, at func(int, machine.Affi
 }
 
 // Measure is one measurement at host level (ht, ha), device level
-// (dt, da), split si and noise trial: bit-identical to HostTime,
+// (dt, da) and split si under noise trial 0: bit-identical to HostTime,
 // DeviceTime, HostEnergy and DeviceEnergy on those shares, composed as
-// an offload runtime composes them. At trial 0 it takes its noise draws
-// from d when d is a cache of t (nil draws them directly). ok is false
+// an offload runtime composes them. It takes its noise draws from d
+// when d is a cache of t (nil draws them directly). ok is false
 // when the model changed since the table was built or a needed level
 // failed; the caller then measures directly. It allocates nothing.
-func (t *LevelTable) Measure(ht, ha, dt, da, si, trial int, d *Draws) (s Sample, ok bool) {
+func (t *LevelTable) Measure(ht, ha, dt, da, si int, d *Draws) (s Sample, ok bool) {
 	m := t.m
 	hl, dl := ht*len(t.host.affs)+ha, dt*len(t.dev.affs)+da
 	if !t.host.ok[hl] || !t.dev.ok[dl] || !t.stamp.matches(m) {
 		return Sample{}, false
 	}
-	if trial != 0 || d == nil || d.t != t {
+	if d != nil && d.t != t {
 		d = nil
 	}
 	host := Assignment{SizeMB: t.hostMB[si], Threads: t.host.threads[ht], Affinity: t.host.affs[ha]}
 	dev := Assignment{SizeMB: t.devMB[si], Threads: t.dev.threads[dt], Affinity: t.dev.affs[da]}
 	if host.SizeMB > 0 {
-		s.HostSec = m.hostSec(host, t.cx, t.host.rate[hl], t.noise(d, roleHost, hl, si, host, trial, m.hostSigma(host.Affinity)))
+		s.HostSec = m.hostSec(host, t.cx, t.host.rate[hl], t.noise(d, roleHost, hl, si, host, m.hostSigma(host.Affinity)))
 	}
 	if dev.SizeMB > 0 {
-		s.DeviceSec = m.deviceSec(dev, t.cx, t.dev.rate[dl], t.noise(d, roleDevice, dl, si, dev, trial, m.Cal.NoiseStdDevice))
+		s.DeviceSec = m.deviceSec(dev, t.cx, t.dev.rate[dl], t.noise(d, roleDevice, dl, si, dev, m.Cal.NoiseStdDevice))
 	}
 	makespan := math.Max(s.HostSec, s.DeviceSec)
 	if !(host.SizeMB <= 0) {
 		e := modeledJoules(m.hostPowerW(t.host.cores[hl], host.Threads, host.Affinity), m.Cal.HostIdleW, s.HostSec, makespan)
-		s.HostJ = e * t.noise(d, roleHostEnergy, hl, si, host, trial, m.Cal.NoiseStdHostPower)
+		s.HostJ = e * t.noise(d, roleHostEnergy, hl, si, host, m.Cal.NoiseStdHostPower)
 	}
 	if !(dev.SizeMB <= 0) {
 		e := modeledJoules(m.devicePowerW(t.dev.cores[dl], dev.Threads), m.Cal.DeviceIdleW, s.DeviceSec, makespan)
-		s.DeviceJ = e * t.noise(d, roleDeviceEnergy, dl, si, dev, trial, m.Cal.NoiseStdDevicePower)
+		s.DeviceJ = e * t.noise(d, roleDeviceEnergy, dl, si, dev, m.Cal.NoiseStdDevicePower)
 	}
 	return s, true
 }
 
 // noise is the factor 1 + sigma*z of role's draw for side assignment a
-// at side level level and split si; d, when non-nil, is a cache of t
-// and trial is 0.
-func (t *LevelTable) noise(d *Draws, role, level, si int, a Assignment, trial int, sigma float64) float64 {
+// at side level level and split si under trial 0; d, when non-nil, is
+// a cache of t.
+func (t *LevelTable) noise(d *Draws, role, level, si int, a Assignment, sigma float64) float64 {
 	if sigma <= 0 {
 		return 1
 	}
 	if d == nil {
-		return noiseFactor(keyTail(t.keys[role][si], a.Threads, a.Affinity, trial), sigma)
+		return noiseFactor(keyTail(t.keys[role][si], a.Threads, a.Affinity, 0), sigma)
 	}
 	w := &d.z[role][level*len(t.hostMB)+si]
 	z := math.Float64frombits(w.Load())
