@@ -53,7 +53,6 @@ func run(genomeName string, sizeMB float64, seed uint64, out, plant string, inte
 		}
 	}
 	n := int(bases)
-	seq := gen.Generate(n)
 
 	w := os.Stdout
 	if out != "" {
@@ -65,7 +64,7 @@ func run(genomeName string, sizeMB float64, seed uint64, out, plant string, inte
 		w = f
 	}
 	header := fmt.Sprintf("synthetic %s GC=%.2f seed=%d size=%d", genome.Name, genome.GC, seed, n)
-	if err := dna.WriteFASTA(w, header, seq); err != nil {
+	if err := dna.StreamFASTA(w, header, n, gen.GenerateAt); err != nil {
 		return err
 	}
 	if plant != "" {

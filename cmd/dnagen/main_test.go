@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -85,5 +87,51 @@ func TestRunRejectsUnallocatableSizes(t *testing.T) {
 		if _, err := os.Stat(out); !os.IsNotExist(err) {
 			t.Errorf("size %g: output file created (stat err %v)", size, err)
 		}
+	}
+}
+
+// TestRunMatchesInMemoryRecord: the streamed record equals the one
+// written from the whole generated sequence, with and without a planted
+// motif, at a size that is no multiple of the line or chunk width.
+func TestRunMatchesInMemoryRecord(t *testing.T) {
+	sizeMB := 0.3
+	n := int(sizeMB * (1 << 20))
+	for _, plant := range []string{"", "GAATTC"} {
+		out := filepath.Join(t.TempDir(), "seq.fa")
+		if err := run("dog", sizeMB, 11, out, plant, 1024); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := dna.NewGenerator(dna.Dog, 11)
+		if plant != "" {
+			if _, err := gen.WithPlantedMotif(plant, 1024); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var want bytes.Buffer
+		header := fmt.Sprintf("synthetic %s GC=%.2f seed=%d size=%d", dna.Dog.Name, dna.Dog.GC, 11, n)
+		if err := dna.WriteFASTA(&want, header, gen.Generate(n)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("plant %q: dnagen output differs from the in-memory record", plant)
+		}
+	}
+}
+
+// TestRunStreamsInFixedMemory: a 32 MiB record allocates under a bound
+// that does not depend on the size, as the sequence is never held whole.
+func TestRunStreamsInFixedMemory(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := run("human", 32, 7, os.DevNull, "", 0); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("-size 32 allocated %d bytes, want under 1 MiB", grew)
 	}
 }

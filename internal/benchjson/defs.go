@@ -119,6 +119,7 @@ func Defs() []Def {
 		{Name: "cold-divisible-job", Bench: benchColdDivisibleJob},
 		{Name: "exact-divisible-proof", Bench: benchExactDivisibleProof},
 		{Name: "exact-divisible-proof-cold", Bench: benchExactDivisibleProofCold},
+		{Name: "exact-energy-proof-cold", Bench: benchExactEnergyProofCold},
 		{Name: "table-measure-levels", Bench: benchTableMeasureLevels},
 	}
 }
@@ -158,6 +159,20 @@ func benchExactDivisibleProof(b *testing.B) {
 // is a memo miss and a level-table measurement, the run's first miss
 // makes its noise-draw cache, and the memo grows from empty.
 func benchExactDivisibleProofCold(b *testing.B) {
+	benchColdProof(b, core.TimeObjective{})
+}
+
+// benchExactEnergyProofCold is exact-divisible-proof-cold under the
+// energy objective, whose bound prices each side's idle and dynamic
+// power: what an energy proof costs beside a time proof.
+func benchExactEnergyProofCold(b *testing.B) {
+	benchColdProof(b, core.EnergyObjective{})
+}
+
+// benchColdProof times proven paper-space EM exact solves under obj,
+// each on a fresh core.SharedMeasurements, pool sizes cycling through
+// 0, 4 and 8.
+func benchColdProof(b *testing.B, obj core.Objective) {
 	s := fixtures(b)
 	pools := []int{0, 4, 8}
 	b.ReportAllocs()
@@ -168,7 +183,7 @@ func benchExactDivisibleProofCold(b *testing.B) {
 			b.Fatal(err)
 		}
 		inst := shared.Instance()
-		res, err := core.Run(core.EM, &inst, core.Options{Strategy: strategy.Exact{Prove: true, PoolSize: pools[i%len(pools)]}, Parallelism: 1})
+		res, err := core.Run(core.EM, &inst, core.Options{Strategy: strategy.Exact{Prove: true, PoolSize: pools[i%len(pools)]}, Objective: obj, Parallelism: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"hetopt/internal/machine"
 	"hetopt/internal/offload"
+	"hetopt/internal/perf"
 	"hetopt/internal/space"
 	"hetopt/internal/strategy"
 )
@@ -19,7 +20,10 @@ import (
 // thread-spawn costs are dropped (they only add time), offload latency
 // and the non-overlappable transfer residual are kept (every device
 // share pays them), and multiplicative measurement noise is floored at
-// its clamped minimum draw. Every simplification only lowers the value,
+// its clamped minimum draw. Energy is priced the same way: every engaged
+// side draws idle power over the makespan, plus its dynamic power (active
+// minus idle) while its own share runs, at least the side-time bound
+// long. Every simplification only lowers the value,
 // so the bound never exceeds the measured objective of any completion —
 // which is what lets the solver prune without losing the optimum.
 //
@@ -38,13 +42,20 @@ func noiseFloor(sigma float64) float64 {
 
 // rooflineBounder precomputes, per schema level, everything ChildBounds
 // needs — pure, allocation-free and concurrent-safe. Every child of
-// every node takes the best rate and lowest noise floor over a set of
-// levels that is a table entry or a whole row, so the per-side time
-// bounds are built once per run as vectors over the fraction levels:
-// bounding a node's children is then a scan of two vectors per child,
-// with no division.
+// every node takes the best rate, lowest noise floor and least dynamic
+// energy over a set of levels that is a table entry, a whole row or the
+// whole table, so the per-side time and energy bounds are built once per
+// run as vectors over the fraction levels: bounding a node's children is
+// then a scan of four vectors per child, with no division.
 type rooflineBounder struct {
 	obj Objective
+	// energy reports that obj reads energy. Only then are the
+	// dynamic-energy vectors built and energy bounds composed.
+	energy bool
+	// model and schema price the dynamic power of each thread/affinity
+	// pair when the vectors are built.
+	model  *perf.Model
+	schema *space.Schema
 
 	// hostRate[ti][ai] and devRate[ti][ai] are modeled streaming rates in
 	// MB/s for the schema's i-th thread and affinity values.
@@ -73,6 +84,12 @@ type rooflineBounder struct {
 	// device level.
 	vectors                                    sync.Once
 	hostSec, devSec, hostBest, devBest, devTop []float64
+	// Dynamic-energy bound vectors in the same layout: hostDyn and devDyn
+	// per pair are the power noise floor times the pair's dynamic watts
+	// times its side-time bound; hostDynBest and devDynBest per thread
+	// level are their pointwise minimum over its affinities, and
+	// devDynAll the minimum over every device pair.
+	hostDyn, devDyn, hostDynBest, devDynBest, devDynAll []float64
 }
 
 // newRooflineBounder builds the pruning oracle for a schema evaluated by
@@ -83,8 +100,11 @@ func newRooflineBounder(schema *space.Schema, platform *offload.Platform, w offl
 	if schema == nil || platform == nil {
 		return nil
 	}
+	energy := false
 	switch obj.(type) {
-	case nil, TimeObjective, EnergyObjective, WeightedSumObjective, TimeBoundedObjective:
+	case nil, TimeObjective:
+	case EnergyObjective, WeightedSumObjective, TimeBoundedObjective:
+		energy = true
 	default:
 		return nil
 	}
@@ -95,6 +115,9 @@ func newRooflineBounder(schema *space.Schema, platform *offload.Platform, w offl
 	traits := w.Traits()
 	b := &rooflineBounder{
 		obj:              obj,
+		energy:           energy,
+		model:            m,
+		schema:           schema,
 		devFloor:         noiseFloor(m.Cal.NoiseStdDevice),
 		hostPowerFloor:   noiseFloor(m.Cal.NoiseStdHostPower),
 		devicePowerFloor: noiseFloor(m.Cal.NoiseStdDevicePower),
@@ -155,9 +178,10 @@ func newRooflineBounder(schema *space.Schema, platform *offload.Platform, w offl
 	return b
 }
 
-// buildVectors fills the side-time vectors. The exact solver is their
-// only reader, so they are built on its first ChildBounds call, not for
-// every run a bounder is attached to.
+// buildVectors fills the side-time vectors, and the dynamic-energy ones
+// when the objective reads energy. The exact solver is their only
+// reader, so they are built on its first ChildBounds call, not for every
+// run a bounder is attached to.
 func (b *rooflineBounder) buildVectors() {
 	nf, nhAff, ndAff := len(b.hostMB), len(b.hostFloor), len(b.devRate[0])
 	b.hostSec = make([]float64, 0, len(b.hostRate)*nhAff*nf)
@@ -189,6 +213,61 @@ func (b *rooflineBounder) buildVectors() {
 		}
 	}
 	b.devTop = b.row(b.devBest, top)
+	if !b.energy {
+		return
+	}
+	sc := b.schema
+	b.hostDyn, b.hostDynBest = b.dynamicVectors(b.hostSec, sc.HostThreadValues(), sc.HostAffinityValues(),
+		b.model.HostActivePowerW, b.hostPowerFloor, b.hostIdleW)
+	b.devDyn, b.devDynBest = b.dynamicVectors(b.devSec, sc.DeviceThreadValues(), sc.DeviceAffinityValues(),
+		b.model.DeviceActivePowerW, b.devicePowerFloor, b.devIdleW)
+	b.devDynAll = b.appendMin(make([]float64, 0, nf), b.devDynBest)
+}
+
+// dynamicVectors prices one side's dynamic energy from its side-time
+// vectors sec: per (threads, affinity) pair, the power noise floor times
+// the pair's dynamic watts times its side-time vector, and per thread
+// level the pointwise minimum over its affinities.
+func (b *rooflineBounder) dynamicVectors(sec []float64, threads []int, affs []machine.Affinity,
+	power func(int, machine.Affinity) (float64, error), floor, idleW float64) (dyn, best []float64) {
+	nf := len(b.hostMB)
+	dyn = make([]float64, 0, len(sec))
+	best = make([]float64, 0, len(threads)*nf)
+	for ti, th := range threads {
+		for ai, aff := range affs {
+			p, err := power(th, aff)
+			w := floor * dynamicW(p, err, idleW)
+			for _, t := range b.row(sec, ti*len(affs)+ai) {
+				dyn = append(dyn, w*t)
+			}
+		}
+		best = b.appendMin(best, dyn[ti*len(affs)*nf:])
+	}
+	return dyn, best
+}
+
+// dynamicW is the part of an active power draw p above idle: what a side
+// draws only while its own share runs. A pair the model prices no power
+// for (err set) gets 0, which drops its term and only lowers the bound.
+func dynamicW(p float64, err error, idleW float64) float64 {
+	if err != nil {
+		return 0
+	}
+	return max(0, p-idleW)
+}
+
+// appendMin appends to vec the pointwise minimum of the vectors laid out
+// back to back in rows.
+func (b *rooflineBounder) appendMin(vec, rows []float64) []float64 {
+	nf := len(b.hostMB)
+	vec = append(vec, rows[:nf]...)
+	lo := vec[len(vec)-nf:]
+	for r := nf; r < len(rows); r += nf {
+		for fi, v := range rows[r : r+nf] {
+			lo[fi] = min(lo[fi], v)
+		}
+	}
+	return vec
 }
 
 // appendSec appends one side-time vector, sec(fi) at every fraction
@@ -200,8 +279,11 @@ func (b *rooflineBounder) appendSec(vec []float64, sec func(fi int) float64) []f
 	return vec
 }
 
-// row returns the i-th side-time vector of vec.
+// row returns the i-th vector of vec, nil when vec was not built.
 func (b *rooflineBounder) row(vec []float64, i int) []float64 {
+	if vec == nil {
+		return nil
+	}
 	nf := len(b.hostMB)
 	return vec[i*nf : (i+1)*nf]
 }
@@ -226,28 +308,33 @@ func (b *rooflineBounder) devTime(fi int, rate float64) float64 {
 	return 0
 }
 
-// fractionBound composes the per-side time bounds at fraction level fi
-// into the objective's bound.
-func (b *rooflineBounder) fractionBound(fi int, tH, tD float64) float64 {
-	lbT := math.Max(tH, tD)
+// fractionBound composes the per-side time bounds tH, tD and
+// dynamic-energy bounds eH, eD at fraction level fi into the objective's
+// bound; eH and eD are nil, and unread, when the objective is time.
+func (b *rooflineBounder) fractionBound(fi int, tH, tD, eH, eD []float64) float64 {
+	lbT := math.Max(tH[fi], tD[fi])
+	if !b.energy {
+		return lbT
+	}
 	// Every engaged side draws at least idle power for the whole
-	// makespan, and the makespan is at least lbT.
+	// makespan, and the makespan is at least lbT; on top of that it
+	// draws its dynamic power while busy, which eH and eD bound.
 	var lbE float64
 	if b.hostMB[fi] > 0 {
-		lbE += b.hostIdleW * b.hostPowerFloor * lbT
+		lbE += b.hostIdleW*b.hostPowerFloor*lbT + eH[fi]
 	}
 	if b.devMB[fi] > 0 {
-		lbE += b.devIdleW * b.devicePowerFloor * lbT
+		lbE += b.devIdleW*b.devicePowerFloor*lbT + eD[fi]
 	}
 	return b.objectiveBound(lbT, lbE)
 }
 
 // bestFraction is the lowest fraction-level bound over the side-time
-// vectors tH and tD.
-func (b *rooflineBounder) bestFraction(tH, tD []float64) float64 {
+// vectors tH, tD and the dynamic-energy vectors eH, eD.
+func (b *rooflineBounder) bestFraction(tH, tD, eH, eD []float64) float64 {
 	best := math.Inf(1)
 	for fi := range tH {
-		if v := b.fractionBound(fi, tH[fi], tD[fi]); v < best {
+		if v := b.fractionBound(fi, tH, tD, eH, eD); v < best {
 			best = v
 		}
 	}
@@ -257,40 +344,44 @@ func (b *rooflineBounder) bestFraction(tH, tD []float64) float64 {
 // ChildBounds implements strategy.Bounded (via the search problem
 // wrapper): out[v] is an admissible bound on the objective of any
 // configuration whose first `fixed` schema dimensions match prefix and
-// whose dimension `fixed` takes level v — the best rates and lowest
-// noise floors over the still-allowed thread/affinity levels (dims 0-3;
-// see space.Param* ordering), at the best fraction. Fixing one more
-// dimension only shrinks the maximized rate sets and the minimized
-// fraction set, so the bounds are monotone along every tree path.
+// whose dimension `fixed` takes level v — the best rates, lowest noise
+// floors and least dynamic energy over the still-allowed thread/affinity
+// levels (dims 0-3; see space.Param* ordering), at the best fraction.
+// Fixing one more dimension only shrinks the maximized rate sets and the
+// minimized energy and fraction sets, so the bounds are monotone along
+// every tree path.
 func (b *rooflineBounder) ChildBounds(prefix []int, fixed int, out []float64) {
 	b.vectors.Do(b.buildVectors)
 	nha, nda := len(b.hostFloor), len(b.devRate[0])
-	var tH []float64 // the fixed host pair's vector, once both host levels are fixed
+	var tH, eH []float64 // the fixed host pair's vectors, once both host levels are fixed
 	if fixed > space.ParamHostAffinity {
-		tH = b.row(b.hostSec, prefix[space.ParamHostThreads]*nha+prefix[space.ParamHostAffinity])
+		pair := prefix[space.ParamHostThreads]*nha + prefix[space.ParamHostAffinity]
+		tH, eH = b.row(b.hostSec, pair), b.row(b.hostDyn, pair)
 	}
 	switch fixed {
 	case space.ParamHostThreads:
 		for v := range out {
-			out[v] = b.bestFraction(b.row(b.hostBest, v), b.devTop)
+			out[v] = b.bestFraction(b.row(b.hostBest, v), b.devTop, b.row(b.hostDynBest, v), b.devDynAll)
 		}
 	case space.ParamHostAffinity:
 		for v := range out {
-			out[v] = b.bestFraction(b.row(b.hostSec, prefix[space.ParamHostThreads]*nha+v), b.devTop)
+			pair := prefix[space.ParamHostThreads]*nha + v
+			out[v] = b.bestFraction(b.row(b.hostSec, pair), b.devTop, b.row(b.hostDyn, pair), b.devDynAll)
 		}
 	case space.ParamDeviceThreads:
 		for v := range out {
-			out[v] = b.bestFraction(tH, b.row(b.devBest, v))
+			out[v] = b.bestFraction(tH, b.row(b.devBest, v), eH, b.row(b.devDynBest, v))
 		}
 	case space.ParamDeviceAffinity:
 		dt := prefix[space.ParamDeviceThreads]
 		for v := range out {
-			out[v] = b.bestFraction(tH, b.row(b.devSec, dt*nda+v))
+			out[v] = b.bestFraction(tH, b.row(b.devSec, dt*nda+v), eH, b.row(b.devDyn, dt*nda+v))
 		}
 	default: // space.ParamHostFraction
-		tD := b.row(b.devSec, prefix[space.ParamDeviceThreads]*nda+prefix[space.ParamDeviceAffinity])
+		pair := prefix[space.ParamDeviceThreads]*nda + prefix[space.ParamDeviceAffinity]
+		tD, eD := b.row(b.devSec, pair), b.row(b.devDyn, pair)
 		for fi := range out {
-			out[fi] = b.fractionBound(fi, tH[fi], tD[fi])
+			out[fi] = b.fractionBound(fi, tH, tD, eH, eD)
 		}
 	}
 }
@@ -299,12 +390,10 @@ func (b *rooflineBounder) ChildBounds(prefix []int, fixed int, out []float64) {
 // run's objective. All four built-in objectives are monotone in both
 // arguments, so feeding them lower bounds yields a lower bound.
 func (b *rooflineBounder) objectiveBound(lbT, lbE float64) float64 {
-	switch b.obj.(type) {
-	case EnergyObjective, WeightedSumObjective, TimeBoundedObjective:
-		return b.obj.Value(lbT, lbE)
-	default: // nil or TimeObjective
+	if !b.energy {
 		return lbT
 	}
+	return b.obj.Value(lbT, lbE)
 }
 
 // boundedSearchProblem pairs the search-space adapter with the roofline

@@ -45,3 +45,30 @@ func TestRooflineChildBoundsMatchReferenceOnPresets(t *testing.T) {
 		}
 	}
 }
+
+// TestRooflineBoundAdmissibleOnPlatforms runs the brute-force
+// admissibility walk on every shipped platform's full schema, for every
+// divisible preset at its own size: each bound on every path monotone
+// and at or below every measured leaf below it, under all four
+// objectives.
+func TestRooflineBoundAdmissibleOnPlatforms(t *testing.T) {
+	for _, spec := range scenario.Platforms() {
+		schema, err := spec.Schema()
+		if err != nil {
+			t.Fatal(err)
+		}
+		platform := spec.Platform()
+		for _, fam := range scenario.Families() {
+			if fam.IsDAG() {
+				continue
+			}
+			for _, preset := range fam.Presets {
+				w, err := fam.Workload(preset.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				core.CheckRooflineAdmissible(t, schema, platform, w)
+			}
+		}
+	}
+}

@@ -10,12 +10,48 @@ import (
 	"hetopt/internal/strategy"
 )
 
+// dynamicWatts is the power noise floor times the power above idle each
+// (threads, affinity) pair of b's schema draws while its side runs,
+// indexed [threads][affinity], priced straight from the model's power
+// functions.
+type dynamicWatts struct{ host, dev [][]float64 }
+
+func modelDynamicWatts(b *rooflineBounder) dynamicWatts {
+	above := func(p float64, err error, idleW float64) float64 {
+		if err != nil {
+			return 0
+		}
+		return max(0, p-idleW)
+	}
+	sc := b.schema
+	var w dynamicWatts
+	for _, th := range sc.HostThreadValues() {
+		row := []float64{}
+		for _, aff := range sc.HostAffinityValues() {
+			p, err := b.model.HostActivePowerW(th, aff)
+			row = append(row, b.hostPowerFloor*above(p, err, b.hostIdleW))
+		}
+		w.host = append(w.host, row)
+	}
+	for _, th := range sc.DeviceThreadValues() {
+		row := []float64{}
+		for _, aff := range sc.DeviceAffinityValues() {
+			p, err := b.model.DeviceActivePowerW(th, aff)
+			row = append(row, b.devicePowerFloor*above(p, err, b.devIdleW))
+		}
+		w.dev = append(w.dev, row)
+	}
+	return w
+}
+
 // referenceLowerBound is the roofline bound of one node, computed the
-// way the bounder did before it bounded a node's children in one call:
-// an admissible bound on the objective of any configuration whose first
-// `fixed` schema dimensions match prefix. ChildBounds must agree with it
-// bit for bit on every child.
-func referenceLowerBound(b *rooflineBounder, prefix []int, fixed int) float64 {
+// way the bounder did before it bounded a node's children in one call
+// from precomputed vectors: an admissible bound on the objective of any
+// configuration whose first `fixed` schema dimensions match prefix. The
+// dynamic-energy term is the least over the node's allowed pairs,
+// priced per node from the model's watts dw. ChildBounds must agree with
+// it bit for bit on every child.
+func referenceLowerBound(b *rooflineBounder, dw dynamicWatts, prefix []int, fixed int) float64 {
 	allowed := func(d, levels int) (int, int) {
 		if d < fixed {
 			return prefix[d], prefix[d] + 1
@@ -59,12 +95,35 @@ func referenceLowerBound(b *rooflineBounder, prefix []int, fixed int) float64 {
 			transfer := devMB / b.pcieRateMBs
 			tD = b.devFloor * (b.offloadSec + math.Max(devMB*b.cx/devRate, transfer) + b.residual*transfer)
 		}
+		// eH and eD are the least dynamic energy of any allowed pair:
+		// the power noise floor times its dynamic watts times the
+		// pair's own side-time bound.
+		eH, eD := math.Inf(1), math.Inf(1)
+		for ti := htLo; ti < htHi; ti++ {
+			for ai := haLo; ai < haHi; ai++ {
+				var sec float64
+				if hostMB > 0 {
+					sec = b.hostFloor[ai] * hostMB * b.cx / b.hostRate[ti][ai]
+				}
+				eH = min(eH, dw.host[ti][ai]*sec)
+			}
+		}
+		for ti := dtLo; ti < dtHi; ti++ {
+			for ai := daLo; ai < daHi; ai++ {
+				var sec float64
+				if devMB > 0 {
+					transfer := devMB / b.pcieRateMBs
+					sec = b.devFloor * (b.offloadSec + math.Max(devMB*b.cx/b.devRate[ti][ai], transfer) + b.residual*transfer)
+				}
+				eD = min(eD, dw.dev[ti][ai]*sec)
+			}
+		}
 		lbT := math.Max(tH, tD)
 		if hostMB > 0 {
-			lbE += b.hostIdleW * b.hostPowerFloor * lbT
+			lbE += b.hostIdleW*b.hostPowerFloor*lbT + eH
 		}
 		if devMB > 0 {
-			lbE += b.devIdleW * b.devicePowerFloor * lbT
+			lbE += b.devIdleW*b.devicePowerFloor*lbT + eD
 		}
 		if v := b.objectiveBound(lbT, lbE); v < best {
 			best = v
@@ -78,6 +137,7 @@ func referenceLowerBound(b *rooflineBounder, prefix []int, fixed int) float64 {
 // child.
 func checkChildBounds(t *testing.T, b *rooflineBounder, schema *space.Schema) {
 	t.Helper()
+	dw := modelDynamicWatts(b)
 	sp := schema.Space()
 	dim := sp.Dim()
 	state := make([]int, dim)
@@ -93,7 +153,7 @@ func checkChildBounds(t *testing.T, b *rooflineBounder, schema *space.Schema) {
 		got := append([]float64(nil), out...)
 		for v := 0; v < n; v++ {
 			state[d] = v
-			if want := referenceLowerBound(b, state, d+1); math.Float64bits(got[v]) != math.Float64bits(want) {
+			if want := referenceLowerBound(b, dw, state, d+1); math.Float64bits(got[v]) != math.Float64bits(want) {
 				t.Fatalf("child %d of %v at depth %d: ChildBounds %g, reference %g", v, state[:d], d, got[v], want)
 			}
 			walk(d + 1)
@@ -104,21 +164,33 @@ func checkChildBounds(t *testing.T, b *rooflineBounder, schema *space.Schema) {
 }
 
 // TestRooflineBoundAdmissible checks the pruning oracle's contract
-// directly: every child bound on every path stays at or above its
-// parent's (monotone) and at or below the measured objective of every
-// configuration below it, for each built-in objective; ChildBounds
-// equals the per-node reference throughout.
+// directly on a small schema (checkAdmissible); the external test
+// package repeats it on every shipped platform's full schema.
 func TestRooflineBoundAdmissible(t *testing.T) {
 	platform := offload.NewPlatform()
 	w := offload.GenomeWorkload(dna.Human)
-	schema := smallSchema(t)
+	checkAdmissible(t, smallSchema(t), platform, w)
+}
+
+// checkAdmissible walks every path of the bound tree over schema for
+// each built-in objective: every child bound stays at or above its
+// parent's (monotone) and at or below the measured objective of every
+// configuration below it, and ChildBounds equals the per-node reference
+// throughout. The time-bounded objective's bound is 1.1x the fastest
+// measured makespan, the slack RunWithTimeSlack applies, so it binds.
+func checkAdmissible(t *testing.T, schema *space.Schema, platform *offload.Platform, w offload.Workload) {
+	t.Helper()
 	meas := NewMeasurer(platform, w)
+	fastest := math.Inf(1)
 	for _, obj := range []Objective{
 		TimeObjective{},
 		EnergyObjective{},
 		WeightedSumObjective{Alpha: 0.5},
-		TimeBoundedObjective{TimeBoundSec: 1},
+		nil, // the time-bounded objective, once fastest is known
 	} {
+		if obj == nil {
+			obj = TimeBoundedObjective{TimeBoundSec: 1.1 * fastest}
+		}
 		b := newRooflineBounder(schema, platform, w, obj)
 		if b == nil {
 			t.Fatalf("%s: no bounder for a measurable schema", obj.Name())
@@ -132,13 +204,20 @@ func TestRooflineBoundAdmissible(t *testing.T) {
 		state := make([]int, dim)
 		// path[d] is the bound of the node state[:d].
 		path := make([]float64, dim+1)
-		path[0] = referenceLowerBound(b, state, 0)
+		path[0] = referenceLowerBound(b, modelDynamicWatts(b), state, 0)
+		outs := make([][]float64, dim)
+		for d := range outs {
+			outs[d] = make([]float64, schema.Space().Params[d].Levels())
+		}
 		var walk func(d int)
 		walk = func(d int) {
 			if d == dim {
 				e, err := p.Energy(state)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if _, ok := obj.(TimeObjective); ok {
+					fastest = min(fastest, e)
 				}
 				for k, lb := range path {
 					if lb > e {
@@ -147,7 +226,7 @@ func TestRooflineBoundAdmissible(t *testing.T) {
 				}
 				return
 			}
-			out := make([]float64, schema.Space().Params[d].Levels())
+			out := outs[d]
 			p.ChildBounds(state, d, out)
 			for v, lb := range out {
 				if lb < path[d] {

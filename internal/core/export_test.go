@@ -19,6 +19,12 @@ func CheckRooflineChildBounds(t *testing.T, schema *space.Schema, platform *offl
 	return true
 }
 
+// CheckRooflineAdmissible exposes checkAdmissible, the brute-force
+// admissibility walk, to the external test package.
+func CheckRooflineAdmissible(t *testing.T, schema *space.Schema, platform *offload.Platform, w offload.Workload) {
+	checkAdmissible(t, schema, platform, w)
+}
+
 // EvaluateState measures a search state through ev's state path when
 // ev is a shared measurement view, the path a search problem over the
 // view's schema takes.

@@ -33,6 +33,37 @@ func WriteFASTA(w io.Writer, header string, seq []byte) error {
 	return bw.Flush()
 }
 
+// fastaChunk is how many bases StreamFASTA fills at a time: whole
+// lines, so every chunk but the last ends on a line break.
+const fastaChunk = 4096 * fastaLineWidth
+
+// StreamFASTA writes one FASTA record of n bases to w, byte for byte as
+// WriteFASTA writes the same bases, without holding the sequence: fill
+// (such as Generator.GenerateAt) supplies the bases from position pos on,
+// one fixed-size chunk at a time, so memory does not grow with n.
+func StreamFASTA(w io.Writer, header string, n int, fill func(pos int64, dst []byte)) error {
+	bw := bufio.NewWriter(w)
+	if _, err := fmt.Fprintf(bw, ">%s\n", header); err != nil {
+		return fmt.Errorf("dna: writing FASTA header: %w", err)
+	}
+	buf := make([]byte, min(n, fastaChunk))
+	for pos := 0; pos < n; pos += len(buf) {
+		chunk := buf[:min(len(buf), n-pos)]
+		fill(int64(pos), chunk)
+		for len(chunk) > 0 {
+			line := chunk[:min(len(chunk), fastaLineWidth)]
+			chunk = chunk[len(line):]
+			if _, err := bw.Write(line); err != nil {
+				return fmt.Errorf("dna: writing FASTA sequence: %w", err)
+			}
+			if err := bw.WriteByte('\n'); err != nil {
+				return fmt.Errorf("dna: writing FASTA sequence: %w", err)
+			}
+		}
+	}
+	return bw.Flush()
+}
+
 // FASTARecord is one parsed FASTA entry.
 type FASTARecord struct {
 	Header string

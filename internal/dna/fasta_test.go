@@ -90,3 +90,28 @@ func TestFASTAErrors(t *testing.T) {
 		t.Error("invalid byte should fail")
 	}
 }
+
+// TestStreamFASTAMatchesWriteFASTA: streaming a generator's bases chunk
+// by chunk writes exactly the bytes WriteFASTA writes for the whole
+// sequence, at every length around a line and a chunk boundary, with
+// and without a planted motif (whose occurrences can straddle chunks).
+func TestStreamFASTAMatchesWriteFASTA(t *testing.T) {
+	planted, err := NewGenerator(Human, 7).WithPlantedMotif("GAATTC", 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Generator{NewGenerator(Cat, 7), planted} {
+		for _, n := range []int{0, 1, 69, 70, 71, fastaChunk - 1, fastaChunk, fastaChunk + 1, 2*fastaChunk + 35} {
+			var want, got bytes.Buffer
+			if err := WriteFASTA(&want, "h", g.Generate(n)); err != nil {
+				t.Fatal(err)
+			}
+			if err := StreamFASTA(&got, "h", n, g.GenerateAt); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("n=%d planted=%v: streamed record differs from WriteFASTA's", n, g == planted)
+			}
+		}
+	}
+}

@@ -81,6 +81,46 @@ func (d proofDigest) placement(r graph.Result) {
 	}
 }
 
+// optimum folds only what a proof decides: the chosen configuration,
+// its objective, Optimal, LowerBound and the pool. A tighter admissible
+// bound changes how much of the tree a proof visits, never these.
+func (d proofDigest) optimum(r core.Result) {
+	d.config(r.Config)
+	d.float(r.SearchE)
+	if r.Cert == nil {
+		d.int(-1)
+	} else {
+		if r.Cert.Optimal {
+			d.int(1)
+		} else {
+			d.int(0)
+		}
+		d.float(r.Cert.LowerBound)
+	}
+	d.int(len(r.Pool))
+	for _, p := range r.Pool {
+		d.config(p.Config)
+		d.float(p.Objective)
+	}
+}
+
+// checkTruncated holds a budget-truncated run to the proven answer of
+// its instance: its lower bound may not exceed the proven optimum, and
+// when it still exhausted its tree and solved the same instance (same
+// is false for a bounded run whose time bound came from a truncated
+// time run), it must return the proven optimum.
+func checkTruncated(t *testing.T, name string, res, proven core.Result, same bool) {
+	t.Helper()
+	switch c := res.Cert; {
+	case c == nil:
+		t.Errorf("%s: truncated run has no certificate", name)
+	case !(c.LowerBound <= proven.SearchE):
+		t.Errorf("%s: truncated run's lower bound %g above the proven optimum %g", name, c.LowerBound, proven.SearchE)
+	case c.Optimal && same && (res.Config != proven.Config || res.SearchE != proven.SearchE):
+		t.Errorf("%s: truncated run claims optimum %v (%g), proof found %v (%g)", name, res.Config, res.SearchE, proven.Config, proven.SearchE)
+	}
+}
+
 // proofKnobs is the exact-strategy sweep of the proof golden: proofs
 // with and without solution pools, and budget-truncated runs (each
 // budget with and without a pool), which pin the frontier bound and the
@@ -118,9 +158,14 @@ func proofKnobs() []struct {
 // divisible preset x size {0.5, 1, 2}x x objective x exact knob;
 // placement runs sweep every DAG preset x platform, proven with a pool
 // and budget-truncated. Parallelism alternates between 1 and 2, which
-// must not matter. The digests were captured before the bound interface
-// and the measurement path were rewritten for speed, so any change in
-// bounds, visit order, pruning or measured values shows here.
+// must not matter. Any change in bounds, visit order, pruning or
+// measured values shows in the full digests.
+//
+// The optimum digests fold only the decided parts of the proven
+// divisible runs (see proofDigest.optimum), and every truncated run is
+// checked against its instance's proof (checkTruncated). They pin what
+// no admissible bound may change: a bound change that moves the full
+// digests must leave them alone.
 func TestExactProofGolden(t *testing.T) {
 	objectives := []struct {
 		name string
@@ -134,16 +179,21 @@ func TestExactProofGolden(t *testing.T) {
 	}
 	knobs := proofKnobs()
 	golden := map[string]string{
-		"paper":    "c4b858959a5c5147",
-		"gpu-like": "f42e0f41cddc001c",
-		"edge":     "1450b9b8ffb4090b",
+		"paper":    "7ab84159c95a406c",
+		"gpu-like": "3fa08e305b99ead5",
+		"edge":     "14ef5f0ca68c42c2",
 		"dag":      "6daa226843f549b0",
+	}
+	optima := map[string]string{
+		"paper":    "ac4ec4fa095b8da7",
+		"gpu-like": "fa40d5d9dba86d94",
+		"edge":     "3ace2265a6545087",
 	}
 	got := map[string]string{}
 	runs := 0
 	dag := proofDigest{fnv.New64a()}
 	for _, spec := range Platforms() {
-		d := proofDigest{fnv.New64a()}
+		d, od := proofDigest{fnv.New64a()}, proofDigest{fnv.New64a()}
 		platform := spec.Platform()
 		schema, err := spec.Schema()
 		if err != nil {
@@ -169,35 +219,69 @@ func TestExactProofGolden(t *testing.T) {
 				for _, scale := range []float64{0.5, 1, 2} {
 					w := base.Scaled(base.SizeMB * scale)
 					for _, o := range objectives {
+						// proven holds the instance's answers from the
+						// first knob, a plain proof: the time run and
+						// the bounded run for the bounded objective.
+						var proven []core.Result
 						for _, k := range knobs {
 							runs++
+							name := fmt.Sprintf("%s/%s/%s/%+v/%d", spec.Name, w.Name, o.name, k.ex, k.budget)
 							inst := &core.Instance{Schema: schema, Measurer: core.NewMeasurer(platform, w)}
 							opt := core.Options{Strategy: k.ex, Iterations: k.budget, Objective: o.obj, Parallelism: 1 + runs%2}
+							var rs []core.Result
 							if o.obj == nil {
 								tr, er, err := core.RunWithTimeSlack(core.EM, inst, opt, 0.1)
 								if err != nil {
-									t.Fatalf("%s/%s/%s: %v", spec.Name, w.Name, o.name, err)
+									t.Fatalf("%s: %v", name, err)
 								}
-								d.result(tr)
-								d.result(er)
-								continue
+								rs = []core.Result{tr, er}
+							} else {
+								res, err := core.Run(core.EM, inst, opt)
+								if err != nil {
+									t.Fatalf("%s: %v", name, err)
+								}
+								rs = []core.Result{res}
 							}
-							res, err := core.Run(core.EM, inst, opt)
-							if err != nil {
-								t.Fatalf("%s/%s/%s: %v", spec.Name, w.Name, o.name, err)
+							if proven == nil {
+								proven = rs
 							}
-							d.result(res)
+							for i, res := range rs {
+								d.result(res)
+								if k.ex.Prove {
+									od.optimum(res)
+								} else {
+									// A truncated time run's time bound is
+									// at least the proven one, which only
+									// lowers the bounded objective: the
+									// proven optimum still caps the bound.
+									// A bounded run that fell back to the
+									// time answer (RunWithTimeSlack) carries
+									// the time run's certificate, and so does
+									// a proven one that fell back.
+									if i == 1 && (res.Cert == rs[0].Cert || proven[1].Cert == proven[0].Cert) {
+										continue
+									}
+									same := i == 0 || (rs[0].Cert != nil && rs[0].Cert.Optimal)
+									checkTruncated(t, fmt.Sprintf("%s[%d]", name, i), res, proven[i], same)
+								}
+							}
 						}
 					}
 				}
 			}
 		}
 		got[spec.Name] = fmt.Sprintf("%016x", d.h.Sum64())
+		got[spec.Name+"-optimum"] = fmt.Sprintf("%016x", od.h.Sum64())
 	}
 	got["dag"] = fmt.Sprintf("%016x", dag.h.Sum64())
 	for name, want := range golden {
 		if got[name] != want {
 			t.Errorf("%s proof digest = %s, want %s", name, got[name], want)
+		}
+	}
+	for name, want := range optima {
+		if got[name+"-optimum"] != want {
+			t.Errorf("%s optimum digest = %s, want %s", name, got[name+"-optimum"], want)
 		}
 	}
 	t.Logf("%d divisible runs", runs)
