@@ -115,7 +115,7 @@ func Defs() []Def {
 		{Name: "local-warm-hit-http", Bench: benchLocalWarmHitHTTP},
 		{Name: "forward-warm-hit", Bench: benchForwardWarmHit},
 		{Name: "model-training", Bench: benchModelTraining},
-		{Name: "strategy-step-memo", Bench: benchStrategyStepMemo},
+		{Name: "strategy-step-shared", Bench: benchStrategyStepShared},
 		{Name: "cold-divisible-job", Bench: benchColdDivisibleJob},
 		{Name: "exact-divisible-proof", Bench: benchExactDivisibleProof},
 		{Name: "exact-divisible-proof-cold", Bench: benchExactDivisibleProofCold},
@@ -222,16 +222,18 @@ func benchTableMeasureLevels(b *testing.B) {
 	}
 }
 
-// benchStrategyStepMemo is one SAM step through the restart runner's
-// shared memo — the rung between a memo hit (cache-evaluate-hit) and a
-// full search (sam-multichain). Two chains run sequentially over the
-// paper space with b.N steps between them, so the per-run set-up (the
-// ordinal memo, the chains' buffers) amortizes away and the op is the
-// step itself: a neighbor move, one memo lookup (a measurement on a
-// miss) and the acceptance test.
-func benchStrategyStepMemo(b *testing.B) {
+// benchStrategyStepShared is one SAM step over a view of the fixture
+// workload's shared measurement memo — the rung between a memo hit
+// (cache-evaluate-hit) and a full search (sam-multichain). Two chains
+// run sequentially over the paper space with b.N steps between them,
+// so the per-run set-up (the view, the chains' buffers) amortizes away
+// and the op is the step itself: a neighbor move, one shared-memo
+// lookup and charge check (a measurement on a miss) and the acceptance
+// test.
+func benchStrategyStepShared(b *testing.B) {
 	s := fixtures(b)
-	prob := core.NewSearchProblem(s.schema, core.NewMeasurer(s.platform, s.workload), nil, space.StepMove)
+	inst := s.shared.Instance()
+	prob := core.NewSearchProblem(s.schema, inst.MeasureCache, nil, space.StepMove)
 	budget := max(1, b.N/2)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -511,17 +513,12 @@ func benchEMEnumeration(b *testing.B) {
 	}
 }
 
-// benchSAMMultiChain runs 4 concurrent SAM chains over the shared
-// evaluation cache (the BenchmarkSAMMultiChain acceptance bench).
+// benchSAMMultiChain runs 4 concurrent SAM chains over a raw Measurer,
+// which measures every evaluation, revisits included (the
+// BenchmarkSAMMultiChain acceptance bench).
 func benchSAMMultiChain(b *testing.B) {
 	s := fixtures(b)
 	inst := &core.Instance{Schema: s.schema, Measurer: core.NewMeasurer(s.platform, s.workload)}
-	// Warm the shared measure cache (see benchEMEnumeration).
-	if _, err := core.Run(core.SAM, inst, core.Options{
-		Iterations: 2000, Seed: 1, Restarts: 4, Parallelism: 4,
-	}); err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -399,8 +399,8 @@ func (b *rooflineBounder) objectiveBound(lbT, lbE float64) float64 {
 // boundedSearchProblem pairs the search-space adapter with the roofline
 // pruning oracle. It is a distinct type (rather than an optional field
 // on searchProblem) so that only measurement-path problems advertise
-// ChildBounds: the strategy layer's memo wrapper and the exact solver
-// detect bounds by method set.
+// ChildBounds: Portfolio's memo wrapper and the exact solver detect
+// bounds by method set.
 type boundedSearchProblem struct {
 	*searchProblem
 	b *rooflineBounder

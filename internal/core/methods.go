@@ -136,10 +136,12 @@ type Options struct {
 	// chains for SAM/SAML, restarts for the heuristic strategies
 	// (ignored by enumeration). Each worker runs the full Iterations
 	// budget from a seed derived from (Seed, worker); the best worker
-	// wins, ties broken by the lowest index. Workers share a memoizing
-	// evaluation cache, so configurations visited by several workers
-	// cost one experiment. Zero or one reproduces the single-worker
-	// behavior exactly.
+	// wins, ties broken by the lowest index. Workers evaluate through
+	// the instance's evaluator: over a shared measurement view
+	// (Instance.MeasureCache) or a predictor, a configuration visited
+	// by several workers costs one experiment or prediction; a raw
+	// Measurer measures every visit. Zero or one reproduces the
+	// single-worker behavior exactly.
 	Restarts int
 	// Objective selects what the search minimizes: the paper's makespan
 	// (nil or TimeObjective), total joules (EnergyObjective), a weighted

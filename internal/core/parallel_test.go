@@ -67,23 +67,49 @@ func TestEnumerationUniqueEvaluations(t *testing.T) {
 	}
 }
 
-// TestRestartsShareCache checks that multi-chain SAM deduplicates
-// repeated configurations: the experiments consumed must equal the number
-// of distinct configurations visited (plus the final measurement), which
-// is strictly less than the total evaluation count once chains overlap.
-func TestRestartsShareCache(t *testing.T) {
+// TestRestartsRawMeasurerChargesEveryEvaluation: the strategy layer
+// adds no memo of its own, so multi-chain SAM over a raw Measurer pays
+// one experiment per search evaluation, revisits included, plus the
+// final fair-comparison measurement.
+func TestRestartsRawMeasurerChargesEveryEvaluation(t *testing.T) {
 	inst, _ := instance(t, dna.Human)
 	inst.Measurer.ResetCount()
 	res, err := Run(SAM, inst, Options{Iterations: 300, Seed: 5, Restarts: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 6 chains x (1 initial + 300 candidates) lookups.
+	// 6 chains x (1 initial + 300 candidates) evaluations.
+	if want := 6 * 301; res.SearchEvaluations != want {
+		t.Fatalf("search evaluations = %d, want %d", res.SearchEvaluations, want)
+	}
+	if res.Experiments != res.SearchEvaluations+1 {
+		t.Fatalf("experiments = %d, want %d search evaluations + 1 final measurement",
+			res.Experiments, res.SearchEvaluations)
+	}
+	if res.Experiments != inst.Measurer.Count() {
+		t.Fatalf("result reports %d experiments, measurer saw %d", res.Experiments, inst.Measurer.Count())
+	}
+}
+
+// TestRestartsShareCache: over a SharedMeasurements view, multi-chain
+// SAM is charged once per distinct configuration, which is strictly
+// less than the evaluation count once chains overlap.
+func TestRestartsShareCache(t *testing.T) {
+	raw, platform := instance(t, dna.Human)
+	shared, err := NewSharedMeasurements(platform, raw.Measurer.Workload, raw.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := shared.Instance()
+	res, err := Run(SAM, &inst, Options{Iterations: 300, Seed: 5, Restarts: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if want := 6 * 301; res.SearchEvaluations != want {
 		t.Fatalf("search evaluations = %d, want %d", res.SearchEvaluations, want)
 	}
 	if res.Experiments >= res.SearchEvaluations {
-		t.Fatalf("experiments %d not deduplicated below %d lookups (the small space guarantees chain overlap)",
+		t.Fatalf("experiments %d not deduplicated below %d evaluations (the small space guarantees chain overlap)",
 			res.Experiments, res.SearchEvaluations)
 	}
 	if res.Experiments != inst.Measurer.Count() {

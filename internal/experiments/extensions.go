@@ -78,8 +78,8 @@ func (s *Suite) ExtMultiDevice(w offload.Workload, maxDevices, iterations int) (
 		best := multi.Result{}
 		bestE := 0.0
 		for r := 0; r < s.repeats(); r++ {
-			// Two chains per repeat exercise the shared-memo multi-chain
-			// path; Parallelism only spreads them across workers.
+			// Two chains per repeat exercise the multi-chain path;
+			// Parallelism only spreads them across workers.
 			res, err := multi.TuneParallel(problem, multi.TuneOptions{
 				Iterations:  iterations,
 				Seed:        s.Seed + int64(r),

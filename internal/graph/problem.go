@@ -10,11 +10,10 @@ import (
 
 // PlacementProblem exposes makespan minimization over a Sim on the
 // strategy layer: one binary dimension per node (level 0 = host,
-// 1 = device). It implements strategy.Spaced — so exhaustive
-// enumeration and every coordinate-wise metaheuristic apply — and
-// strategy.BatchProblem, so the batched evaluation path introduced for
-// divisible kernels applies to placements too. Energy is pure and
-// allocation-free; the problem is safe for concurrent evaluation.
+// 1 = device). It implements strategy.Spaced, so exhaustive
+// enumeration and every coordinate-wise metaheuristic apply. Energy is
+// pure and allocation-free; the problem is safe for concurrent
+// evaluation.
 type PlacementProblem struct {
 	Sim *Sim
 }
@@ -49,18 +48,6 @@ func (p *PlacementProblem) Energy(state []int) (float64, error) {
 		return 0, fmt.Errorf("graph: placement has %d entries, want %d", len(state), p.Sim.Nodes())
 	}
 	return p.Sim.Makespan(state), nil
-}
-
-// EnergyBatch implements strategy.BatchProblem.
-func (p *PlacementProblem) EnergyBatch(states [][]int, out []float64) error {
-	for i, st := range states {
-		e, err := p.Energy(st)
-		if err != nil {
-			return err
-		}
-		out[i] = e
-	}
-	return nil
 }
 
 // ChildBounds implements strategy.Bounded: out[v] is an admissible bound

@@ -64,3 +64,34 @@ func TestTuneDeterministicAcrossParallelism(t *testing.T) {
 		}
 	}
 }
+
+// TestTunePortfolioDeterministicAcrossParallelism races the default
+// portfolio on every preset, its members sharing one memo, and pins the
+// result at every parallelism. Every preset is within the exact gate,
+// so the race also proves the exhaustive optimum.
+func TestTunePortfolioDeterministicAcrossParallelism(t *testing.T) {
+	for _, w := range Presets() {
+		s := testSim(t, w)
+		opt, err := Tune(s, nil, strategy.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ref Result
+		for i, par := range []int{1, 8} {
+			res, err := Tune(s, strategy.DefaultPortfolio(), strategy.Options{Budget: 200, Seed: 3, Restarts: 2, Parallelism: par})
+			if err != nil {
+				t.Fatalf("%s: %v", w.Name, err)
+			}
+			if i == 0 {
+				ref = res
+				if c, ok := res.Certificate(); !ok || !c.Optimal || res.MakespanSec != opt.MakespanSec {
+					t.Errorf("%s: portfolio %g (certified %v), exhaustive optimum %g", w.Name, res.MakespanSec, ok && c.Optimal, opt.MakespanSec)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(res, ref) {
+				t.Errorf("%s: parallelism %d diverged: %+v vs %+v", w.Name, par, res, ref)
+			}
+		}
+	}
+}

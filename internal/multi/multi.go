@@ -420,9 +420,8 @@ func (p *Problem) objective() core.Objective {
 
 // Energy implements strategy.Problem by measuring the decoded
 // configuration and scoring it under the problem's objective.
-// Measurement is a pure function of the state, so the
-// strategy layer's shared memo (installed for multi-worker runs) never
-// changes a value, only the physical effort spent.
+// Measurement is a pure function of the state and nothing memoizes
+// it: every call, from every chain, measures.
 func (p *Problem) Energy(state []int) (float64, error) {
 	cfg, err := p.Decode(state)
 	if err != nil {
@@ -474,10 +473,9 @@ func Tune(p *Problem, iterations int, seed int64) (Result, error) {
 
 // TuneParallel runs one or more simulated-annealing chains on the
 // paper schedule over the multi-device space and returns the best
-// configuration with its measurement. Chains share a memoizing
-// evaluation cache, so states visited by several chains are measured
-// once. For fixed (Seed, Restarts) the result is bit-identical at every
-// Parallelism level.
+// configuration with its measurement. Each chain measures every state
+// it evaluates, revisits included. For fixed (Seed, Restarts) the
+// result is bit-identical at every Parallelism level.
 func TuneParallel(p *Problem, opt TuneOptions) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err

@@ -1,8 +1,9 @@
 // Package search is the concurrent optimization substrate shared by every
 // tuning path: concurrency-safe single-flight memo tables (deduplicating
-// repeated evaluations across annealing chains, restarts and jobs) and a
-// deterministic worker-pool runner (sharding enumeration and fanning out
-// independent chains). See DESIGN.md, "The search layer".
+// repeated evaluations inside an evaluator, across jobs and chains, and
+// across a portfolio's members) and a deterministic worker-pool runner
+// (sharding enumeration and fanning out independent chains). See
+// DESIGN.md, "The search layer".
 //
 // Determinism is the package's design constraint: every helper is written
 // so that results depend only on the inputs, never on goroutine
@@ -60,9 +61,10 @@ type DenseMemo[V any] struct {
 }
 
 // MaxDenseOrdinals is the largest key space the search stack builds a
-// DenseMemo for; larger spaces stay on Memo. Every shipped tuning
-// schema (the largest, Table I's, has 57,267 configurations) and every
-// placement graph of up to 16 tasks fits.
+// DenseMemo for: a predictor's whole-evaluation memo stays off larger
+// schemas, and a portfolio races a larger space without a memo. Every
+// shipped tuning schema (the largest, Table I's, has 57,267
+// configurations) and every placement graph of up to 16 tasks fits.
 const MaxDenseOrdinals = 1 << 16
 
 // NewDenseMemo returns an empty memo over the ordinals [0, n).

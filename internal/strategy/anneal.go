@@ -31,10 +31,10 @@ const TempSpan = 1e4
 //     current one.
 //
 // K independent chains (Options.Restarts) run through the shared
-// restart runner, sharing a single-flight evaluation memo when K > 1 so
-// a state visited by several chains costs one evaluation. A single
-// chain runs without the memo: budget+1 raw evaluations. It works on
-// any Problem (Spaced not required). Options.OnStep observes chain 0.
+// restart runner. Each chain makes budget+1 Energy calls; a state
+// visited by several chains costs one evaluation only when the
+// problem's evaluator memoizes it. It works on any Problem (Spaced not
+// required). Options.OnStep observes chain 0.
 type Anneal struct {
 	// InitialTemp is the starting temperature; zero selects
 	// DefaultInitialTemp. The stop temperature is InitialTemp/TempSpan,

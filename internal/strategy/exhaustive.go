@@ -49,37 +49,24 @@ func (Exhaustive) Minimize(p Problem, opt Options) (Result, error) {
 			sb.ord = ord
 		}
 	}
-	// scan walks its range with an odometer, decoding fixed-size chunks
-	// into a reused backing array and evaluating each chunk in one
-	// energyBatch call. The merge still walks ordinals in order, so the
-	// (energy, ordinal) winner is the sequential one.
+	// scan walks its range with an odometer, evaluating each state in
+	// ordinal order, so the (energy, ordinal) winner is the sequential
+	// one.
 	scan := func(lo, hi int) (shardBest, error) {
 		sb := shardBest{e: math.Inf(1), ord: -1}
-		const chunk = 256
-		backing := make([]int, (chunk+1)*dim)
-		idx := backing[chunk*dim:]
-		states := make([][]int, chunk)
-		for i := range states {
-			states[i] = backing[i*dim : (i+1)*dim : (i+1)*dim]
-		}
-		energies := make([]float64, chunk)
+		idx := make([]int, dim)
 		sh.unflatten(idx, lo)
-		for start := lo; start < hi; start += chunk {
-			n := min(chunk, hi-start)
-			for _, st := range states[:n] {
-				copy(st, idx)
-				for i := dim - 1; i >= 0; i-- {
-					if idx[i]++; idx[i] < sh.levels[i] {
-						break
-					}
-					idx[i] = 0
-				}
-			}
-			if err := energyBatch(sp, states[:n], energies[:n]); err != nil {
+		for ord := lo; ord < hi; ord++ {
+			e, err := sp.Energy(idx)
+			if err != nil {
 				return sb, err
 			}
-			for i := 0; i < n; i++ {
-				merge(&sb, energies[i], start+i)
+			merge(&sb, e, ord)
+			for i := dim - 1; i >= 0; i-- {
+				if idx[i]++; idx[i] < sh.levels[i] {
+					break
+				}
+				idx[i] = 0
 			}
 		}
 		return sb, nil

@@ -243,9 +243,8 @@ func (Tabu) Minimize(p Problem, opt Options) (Result, error) {
 // Genetic is a generational genetic algorithm with tournament
 // selection, uniform crossover, per-gene mutation at rate 1/Dim and
 // elitism: a population of 24 whose best 2 are copied unchanged into
-// the next generation. Each generation's children are drawn first and
-// evaluated in one batch; evaluation consumes no randomness, so
-// batching never changes a result.
+// the next generation. Each generation's children are all drawn before
+// any is evaluated, so the rng stream does not depend on evaluation.
 type Genetic struct{}
 
 // Name implements Strategy.
@@ -306,25 +305,22 @@ func (Genetic) Minimize(p Problem, opt Options) (Result, error) {
 			return child
 		}
 
-		states := make([][]int, 0, pop)
-		energies := make([]float64, pop)
+		children := make([][]int, 0, pop)
 		for !c.spent() {
 			// Elitism: carry the best individuals over unchanged. The
 			// order sort.Slice leaves ties in decides later tournaments.
 			sort.Slice(population, func(i, j int) bool { return population[i].energy < population[j].energy })
 			next := append(make([]indiv, 0, pop), population[:elite]...)
-			n := min(pop-elite, c.limit-c.used)
-			states = states[:0]
-			for len(states) < n {
-				states = append(states, makeChild())
+			children = children[:0]
+			for len(children) < min(pop-elite, c.limit-c.used) {
+				children = append(children, makeChild())
 			}
-			if err := energyBatch(p, states, energies[:n]); err != nil {
-				c.fail(err)
-				break
-			}
-			c.used += n
-			for i, genes := range states {
-				in := indiv{genes: genes, energy: sanitize(energies[i])}
+			for _, genes := range children {
+				e, ok := c.eval(genes)
+				if !ok {
+					break
+				}
+				in := indiv{genes: genes, energy: e}
 				record(in)
 				next = append(next, in)
 			}

@@ -21,9 +21,13 @@ import (
 // the same worker budget), and an evaluation paid by whichever member
 // reaches a state first is free for every other member — the shared
 // memo guarantees no evaluation is ever paid twice across the
-// portfolio. Members that exhaust their budget early simply stand as
-// best-so-far until the slowest member finishes. Race reports the
-// cache accounting that proves the sharing.
+// portfolio. The memo is a search.DenseMemo keyed by the state's
+// ordinal, so it needs a product space of at most
+// search.MaxDenseOrdinals states; on any other problem the members race
+// without one, evaluating through the problem alone. Members that
+// exhaust their budget early simply stand as best-so-far until the
+// slowest member finishes. Race reports the cache accounting that
+// proves the sharing.
 type Portfolio struct {
 	// Members are the racing strategies, in reporting order. A member
 	// requiring Spaced fails the race on problems with coupled
@@ -71,7 +75,8 @@ type PortfolioResult struct {
 	// Lookups, Unique and Hits are the shared memo's accounting across
 	// the whole race: Unique is the number of evaluations actually paid,
 	// Hits the number served for free — evaluations the portfolio did
-	// not duplicate across members.
+	// not duplicate across members. All three are zero when the race
+	// ran without a memo.
 	Lookups, Unique, Hits int
 }
 
@@ -81,10 +86,17 @@ func (pf Portfolio) Race(p Problem, opt Options) (PortfolioResult, error) {
 		return PortfolioResult{}, fmt.Errorf("strategy: portfolio has no members")
 	}
 	members := pf.Members
-	if _, sh, err := productSpace("portfolio", p); err == nil && sh.size > 0 && sh.size <= pf.ExactLimit {
-		members = append(members[:len(members):len(members)], Exact{Prove: true})
+	shared := p
+	var memo *search.DenseMemo[float64]
+	if sp, sh, err := productSpace("portfolio", p); err == nil && sh.size > 0 {
+		if sh.size <= pf.ExactLimit {
+			members = append(members[:len(members):len(members)], Exact{Prove: true})
+		}
+		if sh.size <= search.MaxDenseOrdinals {
+			memo = search.NewDenseMemo[float64](sh.size)
+			shared = withMemo(sp, sh, memo)
+		}
 	}
-	shared := withMemo(p)
 	// Split the parallelism budget between the two fan-out levels:
 	// up to Parallelism members race concurrently, and each member's
 	// internal worker pool gets the remaining share, so total
@@ -147,7 +159,9 @@ func (pf Portfolio) Race(p Problem, opt Options) (PortfolioResult, error) {
 		out.Evaluations += r.Evaluations
 		out.Workers += r.Workers
 	}
-	out.Lookups, out.Unique, out.Hits, _ = memoStats(shared)
+	if memo != nil {
+		out.Lookups, out.Unique, out.Hits = memo.Lookups(), memo.Unique(), memo.Hits()
+	}
 	return out, nil
 }
 
@@ -158,4 +172,49 @@ func (pf Portfolio) Minimize(p Problem, opt Options) (Result, error) {
 		return Result{}, err
 	}
 	return res.Result, nil
+}
+
+// memoProblem puts the race's shared single-flight memo in front of a
+// product-space problem's Energy, keyed by the state's ordinal in
+// shape, so members sharing it never pay for the same state twice.
+// Evaluations are pure, so the memo never changes a value, only the
+// physical effort spent. Hits take the memo's allocation-free Get fast
+// path; only misses build the Do closure.
+type memoProblem struct {
+	Spaced
+	memo  *search.DenseMemo[float64]
+	shape shape
+}
+
+func (m *memoProblem) Energy(state []int) (float64, error) {
+	ord, ok := m.shape.ordinal(state)
+	if !ok {
+		// Off-grid states are invalid; let the problem report that.
+		return m.Spaced.Energy(state)
+	}
+	if v, ok, err := m.memo.Get(ord); ok {
+		return v, err
+	}
+	return m.memo.Do(ord, func() (float64, error) {
+		return m.Spaced.Energy(state)
+	})
+}
+
+// boundedMemoProblem additionally forwards ChildBounds, so the exact
+// member still prunes over the shared memo. It is a distinct type (not
+// a method on memoProblem) so a memo never advertises bounds its
+// problem lacks.
+type boundedMemoProblem struct{ *memoProblem }
+
+func (m boundedMemoProblem) ChildBounds(prefix []int, fixed int, out []float64) {
+	m.Spaced.(Bounded).ChildBounds(prefix, fixed, out)
+}
+
+// withMemo wraps p in memo, preserving Bounded exactly when p has it.
+func withMemo(p Spaced, sh shape, memo *search.DenseMemo[float64]) Spaced {
+	mp := &memoProblem{Spaced: p, memo: memo, shape: sh}
+	if _, ok := p.(Bounded); ok {
+		return boundedMemoProblem{mp}
+	}
+	return mp
 }

@@ -12,10 +12,11 @@
 // Unifying the search layer turns every optimizer x objective x space
 // combination into a first-class scenario: internal/core runs its four
 // paper methods as thin presets (EM/EML = Exhaustive, SAM/SAML =
-// Anneal) over an injected Strategy, internal/multi and
-// internal/adaptive accept the same injection, and Portfolio races any
-// set of member strategies concurrently over a shared single-flight
-// evaluation memo so no configuration is ever paid for twice.
+// Anneal) over an injected Strategy, and Portfolio races any set of
+// member strategies concurrently over a shared single-flight evaluation
+// memo so no configuration is paid for twice across members. Every
+// other strategy evaluates through Problem.Energy alone: memoizing
+// evaluations is the problem's evaluator's job.
 //
 // Seeding contract: worker i of any strategy (annealing chain,
 // heuristic restart, portfolio member's workers) draws its seed from
@@ -26,7 +27,6 @@
 package strategy
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -63,23 +63,6 @@ type Spaced interface {
 	Levels(i int) int
 }
 
-// BatchProblem is optionally implemented by problems that evaluate a
-// slice of states in one call, amortizing per-call interface and memo
-// overhead. Semantics are exactly the sequential loop: out[i] receives
-// Energy(states[i]) in order, the first error stops the batch and is
-// returned, and effort accounting (memo lookups, evaluator charges)
-// matches calling Energy repeatedly. After an error the out entries at
-// and beyond the failure are untouched; callers must not use out from a
-// failed batch. Exhaustive (its 256-state ordinal chunks) and Genetic
-// (its generations) evaluate through energyBatch, which falls back to
-// the sequential loop for problems without it.
-type BatchProblem interface {
-	Problem
-	// EnergyBatch writes Energy(states[i]) into out[i];
-	// len(out) >= len(states).
-	EnergyBatch(states [][]int, out []float64) error
-}
-
 // Options configures a strategy run. The zero value is usable.
 type Options struct {
 	// Budget caps the number of energy evaluations each worker spends:
@@ -93,8 +76,9 @@ type Options struct {
 	// Restarts is the number of independent workers K (annealing chains,
 	// heuristic restarts). Each worker runs the full Budget from its own
 	// seed; the best worker wins, ties broken by the lowest index.
-	// Workers share a single-flight evaluation memo, so states visited
-	// by several workers cost one evaluation. Zero or one runs a single
+	// Every worker evaluates through the problem itself: a state
+	// visited by several workers costs one evaluation only when the
+	// problem's own evaluator memoizes it. Zero or one runs a single
 	// worker, reproducing the plain single-run behavior exactly.
 	Restarts int
 	// Parallelism caps the number of workers running concurrently. The
@@ -126,9 +110,9 @@ type Result struct {
 	// Best is the lowest-energy state found; BestEnergy its energy.
 	Best       []int
 	BestEnergy float64
-	// Evaluations counts Energy lookups observed across all workers,
-	// shared-memo hits included (the logical search effort; physical
-	// effort is lower whenever workers overlap).
+	// Evaluations counts Energy calls across all workers (the logical
+	// search effort; Portfolio counts its members' calls into its
+	// shared memo, hits included).
 	Evaluations int
 	// Worker is the index of the winning worker: the chain for Anneal,
 	// the restart for the heuristic strategies, the member for
@@ -152,22 +136,17 @@ type Result struct {
 
 // runWorkers is the restart runner behind every randomized strategy: it
 // runs opt.restarts() independent workers through search.ForEach, worker
-// i drawing from its own rng seeded search.ChainSeed(opt.Seed, i). With
-// more than one worker they share a single-flight memo over p. The
-// winner is the lowest best energy, ties broken by the lowest worker
+// i drawing from its own rng seeded search.ChainSeed(opt.Seed, i) and
+// evaluating through p itself. The winner is the lowest best energy, ties broken by the lowest worker
 // index, and Evaluations sums every worker's — so the Result is
 // bit-identical at every Parallelism. The lowest-index worker error is
 // returned unwrapped.
 func runWorkers(p Problem, opt Options, work func(w int, p Problem, rng *rand.Rand) (Result, error)) (Result, error) {
 	k := opt.restarts()
-	eval := p
-	if k > 1 {
-		eval = withMemo(p)
-	}
 	results := make([]Result, k)
 	err := search.ForEach(k, opt.Parallelism, func(i int) error {
 		var err error
-		results[i], err = work(i, eval, rand.New(rand.NewSource(search.ChainSeed(opt.Seed, i))))
+		results[i], err = work(i, p, rand.New(rand.NewSource(search.ChainSeed(opt.Seed, i))))
 		return err
 	})
 	if err != nil {
@@ -182,23 +161,6 @@ func runWorkers(p Problem, opt Options, work func(w int, p Problem, rng *rand.Ra
 	}
 	out.Workers = k
 	return out, nil
-}
-
-// energyBatch evaluates states into out through p's batch path when it
-// has one, and otherwise through the sequential Energy loop; either way
-// the first error stops it.
-func energyBatch(p Problem, states [][]int, out []float64) error {
-	if bp, ok := p.(BatchProblem); ok {
-		return bp.EnergyBatch(states, out)
-	}
-	for i, st := range states {
-		e, err := p.Energy(st)
-		if err != nil {
-			return err
-		}
-		out[i] = e
-	}
-	return nil
 }
 
 // Certificate returns the run's optimality certificate; ok is false for
@@ -223,124 +185,6 @@ type Strategy interface {
 	Name() string
 	// Minimize runs the search on p under opt.
 	Minimize(p Problem, opt Options) (Result, error)
-}
-
-// stateKey encodes a state vector as a compact string memo key — the
-// fallback for problems too large (beyond search.MaxDenseOrdinals
-// states), or too coupled, for the dense ordinal memo.
-func stateKey(state []int) string {
-	buf := make([]byte, 0, 2*len(state))
-	for _, v := range state {
-		buf = binary.AppendVarint(buf, int64(v))
-	}
-	return string(buf)
-}
-
-// memoShards stripes the string-keyed state memo so concurrent chains
-// and portfolio members do not serialize on one mutex.
-const memoShards = 8
-
-// hashStateString routes string keys onto memo shards.
-func hashStateString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 0x100000001b3
-	}
-	return h
-}
-
-// memoProblem wraps a Problem's Energy in a concurrency-safe
-// single-flight state-keyed memo, so workers sharing one memoProblem
-// never pay for the same state twice. Evaluations are pure, so the memo
-// never changes a value — only the physical effort spent. Small product
-// spaces key a search.DenseMemo by the state's ordinal in shape; other
-// problems fall back to the varint string key (smemo). Hits take the
-// memos' allocation-free Get fast path; only misses build the Do
-// closure.
-type memoProblem struct {
-	Problem
-	dense *search.DenseMemo[float64]
-	shape shape
-	smemo *search.Memo[string, float64]
-}
-
-func (m *memoProblem) Energy(state []int) (float64, error) {
-	if m.dense != nil {
-		ord, ok := m.shape.ordinal(state)
-		if !ok {
-			// Off-grid states are invalid; let the problem report that.
-			return m.Problem.Energy(state)
-		}
-		if v, ok, err := m.dense.Get(ord); ok {
-			return v, err
-		}
-		return m.dense.Do(ord, func() (float64, error) {
-			return m.Problem.Energy(state)
-		})
-	}
-	k := stateKey(state)
-	if v, ok, err := m.smemo.Get(k); ok {
-		return v, err
-	}
-	return m.smemo.Do(k, func() (float64, error) {
-		return m.Problem.Energy(state)
-	})
-}
-
-// spacedMemoProblem additionally forwards Levels, so a memo wrapped
-// around a Spaced problem still satisfies Spaced.
-type spacedMemoProblem struct{ *memoProblem }
-
-func (m spacedMemoProblem) Levels(i int) int { return m.Problem.(Spaced).Levels(i) }
-
-// boundedSpacedMemoProblem additionally forwards ChildBounds, so the
-// exact strategy still prunes when racing over a shared memo inside
-// Portfolio. It is a distinct type (not a method on the plain memo
-// wrappers) so a memo never advertises bounds its problem lacks.
-type boundedSpacedMemoProblem struct{ spacedMemoProblem }
-
-func (m boundedSpacedMemoProblem) ChildBounds(prefix []int, fixed int, out []float64) {
-	m.Problem.(Bounded).ChildBounds(prefix, fixed, out)
-}
-
-// withMemo wraps p in a fresh single-flight memo, preserving Spaced
-// (and Bounded) exactly when p supports it (a memo over coupled
-// coordinates must not pretend to be a product space, and a memo over
-// an unbounded problem must not pretend to have admissible bounds).
-func withMemo(p Problem) Problem {
-	mp := &memoProblem{Problem: p}
-	if _, sh, err := productSpace("memo", p); err == nil && sh.size > 0 && sh.size <= search.MaxDenseOrdinals {
-		mp.dense, mp.shape = search.NewDenseMemo[float64](sh.size), sh
-	} else {
-		mp.smemo = search.NewShardedMemo[string, float64](memoShards, hashStateString)
-	}
-	switch p.(type) {
-	case Bounded:
-		return boundedSpacedMemoProblem{spacedMemoProblem{mp}}
-	case Spaced:
-		return spacedMemoProblem{mp}
-	}
-	return mp
-}
-
-// memoStats reports the shared-memo accounting of a problem returned by
-// withMemo: total lookups, unique (paid) evaluations, and hits.
-func memoStats(p Problem) (lookups, unique, hits int, ok bool) {
-	var mp *memoProblem
-	switch t := p.(type) {
-	case *memoProblem:
-		mp = t
-	case spacedMemoProblem:
-		mp = t.memoProblem
-	case boundedSpacedMemoProblem:
-		mp = t.memoProblem
-	default:
-		return 0, 0, 0, false
-	}
-	if mp.dense != nil {
-		return mp.dense.Lookups(), mp.dense.Unique(), mp.dense.Hits(), true
-	}
-	return mp.smemo.Lookups(), mp.smemo.Unique(), mp.smemo.Hits(), true
 }
 
 // shape is the mixed-radix layout of a product space, the one place

@@ -173,17 +173,23 @@ func TestAnnealSingleWorkerHasNoMemoOverhead(t *testing.T) {
 	}
 }
 
-func TestRestartsShareMemo(t *testing.T) {
-	// Multi-worker heuristics share a memo: the problem must see fewer
-	// evaluations than the workers logically spent (the tiny space
-	// guarantees overlap).
-	b := newBowl()
-	res, err := Local{}.Minimize(b, Options{Budget: 400, Seed: 2, Restarts: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if paid := int(b.evals.Load()); paid >= res.Evaluations {
-		t.Fatalf("paid %d evaluations for %d lookups; restarts must deduplicate", paid, res.Evaluations)
+// TestRestartsCallEnergyPerEvaluation: the restart runner puts no memo
+// in front of the problem, so at Restarts: 4 every randomized strategy
+// calls Energy exactly Result.Evaluations times, revisits included
+// (the tiny space guarantees the workers overlap).
+func TestRestartsCallEnergyPerEvaluation(t *testing.T) {
+	for _, s := range []Strategy{DefaultAnneal(), Genetic{}, Tabu{}, Local{}, Random{}} {
+		b := newBowl()
+		res, err := s.Minimize(b, Options{Budget: 400, Seed: 2, Restarts: 4, Parallelism: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if called := int(b.evals.Load()); called != res.Evaluations {
+			t.Errorf("%s: problem saw %d evaluations, result reports %d; a hidden memo is left", s.Name(), called, res.Evaluations)
+		}
+		if res.Workers != 4 {
+			t.Errorf("%s: %d workers, want 4", s.Name(), res.Workers)
+		}
 	}
 }
 
@@ -200,18 +206,6 @@ func TestRestartsNeverWorseThanWorkerZero(t *testing.T) {
 		if multi.BestEnergy > single.BestEnergy {
 			t.Errorf("%s: 5 restarts (%g) worse than restart 0 alone (%g)", s.Name(), multi.BestEnergy, single.BestEnergy)
 		}
-	}
-}
-
-func TestStateKeyDistinct(t *testing.T) {
-	a := stateKey([]int{1, 2, 3})
-	b := stateKey([]int{1, 2, 4})
-	c := stateKey([]int{12, 3})
-	if a == b || a == c || b == c {
-		t.Fatalf("state keys collide: %q %q %q", a, b, c)
-	}
-	if a != stateKey([]int{1, 2, 3}) {
-		t.Fatal("equal states must produce equal keys")
 	}
 }
 
