@@ -165,10 +165,15 @@ func RunWithTimeSlack(m Method, inst *Instance, opt Options, slack float64) (tim
 	// by construction, so the constrained result is never allowed to be
 	// worse than the reference in both dimensions. The fallback keeps
 	// the bounded run's effort accounting: that search still executed.
+	// It carries no certificate or pool: the time run's certify the
+	// time objective, not the bounded one, and its search value is the
+	// bounded objective's measured value, not the time run's seconds.
 	if energyRes.MeasuredE() > bound || energyRes.MeasuredJ() > timeRes.MeasuredJ() {
 		fallback := timeRes
 		fallback.Objective = bobj.Name()
 		fallback.MeasuredObjective = bobj.Value(fallback.MeasuredE(), fallback.MeasuredJ())
+		fallback.SearchE = fallback.MeasuredObjective
+		fallback.Cert, fallback.Pool = nil, nil
 		fallback.SearchEvaluations = energyRes.SearchEvaluations
 		fallback.Experiments = energyRes.Experiments
 		energyRes = fallback

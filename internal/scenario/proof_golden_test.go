@@ -179,9 +179,9 @@ func TestExactProofGolden(t *testing.T) {
 	}
 	knobs := proofKnobs()
 	golden := map[string]string{
-		"paper":    "7ab84159c95a406c",
-		"gpu-like": "3fa08e305b99ead5",
-		"edge":     "14ef5f0ca68c42c2",
+		"paper":    "bfb0353d1e9d32cd",
+		"gpu-like": "f8f3c132f06e2deb",
+		"edge":     "0bbeb46c114f7d66",
 		"dag":      "6daa226843f549b0",
 	}
 	optima := map[string]string{
@@ -254,11 +254,26 @@ func TestExactProofGolden(t *testing.T) {
 									// at least the proven one, which only
 									// lowers the bounded objective: the
 									// proven optimum still caps the bound.
-									// A bounded run that fell back to the
-									// time answer (RunWithTimeSlack) carries
-									// the time run's certificate, and so does
-									// a proven one that fell back.
-									if i == 1 && (res.Cert == rs[0].Cert || proven[1].Cert == proven[0].Cert) {
+									// A bounded run on the time answer's
+									// configuration either found it with
+									// its own certificate or fell back to
+									// it (RunWithTimeSlack) with none and
+									// no pool, scored under the bounded
+									// objective; a fallback has no proof to
+									// check, and neither has an instance
+									// whose proven run fell back.
+									if i == 1 && res.Config == rs[0].Config {
+										if res.Cert != nil && res.Cert == rs[0].Cert {
+											t.Errorf("%s: bounded run carries the time run's certificate", name)
+										}
+										if res.Cert == nil {
+											if len(res.Pool) != 0 || res.SearchE != res.MeasuredObjective {
+												t.Errorf("%s: fallback keeps a pool of %d or a search value %g beside its objective %g", name, len(res.Pool), res.SearchE, res.MeasuredObjective)
+											}
+											continue
+										}
+									}
+									if i == 1 && proven[1].Cert == nil {
 										continue
 									}
 									same := i == 0 || (rs[0].Cert != nil && rs[0].Cert.Optimal)
