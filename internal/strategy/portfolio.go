@@ -94,7 +94,11 @@ func (pf Portfolio) Race(p Problem, opt Options) (PortfolioResult, error) {
 		}
 		if sh.size <= search.MaxDenseOrdinals {
 			memo = search.NewDenseMemo[float64](sh.size)
-			shared = withMemo(sp, sh, memo)
+			mp := &spacedMemoProblem{Spaced: sp, memo: memo, shape: sh}
+			shared = mp
+			if _, ok := sp.(Bounded); ok {
+				shared = boundedSpacedMemoProblem{mp}
+			}
 		}
 	}
 	// Split the parallelism budget between the two fan-out levels:
@@ -174,19 +178,19 @@ func (pf Portfolio) Minimize(p Problem, opt Options) (Result, error) {
 	return res.Result, nil
 }
 
-// memoProblem puts the race's shared single-flight memo in front of a
-// product-space problem's Energy, keyed by the state's ordinal in
+// spacedMemoProblem puts the race's shared single-flight memo in front
+// of a product-space problem's Energy, keyed by the state's ordinal in
 // shape, so members sharing it never pay for the same state twice.
 // Evaluations are pure, so the memo never changes a value, only the
 // physical effort spent. Hits take the memo's allocation-free Get fast
 // path; only misses build the Do closure.
-type memoProblem struct {
+type spacedMemoProblem struct {
 	Spaced
 	memo  *search.DenseMemo[float64]
 	shape shape
 }
 
-func (m *memoProblem) Energy(state []int) (float64, error) {
+func (m *spacedMemoProblem) Energy(state []int) (float64, error) {
 	ord, ok := m.shape.ordinal(state)
 	if !ok {
 		// Off-grid states are invalid; let the problem report that.
@@ -200,21 +204,12 @@ func (m *memoProblem) Energy(state []int) (float64, error) {
 	})
 }
 
-// boundedMemoProblem additionally forwards ChildBounds, so the exact
-// member still prunes over the shared memo. It is a distinct type (not
-// a method on memoProblem) so a memo never advertises bounds its
-// problem lacks.
-type boundedMemoProblem struct{ *memoProblem }
+// boundedSpacedMemoProblem additionally forwards ChildBounds, so the
+// exact member still prunes over the shared memo. It is a distinct type
+// (not a method on spacedMemoProblem) so a memo never advertises bounds
+// its problem lacks.
+type boundedSpacedMemoProblem struct{ *spacedMemoProblem }
 
-func (m boundedMemoProblem) ChildBounds(prefix []int, fixed int, out []float64) {
+func (m boundedSpacedMemoProblem) ChildBounds(prefix []int, fixed int, out []float64) {
 	m.Spaced.(Bounded).ChildBounds(prefix, fixed, out)
-}
-
-// withMemo wraps p in memo, preserving Bounded exactly when p has it.
-func withMemo(p Spaced, sh shape, memo *search.DenseMemo[float64]) Spaced {
-	mp := &memoProblem{Spaced: p, memo: memo, shape: sh}
-	if _, ok := p.(Bounded); ok {
-		return boundedMemoProblem{mp}
-	}
-	return mp
 }
