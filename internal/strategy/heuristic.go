@@ -243,8 +243,7 @@ func (Tabu) Minimize(p Problem, opt Options) (Result, error) {
 // Genetic is a generational genetic algorithm with tournament
 // selection, uniform crossover, per-gene mutation at rate 1/Dim and
 // elitism: a population of 24 whose best 2 are copied unchanged into
-// the next generation. Each generation's children are all drawn before
-// any is evaluated, so the rng stream does not depend on evaluation.
+// the next generation.
 type Genetic struct{}
 
 // Name implements Strategy.
@@ -305,17 +304,13 @@ func (Genetic) Minimize(p Problem, opt Options) (Result, error) {
 			return child
 		}
 
-		children := make([][]int, 0, pop)
 		for !c.spent() {
 			// Elitism: carry the best individuals over unchanged. The
 			// order sort.Slice leaves ties in decides later tournaments.
 			sort.Slice(population, func(i, j int) bool { return population[i].energy < population[j].energy })
 			next := append(make([]indiv, 0, pop), population[:elite]...)
-			children = children[:0]
-			for len(children) < min(pop-elite, c.limit-c.used) {
-				children = append(children, makeChild())
-			}
-			for _, genes := range children {
+			for len(next) < pop && !c.spent() {
+				genes := makeChild()
 				e, ok := c.eval(genes)
 				if !ok {
 					break
