@@ -101,7 +101,7 @@ func (a Anneal) Minimize(p Problem, opt Options) (Result, error) {
 	if rate <= 0 || rate >= 1 {
 		return Result{}, fmt.Errorf("anneal: cooling rate %g outside (0,1)", rate)
 	}
-	return runWorkers(p, opt, func(w int, p Problem, rng *rand.Rand) (Result, error) {
+	return runWorkers(opt, func(w int, rng *rand.Rand) (Result, error) {
 		onStep := opt.OnStep
 		if w != 0 {
 			onStep = nil

@@ -76,7 +76,7 @@ func (Random) Minimize(p Problem, opt Options) (Result, error) {
 	if _, _, err := productSpace("random", p); err != nil {
 		return Result{}, err
 	}
-	return runWorkers(p, opt, func(_ int, p Problem, rng *rand.Rand) (Result, error) {
+	return runWorkers(opt, func(_ int, rng *rand.Rand) (Result, error) {
 		c := newCounter(p, opt.budget())
 		cur := make([]int, p.Dim())
 		best := make([]int, p.Dim())
@@ -110,7 +110,7 @@ func (Local) Minimize(p Problem, opt Options) (Result, error) {
 	if _, _, err := productSpace("local", p); err != nil {
 		return Result{}, err
 	}
-	return runWorkers(p, opt, func(_ int, p Problem, rng *rand.Rand) (Result, error) {
+	return runWorkers(opt, func(_ int, rng *rand.Rand) (Result, error) {
 		c := newCounter(p, opt.budget())
 		cur := make([]int, p.Dim())
 		cand := make([]int, p.Dim())
@@ -185,7 +185,7 @@ func (Tabu) Minimize(p Problem, opt Options) (Result, error) {
 	for i := 0; i < sp.Dim(); i++ {
 		movable = movable || sp.Levels(i) >= 2
 	}
-	return runWorkers(p, opt, func(_ int, p Problem, rng *rand.Rand) (Result, error) {
+	return runWorkers(opt, func(_ int, rng *rand.Rand) (Result, error) {
 		c := newCounter(p, opt.budget())
 		cur := make([]int, p.Dim())
 		cand := make([]int, p.Dim())
@@ -255,7 +255,7 @@ func (Genetic) Minimize(p Problem, opt Options) (Result, error) {
 		return Result{}, err
 	}
 	pop, mut, elite := 24, 1/float64(p.Dim()), 2
-	return runWorkers(p, opt, func(_ int, p Problem, rng *rand.Rand) (Result, error) {
+	return runWorkers(opt, func(_ int, rng *rand.Rand) (Result, error) {
 		c := newCounter(p, opt.budget())
 		type indiv struct {
 			genes  []int

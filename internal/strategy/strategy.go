@@ -136,17 +136,18 @@ type Result struct {
 
 // runWorkers is the restart runner behind every randomized strategy: it
 // runs opt.restarts() independent workers through search.ForEach, worker
-// i drawing from its own rng seeded search.ChainSeed(opt.Seed, i) and
-// evaluating through p itself. The winner is the lowest best energy, ties broken by the lowest worker
-// index, and Evaluations sums every worker's — so the Result is
-// bit-identical at every Parallelism. The lowest-index worker error is
-// returned unwrapped.
-func runWorkers(p Problem, opt Options, work func(w int, p Problem, rng *rand.Rand) (Result, error)) (Result, error) {
+// i drawing from its own rng seeded search.ChainSeed(opt.Seed, i). Every
+// worker evaluates through the strategy's problem itself, with no memo
+// in between. The winner is the lowest best energy, ties broken by the
+// lowest worker index, and Evaluations sums every worker's — so the
+// Result is bit-identical at every Parallelism. The lowest-index worker
+// error is returned unwrapped.
+func runWorkers(opt Options, work func(w int, rng *rand.Rand) (Result, error)) (Result, error) {
 	k := opt.restarts()
 	results := make([]Result, k)
 	err := search.ForEach(k, opt.Parallelism, func(i int) error {
 		var err error
-		results[i], err = work(i, p, rand.New(rand.NewSource(search.ChainSeed(opt.Seed, i))))
+		results[i], err = work(i, rand.New(rand.NewSource(search.ChainSeed(opt.Seed, i))))
 		return err
 	})
 	if err != nil {
