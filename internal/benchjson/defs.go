@@ -493,13 +493,6 @@ func benchDAGPlacement(b *testing.B) {
 func benchEMEnumeration(b *testing.B) {
 	s := fixtures(b)
 	inst := &core.Instance{Schema: s.schema, Measurer: core.NewMeasurer(s.platform, s.workload)}
-	// Warm the shared measure cache so the record captures the
-	// steady-state per-run cost: the first enumeration's 19,926 memo
-	// inserts would otherwise amortize over a run-dependent N and make
-	// allocs/op non-reproducible.
-	if _, err := core.Run(core.EM, inst, core.Options{}); err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

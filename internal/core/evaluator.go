@@ -131,8 +131,9 @@ func sideFeatures(threads int, aff machine.Affinity, sizeMB float64, order []mac
 // memoized: the deterministic mapping from configuration to features makes
 // caching exact, which matters when enumeration queries 19,926
 // configurations built from only ~1,800 distinct per-side inputs. The
-// memo tables are concurrency-safe (single-flight), so one Predictor can
-// serve sharded enumeration and parallel annealing chains. Searches
+// memo tables are concurrency-safe, so one Predictor can serve sharded
+// enumeration and parallel annealing chains (chains that miss on one
+// key at the same moment may both predict it; the values are equal). Searches
 // (core.Run, NewSearchProblem) additionally memoize whole evaluations
 // by configuration ordinal, one table per schema (evalMemo).
 //
@@ -250,26 +251,17 @@ func (p *Predictor) Evaluate(cfg space.Config) (offload.Measurement, error) {
 	return m, nil
 }
 
-// hostTime returns the memoized host-side prediction. Memo hits take the
-// allocation-free Get fast path; only a miss builds the Do closure and
-// runs the regression forest.
+// hostTime returns the memoized host-side prediction; only a miss runs
+// the regression forest.
 func (p *Predictor) hostTime(threads int, aff machine.Affinity, sizeMB float64) (float64, error) {
-	key := sideKey{threads, aff, sizeMB}
-	if v, ok, err := p.hostMemo.Get(key); ok {
-		return v, err
-	}
-	return p.hostMemo.Do(key, func() (float64, error) {
+	return p.hostMemo.Do(sideKey{threads, aff, sizeMB}, func() (float64, error) {
 		return p.models.PredictHost(threads, aff, sizeMB)
 	})
 }
 
 // devTime is the device analogue of hostTime.
 func (p *Predictor) devTime(threads int, aff machine.Affinity, sizeMB float64) (float64, error) {
-	key := sideKey{threads, aff, sizeMB}
-	if v, ok, err := p.devMemo.Get(key); ok {
-		return v, err
-	}
-	return p.devMemo.Do(key, func() (float64, error) {
+	return p.devMemo.Do(sideKey{threads, aff, sizeMB}, func() (float64, error) {
 		return p.models.PredictDevice(threads, aff, sizeMB)
 	})
 }

@@ -267,10 +267,24 @@ func Run(m Method, inst *Instance, opt Options) (Result, error) {
 		return Result{}, err
 	}
 	startCount := inst.Measurer.Count()
+	strat := opt.strategyFor(m)
 	var evalSet Evaluator
-	if m.UsesML() {
+	switch {
+	case m.UsesML():
 		evalSet = inst.Predictor
-	} else {
+	case inst.MeasureCache == nil && racesOverMemo(strat, inst.Schema):
+		// Racing members may each measure a state none has published
+		// yet, and a raw Measurer would count every copy. A run-private
+		// view charges each distinct state once, so Experiments stays a
+		// pure function of the run.
+		shared, err := NewSharedMeasurements(inst.Measurer.Platform, inst.Measurer.Workload, inst.Schema)
+		if err != nil {
+			return Result{}, err
+		}
+		if evalSet, err = shared.view(inst.Measurer); err != nil {
+			return Result{}, err
+		}
+	default:
 		evalSet = inst.measureEvaluator()
 	}
 
@@ -283,7 +297,7 @@ func Run(m Method, inst *Instance, opt Options) (Result, error) {
 		// prediction-path runs stay bound-free (see bound.go).
 		prob = withRooflineBound(sp, inst.Measurer.Platform, inst.Measurer.Workload)
 	}
-	best, sres, err := searchWith(opt.strategyFor(m), prob, inst.Schema, opt)
+	best, sres, err := searchWith(strat, prob, inst.Schema, opt)
 	if err != nil {
 		return Result{}, err
 	}
@@ -312,6 +326,16 @@ func Run(m Method, inst *Instance, opt Options) (Result, error) {
 		Cert:              sres.Cert,
 		Pool:              pool,
 	}, nil
+}
+
+// racesOverMemo reports whether s is a portfolio whose members race over
+// a shared memo of schema's states (see strategy.Portfolio).
+func racesOverMemo(s strategy.Strategy, schema *space.Schema) bool {
+	switch s.(type) {
+	case strategy.Portfolio, *strategy.Portfolio:
+		return schema.Size() <= search.MaxDenseOrdinals
+	}
+	return false
 }
 
 // decodePool converts the strategy layer's index-vector pool into
@@ -399,9 +423,6 @@ func (p *searchProblem) Energy(state []int) (float64, error) {
 func (p *searchProblem) measure(state []int) (offload.Measurement, error) {
 	if p.dense != nil {
 		if ord, err := p.schema.Space().Flatten(state); err == nil {
-			if v, ok, err := p.dense.Get(ord); ok {
-				return v, err
-			}
 			return p.dense.Do(ord, func() (offload.Measurement, error) {
 				return p.evaluate(state)
 			})

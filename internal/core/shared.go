@@ -15,8 +15,9 @@ import (
 // run over one workload on one platform and schema: the serving
 // layer's concurrent jobs, a refinement's workers, an experiment's
 // strategies and objectives. Each configuration of the schema is
-// measured at most once, through a level table, and every run that
-// visits it afterwards replays that measurement. Measurements are pure
+// measured through a level table, once unless two runs miss on it at
+// the same moment, and every run that visits it afterwards replays
+// that measurement. Measurements are pure
 // functions of the configuration, so sharing changes no value, only
 // how often the experiment physically runs.
 //
@@ -58,7 +59,7 @@ func hashOrdinal(ord int32) uint64 { return uint64(uint32(ord)) }
 // shared memo, for Instance.MeasureCache. It charges m once per
 // distinct configuration the view is asked for — whether the memo
 // computes the measurement or replays one another run paid, and
-// whichever of the view's concurrent callers wins the computation — so
+// however many of the view's concurrent callers computed it — so
 // a run's Experiments is a pure function of the run, not of memo
 // warmth or scheduling. A view reused across runs charges a repeated
 // configuration only once in total. A replayed failure is not charged:
@@ -90,7 +91,7 @@ func (s *SharedMeasurements) Instance() Instance {
 // Lookups returns the number of memo lookups so far.
 func (s *SharedMeasurements) Lookups() int { return s.memo.Lookups() }
 
-// Unique returns the number of configurations physically measured.
+// Unique returns the number of distinct configurations measured.
 func (s *SharedMeasurements) Unique() int { return s.memo.Unique() }
 
 // Hits returns the number of lookups the memo answered from a
@@ -136,15 +137,11 @@ func (v *sharedView) evaluateState(state []int) (offload.Measurement, error) {
 // measure is the one path of every measurement of the view: the state
 // with ordinal ord and level indices lv, through the shared memo.
 func (v *sharedView) measure(ord int, lv *space.Levels) (offload.Measurement, error) {
-	key := int32(ord)
-	m, ok, err := v.shared.memo.Get(key)
 	computed := false
-	if !ok {
-		m, err = v.shared.memo.Do(key, func() (offload.Measurement, error) {
-			computed = true
-			return v.shared.table.MeasureLevels(*lv, v.runDraws())
-		})
-	}
+	m, err := v.shared.memo.Do(int32(ord), func() (offload.Measurement, error) {
+		computed = true
+		return v.shared.table.MeasureLevels(*lv, v.runDraws())
+	})
 	if (err == nil || computed) && v.firstVisit(ord) {
 		v.meas.Charge()
 	}

@@ -3,55 +3,11 @@ package search
 import (
 	"errors"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
-// TestDenseMemoSingleFlight: N goroutines released together walk every
-// ordinal of a small table in the same order; each ordinal is computed
-// exactly once and every caller sees its value.
-func TestDenseMemoSingleFlight(t *testing.T) {
-	const n, goroutines = 64, 16
-	m := NewDenseMemo[int](n)
-	var calls [n]atomic.Int64
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	wg.Add(goroutines)
-	for g := 0; g < goroutines; g++ {
-		go func() {
-			defer wg.Done()
-			<-start
-			for ord := 0; ord < n; ord++ {
-				if v, ok, err := m.Get(ord); ok && (err != nil || v != 3*ord) {
-					t.Errorf("Get(%d) = %d, %v", ord, v, err)
-				}
-				v, err := m.Do(ord, func() (int, error) {
-					calls[ord].Add(1)
-					runtime.Gosched() // widen the window for a second computation
-					return 3 * ord, nil
-				})
-				if err != nil || v != 3*ord {
-					t.Errorf("Do(%d) = %d, %v", ord, v, err)
-				}
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	for ord := range calls {
-		if got := calls[ord].Load(); got != 1 {
-			t.Fatalf("ordinal %d computed %d times, want 1", ord, got)
-		}
-	}
-	if m.Unique() != n || m.Lookups() < goroutines*n {
-		t.Fatalf("accounting = %d lookups / %d unique, want >= %d / %d", m.Lookups(), m.Unique(), goroutines*n, n)
-	}
-}
-
-// TestDenseMemoReplaysErrors: a failed computation runs once; Do and
-// Get replay its value and error afterwards.
+// TestDenseMemoReplaysErrors: a failed computation runs once; later
+// calls replay its value and error.
 func TestDenseMemoReplaysErrors(t *testing.T) {
 	m := NewDenseMemo[int](4)
 	boom := errors.New("boom")
@@ -62,9 +18,6 @@ func TestDenseMemoReplaysErrors(t *testing.T) {
 			t.Fatalf("Do #%d = %d, %v; want 7, boom", i, v, err)
 		}
 	}
-	if v, ok, err := m.Get(2); !ok || err != boom || v != 7 {
-		t.Fatalf("Get = %d, %v, %v; want 7, true, boom", v, ok, err)
-	}
 	if calls != 1 {
 		t.Fatalf("failed computation ran %d times, want 1", calls)
 	}
@@ -73,47 +26,7 @@ func TestDenseMemoReplaysErrors(t *testing.T) {
 	}
 }
 
-// TestDenseMemoGetNeverBlocks: Get on an ordinal whose computation is in
-// flight misses at once (and counts nothing) instead of waiting; a
-// concurrent Do waits and shares the single computation.
-func TestDenseMemoGetNeverBlocks(t *testing.T) {
-	m := NewDenseMemo[int](2)
-	started, release := make(chan struct{}), make(chan struct{})
-	done := make(chan int)
-	go func() {
-		v, _ := m.Do(1, func() (int, error) {
-			close(started)
-			<-release
-			return 5, nil
-		})
-		done <- v
-	}()
-	<-started
-	if _, ok, _ := m.Get(1); ok {
-		t.Fatal("Get hit an in-flight ordinal")
-	}
-	if _, ok, _ := m.Get(0); ok {
-		t.Fatal("Get hit an ordinal never computed")
-	}
-	waiter := make(chan int)
-	go func() {
-		v, _ := m.Do(1, func() (int, error) { t.Error("second computation"); return 0, nil })
-		waiter <- v
-	}()
-	close(release)
-	if a, b := <-done, <-waiter; a != 5 || b != 5 {
-		t.Fatalf("Do results %d, %d; want 5, 5", a, b)
-	}
-	if v, ok, _ := m.Get(1); !ok || v != 5 {
-		t.Fatalf("Get after completion = %d, %v", v, ok)
-	}
-	if m.Lookups() != 3 || m.Unique() != 1 {
-		t.Fatalf("accounting = %d/%d, want 3 lookups / 1 unique", m.Lookups(), m.Unique())
-	}
-}
-
-// TestDenseMemoHitZeroAllocs: a hit through Get, and through Do, is
-// allocation-free.
+// TestDenseMemoHitZeroAllocs: a hit through Do is allocation-free.
 func TestDenseMemoHitZeroAllocs(t *testing.T) {
 	m := NewDenseMemo[float64](1 << 10)
 	if _, err := m.Do(513, func() (float64, error) { return 1.5, nil }); err != nil {
@@ -121,9 +34,6 @@ func TestDenseMemoHitZeroAllocs(t *testing.T) {
 	}
 	fn := func() (float64, error) { return 0, nil }
 	allocs := testing.AllocsPerRun(200, func() {
-		if v, ok, err := m.Get(513); !ok || err != nil || v != 1.5 {
-			t.Fatal("miss")
-		}
 		if v, err := m.Do(513, fn); err != nil || v != 1.5 {
 			t.Fatal("recomputed")
 		}
@@ -133,9 +43,9 @@ func TestDenseMemoHitZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestDenseMemoAccountingMatchesMemo: one random sequence of Get and Do
-// calls, some failing, leaves DenseMemo and Memo with identical
-// Lookups, Unique and Hits after every call.
+// TestDenseMemoAccountingMatchesMemo: one random sequence of Do calls,
+// some failing, leaves DenseMemo and Memo with identical Lookups,
+// Unique and Hits after every call.
 func TestDenseMemoAccountingMatchesMemo(t *testing.T) {
 	const n = 50
 	dense := NewDenseMemo[int](n)
@@ -144,24 +54,16 @@ func TestDenseMemoAccountingMatchesMemo(t *testing.T) {
 	boom := errors.New("boom")
 	for i := 0; i < 2000; i++ {
 		ord := rng.Intn(n)
-		if rng.Intn(3) == 0 {
-			dv, dok, derr := dense.Get(ord)
-			mv, mok, merr := memo.Get(ord)
-			if dv != mv || dok != mok || derr != merr {
-				t.Fatalf("call %d Get(%d): dense %d,%v,%v memo %d,%v,%v", i, ord, dv, dok, derr, mv, mok, merr)
+		fn := func() (int, error) {
+			if ord%7 == 0 {
+				return -ord, boom
 			}
-		} else {
-			fn := func() (int, error) {
-				if ord%7 == 0 {
-					return -ord, boom
-				}
-				return ord * ord, nil
-			}
-			dv, derr := dense.Do(ord, fn)
-			mv, merr := memo.Do(ord, fn)
-			if dv != mv || derr != merr {
-				t.Fatalf("call %d Do(%d): dense %d,%v memo %d,%v", i, ord, dv, derr, mv, merr)
-			}
+			return ord * ord, nil
+		}
+		dv, derr := dense.Do(ord, fn)
+		mv, merr := memo.Do(ord, fn)
+		if dv != mv || derr != merr {
+			t.Fatalf("call %d Do(%d): dense %d,%v memo %d,%v", i, ord, dv, derr, mv, merr)
 		}
 		if dense.Lookups() != memo.Lookups() || dense.Unique() != memo.Unique() || dense.Hits() != memo.Hits() {
 			t.Fatalf("call %d: dense %d/%d/%d memo %d/%d/%d", i,
@@ -177,11 +79,12 @@ func BenchmarkDenseMemoHit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	miss := func() (float64, error) { return 0, errors.New("miss") }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok, _ := m.Get(i & (1<<15 - 1)); !ok {
-			b.Fatal("miss")
+		if _, err := m.Do(i&(1<<15-1), miss); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

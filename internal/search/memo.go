@@ -85,11 +85,24 @@ type memoShard[K comparable, V any] struct {
 	lookups atomic.Int64
 	unique  atomic.Int64
 
-	mu     sync.Mutex
-	cond   sync.Cond      // broadcast when a flight ends
-	used   int            // published slots in table
-	flight map[K]struct{} // keys whose computation is running
-	errs   map[K]error    // the error of every memoFailed key
+	mu   sync.Mutex
+	used int         // published slots in table
+	errs map[K]error // the error of every memoFailed key
+}
+
+// get returns key's published result, probing the current table
+// without a lock; ok is false when the key is not yet published.
+func (s *memoShard[K, V]) get(key K, h uint64) (v V, ok bool, err error) {
+	sl, st := s.table.Load().find(key, h)
+	switch st {
+	case memoEmpty:
+		return v, false, nil
+	case memoFailed:
+		s.mu.Lock()
+		err = s.errs[key]
+		s.mu.Unlock()
+	}
+	return sl.val, true, err
 }
 
 // insert publishes key's result, first doubling the table when it
@@ -119,24 +132,19 @@ func (s *memoShard[K, V]) insert(key K, h uint64, val V, err error, hash func(K)
 	s.used++
 }
 
-func (s *memoShard[K, V]) err(key K) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.errs[key]
-}
-
-// Memo is a concurrency-safe, single-flight memo table: concurrent Do
-// calls with the same key perform the computation exactly once and share
-// the result (including the error). Keys are striped over independently
-// locked shards, each an open-addressed table of inline slots. Hits take
-// no lock and allocate nothing: Get loads the shard's current table and
-// probes it, trusting a slot only once its state word is published.
-// Misses take the shard mutex, track the running key in a per-shard
-// flight set and run the computation outside the lock. Errors live in a
-// per-shard side map, so a table of pointer-free keys and values holds
-// no pointers. A computation that panics is forgotten: its waiters wake
-// and the next Do computes the key again. The zero value is not usable;
-// construct with NewMemo or NewShardedMemo.
+// Memo is a concurrency-safe memo table for pure computations. Keys are
+// striped over independently locked shards, each an open-addressed
+// table of inline slots. Hits take no lock and allocate nothing: Do and
+// Get load the shard's current table and probe it, trusting a slot
+// only once its state word is published. A miss runs the computation
+// with no lock held, then takes the shard mutex once to publish the
+// result (including the error) unless a racing caller published the
+// key first; the loser keeps its own, identical, result. So concurrent
+// first calls of one key may each compute it, and Unique counts
+// published keys, not computations. Errors live in a per-shard side
+// map, so a table of pointer-free keys and values holds no pointers. A
+// computation that panics publishes nothing. The zero value is not
+// usable; construct with NewMemo or NewShardedMemo.
 type Memo[K comparable, V any] struct {
 	shards []memoShard[K, V]
 	mask   uint64
@@ -162,78 +170,41 @@ func NewShardedMemo[K comparable, V any](shards int, hash func(K) uint64) *Memo[
 	}
 	m := &Memo[K, V]{shards: make([]memoShard[K, V], n), mask: uint64(n - 1), hash: hash}
 	for i := range m.shards {
-		s := &m.shards[i]
-		s.cond.L = &s.mu
-		s.table.Store(newMemoTable[K, V](minMemoSlots))
+		m.shards[i].table.Store(newMemoTable[K, V](minMemoSlots))
 	}
 	return m
 }
 
-// Do returns the memoized result for key, computing it with fn on the
-// first call. Concurrent first calls block until the single computation
-// finishes.
+// Do returns the memoized result for key, computing it with fn on a
+// miss. fn must be pure: a caller that races another on the same key
+// computes it too, and the first to publish wins.
 func (m *Memo[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 	h := m.hash(key)
 	s := &m.shards[h&m.mask]
 	s.lookups.Add(1)
+	if v, ok, err := s.get(key, h); ok {
+		return v, err
+	}
+	v, err := fn()
 	s.mu.Lock()
-	for {
-		if sl, st := s.table.Load().find(key, h); st != memoEmpty {
-			var err error
-			if st == memoFailed {
-				err = s.errs[key]
-			}
-			s.mu.Unlock()
-			return sl.val, err
-		}
-		if _, running := s.flight[key]; !running {
-			break
-		}
-		s.cond.Wait()
+	if _, st := s.table.Load().find(key, h); st == memoEmpty {
+		s.insert(key, h, v, err, m.hash)
+		s.unique.Add(1)
 	}
-	if s.flight == nil {
-		s.flight = map[K]struct{}{}
-	}
-	s.flight[key] = struct{}{}
 	s.mu.Unlock()
-	s.unique.Add(1)
-
-	var v V
-	var err error
-	computed := false
-	// Deferred so that a panicking fn still ends its flight and wakes
-	// its waiters; only a returned result is published.
-	defer func() {
-		s.mu.Lock()
-		if computed {
-			s.insert(key, h, v, err, m.hash)
-		}
-		delete(s.flight, key)
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}()
-	v, err = fn()
-	computed = true
 	return v, err
 }
 
-// Get returns the memoized result for key when its computation has
-// already completed, without blocking and without allocating. A miss —
-// absent key or a computation still in flight — reports ok false and
-// counts nothing, so a Get-then-Do sequence still records exactly one
-// lookup per logical evaluation.
+// Get returns the memoized result for key when it is already
+// published, without blocking and without allocating. A miss counts
+// nothing.
 func (m *Memo[K, V]) Get(key K) (v V, ok bool, err error) {
 	h := m.hash(key)
 	s := &m.shards[h&m.mask]
-	sl, st := s.table.Load().find(key, h)
-	switch st {
-	case memoEmpty:
-		return v, false, nil
-	case memoFailed:
-		err = s.err(key)
+	if v, ok, err = s.get(key, h); ok {
+		s.lookups.Add(1)
 	}
-	s.lookups.Add(1)
-	return sl.val, true, err
+	return v, ok, err
 }
 
 // Lookups returns the number of Do calls and Get hits so far.
@@ -245,7 +216,7 @@ func (m *Memo[K, V]) Lookups() int {
 	return int(n)
 }
 
-// Unique returns the number of computations started (cache misses).
+// Unique returns the number of keys published (distinct keys computed).
 func (m *Memo[K, V]) Unique() int {
 	n := int64(0)
 	for i := range m.shards {

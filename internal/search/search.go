@@ -1,7 +1,8 @@
 // Package search is the concurrent optimization substrate shared by every
-// tuning path: concurrency-safe single-flight memo tables (deduplicating
-// repeated evaluations inside an evaluator, across jobs and chains, and
-// across a portfolio's members) and a deterministic worker-pool runner
+// tuning path: concurrency-safe memo tables (deduplicating repeated
+// evaluations inside an evaluator, across jobs and chains, and across a
+// portfolio's members; a miss computes with no lock held, so a rare
+// racing caller computes a key twice) and a deterministic worker-pool runner
 // (sharding enumeration and fanning out independent chains). See
 // DESIGN.md, "The search layer".
 //
@@ -24,7 +25,7 @@ import (
 // DenseMemo states of one ordinal.
 const (
 	denseEmpty uint32 = iota
-	denseRunning
+	denseWriting
 	denseDone
 	denseFailed
 )
@@ -39,25 +40,22 @@ type denseCell[V any] struct {
 // DenseMemo is Memo specialized to keys that are ordinals in [0, n): a
 // flat table with one atomic state word per ordinal instead of a
 // locked map of allocated entries. Hits are one atomic load, take no
-// lock and allocate nothing; a miss claims its ordinal with one
-// compare-and-swap and stores the value in place. Errors are kept off
-// to the side, so a table of pointer-free values holds no pointers for
-// the garbage collector to scan. Do, Get, Lookups, Unique and Hits
-// count exactly as Memo's do for the same call sequence. A
-// computation that panics hands its ordinal back: its waiters wake and
-// the next Do computes it again.
+// lock and allocate nothing. A miss runs the computation, claims its
+// ordinal with one compare-and-swap and stores the value in place; a
+// caller that loses the claim, or finds the ordinal being written,
+// keeps its own result and does not wait. Errors are kept off to the
+// side, so a table of pointer-free values holds no pointers for the
+// garbage collector to scan. Do, Lookups, Unique and Hits count exactly
+// as Memo's do for the same call sequence. A computation that panics
+// publishes nothing.
 type DenseMemo[V any] struct {
 	cells []denseCell[V]
 
 	lookups atomic.Int64
 	unique  atomic.Int64
 
-	// waiters counts callers blocked on an in-flight ordinal, so a
-	// finished computation takes mu only when someone is waiting.
-	waiters atomic.Int32
-	mu      sync.Mutex
-	cond    sync.Cond
-	errs    map[int]error // guarded by mu
+	mu   sync.Mutex
+	errs map[int]error // guarded by mu
 }
 
 // MaxDenseOrdinals is the largest key space the search stack builds a
@@ -69,101 +67,52 @@ const MaxDenseOrdinals = 1 << 16
 
 // NewDenseMemo returns an empty memo over the ordinals [0, n).
 func NewDenseMemo[V any](n int) *DenseMemo[V] {
-	m := &DenseMemo[V]{cells: make([]denseCell[V], n)}
-	m.cond.L = &m.mu
-	return m
+	return &DenseMemo[V]{cells: make([]denseCell[V], n)}
 }
 
-// Do returns the memoized result for ord, computing it with fn on the
-// first call. Concurrent first calls block until the single computation
-// finishes.
+// Do returns the memoized result for ord, computing it with fn on a
+// miss. fn must be pure: a caller that races another on the same
+// ordinal computes it too, and the first to claim the cell publishes.
 func (m *DenseMemo[V]) Do(ord int, fn func() (V, error)) (V, error) {
 	m.lookups.Add(1)
 	c := &m.cells[ord]
-	for {
-		switch c.state.Load() {
-		case denseDone:
-			return c.val, nil
-		case denseFailed:
-			return c.val, m.err(ord)
-		case denseEmpty:
-			if !c.state.CompareAndSwap(denseEmpty, denseRunning) {
-				continue
-			}
-			return m.compute(c, ord, fn)
-		default:
-			m.waiters.Add(1)
-			m.mu.Lock()
-			for c.state.Load() == denseRunning {
-				m.cond.Wait()
-			}
-			m.mu.Unlock()
-			m.waiters.Add(-1)
-		}
-	}
-}
-
-// compute runs fn for the ordinal this caller claimed and publishes the
-// outcome, waking any waiters. Deferred so that a panicking fn still
-// ends its flight: the ordinal goes back to empty rather than staying
-// in flight for good.
-func (m *DenseMemo[V]) compute(c *denseCell[V], ord int, fn func() (V, error)) (V, error) {
-	m.unique.Add(1)
-	next := denseEmpty
-	defer func() {
-		c.state.Store(next)
-		if m.waiters.Load() > 0 {
-			m.mu.Lock()
-			m.cond.Broadcast()
-			m.mu.Unlock()
-		}
-	}()
-	v, err := fn()
-	c.val = v
-	if err != nil {
+	switch c.state.Load() {
+	case denseDone:
+		return c.val, nil
+	case denseFailed:
 		m.mu.Lock()
-		if m.errs == nil {
-			m.errs = map[int]error{}
-		}
-		m.errs[ord] = err
+		err := m.errs[ord]
 		m.mu.Unlock()
-		next = denseFailed
-	} else {
-		next = denseDone
+		return c.val, err
 	}
+	v, err := fn()
+	if !c.state.CompareAndSwap(denseEmpty, denseWriting) {
+		return v, err
+	}
+	m.unique.Add(1)
+	c.val = v
+	if err == nil {
+		c.state.Store(denseDone)
+		return v, nil
+	}
+	m.mu.Lock()
+	if m.errs == nil {
+		m.errs = map[int]error{}
+	}
+	m.errs[ord] = err
+	m.mu.Unlock()
+	c.state.Store(denseFailed)
 	return v, err
 }
 
-// Get returns the memoized result for ord when its computation has
-// already completed, without blocking and without allocating. A miss —
-// an ordinal never computed or still in flight — reports ok false and
-// counts nothing, as Memo.Get does.
-func (m *DenseMemo[V]) Get(ord int) (v V, ok bool, err error) {
-	c := &m.cells[ord]
-	switch c.state.Load() {
-	case denseDone:
-		m.lookups.Add(1)
-		return c.val, true, nil
-	case denseFailed:
-		m.lookups.Add(1)
-		return c.val, true, m.err(ord)
-	}
-	return v, false, nil
-}
-
-func (m *DenseMemo[V]) err(ord int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.errs[ord]
-}
-
-// Lookups returns the number of Do calls and Get hits so far.
+// Lookups returns the number of Do calls so far.
 func (m *DenseMemo[V]) Lookups() int { return int(m.lookups.Load()) }
 
-// Unique returns the number of distinct ordinals computed (misses).
+// Unique returns the number of distinct ordinals published (misses).
 func (m *DenseMemo[V]) Unique() int { return int(m.unique.Load()) }
 
-// Hits returns the number of lookups served from the memo.
+// Hits returns the number of lookups served from the memo, a racing
+// duplicate computation included.
 func (m *DenseMemo[V]) Hits() int { return m.Lookups() - m.Unique() }
 
 // HashConfig mixes a configuration into a 64-bit hash for a Memo keyed

@@ -2,44 +2,9 @@ package search
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
-
-func TestMemoSingleFlight(t *testing.T) {
-	m := NewMemo[int, int](hashInt)
-	var calls atomic.Int64
-	const goroutines = 16
-	var wg sync.WaitGroup
-	wg.Add(goroutines)
-	results := make([]int, goroutines)
-	for g := 0; g < goroutines; g++ {
-		go func() {
-			defer wg.Done()
-			v, err := m.Do(7, func() (int, error) {
-				calls.Add(1)
-				return 42, nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			results[g] = v
-		}()
-	}
-	wg.Wait()
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("computation ran %d times, want 1", got)
-	}
-	for g, v := range results {
-		if v != 42 {
-			t.Fatalf("goroutine %d saw %d, want 42", g, v)
-		}
-	}
-	if m.Lookups() != goroutines || m.Unique() != 1 || m.Hits() != goroutines-1 {
-		t.Fatalf("accounting = %d/%d/%d, want %d/1/%d", m.Lookups(), m.Unique(), m.Hits(), goroutines, goroutines-1)
-	}
-}
 
 func TestMemoCachesErrors(t *testing.T) {
 	m := NewMemo[string, int](hashString)

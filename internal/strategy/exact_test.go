@@ -172,10 +172,35 @@ func checkProof(t *testing.T, name string, p Spaced, ex Exact) Certificate {
 	return c
 }
 
+// checkTruncated asserts that an Exact run cut short by opt.Budget
+// never lies against brute force: a certificate claiming Optimal holds
+// the true optimum, LowerBound never exceeds it and Gap is never
+// negative.
+func checkTruncated(t *testing.T, name string, p Spaced, ex Exact, opt Options) {
+	t.Helper()
+	wantState, wantE := bruteForce(t, p)
+	res, err := ex.Minimize(p, opt)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	c, ok := res.Certificate()
+	if !ok {
+		t.Fatalf("%s: no certificate", name)
+	}
+	if c.Optimal && (res.BestEnergy != wantE || !reflect.DeepEqual(res.Best, wantState)) {
+		t.Fatalf("%s: claims optimal %v (%g), brute force = %v (%g)", name, res.Best, res.BestEnergy, wantState, wantE)
+	}
+	if c.LowerBound > wantE || !(c.Gap >= 0) {
+		t.Fatalf("%s: LowerBound %g, Gap %g against optimum %g", name, c.LowerBound, c.Gap, wantE)
+	}
+}
+
 // TestExactMatchesBruteForce checks proven solves against brute force
 // and Exhaustive: first on the fixed quadratic, where pruning must be
 // real, then on seeded generated separable problems, each bounded and
-// unbounded, with and without a pool.
+// unbounded, with and without a pool. The generated problems also run
+// cut short by a budget of 1, a quarter and half of the space, where the
+// certificate must still never claim more than brute force allows.
 func TestExactMatchesBruteForce(t *testing.T) {
 	c := checkProof(t, "fixed", boundedQuad{newQuad()}, Exact{Prove: true})
 	if size := quadSize(boundedQuad{newQuad()}); c.Explored >= size {
@@ -191,6 +216,11 @@ func TestExactMatchesBruteForce(t *testing.T) {
 		for _, p := range []Spaced{q, boundedQuad{q}} {
 			for _, ex := range []Exact{{Prove: true}, {Prove: true, PoolSize: 3, PoolGap: 0.5}} {
 				pruned += checkProof(t, fmt.Sprintf("seed %d %T %+v", seed, p, ex), p, ex).Pruned
+				ex.Prove = false
+				size := quadSize(p)
+				for _, budget := range []int{1, max(1, size/4), max(1, size/2)} {
+					checkTruncated(t, fmt.Sprintf("seed %d %T %+v budget %d", seed, p, ex, budget), p, ex, Options{Budget: budget})
+				}
 			}
 		}
 	}

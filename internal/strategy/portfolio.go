@@ -7,9 +7,9 @@ import (
 )
 
 // Portfolio races member strategies concurrently over one shared
-// single-flight evaluation memo, following the portfolio framing
-// implicit in the paper's strategy comparison: instead of betting on
-// one metaheuristic, run several and keep the best. Every member
+// evaluation memo, following the portfolio framing implicit in the
+// paper's strategy comparison: instead of betting on one metaheuristic,
+// run several and keep the best. Every member
 // receives the same Options — the same budget, base seed and restart
 // count it would get standalone — so the portfolio's best result is
 // never worse than its best member's, by construction (the winner is
@@ -19,9 +19,10 @@ import (
 // The race is twofold: members run concurrently (up to
 // Options.Parallelism at once, each fanning its own restarts out over
 // the same worker budget), and an evaluation paid by whichever member
-// reaches a state first is free for every other member — the shared
-// memo guarantees no evaluation is ever paid twice across the
-// portfolio. The memo is a search.DenseMemo keyed by the state's
+// reaches a state first is free for every other member — once a
+// state's evaluation is published in the shared memo, no member pays
+// for it again (two members that reach a state at the same moment may
+// both evaluate it). The memo is a search.DenseMemo keyed by the state's
 // ordinal, so it needs a product space of at most
 // search.MaxDenseOrdinals states; on any other problem the members race
 // without one, evaluating through the problem alone. Members that
@@ -73,10 +74,10 @@ type PortfolioResult struct {
 	MemberNames []string
 	PerMember   []Result
 	// Lookups, Unique and Hits are the shared memo's accounting across
-	// the whole race: Unique is the number of evaluations actually paid,
-	// Hits the number served for free — evaluations the portfolio did
-	// not duplicate across members. All three are zero when the race
-	// ran without a memo.
+	// the whole race: Unique is the number of distinct states evaluated,
+	// Hits the rest — lookups served from the memo, plus the rare
+	// evaluation a member repeated because it raced another on the same
+	// state. All three are zero when the race ran without a memo.
 	Lookups, Unique, Hits int
 }
 
@@ -178,12 +179,11 @@ func (pf Portfolio) Minimize(p Problem, opt Options) (Result, error) {
 	return res.Result, nil
 }
 
-// spacedMemoProblem puts the race's shared single-flight memo in front
-// of a product-space problem's Energy, keyed by the state's ordinal in
-// shape, so members sharing it never pay for the same state twice.
+// spacedMemoProblem puts the race's shared memo in front of a
+// product-space problem's Energy, keyed by the state's ordinal in
+// shape, so a state one member has evaluated is free for the others.
 // Evaluations are pure, so the memo never changes a value, only the
-// physical effort spent. Hits take the memo's allocation-free Get fast
-// path; only misses build the Do closure.
+// physical effort spent.
 type spacedMemoProblem struct {
 	Spaced
 	memo  *search.DenseMemo[float64]
@@ -195,9 +195,6 @@ func (m *spacedMemoProblem) Energy(state []int) (float64, error) {
 	if !ok {
 		// Off-grid states are invalid; let the problem report that.
 		return m.Spaced.Energy(state)
-	}
-	if v, ok, err := m.memo.Get(ord); ok {
-		return v, err
 	}
 	return m.memo.Do(ord, func() (float64, error) {
 		return m.Spaced.Energy(state)

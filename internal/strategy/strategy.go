@@ -13,8 +13,8 @@
 // combination into a first-class scenario: internal/core runs its four
 // paper methods as thin presets (EM/EML = Exhaustive, SAM/SAML =
 // Anneal) over an injected Strategy, and Portfolio races any set of
-// member strategies concurrently over a shared single-flight evaluation
-// memo so no configuration is paid for twice across members. Every
+// member strategies concurrently over a shared evaluation memo so a
+// configuration one member has paid for is free for the others. Every
 // other strategy evaluates through Problem.Energy alone: memoizing
 // evaluations is the problem's evaluator's job.
 //
