@@ -117,6 +117,7 @@ func Defs() []Def {
 		{Name: "model-training", Bench: benchModelTraining},
 		{Name: "strategy-step-shared", Bench: benchStrategyStepShared},
 		{Name: "cold-divisible-job", Bench: benchColdDivisibleJob},
+		{Name: "cold-dag-job", Bench: benchColdDAGJob},
 		{Name: "exact-divisible-proof", Bench: benchExactDivisibleProof},
 		{Name: "exact-divisible-proof-cold", Bench: benchExactDivisibleProofCold},
 		{Name: "exact-energy-proof-cold", Bench: benchExactEnergyProofCold},
@@ -279,6 +280,38 @@ func benchColdDivisibleJob(b *testing.B) {
 		coldJobServer.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs?wait=1", bytes.NewReader(body)))
 		if rec.Code != http.StatusOK {
 			b.Fatalf("cold job: status %d: %s", rec.Code, rec.Body)
+		}
+	}
+}
+
+// coldDAGServer is the cold-dag-job fixture, kept across the harness's
+// calls like coldJobServer; a DAG job trains nothing, so it needs no
+// pretraining. coldDAGSeed makes every op a new key.
+var (
+	coldDAGOnce   sync.Once
+	coldDAGServer *serve.Server
+	coldDAGSeed   atomic.Int64
+)
+
+// benchColdDAGJob is cold-divisible-job for a task graph: one cold SAM
+// placement of dag:resnet-ish on the paper platform (1,000 iterations,
+// two restarts, a seed no earlier op used) POSTed with ?wait=1 through
+// serve.Server.ServeHTTP — decode, normalize, the store miss, the pool
+// hand-off, the graph simulator the job places on, the annealing over
+// its makespans, and the render.
+func benchColdDAGJob(b *testing.B) {
+	coldDAGOnce.Do(func() {
+		coldDAGServer = serve.New(serve.Options{Workers: 1, QueueSize: 4})
+	})
+	var body []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body = fmt.Appendf(body[:0], `{"workload":"dag:resnet-ish","method":"sam","iterations":1000,"restarts":2,"seed":%d}`, coldDAGSeed.Add(1))
+		rec := httptest.NewRecorder()
+		coldDAGServer.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs?wait=1", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("cold DAG job: status %d: %s", rec.Code, rec.Body)
 		}
 	}
 }
