@@ -40,18 +40,33 @@ func noiseFloor(sigma float64) float64 {
 	return math.Max(0.01, 1-3*sigma)
 }
 
+// boundKind is the built-in objective a rooflineBounder composes its
+// time and energy bounds under.
+type boundKind uint8
+
+const (
+	boundTime boundKind = iota
+	boundEnergy
+	boundWeighted
+	boundTimeBounded
+)
+
 // rooflineBounder precomputes, per schema level, everything ChildBounds
 // needs — pure, allocation-free and concurrent-safe. Every child of
 // every node takes the best rate, lowest noise floor and least dynamic
 // energy over a set of levels that is a table entry, a whole row or the
 // whole table, so the per-side time and energy bounds are built once per
 // run as vectors over the fraction levels: bounding a node's children is
-// then a scan of four vectors per child, with no division.
+// then one scan per child — of two vectors for a time objective, of four
+// for one that reads energy — with no call and no division outside the
+// weighted objective's own.
 type rooflineBounder struct {
-	obj Objective
-	// energy reports that obj reads energy. Only then are the
-	// dynamic-energy vectors built and energy bounds composed.
-	energy bool
+	// kind is the objective's, and alpha and timeBoundSec its constants,
+	// captured once so the scan composes the objective inline. Only a
+	// kind that reads energy (any but boundTime) builds the
+	// dynamic-energy vectors and composes energy bounds.
+	kind                boundKind
+	alpha, timeBoundSec float64
 	// model and schema price the dynamic power of each thread/affinity
 	// pair when the vectors are built.
 	model  *perf.Model
@@ -67,6 +82,9 @@ type rooflineBounder struct {
 	hostPowerFloor      float64
 	devicePowerFloor    float64
 	hostIdleW, devIdleW float64
+	// hostIdleE and devIdleE are the idle watts times the power floor:
+	// each engaged side's least energy per second of makespan.
+	hostIdleE, devIdleE float64
 
 	// hostMB[fi] and devMB[fi] are the per-side shares of the workload at
 	// the schema's i-th fraction value; workSec terms use complexity.
@@ -100,22 +118,12 @@ func newRooflineBounder(schema *space.Schema, platform *offload.Platform, w offl
 	if schema == nil || platform == nil {
 		return nil
 	}
-	energy := false
-	switch obj.(type) {
-	case nil, TimeObjective:
-	case EnergyObjective, WeightedSumObjective, TimeBoundedObjective:
-		energy = true
-	default:
-		return nil
-	}
 	m := platform.Model()
 	if m == nil {
 		return nil
 	}
 	traits := w.Traits()
 	b := &rooflineBounder{
-		obj:              obj,
-		energy:           energy,
 		model:            m,
 		schema:           schema,
 		devFloor:         noiseFloor(m.Cal.NoiseStdDevice),
@@ -128,6 +136,22 @@ func newRooflineBounder(schema *space.Schema, platform *offload.Platform, w offl
 		pcieRateMBs:      m.Cal.PCIeRateMBs,
 		residual:         m.Cal.TransferResidual,
 	}
+	switch o := obj.(type) {
+	case nil, TimeObjective:
+		b.kind = boundTime
+	case EnergyObjective:
+		b.kind = boundEnergy
+	case WeightedSumObjective:
+		b.kind, b.alpha = boundWeighted, o.Alpha
+	case TimeBoundedObjective:
+		b.kind, b.timeBoundSec = boundTimeBounded, o.TimeBoundSec
+	default:
+		return nil
+	}
+	// Go evaluates idleW*floor*lbT as (idleW*floor)*lbT, so scaling lbT
+	// by these products gives the same bits.
+	b.hostIdleE = b.hostIdleW * b.hostPowerFloor
+	b.devIdleE = b.devIdleW * b.devicePowerFloor
 	if b.cx <= 0 {
 		b.cx = 1
 	}
@@ -213,7 +237,7 @@ func (b *rooflineBounder) buildVectors() {
 		}
 	}
 	b.devTop = b.row(b.devBest, top)
-	if !b.energy {
+	if b.kind == boundTime {
 		return
 	}
 	sc := b.schema
@@ -308,33 +332,49 @@ func (b *rooflineBounder) devTime(fi int, rate float64) float64 {
 	return 0
 }
 
-// fractionBound composes the per-side time bounds tH, tD and
-// dynamic-energy bounds eH, eD at fraction level fi into the objective's
-// bound; eH and eD are nil, and unread, when the objective is time.
-func (b *rooflineBounder) fractionBound(fi int, tH, tD, eH, eD []float64) float64 {
-	lbT := math.Max(tH[fi], tD[fi])
-	if !b.energy {
-		return lbT
-	}
+// energyBound composes the makespan bound lbT and the dynamic-energy
+// bounds eH, eD at fraction level fi into the bound of an objective
+// that reads energy. Every built-in objective is monotone in time and
+// energy, so composing lower bounds yields a lower bound; each case is
+// its objective's Value, operation for operation.
+func (b *rooflineBounder) energyBound(fi int, lbT float64, eH, eD []float64) float64 {
 	// Every engaged side draws at least idle power for the whole
 	// makespan, and the makespan is at least lbT; on top of that it
 	// draws its dynamic power while busy, which eH and eD bound.
 	var lbE float64
 	if b.hostMB[fi] > 0 {
-		lbE += b.hostIdleW*b.hostPowerFloor*lbT + eH[fi]
+		lbE += b.hostIdleE*lbT + eH[fi]
 	}
 	if b.devMB[fi] > 0 {
-		lbE += b.devIdleW*b.devicePowerFloor*lbT + eD[fi]
+		lbE += b.devIdleE*lbT + eD[fi]
 	}
-	return b.objectiveBound(lbT, lbE)
+	switch b.kind {
+	case boundWeighted:
+		return b.alpha*lbT + (1-b.alpha)*lbE/DefaultPowerScaleW
+	case boundTimeBounded:
+		if lbT > b.timeBoundSec {
+			lbE += DefaultBoundPenaltyW * (lbT - b.timeBoundSec)
+		}
+	}
+	return lbE
 }
 
 // bestFraction is the lowest fraction-level bound over the side-time
-// vectors tH, tD and the dynamic-energy vectors eH, eD.
+// vectors tH, tD and the dynamic-energy vectors eH, eD (nil, and unread,
+// when the objective is time).
 func (b *rooflineBounder) bestFraction(tH, tD, eH, eD []float64) float64 {
 	best := math.Inf(1)
-	for fi := range tH {
-		if v := b.fractionBound(fi, tH, tD, eH, eD); v < best {
+	tD = tD[:len(tH)]
+	if b.kind == boundTime {
+		for fi, h := range tH {
+			if v := max(h, tD[fi]); v < best {
+				best = v
+			}
+		}
+		return best
+	}
+	for fi, h := range tH {
+		if v := b.energyBound(fi, max(h, tD[fi]), eH, eD); v < best {
 			best = v
 		}
 	}
@@ -381,19 +421,12 @@ func (b *rooflineBounder) ChildBounds(prefix []int, fixed int, out []float64) {
 		pair := prefix[space.ParamDeviceThreads]*nda + prefix[space.ParamDeviceAffinity]
 		tD, eD := b.row(b.devSec, pair), b.row(b.devDyn, pair)
 		for fi := range out {
-			out[fi] = b.fractionBound(fi, tH, tD, eH, eD)
+			out[fi] = max(tH[fi], tD[fi])
+			if b.kind != boundTime {
+				out[fi] = b.energyBound(fi, out[fi], eH, eD)
+			}
 		}
 	}
-}
-
-// objectiveBound composes per-fraction time and energy bounds under the
-// run's objective. All four built-in objectives are monotone in both
-// arguments, so feeding them lower bounds yields a lower bound.
-func (b *rooflineBounder) objectiveBound(lbT, lbE float64) float64 {
-	if !b.energy {
-		return lbT
-	}
-	return b.obj.Value(lbT, lbE)
 }
 
 // boundedSearchProblem pairs the search-space adapter with the roofline

@@ -11,12 +11,18 @@ import (
 // every shipped divisible scenario's tree — each platform x preset,
 // at the preset's size and at an off-grid 0.37x, under every built-in
 // objective — and requires ChildBounds to equal the per-node reference
-// bit for bit on every child.
+// bit for bit on every child. The weighted objective runs at both ends
+// of alpha as well as inside, and the time-bounded one both at a fixed
+// 0.5 s and at 1.1x the scenario's time optimum (RunWithTimeSlack's
+// slack, as checkAdmissible applies it), a bound that binds on some of
+// each tree's fraction levels and not on others.
 func TestRooflineChildBoundsMatchReferenceOnPresets(t *testing.T) {
 	objectives := []core.Objective{
 		core.TimeObjective{},
 		core.EnergyObjective{},
+		core.WeightedSumObjective{Alpha: 0},
 		core.WeightedSumObjective{Alpha: 0.25},
+		core.WeightedSumObjective{Alpha: 1},
 		core.TimeBoundedObjective{TimeBoundSec: 0.5},
 	}
 	for _, spec := range scenario.Platforms() {
@@ -35,8 +41,14 @@ func TestRooflineChildBoundsMatchReferenceOnPresets(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, scale := range []float64{1, 0.37} {
-					for _, obj := range objectives {
-						if !core.CheckRooflineChildBounds(t, schema, platform, w.Scaled(w.SizeMB*scale), obj) {
+					ws := w.Scaled(w.SizeMB * scale)
+					fastest, err := core.Run(core.EM, &core.Instance{Schema: schema, Measurer: core.NewMeasurer(platform, ws)}, core.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					bounded := core.TimeBoundedObjective{TimeBoundSec: 1.1 * fastest.SearchE}
+					for _, obj := range append(objectives, bounded) {
+						if !core.CheckRooflineChildBounds(t, schema, platform, ws, obj) {
 							t.Fatalf("%s/%s: no roofline bound", spec.Name, w.Name)
 						}
 					}

@@ -44,14 +44,16 @@ func modelDynamicWatts(b *rooflineBounder) dynamicWatts {
 	return w
 }
 
-// referenceLowerBound is the roofline bound of one node, computed the
-// way the bounder did before it bounded a node's children in one call
-// from precomputed vectors: an admissible bound on the objective of any
-// configuration whose first `fixed` schema dimensions match prefix. The
-// dynamic-energy term is the least over the node's allowed pairs,
-// priced per node from the model's watts dw. ChildBounds must agree with
-// it bit for bit on every child.
-func referenceLowerBound(b *rooflineBounder, dw dynamicWatts, prefix []int, fixed int) float64 {
+// referenceLowerBound is the roofline bound under obj of one node,
+// computed the way the bounder did before it bounded a node's children
+// in one call from precomputed vectors: an admissible bound on the
+// objective of any configuration whose first `fixed` schema dimensions
+// match prefix. The dynamic-energy term is the least over the node's
+// allowed pairs, priced per node from the model's watts dw, and time
+// and energy compose through obj.Value itself, not through the
+// bounder's inlined copy of it. ChildBounds must agree with it bit for
+// bit on every child.
+func referenceLowerBound(b *rooflineBounder, obj Objective, dw dynamicWatts, prefix []int, fixed int) float64 {
 	allowed := func(d, levels int) (int, int) {
 		if d < fixed {
 			return prefix[d], prefix[d] + 1
@@ -125,7 +127,7 @@ func referenceLowerBound(b *rooflineBounder, dw dynamicWatts, prefix []int, fixe
 		if devMB > 0 {
 			lbE += b.devIdleW*b.devicePowerFloor*lbT + eD
 		}
-		if v := b.objectiveBound(lbT, lbE); v < best {
+		if v := obj.Value(lbT, lbE); v < best {
 			best = v
 		}
 	}
@@ -133,9 +135,9 @@ func referenceLowerBound(b *rooflineBounder, dw dynamicWatts, prefix []int, fixe
 }
 
 // checkChildBounds walks every node of b's tree over schema and fails
-// unless ChildBounds equals referenceLowerBound bit for bit on every
-// child.
-func checkChildBounds(t *testing.T, b *rooflineBounder, schema *space.Schema) {
+// unless ChildBounds equals referenceLowerBound under obj, the
+// objective b was built for, bit for bit on every child.
+func checkChildBounds(t *testing.T, b *rooflineBounder, obj Objective, schema *space.Schema) {
 	t.Helper()
 	dw := modelDynamicWatts(b)
 	sp := schema.Space()
@@ -153,7 +155,7 @@ func checkChildBounds(t *testing.T, b *rooflineBounder, schema *space.Schema) {
 		got := append([]float64(nil), out...)
 		for v := 0; v < n; v++ {
 			state[d] = v
-			if want := referenceLowerBound(b, dw, state, d+1); math.Float64bits(got[v]) != math.Float64bits(want) {
+			if want := referenceLowerBound(b, obj, dw, state, d+1); math.Float64bits(got[v]) != math.Float64bits(want) {
 				t.Fatalf("child %d of %v at depth %d: ChildBounds %g, reference %g", v, state[:d], d, got[v], want)
 			}
 			walk(d + 1)
@@ -195,7 +197,7 @@ func checkAdmissible(t *testing.T, schema *space.Schema, platform *offload.Platf
 		if b == nil {
 			t.Fatalf("%s: no bounder for a measurable schema", obj.Name())
 		}
-		checkChildBounds(t, b, schema)
+		checkChildBounds(t, b, obj, schema)
 		p := &boundedSearchProblem{
 			searchProblem: &searchProblem{schema: schema, eval: meas, obj: obj},
 			b:             b,
@@ -204,7 +206,7 @@ func checkAdmissible(t *testing.T, schema *space.Schema, platform *offload.Platf
 		state := make([]int, dim)
 		// path[d] is the bound of the node state[:d].
 		path := make([]float64, dim+1)
-		path[0] = referenceLowerBound(b, modelDynamicWatts(b), state, 0)
+		path[0] = referenceLowerBound(b, obj, modelDynamicWatts(b), state, 0)
 		outs := make([][]float64, dim)
 		for d := range outs {
 			outs[d] = make([]float64, schema.Space().Params[d].Levels())

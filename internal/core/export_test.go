@@ -15,7 +15,7 @@ func CheckRooflineChildBounds(t *testing.T, schema *space.Schema, platform *offl
 	if b == nil {
 		return false
 	}
-	checkChildBounds(t, b, schema)
+	checkChildBounds(t, b, obj, schema)
 	return true
 }
 

@@ -38,8 +38,9 @@ type StrategyComparisonResult struct {
 	Cells      [][]StrategyCell
 	// PortfolioLookups/Unique/Hits aggregate the racing portfolio's
 	// shared-cache accounting over every (objective, seed) run: Unique
-	// is what the portfolio actually paid, Hits what sharing saved —
-	// evaluations that were never duplicated across members.
+	// is the number of distinct states evaluated, Hits the rest —
+	// lookups the memo served, plus the rare racing duplicate (two
+	// members evaluating one state at once) that lost the publish.
 	PortfolioLookups, PortfolioUnique, PortfolioHits int
 	// PortfolioNeverWorse reports whether the portfolio's best search
 	// energy matched or beat its best member's in every single run (it
@@ -205,7 +206,7 @@ func RenderStrategyComparison(res *StrategyComparisonResult, w offload.Workload,
 		optima += fmt.Sprintf(" %s=%s (%d evals)", o, tables.F(res.ProvenOptima[oi], 4), res.ExactEvaluations[oi])
 	}
 	return tb.String() + optima + "\n" + fmt.Sprintf(
-		"portfolio shared cache: %d lookups, %d paid evaluations, %d hits (%.1f%% of lookups saved; no evaluation paid twice across members); portfolio best %s\n",
+		"portfolio shared cache: %d lookups, %d distinct states evaluated, %d hits (%.1f%% of lookups); portfolio best %s\n",
 		res.PortfolioLookups, res.PortfolioUnique, res.PortfolioHits,
 		100*float64(res.PortfolioHits)/math.Max(1, float64(res.PortfolioLookups)), never)
 }

@@ -58,6 +58,37 @@ type platformState struct {
 	spec     scenario.PlatformSpec
 	platform *offload.Platform
 	schema   *space.Schema
+
+	// sims holds the platform's graph simulator of each DAG preset,
+	// keyed by the preset's qualified name and built on first use under
+	// simMu. A simulator is a pure function of (platform, preset) —
+	// Normalize refuses any other size for a task graph — and read-only
+	// once built, so every placement on the preset shares one. The
+	// registry bounds the keys, so nothing is evicted.
+	simMu sync.Mutex
+	sims  map[string]*graph.Sim
+}
+
+// dagSim returns the platform's simulator of a DAG preset, building it
+// on first use. It prices the registry's platform spec, never the paper
+// override, as every DAG run does.
+func (st *platformState) dagSim(fam scenario.Family, preset scenario.SizePreset) (*graph.Sim, error) {
+	key := preset.Qualified(fam)
+	st.simMu.Lock()
+	defer st.simMu.Unlock()
+	if sim, ok := st.sims[key]; ok {
+		return sim, nil
+	}
+	g, err := fam.Graph(preset.Name)
+	if err != nil {
+		return nil, err
+	}
+	sim, err := st.spec.DAGSim(g)
+	if err != nil {
+		return nil, err
+	}
+	st.sims[key] = sim
+	return sim, nil
 }
 
 // platformFor resolves a canonical platform name into its shared state,
@@ -72,7 +103,7 @@ func (r *Runner) platformFor(name string) (*platformState, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &platformState{spec: spec}
+	st := &platformState{spec: spec, sims: map[string]*graph.Sim{}}
 	if name == "paper" && r.paperPlatform != nil {
 		st.platform = r.paperPlatform
 	} else {
@@ -374,11 +405,7 @@ func (r *Runner) runDAG(req TuneRequest, method core.Method, strat strategy.Stra
 	if err != nil {
 		return TuneResult{}, err
 	}
-	g, err := fam.Graph(preset.Name)
-	if err != nil {
-		return TuneResult{}, err
-	}
-	sim, err := st.spec.DAGSim(g)
+	sim, err := st.dagSim(fam, preset)
 	if err != nil {
 		return TuneResult{}, err
 	}

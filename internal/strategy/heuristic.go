@@ -3,7 +3,7 @@ package strategy
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // The metaheuristic strategies are the alternatives the paper weighs
@@ -306,8 +306,18 @@ func (Genetic) Minimize(p Problem, opt Options) (Result, error) {
 
 		for !c.spent() {
 			// Elitism: carry the best individuals over unchanged. The
-			// order sort.Slice leaves ties in decides later tournaments.
-			sort.Slice(population, func(i, j int) bool { return population[i].energy < population[j].energy })
+			// order the sort leaves ties in decides later tournaments;
+			// the comparator is negative exactly when a.energy <
+			// b.energy, which fixes that order.
+			slices.SortFunc(population, func(a, b indiv) int {
+				switch {
+				case a.energy < b.energy:
+					return -1
+				case a.energy > b.energy:
+					return 1
+				}
+				return 0
+			})
 			next := append(make([]indiv, 0, pop), population[:elite]...)
 			for len(next) < pop && !c.spent() {
 				genes := makeChild()
