@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"hetopt/internal/core"
@@ -95,6 +97,80 @@ func TestSearchStrategiesGolden(t *testing.T) {
 				} else if ref != want {
 					t.Errorf("%s diverged from the golden:\n got  %s\n want %s", key, ref, want)
 				}
+			}
+		}
+	}
+}
+
+// evalDigest wraps a problem and folds every state it evaluates, with
+// its energy bits, into an order-independent sum, so concurrent
+// restarts leave the same digest as sequential ones.
+type evalDigest struct {
+	strategy.Spaced
+	sum atomic.Uint64
+}
+
+func (d *evalDigest) Energy(state []int) (float64, error) {
+	e, err := d.Spaced.Energy(state)
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%v|%016x", state, math.Float64bits(e))
+	d.sum.Add(h.Sum64())
+	return e, err
+}
+
+// TestGeneticLongRunGolden pins Genetic over many generations: budget
+// 2,000 is about 80 generations of 24, where the short-budget cells of
+// TestSearchStrategiesGolden see only a few. Besides the fingerprint,
+// each cell pins a digest of every state evaluated, so a population
+// buffer or gene slice reused while still read would show even when the
+// run ends at the same optimum. Each cell must agree at Parallelism 1
+// and 4.
+func TestGeneticLongRunGolden(t *testing.T) {
+	sc, err := Lookup("gpu-like", "dag:resnet-ish")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := sc.DAGSim()
+	if err != nil {
+		t.Fatal(err)
+	}
+	problems := []struct {
+		name string
+		p    strategy.Spaced
+	}{
+		{"paper", core.NewSearchProblem(space.PaperSchema(),
+			core.NewMeasurer(offload.NewPlatform(), offload.GenomeWorkload(dna.Human)), nil, space.StepMove)},
+		{"dag", graph.NewPlacementProblem(sim)},
+	}
+	golden := map[string]string{
+		"paper/r1": "[5 2 8 0 24]|3fd77e3deaee3406|2000|0|d7d14d50ec571361",
+		"paper/r4": "[5 2 8 0 24]|3fd77e3deaee3406|8000|0|ff4f7848d302af48",
+		"dag/r1":   "[1 1 1 1 1 1 1 1 1 1 1]|3fc8020893d74153|2000|0|d148cbdd04cb3a07",
+		"dag/r4":   "[1 1 1 1 1 1 1 1 1 1 1]|3fc8020893d74153|8000|0|00585aaa50a150e1",
+	}
+	for _, pr := range problems {
+		for _, restarts := range []int{1, 4} {
+			key := fmt.Sprintf("%s/r%d", pr.name, restarts)
+			var ref string
+			for _, par := range []int{1, 4} {
+				d := &evalDigest{Spaced: pr.p}
+				res, err := strategy.Genetic{}.Minimize(d, strategy.Options{Budget: 2000, Seed: 7, Restarts: restarts, Parallelism: par})
+				if err != nil {
+					t.Fatalf("%s p%d: %v", key, par, err)
+				}
+				got := fmt.Sprintf("%s|%016x", strategyFingerprint(res), d.sum.Load())
+				if par == 1 {
+					ref = got
+					continue
+				}
+				if got != ref {
+					t.Errorf("%s: parallelism %d diverged:\n got  %s\n want %s", key, par, got, ref)
+				}
+			}
+			if want, ok := golden[key]; !ok {
+				t.Errorf("%s: no golden; got %q", key, ref)
+			} else if ref != want {
+				t.Errorf("%s diverged from the golden:\n got  %s\n want %s", key, ref, want)
 			}
 		}
 	}
