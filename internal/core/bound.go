@@ -73,7 +73,8 @@ type rooflineBounder struct {
 	schema *space.Schema
 
 	// hostRate[ti][ai] and devRate[ti][ai] are modeled streaming rates in
-	// MB/s for the schema's i-th thread and affinity values.
+	// MB/s for the schema's i-th thread and affinity values. The rates,
+	// hostFloor, hostMB and devMB are windows of one backing array.
 	hostRate, devRate [][]float64
 	// hostFloor[ai] is the per-affinity host noise floor (AffinityNone
 	// draws wider noise); devFloor and the power floors are uniform.
@@ -99,7 +100,8 @@ type rooflineBounder struct {
 	// (threads, affinity) pair; hostBest and devBest per thread level at
 	// the best rate over its affinities (the host's at the lowest floor
 	// over all of them); devTop is the devBest row of the fastest
-	// device level.
+	// device level. These and the dynamic-energy vectors below are
+	// windows of one backing array.
 	vectors                                    sync.Once
 	hostSec, devSec, hostBest, devBest, devTop []float64
 	// Dynamic-energy bound vectors in the same layout: hostDyn and devDyn
@@ -162,9 +164,12 @@ func newRooflineBounder(schema *space.Schema, platform *offload.Platform, w offl
 	if len(hostThreads) == 0 || len(hostAff) == 0 || len(devThreads) == 0 || len(devAff) == 0 {
 		return nil
 	}
-	b.hostRate = make([][]float64, len(hostThreads))
+	fracs := schema.FractionValues()
+	buf := make([]float64, len(hostThreads)*len(hostAff)+len(devThreads)*len(devAff)+len(hostAff)+2*len(fracs))
+	rows := make([][]float64, len(hostThreads)+len(devThreads))
+	b.hostRate, b.devRate = rows[:len(hostThreads)], rows[len(hostThreads):]
 	for ti, threads := range hostThreads {
-		b.hostRate[ti] = make([]float64, len(hostAff))
+		b.hostRate[ti] = carve(&buf, len(hostAff))
 		for ai, aff := range hostAff {
 			r, err := m.HostThroughputFor(threads, aff, traits)
 			if err != nil || !(r > 0) {
@@ -173,9 +178,8 @@ func newRooflineBounder(schema *space.Schema, platform *offload.Platform, w offl
 			b.hostRate[ti][ai] = r
 		}
 	}
-	b.devRate = make([][]float64, len(devThreads))
 	for ti, threads := range devThreads {
-		b.devRate[ti] = make([]float64, len(devAff))
+		b.devRate[ti] = carve(&buf, len(devAff))
 		for ai, aff := range devAff {
 			r, err := m.DeviceThroughputFor(threads, aff, traits)
 			if err != nil || !(r > 0) {
@@ -184,7 +188,7 @@ func newRooflineBounder(schema *space.Schema, platform *offload.Platform, w offl
 			b.devRate[ti][ai] = r
 		}
 	}
-	b.hostFloor = make([]float64, len(hostAff))
+	b.hostFloor = carve(&buf, len(hostAff))
 	for ai, aff := range hostAff {
 		sigma := m.Cal.NoiseStdHost
 		if aff == machine.AffinityNone {
@@ -192,14 +196,20 @@ func newRooflineBounder(schema *space.Schema, platform *offload.Platform, w offl
 		}
 		b.hostFloor[ai] = noiseFloor(sigma)
 	}
-	fracs := schema.FractionValues()
-	b.hostMB = make([]float64, len(fracs))
-	b.devMB = make([]float64, len(fracs))
+	b.hostMB, b.devMB = carve(&buf, len(fracs)), carve(&buf, len(fracs))
 	for fi, f := range fracs {
 		b.hostMB[fi] = w.SizeMB * f / 100
 		b.devMB[fi] = w.SizeMB - b.hostMB[fi]
 	}
 	return b
+}
+
+// carve cuts the next n values off *buf: a window capped at its own
+// length, so appending to it never reaches the next one.
+func carve(buf *[]float64, n int) []float64 {
+	v := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return v
 }
 
 // buildVectors fills the side-time vectors, and the dynamic-energy ones
@@ -208,10 +218,18 @@ func newRooflineBounder(schema *space.Schema, platform *offload.Platform, w offl
 // run a bounder is attached to.
 func (b *rooflineBounder) buildVectors() {
 	nf, nhAff, ndAff := len(b.hostMB), len(b.hostFloor), len(b.devRate[0])
-	b.hostSec = make([]float64, 0, len(b.hostRate)*nhAff*nf)
-	b.hostBest = make([]float64, 0, len(b.hostRate)*nf)
-	b.devSec = make([]float64, 0, len(b.devRate)*ndAff*nf)
-	b.devBest = make([]float64, 0, len(b.devRate)*nf)
+	hostSecN, hostBestN := len(b.hostRate)*nhAff*nf, len(b.hostRate)*nf
+	devSecN, devBestN := len(b.devRate)*ndAff*nf, len(b.devRate)*nf
+	n := hostSecN + hostBestN + devSecN + devBestN
+	if b.kind != boundTime {
+		// The dynamic-energy vectors mirror the side-time ones, plus
+		// devDynAll.
+		n += n + nf
+	}
+	// Each vector is filled by appending to an empty window of buf.
+	buf := make([]float64, n)
+	b.hostSec, b.hostBest = carve(&buf, hostSecN)[:0], carve(&buf, hostBestN)[:0]
+	b.devSec, b.devBest = carve(&buf, devSecN)[:0], carve(&buf, devBestN)[:0]
 	floor := math.Inf(1)
 	for _, f := range b.hostFloor {
 		floor = min(floor, f)
@@ -241,22 +259,23 @@ func (b *rooflineBounder) buildVectors() {
 		return
 	}
 	sc := b.schema
-	b.hostDyn, b.hostDynBest = b.dynamicVectors(b.hostSec, sc.HostThreadValues(), sc.HostAffinityValues(),
+	b.hostDyn, b.hostDynBest = b.dynamicVectors(&buf, b.hostSec, sc.HostThreadValues(), sc.HostAffinityValues(),
 		b.model.HostActivePowerW, b.hostPowerFloor, b.hostIdleW)
-	b.devDyn, b.devDynBest = b.dynamicVectors(b.devSec, sc.DeviceThreadValues(), sc.DeviceAffinityValues(),
+	b.devDyn, b.devDynBest = b.dynamicVectors(&buf, b.devSec, sc.DeviceThreadValues(), sc.DeviceAffinityValues(),
 		b.model.DeviceActivePowerW, b.devicePowerFloor, b.devIdleW)
-	b.devDynAll = b.appendMin(make([]float64, 0, nf), b.devDynBest)
+	b.devDynAll = b.appendMin(carve(&buf, nf)[:0], b.devDynBest)
 }
 
 // dynamicVectors prices one side's dynamic energy from its side-time
 // vectors sec: per (threads, affinity) pair, the power noise floor times
 // the pair's dynamic watts times its side-time vector, and per thread
-// level the pointwise minimum over its affinities.
-func (b *rooflineBounder) dynamicVectors(sec []float64, threads []int, affs []machine.Affinity,
+// level the pointwise minimum over its affinities. Both are filled into
+// windows carved off *buf.
+func (b *rooflineBounder) dynamicVectors(buf *[]float64, sec []float64, threads []int, affs []machine.Affinity,
 	power func(int, machine.Affinity) (float64, error), floor, idleW float64) (dyn, best []float64) {
 	nf := len(b.hostMB)
-	dyn = make([]float64, 0, len(sec))
-	best = make([]float64, 0, len(threads)*nf)
+	dyn = carve(buf, len(sec))[:0]
+	best = carve(buf, len(threads)*nf)[:0]
 	for ti, th := range threads {
 		for ai, aff := range affs {
 			p, err := power(th, aff)

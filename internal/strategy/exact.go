@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"hetopt/internal/search"
 )
@@ -77,6 +78,12 @@ const rootTarget = 16
 // sequentially, seeded with the same greedy-dive incumbent, and root
 // results merge in root order by (energy, state ordinal) — never by
 // completion order.
+//
+// A solve allocates per run, not per root, candidate or node: a worker
+// reuses one rootState's buffers for every root it takes, a root's result
+// is a few numbers (its best state is an ordinal), and pool candidates
+// are (energy, ordinal) pairs whose states are rebuilt only for the
+// entries the pool keeps.
 type Exact struct {
 	// Prove ignores the budget and always exhausts the tree.
 	Prove bool
@@ -131,7 +138,9 @@ type Certificate struct {
 
 // PoolEntry is one member of the diverse near-optimal solution pool.
 type PoolEntry struct {
-	// State is the index vector; Energy its evaluated energy.
+	// State is the index vector; Energy its evaluated energy. Each
+	// entry's State is its own: writing to it, or appending, leaves
+	// every other entry unchanged.
 	State  []int
 	Energy float64
 }
@@ -145,34 +154,29 @@ type solver struct {
 	poolSize int     // requested pool size (0 = no pool)
 	gap      float64 // effective pool gap (0 when no pool)
 	poolCap  int     // per-root candidate buffer cap
-	// offsets[d] is where depth d's children start in a root's
+	// poolKeep is how many of the best candidates selectPool can ever
+	// examine (see newSolver); a rootState keeps no more across roots.
+	poolKeep int
+	// offsets[d] is where depth d's children start in a rootState's
 	// per-depth buffers; offsets[len(levels)] is their total length.
 	offsets []int
 	// dive incumbent shared read-only by every root.
-	diveState []int
-	diveE     float64
-	diveOrd   int
+	diveE   float64
+	diveOrd int
 }
 
-// candidate is an internal pool candidate with its ordinal for
-// deterministic ordering.
+// candidate is a pool candidate: its energy and its state's ordinal,
+// which orders candidates deterministically and rebuilds the state.
 type candidate struct {
-	e     float64
-	ord   int
-	state []int
+	e   float64
+	ord int
 }
 
-// rootState is the mutable per-root search state.
-type rootState struct {
-	s      *solver
-	prefix []int
-	// bounds and refs hold every depth's child bounds and ordering
-	// buffer back to back: depth d's start at s.offsets[d].
-	bounds  []float64
-	refs    []childRef
+// rootResult is what the walk of one subtree root decides, its pool
+// candidates aside.
+type rootResult struct {
 	bestE   float64
 	bestOrd int
-	best    []int
 	evals   int
 	pruned  int // states eliminated by bounds
 	budget  int // remaining leaf evaluations; -1 = unlimited
@@ -180,7 +184,36 @@ type rootState struct {
 	// frontier is the minimum bound over subtrees left unexplored by
 	// budget truncation (+Inf when none).
 	frontier float64
-	pool     []candidate
+}
+
+// rootState is one worker's search state: the mutable state of the root
+// it walks. Its prefix and per-depth buffers are scratch it reuses for
+// every root the worker takes; its candidates accumulate over those
+// roots.
+type rootState struct {
+	s      *solver
+	prefix []int
+	// bounds and refs hold every depth's child bounds and ordering
+	// buffer back to back: depth d's start at s.offsets[d].
+	bounds []float64
+	refs   []childRef
+	// cands holds the candidates of the roots already finished here, cut
+	// to the poolKeep best, then from rootStart on those of the root it
+	// walks.
+	cands     []candidate
+	rootStart int
+	// rootResult is the result of the root being walked.
+	rootResult
+}
+
+// rootStates is a solve's mutex-guarded free list: a root takes a
+// rootState and gives it back when done, so a solve makes at most as
+// many rootStates as roots run at once, and once every root is done
+// the list holds them all.
+type rootStates struct {
+	s    *solver
+	mu   sync.Mutex
+	free []*rootState
 }
 
 type childRef struct {
@@ -196,22 +229,32 @@ func (e Exact) Minimize(p Problem, opt Options) (Result, error) {
 		return Result{}, err
 	}
 	depth, roots := s.split()
-	outs := make([]*rootState, roots)
-	ferr := search.ForEach(roots, opt.Parallelism, func(r int) error {
-		rs := s.newRootState()
-		// Root r's prefix is the digits of its first state's ordinal.
-		s.unflatten(rs.prefix, r*(s.size/roots))
-		outs[r] = rs
+	return s.solve(depth, roots, opt.Parallelism)
+}
+
+// solve walks the tree cut at depth into its roots subtree roots on up
+// to parallelism workers, and merges their results.
+func (s *solver) solve(depth, roots, parallelism int) (Result, error) {
+	outs := make([]rootResult, roots)
+	ws := s.rootStates(min(search.Workers(parallelism), roots))
+	ferr := search.ForEach(roots, parallelism, func(r int) error {
+		rs := ws.get()
+		defer ws.put(rs)
+		rs.begin(r * (s.size / roots))
+		var err error
 		if depth == len(s.levels) {
 			// Degenerate split: each root is a single leaf.
-			return s.visitLeaf(rs, s.leafBound(rs))
+			err = s.visitLeaf(rs, s.leafBound(rs))
+		} else {
+			err = s.expand(rs, depth)
 		}
-		return s.expand(rs, depth)
+		outs[r] = rs.finish()
+		return err
 	})
 	if ferr != nil {
 		return Result{}, ferr
 	}
-	return s.merge(outs), nil
+	return s.merge(outs, ws.free), nil
 }
 
 // newSolver validates p and builds the solve's shared state, dive
@@ -241,6 +284,17 @@ func (e Exact) newSolver(p Problem, opt Options) (*solver, error) {
 			s.gap = DefaultPoolGap
 		}
 		s.poolCap = max(4*e.PoolSize, 64)
+		// selectPool keeps at most PoolSize states and skips a
+		// candidate only when it is within L1 distance 1 (minDiversity
+		// is 2) of a kept one. A state has at most min(2, levels-1) such
+		// neighbours per dimension, so the sweep never examines more
+		// than PoolSize*(1+neighbours) candidates: those best ones, by
+		// (energy, ordinal), decide the pool.
+		neighbours := 0
+		for _, n := range sh.levels {
+			neighbours += min(2, n-1)
+		}
+		s.poolKeep = e.PoolSize * (1 + neighbours)
 	}
 	if err := s.dive(); err != nil {
 		return nil, err
@@ -287,25 +341,72 @@ func (s *solver) dive() error {
 	if err != nil {
 		return err
 	}
-	s.diveState = state
 	s.diveE = sanitize(e)
 	s.diveOrd, _ = s.ordinal(state)
 	return nil
 }
 
+// rootStates returns an empty free list for a solve running n roots at
+// once.
+func (s *solver) rootStates(n int) *rootStates {
+	return &rootStates{s: s, free: make([]*rootState, 0, n)}
+}
+
+// get takes a free rootState, or makes one when none is free.
+func (ws *rootStates) get() *rootState {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	if n := len(ws.free); n > 0 {
+		rs := ws.free[n-1]
+		ws.free = ws.free[:n-1]
+		return rs
+	}
+	return ws.s.newRootState()
+}
+
+// put gives rs back once its root is finished.
+func (ws *rootStates) put(rs *rootState) {
+	ws.mu.Lock()
+	ws.free = append(ws.free, rs)
+	ws.mu.Unlock()
+}
+
 func (s *solver) newRootState() *rootState {
 	total := s.offsets[len(s.levels)]
-	return &rootState{
-		s:        s,
-		prefix:   make([]int, len(s.levels)),
-		bounds:   make([]float64, total),
-		refs:     make([]childRef, total),
-		bestE:    s.diveE,
-		bestOrd:  s.diveOrd,
-		best:     append([]int(nil), s.diveState...),
-		frontier: math.Inf(1),
-		budget:   s.budget,
+	rs := &rootState{
+		s:      s,
+		prefix: make([]int, len(s.levels)),
+		bounds: make([]float64, total),
+		refs:   make([]childRef, total),
 	}
+	if s.poolSize > 0 {
+		// Kept candidates stay at most 2*poolKeep between roots, and a
+		// root's own at most 2*poolCap+1 (see addCandidate).
+		rs.cands = make([]candidate, 0, 2*s.poolKeep+2*s.poolCap+1)
+	}
+	return rs
+}
+
+// begin starts the walk of the root whose first state has ordinal
+// first: the root's prefix is that ordinal's digits.
+func (rs *rootState) begin(first int) {
+	s := rs.s
+	rs.rootResult = rootResult{bestE: s.diveE, bestOrd: s.diveOrd, budget: s.budget, frontier: math.Inf(1)}
+	rs.rootStart = len(rs.cands)
+	s.unflatten(rs.prefix, first)
+}
+
+// finish ends the root's walk and returns its result. The root's
+// candidates join those kept from earlier roots, all cut to the
+// poolKeep best once they pass twice that: a candidate cut has poolKeep
+// better ones that stay, so it is not among the poolKeep best of the
+// solve.
+func (rs *rootState) finish() rootResult {
+	if len(rs.cands) > 2*rs.s.poolKeep {
+		sortCandidates(rs.cands)
+		rs.cands = rs.cands[:rs.s.poolKeep]
+	}
+	return rs.rootResult
 }
 
 // children returns depth d's child-bound buffer and its empty ordering
@@ -469,7 +570,6 @@ func (s *solver) visitLeaf(rs *rootState, bound float64) error {
 	ord, _ := s.ordinal(rs.prefix)
 	if e < rs.bestE || (e == rs.bestE && ord < rs.bestOrd) {
 		rs.bestE, rs.bestOrd = e, ord
-		rs.best = append(rs.best[:0], rs.prefix...)
 	}
 	if s.poolSize > 0 && e <= rs.thresh() {
 		rs.addCandidate(e, ord)
@@ -477,11 +577,13 @@ func (s *solver) visitLeaf(rs *rootState, bound float64) error {
 	return nil
 }
 
+// addCandidate adds a candidate of the root being walked; the root's
+// candidates are cut to the poolCap best once they pass twice that.
 func (rs *rootState) addCandidate(e float64, ord int) {
-	rs.pool = append(rs.pool, candidate{e: e, ord: ord, state: append([]int(nil), rs.prefix...)})
-	if len(rs.pool) > 2*rs.s.poolCap {
-		sortCandidates(rs.pool)
-		rs.pool = rs.pool[:rs.s.poolCap]
+	rs.cands = append(rs.cands, candidate{e: e, ord: ord})
+	if root := rs.cands[rs.rootStart:]; len(root) > 2*rs.s.poolCap {
+		sortCandidates(root)
+		rs.cands = rs.cands[:rs.rootStart+rs.s.poolCap]
 	}
 }
 
@@ -493,11 +595,11 @@ func sortCandidates(cs []candidate) {
 	})
 }
 
-// merge folds the per-root results, in root order, into the final
-// Result with its certificate and diversity-filtered pool.
-func (s *solver) merge(outs []*rootState) Result {
+// merge folds the per-root results, in root order, and the rootStates'
+// kept candidates into the final Result with its certificate and
+// diversity-filtered pool.
+func (s *solver) merge(outs []rootResult, ws []*rootState) Result {
 	res := Result{
-		Best:        append([]int(nil), s.diveState...),
 		BestEnergy:  s.diveE,
 		Evaluations: 1, // the dive
 		Workers:     1,
@@ -506,7 +608,6 @@ func (s *solver) merge(outs []*rootState) Result {
 	bestOrd := s.diveOrd
 	optimal := true
 	frontier := math.Inf(1)
-	var cands []candidate
 	for _, rs := range outs {
 		res.Evaluations += rs.evals
 		cert.Explored += rs.evals
@@ -519,12 +620,10 @@ func (s *solver) merge(outs []*rootState) Result {
 		}
 		if rs.bestE < res.BestEnergy || (rs.bestE == res.BestEnergy && rs.bestOrd < bestOrd) {
 			res.BestEnergy, bestOrd = rs.bestE, rs.bestOrd
-			res.Best = append(res.Best[:0], rs.best...)
-		}
-		if s.poolSize > 0 {
-			cands = append(cands, rs.pool...)
 		}
 	}
+	res.Best = make([]int, len(s.levels))
+	s.unflatten(res.Best, bestOrd)
 	cert.Optimal = optimal
 	if optimal {
 		cert.LowerBound = res.BestEnergy
@@ -537,6 +636,10 @@ func (s *solver) merge(outs []*rootState) Result {
 	}
 	res.Cert = &cert
 	if s.poolSize > 0 {
+		cands := ws[0].cands
+		for _, rs := range ws[1:] {
+			cands = append(cands, rs.cands...)
+		}
 		res.Pool = s.selectPool(cands, res.BestEnergy)
 	}
 	return res
@@ -556,17 +659,24 @@ func relativeGap(best, lb float64) float64 {
 // selectPool applies the final gap filter and the greedy diversity
 // sweep: candidates in (energy, ordinal) order are kept only when at
 // least minDiversity away (L1 index distance) from everything already
-// kept, so the pool spans genuinely different assignments.
+// kept, so the pool spans genuinely different assignments. Each
+// examined candidate's state is rebuilt in the next entry's slot of one
+// backing array, each slot capped at its own length.
 func (s *solver) selectPool(cands []candidate, bestE float64) []PoolEntry {
 	thresh := bestE + s.gap*math.Abs(bestE)
 	sortCandidates(cands)
+	dim := len(s.levels)
+	states := make([]int, s.poolSize*dim)
 	pool := make([]PoolEntry, 0, s.poolSize)
 	for _, c := range cands {
 		if len(pool) == s.poolSize || c.e > thresh {
 			break
 		}
-		if !slices.ContainsFunc(pool, func(k PoolEntry) bool { return l1(c.state, k.State) < minDiversity }) {
-			pool = append(pool, PoolEntry{State: c.state, Energy: c.e})
+		lo := len(pool) * dim
+		state := states[lo : lo+dim : lo+dim]
+		s.unflatten(state, c.ord)
+		if !slices.ContainsFunc(pool, func(k PoolEntry) bool { return l1(state, k.State) < minDiversity }) {
+			pool = append(pool, PoolEntry{State: state, Energy: c.e})
 		}
 	}
 	return pool

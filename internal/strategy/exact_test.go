@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -315,6 +316,53 @@ func TestExactPoolDiversityInvariant(t *testing.T) {
 		if res.Pool[i].Energy < res.Pool[i-1].Energy {
 			t.Fatalf("pool not sorted by energy: %g before %g", res.Pool[i-1].Energy, res.Pool[i].Energy)
 		}
+	}
+}
+
+// TestExactPoolStatesAreOwned: every pool entry's State is its own.
+// Overwriting one, or appending to it, leaves every other entry, the
+// best state and the pool of a rerun unchanged.
+func TestExactPoolStatesAreOwned(t *testing.T) {
+	q := newQuad()
+	q.base = 10
+	p := boundedQuad{q}
+	ex := Exact{Prove: true, PoolSize: 6, PoolGap: 0.9}
+	res, err := ex.Minimize(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Pool) < 3 {
+		t.Fatalf("pool too small to test ownership: %d entries", len(res.Pool))
+	}
+	want := make([]PoolEntry, len(res.Pool))
+	for i, e := range res.Pool {
+		want[i] = PoolEntry{State: slices.Clone(e.State), Energy: e.Energy}
+	}
+	best := slices.Clone(res.Best)
+	for i, e := range res.Pool {
+		for d := range e.State {
+			e.State[d] = -1 - d
+		}
+		_ = append(e.State, -99)
+		for j, o := range res.Pool {
+			if j != i && !slices.Equal(o.State, want[j].State) {
+				t.Fatalf("writing pool[%d] changed pool[%d]: %v, want %v", i, j, o.State, want[j].State)
+			}
+		}
+		if !slices.Equal(res.Best, best) {
+			t.Fatalf("writing pool[%d] changed the best state: %v, want %v", i, res.Best, best)
+		}
+		copy(e.State, want[i].State)
+	}
+	for i := range res.Best {
+		res.Best[i] = -1
+	}
+	again, err := ex.Minimize(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again.Pool, want) || !slices.Equal(again.Best, best) {
+		t.Fatalf("a rerun after the writes differs:\n got %+v %v\nwant %+v %v", again.Pool, again.Best, want, best)
 	}
 }
 

@@ -243,7 +243,9 @@ func (Tabu) Minimize(p Problem, opt Options) (Result, error) {
 // Genetic is a generational genetic algorithm with tournament
 // selection, uniform crossover, per-gene mutation at rate 1/Dim and
 // elitism: a population of 24 whose best 2 are copied unchanged into
-// the next generation.
+// the next generation. A restart allocates its genes once: two
+// generation buffers alternate, and each child is written over a gene
+// slice no living individual holds.
 type Genetic struct{}
 
 // Name implements Strategy.
@@ -261,12 +263,18 @@ func (Genetic) Minimize(p Problem, opt Options) (Result, error) {
 			genes  []int
 			energy float64
 		}
-		population := make([]indiv, pop)
+		// population and next are the two generation buffers, each
+		// entry with a gene slice of its own from one backing array.
+		dim := p.Dim()
+		genes := make([]int, 2*pop*dim)
+		buffers := make([]indiv, 2*pop)
+		for i := range buffers {
+			buffers[i].genes = genes[i*dim : (i+1)*dim : (i+1)*dim]
+		}
+		population, next := buffers[:pop], buffers[pop:]
 		for i := range population {
-			genes := make([]int, p.Dim())
-			randomState(c.p, genes, rng)
-			e, _ := c.eval(genes)
-			population[i] = indiv{genes: genes, energy: e}
+			randomState(c.p, population[i].genes, rng)
+			population[i].energy, _ = c.eval(population[i].genes)
 		}
 		best := append([]int(nil), population[0].genes...)
 		bestE := population[0].energy
@@ -288,9 +296,10 @@ func (Genetic) Minimize(p Problem, opt Options) (Result, error) {
 			}
 			return b
 		}
-		makeChild := func() []int {
+		// makeChild writes a child over child, a gene slice no living
+		// individual holds.
+		makeChild := func(child []int) {
 			ma, pa := tournament(), tournament()
-			child := make([]int, p.Dim())
 			for i := range child {
 				if rng.Intn(2) == 0 {
 					child[i] = ma.genes[i]
@@ -301,7 +310,6 @@ func (Genetic) Minimize(p Problem, opt Options) (Result, error) {
 					child[i] = rng.Intn(c.p.Levels(i))
 				}
 			}
-			return child
 		}
 
 		for !c.spent() {
@@ -318,21 +326,26 @@ func (Genetic) Minimize(p Problem, opt Options) (Result, error) {
 				}
 				return 0
 			})
-			next := append(make([]indiv, 0, pop), population[:elite]...)
-			for len(next) < pop && !c.spent() {
-				genes := makeChild()
-				e, ok := c.eval(genes)
+			// The elites' slices move to next. From elite on, next's
+			// slots hold slices no individual of this generation holds
+			// (the last generation's non-elites, or unused ones at
+			// first), and the children are written over them.
+			copy(next, population[:elite])
+			n := elite
+			for ; n < pop && !c.spent(); n++ {
+				child := next[n].genes
+				makeChild(child)
+				e, ok := c.eval(child)
 				if !ok {
 					break
 				}
-				in := indiv{genes: genes, energy: e}
-				record(in)
-				next = append(next, in)
+				next[n].energy = e
+				record(next[n])
 			}
-			if len(next) < pop {
+			if n < pop {
 				break // budget exhausted mid-generation
 			}
-			population = next
+			population, next = next, population
 		}
 		return c.result(best, bestE)
 	})

@@ -108,14 +108,17 @@ func genTable(rng *rand.Rand) *tableProblem {
 	return p
 }
 
-// rootFingerprint renders everything a root's walk decides.
+// rootFingerprint renders everything the walk of rs's current root
+// decides. A candidate's ordinal determines its state, so the ordinal
+// stands for both.
 func rootFingerprint(rs *rootState) string {
-	pool := make([]string, len(rs.pool))
-	for i, c := range rs.pool {
-		pool[i] = fmt.Sprintf("%x/%d/%v", math.Float64bits(c.e), c.ord, c.state)
+	root := rs.cands[rs.rootStart:]
+	pool := make([]string, len(root))
+	for i, c := range root {
+		pool[i] = fmt.Sprintf("%x/%d", math.Float64bits(c.e), c.ord)
 	}
-	return fmt.Sprintf("best %x/%d/%v evals %d pruned %d budget %d trunc %v frontier %x pool %v",
-		math.Float64bits(rs.bestE), rs.bestOrd, rs.best, rs.evals, rs.pruned, rs.budget, rs.trunc,
+	return fmt.Sprintf("best %x/%d evals %d pruned %d budget %d trunc %v frontier %x pool %v",
+		math.Float64bits(rs.bestE), rs.bestOrd, rs.evals, rs.pruned, rs.budget, rs.trunc,
 		math.Float64bits(rs.frontier), pool)
 }
 
@@ -155,8 +158,8 @@ func TestSurvivorOrderingMatchesFullSort(t *testing.T) {
 		}
 		for r := 0; r < roots; r++ {
 			got, want := s.newRootState(), s.newRootState()
-			s.unflatten(got.prefix, r*(s.size/roots))
-			s.unflatten(want.prefix, r*(s.size/roots))
+			got.begin(r * (s.size / roots))
+			want.begin(r * (s.size / roots))
 			if err := s.expand(got, depth); err != nil {
 				t.Fatal(err)
 			}
@@ -178,5 +181,64 @@ func TestSurvivorOrderingMatchesFullSort(t *testing.T) {
 		if !reflect.DeepEqual(full, again) {
 			t.Fatalf("instance %d: parallelism changed the result", inst)
 		}
+	}
+}
+
+// TestPoolKeepCutMatchesFullPool: a rootState keeps only the poolKeep
+// best candidates of the roots it finished, since selectPool never
+// examines more. On generated problems whose wide pool gaps admit many
+// candidates, the Result equals a solve that keeps every root's
+// candidates, at Parallelism 1 and 3, and the cut really happens.
+func TestPoolKeepCutMatchesFullPool(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	cuts := 0
+	for inst := 0; inst < 400; inst++ {
+		p := genTable(rng)
+		ex := Exact{
+			Prove:    rng.Intn(2) == 0,
+			PoolSize: 1 + rng.Intn(6),
+			PoolGap:  []float64{0.5, 1, 2, 4}[rng.Intn(4)],
+		}
+		opt := Options{Budget: []int{3, 10, 40}[rng.Intn(3)]}
+		s, err := ex.newSolver(p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		depth, roots := s.split()
+		if depth < len(s.levels) {
+			rs := s.newRootState()
+			for r := 0; r < roots; r++ {
+				rs.begin(r * (s.size / roots))
+				if err := s.expand(rs, depth); err != nil {
+					t.Fatal(err)
+				}
+				if len(rs.cands) > 2*s.poolKeep {
+					cuts++
+				}
+				rs.finish()
+			}
+		}
+		for _, par := range []int{1, 3} {
+			got, err := s.solve(depth, roots, par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := ex.newSolver(p, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// No rootState holds more candidates than there are states.
+			full.poolKeep = full.size
+			want, err := full.solve(depth, roots, par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("instance %d (%+v, levels %v) p%d:\n got %+v\nwant %+v", inst, ex, s.levels, par, got.Pool, want.Pool)
+			}
+		}
+	}
+	if cuts < 50 {
+		t.Fatalf("only %d roots cut their rootState's candidates; the test needs more", cuts)
 	}
 }
