@@ -120,7 +120,8 @@ func TestDefsRun(t *testing.T) {
 func TestDefNamesAreStable(t *testing.T) {
 	want := []string{"em-enumeration", "sam-multichain", "measure-full",
 		"predictor-evaluate-hit", "cache-evaluate-hit", "store-key", "model-training",
-		"strategy-step-shared", "cold-divisible-job", "memo-scattered-hit", "cold-dag-job"}
+		"strategy-step-shared", "cold-divisible-job", "memo-scattered-hit", "cold-dag-job",
+		"cold-saml-job"}
 	defs := Defs()
 	if len(defs) < len(want) {
 		t.Fatalf("tracked set shrank: %d < %d", len(defs), len(want))

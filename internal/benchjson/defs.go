@@ -122,6 +122,7 @@ func Defs() []Def {
 		{Name: "exact-divisible-proof-cold", Bench: benchExactDivisibleProofCold},
 		{Name: "exact-energy-proof-cold", Bench: benchExactEnergyProofCold},
 		{Name: "table-measure-levels", Bench: benchTableMeasureLevels},
+		{Name: "cold-saml-job", Bench: benchColdSAMLJob},
 	}
 }
 
@@ -280,6 +281,41 @@ func benchColdDivisibleJob(b *testing.B) {
 		coldJobServer.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs?wait=1", bytes.NewReader(body)))
 		if rec.Code != http.StatusOK {
 			b.Fatalf("cold job: status %d: %s", rec.Code, rec.Body)
+		}
+	}
+}
+
+// coldSAMLServer is the cold-saml-job fixture: a pretrained server
+// kept across the harness's calls like coldJobServer; coldSAMLSeed
+// makes every op a new key.
+var (
+	coldSAMLOnce   sync.Once
+	coldSAMLServer *serve.Server
+	coldSAMLErr    error
+	coldSAMLSeed   atomic.Int64
+)
+
+// benchColdSAMLJob is cold-divisible-job with "method":"saml": the same
+// cold job (1,000 iterations, two restarts, a seed no earlier op used)
+// searching on the workload's predictor instead of its measurements,
+// then measuring the suggested configuration through the shared memo.
+func benchColdSAMLJob(b *testing.B) {
+	coldSAMLOnce.Do(func() {
+		coldSAMLServer = serve.New(serve.Options{Workers: 1, QueueSize: 4})
+		coldSAMLErr = coldSAMLServer.Pretrain()
+	})
+	if coldSAMLErr != nil {
+		b.Fatal(coldSAMLErr)
+	}
+	var body []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body = fmt.Appendf(body[:0], `{"method":"saml","iterations":1000,"restarts":2,"seed":%d}`, coldSAMLSeed.Add(1))
+		rec := httptest.NewRecorder()
+		coldSAMLServer.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs?wait=1", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("cold SAML job: status %d: %s", rec.Code, rec.Body)
 		}
 	}
 }
