@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"hetopt/internal/dna"
@@ -40,20 +41,40 @@ func TestPredictorEvaluateSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSearchProblemPredictorOrdinalMemo: a search over a predictor
-// memoizes whole evaluations by ordinal, one table per schema shared by
-// every search over it: a repeated state is a hit on that table and
-// never reaches the side memos again, and the hit allocates nothing.
-func TestSearchProblemPredictorOrdinalMemo(t *testing.T) {
+// TestSearchProblemPredictorLevelTable: a search over a predictor
+// prices states from one level table per (predictor, schema), whose
+// size is the sides' levels times the splits, not the schema's size
+// (Table I has 2.9x the paper space's states). Every search over the
+// pair shares the table, so a state one search priced never reaches
+// the side memos again, and a step over a filled table allocates
+// nothing.
+func TestSearchProblemPredictorLevelTable(t *testing.T) {
 	platform := offload.NewPlatform()
 	w := offload.GenomeWorkload(dna.Human)
 	pred, err := NewPredictor(testModels(t, platform), w, platform.Model())
 	if err != nil {
 		t.Fatal(err)
 	}
+	table1, err := space.NewSchema(space.Table1Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		schema *space.Schema
+		words  int
+	}{{space.PaperSchema(), (6*3 + 9*3) * 41}, {table1, (7*3 + 9*3) * 101}} {
+		tbl := pred.levelTable(tc.schema)
+		if got := len(tbl.host.sec) + len(tbl.dev.sec); got != tc.words {
+			t.Fatalf("level table over %d states holds %d predictions, want %d", tc.schema.Size(), got, tc.words)
+		}
+	}
+
 	schema := space.PaperSchema()
-	a := NewSearchProblem(schema, pred, nil, space.StepMove)
-	b := NewSearchProblem(schema, pred, EnergyObjective{}, space.StepMove)
+	a := newSearchProblem(schema, pred, TimeObjective{}, space.StepMove)
+	b := newSearchProblem(schema, pred, EnergyObjective{}, space.StepMove)
+	if a.pred == nil || a.pred != b.pred {
+		t.Fatal("two searches over one predictor and schema do not share one level table")
+	}
 	state := []int{5, 1, 8, 0, 24}
 	cfg, err := schema.Config(state)
 	if err != nil {
@@ -72,23 +93,22 @@ func TestSearchProblemPredictorOrdinalMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ea != direct.Times.E() || eb != direct.Energy.Total() {
-		t.Fatalf("memoized energies %g/%g, direct %g/%g", ea, eb, direct.Times.E(), direct.Energy.Total())
-	}
-	memo := pred.evalMemo(schema)
-	if memo.Unique() != 1 || memo.Hits() != 1 {
-		t.Fatalf("ordinal memo %d unique / %d hits, want 1 / 1", memo.Unique(), memo.Hits())
+		t.Fatalf("level-table energies %g/%g, direct %g/%g", ea, eb, direct.Times.E(), direct.Energy.Total())
 	}
 	if pred.hostMemo.Lookups() != 2 || pred.devMemo.Lookups() != 2 {
-		t.Fatalf("side memos saw %d/%d lookups, want 2/2 (the direct evaluation and one miss)",
+		t.Fatalf("side memos saw %d/%d lookups, want 2/2 (the direct evaluation and the table's fill)",
 			pred.hostMemo.Lookups(), pred.devMemo.Lookups())
 	}
+	dst := make([]int, len(state))
+	rng := rand.New(rand.NewSource(1))
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := a.Energy(state); err != nil {
+		b.Neighbor(dst, state, rng)
+		if _, err := b.Energy(state); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("ordinal-memo hit allocates %g allocs/op, want 0", allocs)
+		t.Fatalf("a step over a filled level table allocates %g allocs/op, want 0", allocs)
 	}
 }
 

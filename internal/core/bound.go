@@ -157,14 +157,12 @@ func newRooflineBounder(schema *space.Schema, platform *offload.Platform, w offl
 	if b.cx <= 0 {
 		b.cx = 1
 	}
-	hostThreads := schema.HostThreadValues()
-	hostAff := schema.HostAffinityValues()
-	devThreads := schema.DeviceThreadValues()
-	devAff := schema.DeviceAffinityValues()
+	lv := schema.Values()
+	hostThreads, hostAff := lv.HostThreads, lv.HostAffinities
+	devThreads, devAff, fracs := lv.DeviceThreads, lv.DeviceAffinities, lv.Fractions
 	if len(hostThreads) == 0 || len(hostAff) == 0 || len(devThreads) == 0 || len(devAff) == 0 {
 		return nil
 	}
-	fracs := schema.FractionValues()
 	buf := make([]float64, len(hostThreads)*len(hostAff)+len(devThreads)*len(devAff)+len(hostAff)+2*len(fracs))
 	rows := make([][]float64, len(hostThreads)+len(devThreads))
 	b.hostRate, b.devRate = rows[:len(hostThreads)], rows[len(hostThreads):]
@@ -258,10 +256,10 @@ func (b *rooflineBounder) buildVectors() {
 	if b.kind == boundTime {
 		return
 	}
-	sc := b.schema
-	b.hostDyn, b.hostDynBest = b.dynamicVectors(&buf, b.hostSec, sc.HostThreadValues(), sc.HostAffinityValues(),
+	lv := b.schema.Values()
+	b.hostDyn, b.hostDynBest = b.dynamicVectors(&buf, b.hostSec, lv.HostThreads, lv.HostAffinities,
 		b.model.HostActivePowerW, b.hostPowerFloor, b.hostIdleW)
-	b.devDyn, b.devDynBest = b.dynamicVectors(&buf, b.devSec, sc.DeviceThreadValues(), sc.DeviceAffinityValues(),
+	b.devDyn, b.devDynBest = b.dynamicVectors(&buf, b.devSec, lv.DeviceThreads, lv.DeviceAffinities,
 		b.model.DeviceActivePowerW, b.devicePowerFloor, b.devIdleW)
 	b.devDynAll = b.appendMin(carve(&buf, nf)[:0], b.devDynBest)
 }

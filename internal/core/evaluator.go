@@ -127,20 +127,25 @@ func sideFeatures(threads int, aff machine.Affinity, sizeMB float64, order []mac
 }
 
 // Predictor evaluates configurations with the trained per-side regression
-// models (the paper's Figure 4 predictive model). Predictions are
-// memoized: the deterministic mapping from configuration to features makes
-// caching exact, which matters when enumeration queries 19,926
-// configurations built from only ~1,800 distinct per-side inputs. The
-// memo tables are concurrency-safe, so one Predictor can serve sharded
-// enumeration and parallel annealing chains (chains that miss on one
-// key at the same moment may both predict it; the values are equal). Searches
-// (core.Run, NewSearchProblem) additionally memoize whole evaluations
-// by configuration ordinal, one table per schema (evalMemo).
+// models (the paper's Figure 4 predictive model). Each side is learned on
+// its own, from its threads, affinity and share, so a configuration's
+// prediction is two side predictions, and those are memoized: the
+// deterministic mapping from configuration to features makes caching
+// exact, which matters when enumeration queries 19,926 configurations
+// built from only ~1,800 distinct per-side inputs. The memo tables are
+// concurrency-safe, so one Predictor can serve sharded enumeration and
+// parallel annealing chains (chains that miss on one key at the same
+// moment may both predict it; the values are equal). A search over a
+// schema (core.Run, NewSearchProblem) prices its states from the
+// predictor's level table of that schema (see predLevels): per side, one
+// prediction per (side level, split), not one entry per configuration.
 //
 // The energy side of an evaluation is not learned: predicted times are
 // composed with the analytic power model (noise-free active/static power
 // per unit), following the paper's split between measured behaviour and
-// modeled structure.
+// modeled structure. A level table takes its powers from the model when
+// it is built, so the model's power constants must not change while the
+// predictor is in use.
 type Predictor struct {
 	models   *Models
 	workload offload.Workload
@@ -149,31 +154,157 @@ type Predictor struct {
 	hostMemo *search.Memo[sideKey, float64]
 	devMemo  *search.Memo[sideKey, float64]
 
-	// evalMemos holds one whole-evaluation memo per schema searched over
-	// this predictor, keyed by configuration ordinal (see evalMemo).
-	evalMu    sync.Mutex
-	evalMemos map[*space.Schema]*search.DenseMemo[offload.Measurement]
+	// levels holds one level table per schema searched over this
+	// predictor (see levelTable).
+	levelsMu sync.Mutex
+	levels   map[*space.Schema]*predLevels
 }
 
-// evalMemo returns the predictor's whole-evaluation memo over schema's
-// ordinals, creating it on first use, or nil when the schema is too
-// large for a flat table. A hit on it skips the side memos and the
-// energy pricing; predictions are pure, so it changes no value.
-func (p *Predictor) evalMemo(schema *space.Schema) *search.DenseMemo[offload.Measurement] {
-	if schema.Size() > search.MaxDenseOrdinals {
-		return nil
-	}
-	p.evalMu.Lock()
-	defer p.evalMu.Unlock()
-	m, ok := p.evalMemos[schema]
+// levelTable returns the predictor's level table over schema, creating
+// it on first use, so every search over one predictor and schema shares
+// one table.
+func (p *Predictor) levelTable(schema *space.Schema) *predLevels {
+	p.levelsMu.Lock()
+	defer p.levelsMu.Unlock()
+	t, ok := p.levels[schema]
 	if !ok {
-		if p.evalMemos == nil {
-			p.evalMemos = map[*space.Schema]*search.DenseMemo[offload.Measurement]{}
+		if p.levels == nil {
+			p.levels = map[*space.Schema]*predLevels{}
 		}
-		m = search.NewDenseMemo[offload.Measurement](schema.Size())
-		p.evalMemos[schema] = m
+		t = p.newLevelTable(schema)
+		p.levels[schema] = t
 	}
-	return m
+	return t
+}
+
+// predLevels prices the states of one schema the way Evaluate prices
+// their configurations, from two per-side tables: each side's predicted
+// seconds per (side level, split), filled on first use from the
+// predictor's side memos, and each side level's active power. A side
+// level is a (threads, affinity) pair, threads-major. It is safe for
+// concurrent use: two searches that fill one entry at the same moment
+// store the same value.
+type predLevels struct {
+	sizeMB    float64
+	fractions []float64
+	host, dev predSide
+}
+
+// predSide is one side of a predLevels.
+type predSide struct {
+	threads []int
+	affs    []machine.Affinity
+	splits  int
+	idleW   float64
+	// power is each level's active power draw in watts, NaN where the
+	// power model has none.
+	power []float64
+	// sec[level*splits+split] holds the predicted seconds' float64 bits;
+	// 0 marks one not predicted yet (predictions are clamped to at least
+	// a microsecond, so none is 0).
+	sec     []atomic.Uint64
+	predict func(threads int, aff machine.Affinity, sizeMB float64) (float64, error)
+}
+
+// newLevelTable builds an empty level table of schema: each side
+// level's power, with no prediction made yet.
+func (p *Predictor) newLevelTable(schema *space.Schema) *predLevels {
+	vals := schema.Values()
+	splits := len(vals.Fractions)
+	return &predLevels{
+		sizeMB:    p.workload.SizeMB,
+		fractions: vals.Fractions,
+		host: newPredSide(vals.HostThreads, vals.HostAffinities, splits, p.power.Cal.HostIdleW,
+			p.power.HostActivePowerW, p.hostTime),
+		dev: newPredSide(vals.DeviceThreads, vals.DeviceAffinities, splits, p.power.Cal.DeviceIdleW,
+			p.power.DeviceActivePowerW, p.devTime),
+	}
+}
+
+// newPredSide builds one side of an empty level table, pricing each
+// level's power with active; predict fills its entries on first use.
+func newPredSide(threads []int, affs []machine.Affinity, splits int, idleW float64,
+	active func(int, machine.Affinity) (float64, error), predict func(int, machine.Affinity, float64) (float64, error)) predSide {
+	levels := len(threads) * len(affs)
+	s := predSide{threads: threads, affs: affs, splits: splits, idleW: idleW, predict: predict,
+		power: make([]float64, levels), sec: make([]atomic.Uint64, levels*splits)}
+	for l := range s.power {
+		w, err := active(threads[l/len(affs)], affs[l%len(affs)])
+		if err != nil {
+			w = math.NaN()
+		}
+		s.power[l] = w
+	}
+	return s
+}
+
+// level is the side level of a (threads, affinity) level pair; ok is
+// false when either is out of range.
+func (s *predSide) level(ti, ai int) (int, bool) {
+	if uint(ti) >= uint(len(s.threads)) || uint(ai) >= uint(len(s.affs)) {
+		return 0, false
+	}
+	return ti*len(s.affs) + ai, true
+}
+
+// seconds returns the side's predicted time at level l and split si,
+// whose share is mb, predicting it on first use; ok is false when the
+// prediction fails.
+func (s *predSide) seconds(l, si int, mb float64) (float64, bool) {
+	cell := &s.sec[l*s.splits+si]
+	if b := cell.Load(); b != 0 {
+		return math.Float64frombits(b), true
+	}
+	v, err := s.predict(s.threads[l/len(s.affs)], s.affs[l%len(s.affs)], mb)
+	if err != nil {
+		return 0, false
+	}
+	cell.Store(math.Float64bits(v))
+	return v, true
+}
+
+// measure prices the schema state at level indices state with exactly
+// the operations Evaluate applies to its configuration, so the result
+// is bit-identical. ok is false when the table cannot price it (a state
+// out of range, a failed prediction or a level without power); the
+// caller then evaluates the decoded configuration, which fails with
+// Evaluate's own error.
+func (t *predLevels) measure(state []int) (m offload.Measurement, ok bool) {
+	if len(state) != len(space.Levels{}) {
+		return m, false
+	}
+	hl, hok := t.host.level(state[space.ParamHostThreads], state[space.ParamHostAffinity])
+	dl, dok := t.dev.level(state[space.ParamDeviceThreads], state[space.ParamDeviceAffinity])
+	si := state[space.ParamHostFraction]
+	if !hok || !dok || uint(si) >= uint(len(t.fractions)) {
+		return m, false
+	}
+	hostMB := t.sizeMB * t.fractions[si] / 100
+	devMB := t.sizeMB - hostMB
+	if hostMB > 0 {
+		if m.Times.Host, ok = t.host.seconds(hl, si, hostMB); !ok {
+			return m, false
+		}
+	}
+	if devMB > 0 {
+		if m.Times.Device, ok = t.dev.seconds(dl, si, devMB); !ok {
+			return m, false
+		}
+	}
+	makespan := m.Times.E()
+	if hostMB > 0 {
+		if math.IsNaN(t.host.power[hl]) {
+			return m, false
+		}
+		m.Energy.Host = perf.ModeledJoules(t.host.power[hl], t.host.idleW, m.Times.Host, makespan)
+	}
+	if devMB > 0 {
+		if math.IsNaN(t.dev.power[dl]) {
+			return m, false
+		}
+		m.Energy.Device = perf.ModeledJoules(t.dev.power[dl], t.dev.idleW, m.Times.Device, makespan)
+	}
+	return m, true
 }
 
 type sideKey struct {

@@ -31,3 +31,10 @@ func CheckRooflineAdmissible(t *testing.T, schema *space.Schema, platform *offlo
 func EvaluateState(ev Evaluator, state []int) (offload.Measurement, error) {
 	return ev.(*sharedView).evaluateState(state)
 }
+
+// PredictState prices a search state the way a search over schema and
+// pred does: through pred's level table of schema, or the decode path
+// when the table cannot price it.
+func PredictState(pred *Predictor, schema *space.Schema, state []int) (offload.Measurement, error) {
+	return newSearchProblem(schema, pred, TimeObjective{}, space.StepMove).measure(state)
+}

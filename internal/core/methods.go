@@ -368,14 +368,14 @@ func NewSearchProblem(schema *space.Schema, eval Evaluator, obj Objective, mode 
 	return newSearchProblem(schema, eval, obj, mode)
 }
 
-// newSearchProblem builds the adapter, wiring a predictor's
-// whole-evaluation ordinal memo in front of it, or handing a shared
-// measurement view of schema the states themselves.
+// newSearchProblem builds the adapter, pricing states through a
+// predictor's level table of schema, or handing a shared measurement
+// view of schema the states themselves.
 func newSearchProblem(schema *space.Schema, eval Evaluator, obj Objective, mode space.NeighborMode) *searchProblem {
 	p := &searchProblem{schema: schema, eval: eval, mode: mode, obj: obj}
 	switch e := eval.(type) {
 	case *Predictor:
-		p.dense = e.evalMemo(schema)
+		p.pred = e.levelTable(schema)
 	case *sharedView:
 		if e.shared.schema == schema {
 			p.view = e
@@ -391,9 +391,9 @@ type searchProblem struct {
 	eval   Evaluator
 	mode   space.NeighborMode
 	obj    Objective
-	// dense, when non-nil, memoizes eval's measurements by the state's
-	// ordinal (a predictor's whole-evaluation memo over schema).
-	dense *search.DenseMemo[offload.Measurement]
+	// pred, when non-nil, is eval's level table over schema: a
+	// predictor prices states from its per-side predictions.
+	pred *predLevels
 	// view, when non-nil, is eval as a shared measurement view over
 	// schema, which measures states without decoding them.
 	view *sharedView
@@ -419,13 +419,12 @@ func (p *searchProblem) Energy(state []int) (float64, error) {
 	return objectiveValue(p.obj, m), nil
 }
 
-// measure evaluates a state, through the ordinal memo when there is one.
+// measure evaluates a state, through the predictor's level table when
+// there is one and it can price the state.
 func (p *searchProblem) measure(state []int) (offload.Measurement, error) {
-	if p.dense != nil {
-		if ord, err := p.schema.Space().Flatten(state); err == nil {
-			return p.dense.Do(ord, func() (offload.Measurement, error) {
-				return p.evaluate(state)
-			})
+	if p.pred != nil {
+		if m, ok := p.pred.measure(state); ok {
+			return m, nil
 		}
 	}
 	return p.evaluate(state)

@@ -227,13 +227,14 @@ func (p *Platform) NewMeasureTable(w Workload, schema *space.Schema) *MeasureTab
 	if w.Validate() != nil {
 		return mt
 	}
+	vals := schema.Values()
 	lv := perf.Levels{
-		HostThreads:      schema.HostThreadValues(),
-		HostAffinities:   schema.HostAffinityValues(),
-		DeviceThreads:    schema.DeviceThreadValues(),
-		DeviceAffinities: schema.DeviceAffinityValues(),
+		HostThreads:      vals.HostThreads,
+		HostAffinities:   vals.HostAffinities,
+		DeviceThreads:    vals.DeviceThreads,
+		DeviceAffinities: vals.DeviceAffinities,
 	}
-	for _, f := range schema.FractionValues() {
+	for _, f := range vals.Fractions {
 		hostMB, devMB, _ := split(w, space.Config{HostFraction: f})
 		lv.HostMB = append(lv.HostMB, hostMB)
 		lv.DeviceMB = append(lv.DeviceMB, devMB)

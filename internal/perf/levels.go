@@ -232,11 +232,11 @@ func (t *LevelTable) Measure(ht, ha, dt, da, si int, d *Draws) (s Sample, ok boo
 	}
 	makespan := math.Max(s.HostSec, s.DeviceSec)
 	if !(host.SizeMB <= 0) {
-		e := modeledJoules(m.hostPowerW(t.host.cores[hl], host.Threads, host.Affinity), m.Cal.HostIdleW, s.HostSec, makespan)
+		e := ModeledJoules(m.hostPowerW(t.host.cores[hl], host.Threads, host.Affinity), m.Cal.HostIdleW, s.HostSec, makespan)
 		s.HostJ = e * t.noise(d, roleHostEnergy, hl, si, host, m.Cal.NoiseStdHostPower)
 	}
 	if !(dev.SizeMB <= 0) {
-		e := modeledJoules(m.devicePowerW(t.dev.cores[dl], dev.Threads), m.Cal.DeviceIdleW, s.DeviceSec, makespan)
+		e := ModeledJoules(m.devicePowerW(t.dev.cores[dl], dev.Threads), m.Cal.DeviceIdleW, s.DeviceSec, makespan)
 		s.DeviceJ = e * t.noise(d, roleDeviceEnergy, dl, si, dev, m.Cal.NoiseStdDevicePower)
 	}
 	return s, true

@@ -67,12 +67,12 @@ func (m *Model) HostModeledEnergy(threads int, aff machine.Affinity, busySec, ma
 	if err != nil {
 		return 0, err
 	}
-	return modeledJoules(p, m.Cal.HostIdleW, busySec, makespanSec), nil
+	return ModeledJoules(p, m.Cal.HostIdleW, busySec, makespanSec), nil
 }
 
-// modeledJoules is the engaged-unit energy formula: active power p
+// ModeledJoules is the engaged-unit energy formula: active power p
 // while busy, static power idleW for the rest of the makespan.
-func modeledJoules(p, idleW, busySec, makespanSec float64) float64 {
+func ModeledJoules(p, idleW, busySec, makespanSec float64) float64 {
 	if makespanSec < busySec {
 		makespanSec = busySec
 	}
@@ -85,7 +85,7 @@ func (m *Model) DeviceModeledEnergy(threads int, aff machine.Affinity, busySec, 
 	if err != nil {
 		return 0, err
 	}
-	return modeledJoules(p, m.Cal.DeviceIdleW, busySec, makespanSec), nil
+	return ModeledJoules(p, m.Cal.DeviceIdleW, busySec, makespanSec), nil
 }
 
 // HostEnergy returns the measured energy in joules the host consumes

@@ -58,9 +58,8 @@ type DenseMemo[V any] struct {
 	errs map[int]error // guarded by mu
 }
 
-// MaxDenseOrdinals is the largest key space the search stack builds a
-// DenseMemo for: a predictor's whole-evaluation memo stays off larger
-// schemas, and a portfolio races a larger space without a memo. Every
+// MaxDenseOrdinals is the largest key space a strategy.Portfolio races
+// over a DenseMemo of; it races a larger space without a memo. Every
 // shipped tuning schema (the largest, Table I's, has 57,267
 // configurations) and every placement graph of up to 16 tasks fits.
 const MaxDenseOrdinals = 1 << 16

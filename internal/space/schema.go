@@ -3,6 +3,7 @@ package space
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hetopt/internal/machine"
 )
@@ -311,6 +312,19 @@ func (sc *Schema) Levels(cfg Config) (lv Levels, ord int, ok bool) {
 		ord = ord*len(sc.levels[i].values) + l
 	}
 	return lv, ord, true
+}
+
+// Values returns the schema's value lists without copying them: the
+// slices are the schema's own, capped at their length, and must not be
+// written through. Use the per-list accessors below for copies.
+func (sc *Schema) Values() SchemaSpec {
+	return SchemaSpec{
+		HostThreads:      slices.Clip(sc.hostThreads),
+		HostAffinities:   slices.Clip(sc.hostAff),
+		DeviceThreads:    slices.Clip(sc.devThreads),
+		DeviceAffinities: slices.Clip(sc.devAff),
+		Fractions:        slices.Clip(sc.fractions),
+	}
 }
 
 // HostThreadValues returns the host thread levels (copy).

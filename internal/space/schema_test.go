@@ -1,6 +1,7 @@
 package space
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -135,5 +136,30 @@ func TestSchemaAccessorsCopy(t *testing.T) {
 	}
 	if got := len(sc.DeviceAffinityValues()); got != 3 {
 		t.Errorf("device affinities = %d, want 3", got)
+	}
+}
+
+// TestSchemaValuesShareLists: Values hands out the schema's own value
+// lists — equal to the copying accessors, allocation-free, and capped
+// so an append cannot write into the schema.
+func TestSchemaValuesShareLists(t *testing.T) {
+	sc := PaperSchema()
+	v := sc.Values()
+	if !slices.Equal(v.HostThreads, sc.HostThreadValues()) || !slices.Equal(v.HostAffinities, sc.HostAffinityValues()) ||
+		!slices.Equal(v.DeviceThreads, sc.DeviceThreadValues()) || !slices.Equal(v.DeviceAffinities, sc.DeviceAffinityValues()) ||
+		!slices.Equal(v.Fractions, sc.FractionValues()) {
+		t.Fatalf("Values %+v differs from the copying accessors", v)
+	}
+	if &v.HostThreads[0] != &sc.hostThreads[0] || &v.Fractions[0] != &sc.fractions[0] {
+		t.Fatal("Values copied the schema's lists")
+	}
+	for _, n := range []int{cap(v.HostThreads) - len(v.HostThreads), cap(v.HostAffinities) - len(v.HostAffinities),
+		cap(v.DeviceThreads) - len(v.DeviceThreads), cap(v.DeviceAffinities) - len(v.DeviceAffinities), cap(v.Fractions) - len(v.Fractions)} {
+		if n != 0 {
+			t.Fatalf("Values leaves %d spare capacity on a list", n)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { v = sc.Values() }); allocs != 0 {
+		t.Fatalf("Values allocates %g allocs/op, want 0", allocs)
 	}
 }
