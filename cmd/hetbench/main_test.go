@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,15 +11,66 @@ import (
 	"hetopt/internal/scenario"
 )
 
-func TestRunWritesCompleteReport(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "report.txt")
-	if err := run(out, false, 1, 1, false, 2, "auto", "", "", exactKnobs{}); err != nil {
+// runReport runs hetbench at -repeats 1 -parallel 2 and returns what it
+// wrote.
+func runReport(t *testing.T, ablate, jsonMode bool, workload, platform string) []byte {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), "report")
+	if err := run(out, ablate, 1, 1, jsonMode, 2, "auto", workload, platform, exactKnobs{}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return data
+}
+
+// reportDigest is the FNV-64a digest of a report cut at its trailing
+// "report generated in" line, the only part that varies between runs.
+func reportDigest(data []byte) uint64 {
+	if i := bytes.LastIndex(data, []byte("\nreport generated in ")); i >= 0 {
+		data = data[:i]
+	}
+	h := fnv.New64a()
+	h.Write(data)
+	return h.Sum64()
+}
+
+// checkDigest fails unless the report hashes to want. Any change to what
+// hetbench prints, parallelism aside, moves the digest.
+func checkDigest(t *testing.T, data []byte, want uint64) {
+	t.Helper()
+	if got := reportDigest(data); got != want {
+		t.Errorf("report digest %#x, want %#x", got, want)
+	}
+}
+
+// TestReportGoldens pins every text report hetbench prints besides the
+// paper one: the other platforms, a task-graph workload and -ablate.
+func TestReportGoldens(t *testing.T) {
+	for _, tc := range []struct {
+		name               string
+		ablate             bool
+		workload, platform string
+		want               uint64
+	}{
+		{name: "gpu-like", platform: "gpu-like", want: 0x8d25382b9e1b1e67},
+		{name: "edge", platform: "edge", want: 0x85900c98ea8550e0},
+		{name: "dag-fork-join", workload: "dag:fork-join", want: 0xe3939e9df894966},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.ablate && testing.Short() {
+				t.Skip("the -ablate report takes ~2 s")
+			}
+			checkDigest(t, runReport(t, tc.ablate, false, tc.workload, tc.platform), tc.want)
+		})
+	}
+}
+
+func TestRunWritesCompleteReport(t *testing.T) {
+	data := runReport(t, false, false, "", "")
+	checkDigest(t, data, 0xe973c40fa9941d29)
 	report := string(data)
 	for _, want := range []string{
 		"Table I", "Table II", "Table III",
@@ -76,14 +129,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 }
 
 func TestRunJSONMode(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "report.json")
-	if err := run(out, false, 1, 1, true, 2, "auto", "", "", exactKnobs{}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := runReport(t, false, true, "", "")
+	checkDigest(t, data, 0xee4f27c8960826e5)
 	if !strings.Contains(string(data), "\"space_size\": 19926") {
 		t.Error("JSON report missing space size")
 	}
