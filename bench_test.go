@@ -443,26 +443,6 @@ func BenchmarkExtDynamicScheduling(b *testing.B) {
 	}
 }
 
-// BenchmarkExtServingThroughput drives the tuning service end to end
-// over HTTP: a mix of repeated tune jobs against servers with 1 and 4
-// workers, measuring throughput and the warm-start hit ratio.
-func BenchmarkExtServingThroughput(b *testing.B) {
-	b.ReportAllocs()
-	s := suiteForBench(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := s.ServingThroughput([]int{1, 4}, 3, 2, 60)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range res.Rows {
-			if r.StoreHits != r.Jobs-r.Distinct {
-				b.Fatalf("hit accounting broke: %+v", r)
-			}
-		}
-	}
-}
-
 // BenchmarkExtStrategyComparison ranks every search strategy — and the
 // racing portfolio over the shared evaluation cache — across the three
 // objectives under an equal per-worker budget.

@@ -130,38 +130,37 @@ func run(out string, ablate bool, repeats int, seed int64, jsonMode bool, parall
 	if err != nil {
 		return err
 	}
+	var report func() error
 	if sc.IsDAG() {
 		// Task-graph scenarios get the placement-focused report: the
 		// paper's tables assume one divisible kernel and do not apply.
 		if jsonMode {
 			return fmt.Errorf("-json is not supported for task-graph workloads; run the text report")
 		}
-		start := time.Now()
-		if err := experiments.DAGReport(w, platformOrDefault(platform), workloadOrDefault(workload), parallel); err != nil {
+		report = func() error {
+			return experiments.DAGReport(w, platformOrDefault(platform), workloadOrDefault(workload), parallel)
+		}
+	} else {
+		suite, err := experiments.NewScenarioSuite(platformOrDefault(platform), workloadOrDefault(workload))
+		if err != nil {
 			return err
 		}
-		_, err = fmt.Fprintf(w, "\nreport generated in %v\n", time.Since(start).Round(time.Millisecond))
-		return err
+		suite.Repeats = repeats
+		suite.Seed = seed
+		suite.Parallelism = parallel
+		if strat, err := core.ParseStrategy(strategyName); err != nil {
+			return err
+		} else if strat != nil {
+			suite.Strategy = strategy.WithExactKnobs(strat, knobs.prove, knobs.poolSize, knobs.poolGap)
+		}
+		if jsonMode {
+			return suite.WriteJSON(w)
+		}
+		report = func() error { return suite.RunAll(w, ablate) }
 	}
 
-	suite, err := experiments.NewScenarioSuite(platformOrDefault(platform), workloadOrDefault(workload))
-	if err != nil {
-		return err
-	}
-	suite.Repeats = repeats
-	suite.Seed = seed
-	suite.Parallelism = parallel
-	if strat, err := core.ParseStrategy(strategyName); err != nil {
-		return err
-	} else if strat != nil {
-		suite.Strategy = strategy.WithExactKnobs(strat, knobs.prove, knobs.poolSize, knobs.poolGap)
-	}
-
-	if jsonMode {
-		return suite.WriteJSON(w)
-	}
 	start := time.Now()
-	if err := suite.RunAll(w, ablate); err != nil {
+	if err := report(); err != nil {
 		return err
 	}
 	_, err = fmt.Fprintf(w, "\nreport generated in %v\n", time.Since(start).Round(time.Millisecond))

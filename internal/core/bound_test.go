@@ -23,19 +23,19 @@ func modelDynamicWatts(b *rooflineBounder) dynamicWatts {
 		}
 		return max(0, p-idleW)
 	}
-	sc := b.schema
+	v := b.schema.Values()
 	var w dynamicWatts
-	for _, th := range sc.HostThreadValues() {
+	for _, th := range v.HostThreads {
 		row := []float64{}
-		for _, aff := range sc.HostAffinityValues() {
+		for _, aff := range v.HostAffinities {
 			p, err := b.model.HostActivePowerW(th, aff)
 			row = append(row, b.hostPowerFloor*above(p, err, b.hostIdleW))
 		}
 		w.host = append(w.host, row)
 	}
-	for _, th := range sc.DeviceThreadValues() {
+	for _, th := range v.DeviceThreads {
 		row := []float64{}
-		for _, aff := range sc.DeviceAffinityValues() {
+		for _, aff := range v.DeviceAffinities {
 			p, err := b.model.DeviceActivePowerW(th, aff)
 			row = append(row, b.devicePowerFloor*above(p, err, b.devIdleW))
 		}

@@ -479,14 +479,15 @@ func sideOnlyBaseline(inst *Instance, host bool) (Result, error) {
 	if err := inst.Validate(EM); err != nil {
 		return Result{}, err
 	}
+	v := inst.Schema.Values()
 	base := space.Config{
-		HostThreads: slices.Max(inst.Schema.HostThreadValues()), HostAffinity: inst.Schema.HostAffinityValues()[0],
-		DeviceThreads: slices.Max(inst.Schema.DeviceThreadValues()), DeviceAffinity: inst.Schema.DeviceAffinityValues()[0],
+		HostThreads: slices.Max(v.HostThreads), HostAffinity: v.HostAffinities[0],
+		DeviceThreads: slices.Max(v.DeviceThreads), DeviceAffinity: v.DeviceAffinities[0],
 	}
-	affs := inst.Schema.DeviceAffinityValues()
+	affs := v.DeviceAffinities
 	if host {
 		base.HostFraction = 100
-		affs = inst.Schema.HostAffinityValues()
+		affs = v.HostAffinities
 	}
 	bestE := math.Inf(1)
 	var best space.Config

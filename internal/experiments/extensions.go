@@ -51,13 +51,14 @@ func (s *Suite) multiProblem(n int, w offload.Workload) (*multi.Problem, error) 
 	if err != nil {
 		return nil, err
 	}
+	v := s.Schema.Values()
 	return &multi.Problem{
 		Platform:         platform,
 		Workload:         w,
-		HostThreads:      s.Schema.HostThreadValues(),
-		HostAffinities:   s.Schema.HostAffinityValues(),
-		DeviceThreads:    s.Schema.DeviceThreadValues(),
-		DeviceAffinities: s.Schema.DeviceAffinityValues(),
+		HostThreads:      v.HostThreads,
+		HostAffinities:   v.HostAffinities,
+		DeviceThreads:    v.DeviceThreads,
+		DeviceAffinities: v.DeviceAffinities,
 	}, nil
 }
 
@@ -154,12 +155,11 @@ func (s *Suite) ExtDynamicScheduling(w offload.Workload) ([]DynamicRow, float64,
 		}
 		return affs[0]
 	}
-	hostThreads := s.Schema.HostThreadValues()
-	devThreads := s.Schema.DeviceThreadValues()
+	v := s.Schema.Values()
 	sched := dynsched.Scheduler{Model: s.Platform.Model()}
 	cfg := dynsched.Config{
-		HostThreads: hostThreads[len(hostThreads)-1], HostAffinity: scatterOr(s.Schema.HostAffinityValues()),
-		DeviceThreads: devThreads[len(devThreads)-1], DeviceAffinity: s.Schema.DeviceAffinityValues()[0],
+		HostThreads: v.HostThreads[len(v.HostThreads)-1], HostAffinity: scatterOr(v.HostAffinities),
+		DeviceThreads: v.DeviceThreads[len(v.DeviceThreads)-1], DeviceAffinity: v.DeviceAffinities[0],
 	}
 	var rows []DynamicRow
 	for _, chunk := range []float64{1, 4, 16, 64, 128, 256, 512, 1024} {

@@ -183,20 +183,6 @@ func (s *Suite) RunAll(w io.Writer, ablate bool) error {
 		if err := section(RenderExactGapTable(gaps)); err != nil {
 			return err
 		}
-		tp, err := s.ServingThroughput([]int{1, 4, 8}, 4, 3, 200)
-		if err != nil {
-			return err
-		}
-		if err := section(RenderServingThroughput(tp)); err != nil {
-			return err
-		}
-		ct, err := s.ClusterThroughput([]int{1, 2, 4}, 8, 25, 200)
-		if err != nil {
-			return err
-		}
-		if err := section(RenderClusterThroughput(ct)); err != nil {
-			return err
-		}
 		md, err := s.ExtMultiDevice(s.reference(), 3, 2500)
 		if err != nil {
 			return err

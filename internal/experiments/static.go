@@ -10,9 +10,10 @@ import (
 // RenderTable1 reproduces Table I: the considered parameters and values.
 func (s *Suite) RenderTable1() string {
 	tb := tables.New("Table I: parameter space", "parameter", "host", "device")
-	tb.AddRow("threads", fmt.Sprint(s.Schema.HostThreadValues()), fmt.Sprint(s.Schema.DeviceThreadValues()))
-	tb.AddRow("affinity", affNames(s.Schema.HostAffinityValues()), affNames(s.Schema.DeviceAffinityValues()))
-	fr := s.Schema.FractionValues()
+	v := s.Schema.Values()
+	tb.AddRow("threads", fmt.Sprint(v.HostThreads), fmt.Sprint(v.DeviceThreads))
+	tb.AddRow("affinity", affNames(v.HostAffinities), affNames(v.DeviceAffinities))
+	fr := v.Fractions
 	tb.AddRow("workload fraction",
 		fmt.Sprintf("%g..%g (%d values)", fr[0], fr[len(fr)-1], len(fr)),
 		"100 - host fraction")

@@ -311,8 +311,8 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 }
 
 // ClusterOwner reports which peer owns key's shard — the node whose
-// store warms it. Empty on a single-node server. Experiments use it to
-// build the per-node disjoint key slices of the scale-out table.
+// store warms it. Empty on a single-node server. The forward-warm-hit
+// benchmark uses it to pick a key of a known owner.
 func (s *Server) ClusterOwner(key string) string {
 	if s.cluster == nil {
 		return ""

@@ -144,7 +144,9 @@ func postRaw(t *testing.T, url string, body []byte) (int, []byte) {
 // answers it with byte-identical response bytes — the owner from its
 // store, the follower from its replica, and any other node by
 // streaming the owner's bytes through one forwarded hop — and the
-// whole sweep pays exactly one compute cluster-wide.
+// whole sweep pays exactly one compute cluster-wide. Cold keys POSTed
+// with ?wait=1 to a node that does not own them are computed once
+// too, on their owners.
 func TestClusterForwardByteIdentical(t *testing.T) {
 	servers, urls := newTestCluster(t, 3, nil)
 	_, key, body := requestOwnedBy(t, servers[0], urls[0])
@@ -215,6 +217,42 @@ func TestClusterForwardByteIdentical(t *testing.T) {
 		if m.Cluster == nil || m.Cluster.Forwarded != 1 {
 			t.Fatalf("third node metrics: %+v, want forwarded=1", m.Cluster)
 		}
+	}
+
+	// Cold keys owned elsewhere, each POSTed twice to node 0 with
+	// ?wait=1 (the first forward computes, the second hits): the
+	// cluster pays one compute per distinct key, on its owner.
+	distinct := 1
+	for seed := int64(1); distinct < 5; seed++ {
+		canon, err := TuneRequest{Method: "sam", Iterations: 30, Seed: seed}.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o, _ := servers[0].cluster.router.Ring().Lookup([]byte(canon.Key())); o == urls[0] {
+			continue
+		}
+		b, err := json.Marshal(canon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rep := 0; rep < 2; rep++ {
+			if code, resp := postRaw(t, urls[0]+"/v1/jobs?wait=1", b); code != http.StatusOK {
+				t.Fatalf("cold key %d forwarded: status %d body %s", seed, code, resp)
+			}
+		}
+		distinct++
+	}
+	computes = 0
+	for i, s := range servers {
+		m := s.Metrics()
+		paid := m.Jobs.Completed - m.Jobs.StoreHits
+		if i == 0 && paid != 1 {
+			t.Fatalf("node 0 paid %d computes, want 1: the key it owns", paid)
+		}
+		computes += paid
+	}
+	if computes != int64(distinct) {
+		t.Fatalf("cluster paid %d computes for %d distinct keys", computes, distinct)
 	}
 }
 

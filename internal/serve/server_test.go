@@ -605,7 +605,10 @@ func TestStoreEviction(t *testing.T) {
 // TestWarmHitStorm re-POSTs one job from many goroutines at once: every
 // response body is byte-identical (warm hits are served stored bytes),
 // exactly one compute is paid, and the store's paid count equals its
-// unique-key count.
+// unique-key count. It then submits repeats of several cold keys
+// without waiting, at one and at four workers: a repeat that lands
+// while its key is in flight shares that job through the pool, so
+// every repeat is a store hit whether or not it answers inline.
 func TestWarmHitStorm(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 2, QueueSize: 8})
 	var computes atomic.Int64
@@ -670,6 +673,45 @@ func TestWarmHitStorm(t *testing.T) {
 	}
 	if m.Jobs.StoreHits != n || m.Latency.Warm.Count != n {
 		t.Fatalf("warm accounting: jobs=%+v latency=%+v", m.Jobs, m.Latency)
+	}
+
+	const distinct, repeats = 3, 3
+	for _, workers := range []int{1, 4} {
+		s, ts := newTestServer(t, Options{Workers: workers, QueueSize: distinct*repeats + 8})
+		s.runFn = func(req TuneRequest) (TuneResult, error) {
+			time.Sleep(time.Millisecond) // keep a key in flight while its repeats land
+			return TuneResult{Method: req.Method, TimeSec: float64(req.Seed)}, nil
+		}
+		var ids []string
+		inline := 0
+		for i := 0; i < distinct*repeats; i++ {
+			code, resp := post(t, ts.URL+"/v1/jobs", fmt.Sprintf(`{"method":"sam","seed":%d}`, i%distinct))
+			var st JobStatus
+			if err := json.Unmarshal(resp, &st); err != nil {
+				t.Fatalf("workers %d POST %d: status %d body %s: %v", workers, i, code, resp, err)
+			}
+			switch {
+			case code == http.StatusOK && st.ID == "" && st.State == JobDone:
+				inline++
+			case code == http.StatusAccepted && st.ID != "":
+				ids = append(ids, st.ID)
+			default:
+				t.Fatalf("workers %d POST %d: status %d body %s", workers, i, code, resp)
+			}
+		}
+		for _, id := range ids {
+			if st := pollDone(t, ts.URL, id); st.State != JobDone {
+				t.Fatalf("workers %d job %s: %+v", workers, id, st)
+			}
+		}
+		m := s.Metrics()
+		if m.Jobs.Completed != distinct*repeats || m.Jobs.StoreHits != distinct*repeats-distinct {
+			t.Fatalf("workers %d: jobs %+v, want %d completed and %d store hits",
+				workers, m.Jobs, distinct*repeats, distinct*repeats-distinct)
+		}
+		if int64(inline) > m.Jobs.StoreHits {
+			t.Fatalf("workers %d: %d inline answers exceed %d store hits", workers, inline, m.Jobs.StoreHits)
+		}
 	}
 }
 

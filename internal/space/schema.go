@@ -316,7 +316,7 @@ func (sc *Schema) Levels(cfg Config) (lv Levels, ord int, ok bool) {
 
 // Values returns the schema's value lists without copying them: the
 // slices are the schema's own, capped at their length, and must not be
-// written through. Use the per-list accessors below for copies.
+// written through.
 func (sc *Schema) Values() SchemaSpec {
 	return SchemaSpec{
 		HostThreads:      slices.Clip(sc.hostThreads),
@@ -325,29 +325,4 @@ func (sc *Schema) Values() SchemaSpec {
 		DeviceAffinities: slices.Clip(sc.devAff),
 		Fractions:        slices.Clip(sc.fractions),
 	}
-}
-
-// HostThreadValues returns the host thread levels (copy).
-func (sc *Schema) HostThreadValues() []int {
-	return append([]int(nil), sc.hostThreads...)
-}
-
-// DeviceThreadValues returns the device thread levels (copy).
-func (sc *Schema) DeviceThreadValues() []int {
-	return append([]int(nil), sc.devThreads...)
-}
-
-// HostAffinityValues returns the host affinity levels (copy).
-func (sc *Schema) HostAffinityValues() []machine.Affinity {
-	return append([]machine.Affinity(nil), sc.hostAff...)
-}
-
-// DeviceAffinityValues returns the device affinity levels (copy).
-func (sc *Schema) DeviceAffinityValues() []machine.Affinity {
-	return append([]machine.Affinity(nil), sc.devAff...)
-}
-
-// FractionValues returns the fraction grid (copy).
-func (sc *Schema) FractionValues() []float64 {
-	return append([]float64(nil), sc.fractions...)
 }
