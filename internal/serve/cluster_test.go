@@ -144,9 +144,7 @@ func postRaw(t *testing.T, url string, body []byte) (int, []byte) {
 // answers it with byte-identical response bytes — the owner from its
 // store, the follower from its replica, and any other node by
 // streaming the owner's bytes through one forwarded hop — and the
-// whole sweep pays exactly one compute cluster-wide. Cold keys POSTed
-// with ?wait=1 to a node that does not own them are computed once
-// too, on their owners.
+// whole sweep pays exactly one compute cluster-wide.
 func TestClusterForwardByteIdentical(t *testing.T) {
 	servers, urls := newTestCluster(t, 3, nil)
 	_, key, body := requestOwnedBy(t, servers[0], urls[0])
@@ -218,11 +216,15 @@ func TestClusterForwardByteIdentical(t *testing.T) {
 			t.Fatalf("third node metrics: %+v, want forwarded=1", m.Cluster)
 		}
 	}
+}
 
-	// Cold keys owned elsewhere, each POSTed twice to node 0 with
-	// ?wait=1 (the first forward computes, the second hits): the
-	// cluster pays one compute per distinct key, on its owner.
-	distinct := 1
+// TestClusterColdForwardComputesOnce POSTs cold keys that node 0 does
+// not own, each twice to node 0 with ?wait=1 (the first forward
+// computes, the second hits): the cluster pays one compute per
+// distinct key, on its owner, and none on node 0.
+func TestClusterColdForwardComputesOnce(t *testing.T) {
+	servers, urls := newTestCluster(t, 3, nil)
+	distinct := 0
 	for seed := int64(1); distinct < 5; seed++ {
 		canon, err := TuneRequest{Method: "sam", Iterations: 30, Seed: seed}.Normalize()
 		if err != nil {
@@ -242,12 +244,12 @@ func TestClusterForwardByteIdentical(t *testing.T) {
 		}
 		distinct++
 	}
-	computes = 0
+	computes := int64(0)
 	for i, s := range servers {
 		m := s.Metrics()
 		paid := m.Jobs.Completed - m.Jobs.StoreHits
-		if i == 0 && paid != 1 {
-			t.Fatalf("node 0 paid %d computes, want 1: the key it owns", paid)
+		if i == 0 && paid != 0 {
+			t.Fatalf("node 0 paid %d computes, want 0: it owns none of the keys", paid)
 		}
 		computes += paid
 	}

@@ -605,10 +605,7 @@ func TestStoreEviction(t *testing.T) {
 // TestWarmHitStorm re-POSTs one job from many goroutines at once: every
 // response body is byte-identical (warm hits are served stored bytes),
 // exactly one compute is paid, and the store's paid count equals its
-// unique-key count. It then submits repeats of several cold keys
-// without waiting, at one and at four workers: a repeat that lands
-// while its key is in flight shares that job through the pool, so
-// every repeat is a store hit whether or not it answers inline.
+// unique-key count.
 func TestWarmHitStorm(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 2, QueueSize: 8})
 	var computes atomic.Int64
@@ -674,7 +671,13 @@ func TestWarmHitStorm(t *testing.T) {
 	if m.Jobs.StoreHits != n || m.Latency.Warm.Count != n {
 		t.Fatalf("warm accounting: jobs=%+v latency=%+v", m.Jobs, m.Latency)
 	}
+}
 
+// TestRepeatsShareInFlightJob submits repeats of several cold keys
+// without waiting, at one and at four workers: a repeat that lands
+// while its key is in flight shares that job through the pool, so
+// every repeat is a store hit whether or not it answers inline.
+func TestRepeatsShareInFlightJob(t *testing.T) {
 	const distinct, repeats = 3, 3
 	for _, workers := range []int{1, 4} {
 		s, ts := newTestServer(t, Options{Workers: workers, QueueSize: distinct*repeats + 8})

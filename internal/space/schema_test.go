@@ -116,12 +116,10 @@ func TestConfigString(t *testing.T) {
 	}
 }
 
-// TestSchemaValuesShareLists: Values hands out the schema's own value
-// lists — the paper's level counts, allocation-free, and capped so an
-// append cannot write into the schema.
-func TestSchemaValuesShareLists(t *testing.T) {
-	sc := PaperSchema()
-	v := sc.Values()
+// TestSchemaLevelCounts: the paper schema's value lists have the
+// paper's level counts.
+func TestSchemaLevelCounts(t *testing.T) {
+	v := PaperSchema().Values()
 	for _, c := range []struct {
 		name      string
 		got, want int
@@ -136,6 +134,14 @@ func TestSchemaValuesShareLists(t *testing.T) {
 			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
 		}
 	}
+}
+
+// TestSchemaValuesShareLists: Values hands out the schema's own value
+// lists — allocation-free, and capped so an append cannot write into
+// the schema.
+func TestSchemaValuesShareLists(t *testing.T) {
+	sc := PaperSchema()
+	v := sc.Values()
 	if &v.HostThreads[0] != &sc.hostThreads[0] || &v.Fractions[0] != &sc.fractions[0] {
 		t.Fatal("Values copied the schema's lists")
 	}
