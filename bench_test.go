@@ -545,7 +545,7 @@ func BenchmarkMeasurement(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := platform.Measure(w, cfg, i); err != nil {
+		if _, err := platform.Measure(w, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

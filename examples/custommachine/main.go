@@ -37,12 +37,7 @@ func main() {
 	cal.OffloadLatencySec = 0.18
 	cal.PCIeRateMBs = 12000
 
-	model := &hetopt.PerfModel{
-		Host:   hetopt.XeonE5Host(),
-		Device: gpu,
-		Cal:    cal,
-	}
-	platform := hetopt.NewCustomPlatform(model)
+	platform := hetopt.NewCustomPlatform(hetopt.XeonE5Host(), gpu, cal)
 
 	// A configuration space matching the new device's thread range.
 	schema, err := hetopt.NewSchema(hetopt.SchemaSpec{

@@ -37,7 +37,7 @@ func main() {
 				DeviceAffinity: hetopt.AffinityBalanced,
 				HostFraction:   float64(f),
 			}
-			times, err := platform.Measure(workload, cfg, 0)
+			times, err := platform.Measure(workload, cfg)
 			if err != nil {
 				log.Fatal(err)
 			}

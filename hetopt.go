@@ -129,8 +129,6 @@ type (
 	// ExecutionReport is the outcome of Execute.
 	Source          = parem.Source
 	ExecutionReport = parem.ExecutionReport
-	// PerfModel is the analytic performance model behind a Platform.
-	PerfModel = perf.Model
 	// Calibration collects the performance model's constants.
 	Calibration = perf.Calibration
 	// MultiProblem and MultiResult tune work distribution across a host
@@ -181,10 +179,12 @@ var (
 // Xeon Phi 7120P).
 func NewPlatform() *Platform { return offload.NewPlatform() }
 
-// NewCustomPlatform wraps a custom performance model (host/device
-// processor descriptions plus calibration), enabling tuning for machines
-// other than the paper's.
-func NewCustomPlatform(m *PerfModel) *Platform { return offload.NewPlatformWithModel(m) }
+// NewCustomPlatform builds a platform from host and device processor
+// descriptions plus calibration constants, enabling tuning for machines
+// other than the paper's. The platform keeps copies of all three.
+func NewCustomPlatform(host, device *Processor, cal Calibration) *Platform {
+	return offload.NewPlatformWithModel(perf.NewModel(host, device, cal))
+}
 
 // DefaultCalibration returns the calibration constants of the paper
 // platform, a starting point for custom machines.

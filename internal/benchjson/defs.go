@@ -208,7 +208,7 @@ func benchTableMeasureLevels(b *testing.B) {
 	if !ok {
 		b.Fatal("tracked configuration off the schema grid")
 	}
-	want, err := s.platform.MeasureFull(s.workload, trackedConfig(), 0)
+	want, err := s.platform.MeasureFull(s.workload, trackedConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -604,7 +604,7 @@ func benchMeasureFull(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.platform.MeasureFull(s.workload, cfg, 0); err != nil {
+		if _, err := s.platform.MeasureFull(s.workload, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

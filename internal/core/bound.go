@@ -125,18 +125,19 @@ func newRooflineBounder(schema *space.Schema, platform *offload.Platform, w offl
 		return nil
 	}
 	traits := w.Traits()
+	cal := m.Constants()
 	b := &rooflineBounder{
 		model:            m,
 		schema:           schema,
-		devFloor:         noiseFloor(m.Cal.NoiseStdDevice),
-		hostPowerFloor:   noiseFloor(m.Cal.NoiseStdHostPower),
-		devicePowerFloor: noiseFloor(m.Cal.NoiseStdDevicePower),
-		hostIdleW:        m.Cal.HostIdleW,
-		devIdleW:         m.Cal.DeviceIdleW,
+		devFloor:         noiseFloor(cal.NoiseStdDevice),
+		hostPowerFloor:   noiseFloor(cal.NoiseStdHostPower),
+		devicePowerFloor: noiseFloor(cal.NoiseStdDevicePower),
+		hostIdleW:        cal.HostIdleW,
+		devIdleW:         cal.DeviceIdleW,
 		cx:               traits.Complexity,
-		offloadSec:       m.Cal.OffloadLatencySec,
-		pcieRateMBs:      m.Cal.PCIeRateMBs,
-		residual:         m.Cal.TransferResidual,
+		offloadSec:       cal.OffloadLatencySec,
+		pcieRateMBs:      cal.PCIeRateMBs,
+		residual:         cal.TransferResidual,
 	}
 	switch o := obj.(type) {
 	case nil, TimeObjective:
@@ -188,9 +189,9 @@ func newRooflineBounder(schema *space.Schema, platform *offload.Platform, w offl
 	}
 	b.hostFloor = carve(&buf, len(hostAff))
 	for ai, aff := range hostAff {
-		sigma := m.Cal.NoiseStdHost
+		sigma := cal.NoiseStdHost
 		if aff == machine.AffinityNone {
-			sigma *= m.Cal.NoiseNoneFactor
+			sigma *= cal.NoiseNoneFactor
 		}
 		b.hostFloor[ai] = noiseFloor(sigma)
 	}

@@ -328,7 +328,7 @@ func TestEMFindsExhaustiveOptimum(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		ti, err := platform.Measure(w, cfg, 0)
+		ti, err := platform.Measure(w, cfg)
 		if err != nil {
 			return err
 		}

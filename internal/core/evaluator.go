@@ -43,9 +43,8 @@ type Evaluator interface {
 // Measurer evaluates configurations by (simulated) measurement and counts
 // how many experiments were performed — the "effort" column of Table II.
 // It is safe for concurrent use: measurement is a pure function of the
-// configuration (see perf.Model; every run measures noise trial 0, the
-// trial SharedMeasurements replays) and the effort counter is atomic,
-// so sharded enumeration and concurrent annealing chains can share one
+// configuration (see perf.Model) and the effort counter is atomic, so
+// sharded enumeration and concurrent annealing chains can share one
 // Measurer.
 type Measurer struct {
 	// Platform performs the measurements.
@@ -64,7 +63,7 @@ func NewMeasurer(p *offload.Platform, w offload.Workload) *Measurer {
 // Evaluate implements Evaluator by running one experiment.
 func (m *Measurer) Evaluate(cfg space.Config) (offload.Measurement, error) {
 	m.count.Add(1)
-	return m.Platform.MeasureFull(m.Workload, cfg, 0)
+	return m.Platform.MeasureFull(m.Workload, cfg)
 }
 
 // Count returns the number of experiments performed so far.
@@ -143,9 +142,7 @@ func sideFeatures(threads int, aff machine.Affinity, sizeMB float64, order []mac
 // The energy side of an evaluation is not learned: predicted times are
 // composed with the analytic power model (noise-free active/static power
 // per unit), following the paper's split between measured behaviour and
-// modeled structure. A level table takes its powers from the model when
-// it is built, so the model's power constants must not change while the
-// predictor is in use.
+// modeled structure.
 type Predictor struct {
 	models   *Models
 	workload offload.Workload
@@ -211,12 +208,13 @@ type predSide struct {
 func (p *Predictor) newLevelTable(schema *space.Schema) *predLevels {
 	vals := schema.Values()
 	splits := len(vals.Fractions)
+	cal := p.power.Constants()
 	return &predLevels{
 		sizeMB:    p.workload.SizeMB,
 		fractions: vals.Fractions,
-		host: newPredSide(vals.HostThreads, vals.HostAffinities, splits, p.power.Cal.HostIdleW,
+		host: newPredSide(vals.HostThreads, vals.HostAffinities, splits, cal.HostIdleW,
 			p.power.HostActivePowerW, p.hostTime),
-		dev: newPredSide(vals.DeviceThreads, vals.DeviceAffinities, splits, p.power.Cal.DeviceIdleW,
+		dev: newPredSide(vals.DeviceThreads, vals.DeviceAffinities, splits, cal.DeviceIdleW,
 			p.power.DeviceActivePowerW, p.devTime),
 	}
 }

@@ -89,7 +89,7 @@ func TestPredictorRejectsInvalidThreads(t *testing.T) {
 	}
 	w := offload.GenomeWorkload(dna.Human)
 	cfg := space.Config{HostThreads: -3, HostAffinity: 1, DeviceThreads: 240, DeviceAffinity: 3, HostFraction: 50}
-	if _, err := platform.Measure(w, cfg, 0); err == nil {
+	if _, err := platform.Measure(w, cfg); err == nil {
 		t.Fatal("measurement with negative threads must fail")
 	}
 }

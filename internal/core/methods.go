@@ -307,8 +307,9 @@ func Run(m Method, inst *Instance, opt Options) (Result, error) {
 	}
 
 	// Fair comparison: measure the suggested configuration. For
-	// measurement-driven methods this re-measures the same trial, which
-	// reproduces the identical value at no extra information.
+	// measurement-driven methods this re-measures a configuration the
+	// search measured, which reproduces the identical value at no extra
+	// information.
 	measured, err := inst.measureEvaluator().Evaluate(best)
 	if err != nil {
 		return Result{}, fmt.Errorf("core: measuring suggested configuration: %w", err)

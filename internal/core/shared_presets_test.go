@@ -49,7 +49,7 @@ func checkStatePathMatchesConfigPath(t *testing.T, p *offload.Platform, w offloa
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantErr := p.MeasureFull(w, cfg, 0)
+			want, wantErr := p.MeasureFull(w, cfg)
 			viaState, stateErr := core.EvaluateState(stateInst.MeasureCache, state)
 			viaCfg, cfgErr := cfgInst.MeasureCache.Evaluate(cfg)
 			for path, got := range map[string]struct {

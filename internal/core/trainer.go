@@ -107,7 +107,7 @@ func GenerateHostData(platform *offload.Platform, plan TrainingPlan) (*ml.Datase
 						DeviceThreads: 2, DeviceAffinity: machine.AffinityBalanced,
 						HostFraction: 100,
 					}
-					t, err := platform.Measure(w.Scaled(sizeMB), cfg, 0)
+					t, err := platform.Measure(w.Scaled(sizeMB), cfg)
 					if err != nil {
 						return nil, fmt.Errorf("core: host sample (%s %g%% %dT %s): %w", w.Name, f, n, aff, err)
 					}
@@ -135,7 +135,7 @@ func GenerateDeviceData(platform *offload.Platform, plan TrainingPlan) (*ml.Data
 						DeviceThreads: n, DeviceAffinity: aff,
 						HostFraction: 0,
 					}
-					t, err := platform.Measure(w.Scaled(sizeMB), cfg, 0)
+					t, err := platform.Measure(w.Scaled(sizeMB), cfg)
 					if err != nil {
 						return nil, fmt.Errorf("core: device sample (%s %g%% %dT %s): %w", w.Name, f, n, aff, err)
 					}

@@ -87,6 +87,7 @@ func (s *Scheduler) Simulate(w offload.Workload, cfg Config) (Result, error) {
 	if complexity <= 0 {
 		complexity = 1
 	}
+	cal := s.Model.Constants()
 
 	chunks := int(math.Ceil(w.SizeMB / cfg.ChunkMB))
 	lastChunkMB := w.SizeMB - float64(chunks-1)*cfg.ChunkMB
@@ -96,16 +97,16 @@ func (s *Scheduler) Simulate(w offload.Workload, cfg Config) (Result, error) {
 	}
 	devChunkCost := func(mb float64) float64 {
 		compute := mb * complexity / devRate
-		transfer := mb / s.Model.Cal.PCIeRateMBs
+		transfer := mb / cal.PCIeRateMBs
 		// Transfer of the next chunk overlaps computation of the current
 		// one; the slower of the two paces the pipeline, plus the
 		// per-chunk launch overhead.
-		return math.Max(compute, transfer) + perChunkLaunchSec + s.Model.Cal.TransferResidual*transfer
+		return math.Max(compute, transfer) + perChunkLaunchSec + cal.TransferResidual*transfer
 	}
 
 	res := Result{Chunks: chunks}
-	hostFree := s.Model.Cal.HostSetupSec + s.Model.Cal.HostThreadSpawnSec*float64(cfg.HostThreads)
-	devFree := s.Model.Cal.OffloadLatencySec + s.Model.Cal.DeviceSetupSec + s.Model.Cal.DeviceThreadSpawnSec*float64(cfg.DeviceThreads)
+	hostFree := cal.HostSetupSec + cal.HostThreadSpawnSec*float64(cfg.HostThreads)
+	devFree := cal.OffloadLatencySec + cal.DeviceSetupSec + cal.DeviceThreadSpawnSec*float64(cfg.DeviceThreads)
 	for i := 0; i < chunks; i++ {
 		mb := cfg.ChunkMB
 		if i == chunks-1 {

@@ -100,9 +100,9 @@ func TestDynamicTracksStaticOptimum(t *testing.T) {
 	// With a sensible chunk size, dynamic self-scheduling must land in
 	// the same ballpark as the noiseless static optimum (it load-balances
 	// by construction) and must beat host-only execution.
-	s := paperScheduler()
-	s.Model.Cal.NoiseStdHost = 0
-	s.Model.Cal.NoiseStdDevice = 0
+	cal := perf.DefaultCalibration()
+	cal.NoiseStdHost, cal.NoiseStdDevice = 0, 0
+	s := &Scheduler{Model: perf.NewModel(machine.XeonE5Host(), machine.XeonPhi7120P(), cal)}
 	w := offload.GenomeWorkload(dna.Human)
 	best := Result{Makespan: math.Inf(1)}
 	for _, chunk := range []float64{8, 16, 32, 64, 128, 256, 512} {

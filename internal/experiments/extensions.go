@@ -38,16 +38,17 @@ func (s *Suite) multiProblem(n int, w offload.Workload) (*multi.Problem, error) 
 	if strings.Contains(s.Platform.Device().Name, "Phi") {
 		prefix = "phi"
 	}
+	model := s.Platform.Model()
 	devices := make([]*perf.Model, n)
 	names := make([]string, n)
 	for i := range devices {
-		m := *s.Platform.Model()
 		// Decorrelate per-card noise: same silicon, different card.
-		m.Cal.NoiseSeed ^= uint64(i+1) * 0x9E3779B97F4A7C15
-		devices[i] = &m
+		cal := model.Calibration()
+		cal.NoiseSeed ^= uint64(i+1) * 0x9E3779B97F4A7C15
+		devices[i] = perf.NewModel(model.Host(), model.Device(), cal)
 		names[i] = fmt.Sprintf("%s%d", prefix, i)
 	}
-	platform, err := multi.NewPlatform(s.Platform.Model(), names, devices)
+	platform, err := multi.NewPlatform(model, names, devices)
 	if err != nil {
 		return nil, err
 	}

@@ -68,7 +68,7 @@ func (s *Suite) Fig2() ([]Fig2Series, error) {
 				DeviceAffinity: machine.AffinityBalanced,
 				HostFraction:   float64(f),
 			}
-			t, err := s.Platform.Measure(w, cfg, 0)
+			t, err := s.Platform.Measure(w, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: fig2 %s ratio %s: %w", scen.Label, label, err)
 			}

@@ -59,7 +59,7 @@ func (s *Suite) predictionCurves(side string, aff machine.Affinity, threadCounts
 				sizeMB := w.SizeMB * f / 100
 				var measured, predicted float64
 				if side == "host" {
-					t, err := s.Platform.Measure(w.Scaled(sizeMB), hostOnlyConfig(n, aff), 0)
+					t, err := s.Platform.Measure(w.Scaled(sizeMB), hostOnlyConfig(n, aff))
 					if err != nil {
 						return PredictionCurves{}, err
 					}
@@ -69,7 +69,7 @@ func (s *Suite) predictionCurves(side string, aff machine.Affinity, threadCounts
 						return PredictionCurves{}, err
 					}
 				} else {
-					t, err := s.Platform.Measure(w.Scaled(sizeMB), deviceOnlyConfig(n, aff), 0)
+					t, err := s.Platform.Measure(w.Scaled(sizeMB), deviceOnlyConfig(n, aff))
 					if err != nil {
 						return PredictionCurves{}, err
 					}

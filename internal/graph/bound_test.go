@@ -120,10 +120,11 @@ func genWorkload(rng *rand.Rand, maxNodes int) Workload {
 func genSim(t *testing.T, rng *rand.Rand, maxNodes int) *Sim {
 	t.Helper()
 	jitter := func() float64 { return math.Pow(4, 2*rng.Float64()-1) }
-	m := perf.NewPaperModel()
-	m.Cal.HostCoreRateMBs *= jitter()
-	m.Cal.DeviceCoreRateMBs *= jitter()
-	m.Cal.HostCoreScalingExp = 0.85 + 0.15*rng.Float64()
+	cal := perf.DefaultCalibration()
+	cal.HostCoreRateMBs *= jitter()
+	cal.DeviceCoreRateMBs *= jitter()
+	cal.HostCoreScalingExp = 0.85 + 0.15*rng.Float64()
+	m := perf.NewModel(machine.XeonE5Host(), machine.XeonPhi7120P(), cal)
 	w := genWorkload(rng, maxNodes)
 	s, err := NewSim(w, m,
 		SideConfig{Threads: 48, Affinity: machine.AffinityCompact},

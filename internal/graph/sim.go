@@ -87,8 +87,8 @@ func NewSim(w Workload, m *perf.Model, host, device SideConfig, link Link) (*Sim
 	s := &Sim{
 		w:        w,
 		n:        len(w.Nodes),
-		hostName: m.Host.Name,
-		devName:  m.Device.Name,
+		hostName: m.Host().Name,
+		devName:  m.Device().Name,
 		hostCfg:  host,
 		devCfg:   device,
 	}

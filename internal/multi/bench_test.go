@@ -23,7 +23,7 @@ func BenchmarkMeasureTwoPhis(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Platform.Measure(p.Workload, cfg, i); err != nil {
+		if _, err := p.Platform.Measure(p.Workload, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -82,7 +82,7 @@ func TestMeasureFullEnergy(t *testing.T) {
 			{Threads: 240, Affinity: machine.AffinityBalanced, FractionPct: 0},
 		},
 	}
-	m, err := p.Platform.MeasureFull(p.Workload, cfg, 0)
+	m, err := p.Platform.MeasureFull(p.Workload, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestMeasureFullEnergy(t *testing.T) {
 		t.Fatalf("total %g != sum of engaged units %g", got, want)
 	}
 	// Times side matches the times-only path.
-	times, err := p.Platform.Measure(p.Workload, cfg, 0)
+	times, err := p.Platform.Measure(p.Workload, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,10 +62,10 @@ func PaperWithPhis(n int) (*Platform, error) {
 	devices := make([]*perf.Model, n)
 	names := make([]string, n)
 	for i := range devices {
-		m := perf.NewPaperModel()
 		// Decorrelate per-card noise: same silicon, different card.
-		m.Cal.NoiseSeed ^= uint64(i+1) * 0x9E3779B97F4A7C15
-		devices[i] = m
+		cal := perf.DefaultCalibration()
+		cal.NoiseSeed ^= uint64(i+1) * 0x9E3779B97F4A7C15
+		devices[i] = perf.NewModel(machine.XeonE5Host(), machine.XeonPhi7120P(), cal)
 		names[i] = fmt.Sprintf("phi%d", i)
 	}
 	return NewPlatform(host, names, devices)
@@ -199,15 +199,15 @@ func (m Measurement) Joules() float64 { return m.Energy.Total() }
 
 // Measure evaluates a configuration on the platform and reports per-unit
 // times.
-func (p *Platform) Measure(w offload.Workload, cfg Config, trial int) (Times, error) {
-	m, err := p.MeasureFull(w, cfg, trial)
+func (p *Platform) Measure(w offload.Workload, cfg Config) (Times, error) {
+	m, err := p.MeasureFull(w, cfg)
 	return m.Times, err
 }
 
 // MeasureFull evaluates a configuration and reports both per-unit times
 // and per-unit energy. Each engaged unit draws active power while its
 // share runs and static power while waiting for the slowest unit.
-func (p *Platform) MeasureFull(w offload.Workload, cfg Config, trial int) (Measurement, error) {
+func (p *Platform) MeasureFull(w offload.Workload, cfg Config) (Measurement, error) {
 	if err := w.Validate(); err != nil {
 		return Measurement{}, err
 	}
@@ -225,7 +225,7 @@ func (p *Platform) MeasureFull(w offload.Workload, cfg Config, trial int) (Measu
 		Energy: Energy{Devices: make([]float64, p.NumDevices())},
 	}
 	if cfg.Host.FractionPct > 0 {
-		t, err := p.host.HostTime(hostA, traits, trial)
+		t, err := p.host.HostTime(hostA, traits)
 		if err != nil {
 			return Measurement{}, err
 		}
@@ -246,20 +246,20 @@ func (p *Platform) MeasureFull(w offload.Workload, cfg Config, trial int) (Measu
 		if d.FractionPct == 0 {
 			continue
 		}
-		t, err := p.devices[i].DeviceTime(devA[i], devTraits[i], trial)
+		t, err := p.devices[i].DeviceTime(devA[i], devTraits[i])
 		if err != nil {
 			return Measurement{}, err
 		}
 		out.Times.Devices[i] = t
 	}
 	makespan := out.Times.E()
-	e, err := p.host.HostEnergy(hostA, traits, trial, out.Times.Host, makespan)
+	e, err := p.host.HostEnergy(hostA, traits, out.Times.Host, makespan)
 	if err != nil {
 		return Measurement{}, err
 	}
 	out.Energy.Host = e
 	for i := range cfg.Devices {
-		e, err := p.devices[i].DeviceEnergy(devA[i], devTraits[i], trial, out.Times.Devices[i], makespan)
+		e, err := p.devices[i].DeviceEnergy(devA[i], devTraits[i], out.Times.Devices[i], makespan)
 		if err != nil {
 			return Measurement{}, err
 		}
@@ -427,7 +427,7 @@ func (p *Problem) Energy(state []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	t, err := p.Platform.MeasureFull(p.Workload, cfg, 0)
+	t, err := p.Platform.MeasureFull(p.Workload, cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -497,7 +497,7 @@ func TuneParallel(p *Problem, opt TuneOptions) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	meas, err := p.Platform.MeasureFull(p.Workload, cfg, 0)
+	meas, err := p.Platform.MeasureFull(p.Workload, cfg)
 	if err != nil {
 		return Result{}, err
 	}

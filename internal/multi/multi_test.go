@@ -18,11 +18,14 @@ func quietProblem(t *testing.T, nPhis int) *Problem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Platform.host.Cal.NoiseStdHost = 0
-	p.Platform.host.Cal.NoiseStdDevice = 0
-	for _, d := range p.Platform.devices {
-		d.Cal.NoiseStdHost = 0
-		d.Cal.NoiseStdDevice = 0
+	quiet := func(m *perf.Model) *perf.Model {
+		cal := m.Calibration()
+		cal.NoiseStdHost, cal.NoiseStdDevice = 0, 0
+		return perf.NewModel(m.Host(), m.Device(), cal)
+	}
+	p.Platform.host = quiet(p.Platform.host)
+	for i, d := range p.Platform.devices {
+		p.Platform.devices[i] = quiet(d)
 	}
 	return p
 }
@@ -78,7 +81,7 @@ func TestMeasureTwoPhis(t *testing.T) {
 			{Threads: 240, Affinity: machine.AffinityBalanced, FractionPct: 30},
 		},
 	}
-	times, err := p.Platform.Measure(p.Workload, cfg, 0)
+	times, err := p.Platform.Measure(p.Workload, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +109,7 @@ func TestPerCardNoiseIndependent(t *testing.T) {
 			{Threads: 240, Affinity: machine.AffinityBalanced, FractionPct: 30},
 		},
 	}
-	times, err := p.Platform.Measure(p.Workload, cfg, 0)
+	times, err := p.Platform.Measure(p.Workload, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,13 +25,13 @@ func TestMeasureFullComposesTimesAndEnergy(t *testing.T) {
 		DeviceThreads: 240, DeviceAffinity: machine.AffinityBalanced,
 		HostFraction: 60,
 	}
-	full, err := p.MeasureFull(w, cfg, 0)
+	full, err := p.MeasureFull(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The times side must be identical to the times-only path: one
 	// evaluation serves both objectives.
-	times, err := p.Measure(w, cfg, 0)
+	times, err := p.Measure(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,20 +41,13 @@ func TestMeasureFullComposesTimesAndEnergy(t *testing.T) {
 	if full.Energy.Host <= 0 || full.Energy.Device <= 0 {
 		t.Fatalf("both engaged sides must consume energy, got %+v", full.Energy)
 	}
-	// Determinism: equal trial reproduces the identical measurement.
-	again, err := p.MeasureFull(w, cfg, 0)
+	// Determinism: measuring again reproduces the identical measurement.
+	again, err := p.MeasureFull(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again != full {
-		t.Fatal("repeated measurement with equal trial diverged")
-	}
-	other, err := p.MeasureFull(w, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other == full {
-		t.Fatal("different trials should observe different noise")
+		t.Fatal("repeated measurement diverged")
 	}
 }
 
@@ -66,7 +59,7 @@ func TestMeasureFullDisengagedSides(t *testing.T) {
 		DeviceThreads: 240, DeviceAffinity: machine.AffinityBalanced,
 		HostFraction: 100,
 	}
-	m, err := p.MeasureFull(w, hostOnly, 0)
+	m, err := p.MeasureFull(w, hostOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +71,7 @@ func TestMeasureFullDisengagedSides(t *testing.T) {
 	}
 	devOnly := hostOnly
 	devOnly.HostFraction = 0
-	m, err = p.MeasureFull(w, devOnly, 0)
+	m, err = p.MeasureFull(w, devOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +95,7 @@ func TestEngagedIdleEnergy(t *testing.T) {
 		DeviceThreads: 240, DeviceAffinity: machine.AffinityBalanced,
 		HostFraction: 10,
 	}
-	m, err := p.MeasureFull(w, cfg, 0)
+	m, err := p.MeasureFull(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

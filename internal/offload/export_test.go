@@ -8,7 +8,7 @@ import (
 )
 
 // Measure measures the schema configuration with ordinal ord through
-// the table: MeasureFull(w, schema config ord, 0), bit for bit. Tests
+// the table: MeasureFull(w, schema config ord), bit for bit. Tests
 // use it to reach every ordinal.
 func (mt *MeasureTable) Measure(ord int) (Measurement, error) {
 	if ord < 0 || ord >= mt.schema.Size() {

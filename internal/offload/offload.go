@@ -139,12 +139,12 @@ func NewPlatformWithModel(m *perf.Model) *Platform {
 	return &Platform{model: m}
 }
 
-// Model exposes the underlying performance model (calibration knobs).
+// Model returns the underlying performance model.
 func (p *Platform) Model() *perf.Model { return p.model }
 
-// Host and Device expose the processor descriptions.
-func (p *Platform) Host() *machine.Processor   { return p.model.Host }
-func (p *Platform) Device() *machine.Processor { return p.model.Device }
+// Host and Device return copies of the processor descriptions.
+func (p *Platform) Host() *machine.Processor   { return p.model.Host() }
+func (p *Platform) Device() *machine.Processor { return p.model.Device() }
 
 // split returns the host and device share sizes in MB.
 func split(w Workload, cfg space.Config) (hostMB, devMB float64, err error) {
@@ -157,11 +157,10 @@ func split(w Workload, cfg space.Config) (hostMB, devMB float64, err error) {
 }
 
 // Measure returns the modeled execution times of running workload w under
-// configuration cfg. trial selects the measurement-noise draw; repeated
-// measurements with equal trial reproduce identical values (a stable
-// testbed), different trials model re-runs.
-func (p *Platform) Measure(w Workload, cfg space.Config, trial int) (Times, error) {
-	m, err := p.MeasureFull(w, cfg, trial)
+// configuration cfg. Repeated measurements of a configuration reproduce
+// identical values (a stable testbed).
+func (p *Platform) Measure(w Workload, cfg space.Config) (Times, error) {
+	m, err := p.MeasureFull(w, cfg)
 	return m.Times, err
 }
 
@@ -171,7 +170,7 @@ func (p *Platform) Measure(w Workload, cfg space.Config, trial int) (Times, erro
 // accounting: each engaged unit draws its active power while its share
 // runs and its static power while it waits for the other side to finish
 // (the makespan); a unit with no work consumes nothing.
-func (p *Platform) MeasureFull(w Workload, cfg space.Config, trial int) (Measurement, error) {
+func (p *Platform) MeasureFull(w Workload, cfg space.Config) (Measurement, error) {
 	if err := w.Validate(); err != nil {
 		return Measurement{}, err
 	}
@@ -183,23 +182,23 @@ func (p *Platform) MeasureFull(w Workload, cfg space.Config, trial int) (Measure
 	devA := perf.Assignment{SizeMB: devMB, Threads: cfg.DeviceThreads, Affinity: cfg.DeviceAffinity}
 	var m Measurement
 	if hostMB > 0 {
-		m.Times.Host, err = p.model.HostTime(hostA, w.Traits(), trial)
+		m.Times.Host, err = p.model.HostTime(hostA, w.Traits())
 		if err != nil {
 			return Measurement{}, err
 		}
 	}
 	if devMB > 0 {
-		m.Times.Device, err = p.model.DeviceTime(devA, w.Traits(), trial)
+		m.Times.Device, err = p.model.DeviceTime(devA, w.Traits())
 		if err != nil {
 			return Measurement{}, err
 		}
 	}
 	makespan := m.Times.E()
-	m.Energy.Host, err = p.model.HostEnergy(hostA, w.Traits(), trial, m.Times.Host, makespan)
+	m.Energy.Host, err = p.model.HostEnergy(hostA, w.Traits(), m.Times.Host, makespan)
 	if err != nil {
 		return Measurement{}, err
 	}
-	m.Energy.Device, err = p.model.DeviceEnergy(devA, w.Traits(), trial, m.Times.Device, makespan)
+	m.Energy.Device, err = p.model.DeviceEnergy(devA, w.Traits(), m.Times.Device, makespan)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -211,8 +210,8 @@ func (p *Platform) MeasureFull(w Workload, cfg space.Config, trial int) (Measure
 // are derived once, so a measurement costs its formulas and little
 // else. Every measurement is bit-identical to MeasureFull on the
 // decoded configuration, which it falls back to whenever the table
-// cannot serve it (an invalid workload, a failing level, or a model
-// mutated since the table was built). It is safe for concurrent use.
+// cannot serve it (an invalid workload or a failing level). It is safe
+// for concurrent use.
 type MeasureTable struct {
 	p      *Platform
 	w      Workload
@@ -243,9 +242,9 @@ func (p *Platform) NewMeasureTable(w Workload, schema *space.Schema) *MeasureTab
 	return mt
 }
 
-// NewDraws returns an empty cache of the table's trial-0 noise draws
-// for one run to pass to MeasureLevels, or nil when the table measures
-// nothing itself (an invalid workload).
+// NewDraws returns an empty cache of the table's noise draws for one
+// run to pass to MeasureLevels, or nil when the table measures nothing
+// itself (an invalid workload).
 func (mt *MeasureTable) NewDraws() *perf.Draws {
 	if mt.t == nil {
 		return nil
@@ -254,11 +253,11 @@ func (mt *MeasureTable) NewDraws() *perf.Draws {
 }
 
 // MeasureLevels measures the schema configuration at level indices lv,
-// which must address one of its states, under noise trial 0:
-// MeasureFull(w, schema.Config(lv), 0), bit for bit. Its noise draws
-// come from d, a cache from NewDraws of this table (nil, or a cache of
-// another table, draws them afresh). The level table measures it when
-// it can serve lv, MeasureFull otherwise.
+// which must address one of its states: MeasureFull(w,
+// schema.Config(lv)), bit for bit. Its noise draws come from d, a cache
+// from NewDraws of this table (nil, or a cache of another table, draws
+// them afresh). The level table measures it when it can serve lv,
+// MeasureFull otherwise.
 func (mt *MeasureTable) MeasureLevels(lv space.Levels, d *perf.Draws) (Measurement, error) {
 	if m, ok := mt.fromTable(lv, d); ok {
 		return m, nil
@@ -267,7 +266,7 @@ func (mt *MeasureTable) MeasureLevels(lv space.Levels, d *perf.Draws) (Measureme
 	if err != nil {
 		return Measurement{}, err
 	}
-	return mt.p.MeasureFull(mt.w, cfg, 0)
+	return mt.p.MeasureFull(mt.w, cfg)
 }
 
 // fromTable measures the configuration at level indices lv through

@@ -6,14 +6,14 @@ import (
 
 	"hetopt/internal/dna"
 	"hetopt/internal/machine"
+	"hetopt/internal/perf"
 	"hetopt/internal/space"
 )
 
 func quietPlatform() *Platform {
-	p := NewPlatform()
-	p.Model().Cal.NoiseStdHost = 0
-	p.Model().Cal.NoiseStdDevice = 0
-	return p
+	cal := perf.DefaultCalibration()
+	cal.NoiseStdHost, cal.NoiseStdDevice = 0, 0
+	return NewPlatformWithModel(perf.NewModel(machine.XeonE5Host(), machine.XeonPhi7120P(), cal))
 }
 
 func balancedConfig(fraction float64) space.Config {
@@ -62,21 +62,21 @@ func TestWorkloadScaled(t *testing.T) {
 func TestMeasureSplitsWork(t *testing.T) {
 	p := quietPlatform()
 	w := GenomeWorkload(dna.Human)
-	full, err := p.Measure(w, balancedConfig(100), 0)
+	full, err := p.Measure(w, balancedConfig(100))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.Device != 0 {
 		t.Fatalf("CPU-only run should have zero device time, got %g", full.Device)
 	}
-	devOnly, err := p.Measure(w, balancedConfig(0), 0)
+	devOnly, err := p.Measure(w, balancedConfig(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if devOnly.Host != 0 {
 		t.Fatalf("device-only run should have zero host time, got %g", devOnly.Host)
 	}
-	split, err := p.Measure(w, balancedConfig(60), 0)
+	split, err := p.Measure(w, balancedConfig(60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestMeasureRejectsBadFraction(t *testing.T) {
 	p := quietPlatform()
 	w := GenomeWorkload(dna.Human)
 	for _, f := range []float64{-1, 101} {
-		if _, err := p.Measure(w, balancedConfig(f), 0); err == nil {
+		if _, err := p.Measure(w, balancedConfig(f)); err == nil {
 			t.Errorf("fraction %g should fail", f)
 		}
 	}
@@ -103,12 +103,12 @@ func TestMeasureRejectsBadConfig(t *testing.T) {
 	w := GenomeWorkload(dna.Human)
 	cfg := balancedConfig(50)
 	cfg.HostAffinity = machine.AffinityBalanced // invalid on host
-	if _, err := p.Measure(w, cfg, 0); err == nil {
+	if _, err := p.Measure(w, cfg); err == nil {
 		t.Error("invalid host affinity should fail")
 	}
 	cfg = balancedConfig(50)
 	cfg.DeviceThreads = 0
-	if _, err := p.Measure(w, cfg, 0); err == nil {
+	if _, err := p.Measure(w, cfg); err == nil {
 		t.Error("zero device threads with device work should fail")
 	}
 }
@@ -118,11 +118,11 @@ func TestMeasureObjectiveShape(t *testing.T) {
 	// for a paper-scale workload (Section IV-D).
 	p := quietPlatform()
 	w := GenomeWorkload(dna.Human)
-	hostOnly, _ := p.Measure(w, balancedConfig(100), 0)
-	devOnly, _ := p.Measure(w, balancedConfig(0), 0)
+	hostOnly, _ := p.Measure(w, balancedConfig(100))
+	devOnly, _ := p.Measure(w, balancedConfig(0))
 	best := math.Inf(1)
 	for f := 2.5; f < 100; f += 2.5 {
-		ti, err := p.Measure(w, balancedConfig(f), 0)
+		ti, err := p.Measure(w, balancedConfig(f))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,26 +135,28 @@ func TestMeasureObjectiveShape(t *testing.T) {
 	}
 }
 
-func TestMeasureTrialNoise(t *testing.T) {
+// TestMeasureNoiseReproduces: measuring a configuration again
+// reproduces its noisy measurement, and the noise does perturb it.
+func TestMeasureNoiseReproduces(t *testing.T) {
 	p := NewPlatform() // noise enabled
 	w := GenomeWorkload(dna.Cat)
-	a, err := p.Measure(w, balancedConfig(60), 0)
+	a, err := p.Measure(w, balancedConfig(60))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.Measure(w, balancedConfig(60), 0)
+	b, err := p.Measure(w, balancedConfig(60))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Fatal("same trial must reproduce the same measurement")
+		t.Fatal("measuring again must reproduce the same measurement")
 	}
-	c, err := p.Measure(w, balancedConfig(60), 1)
+	quiet, err := quietPlatform().Measure(w, balancedConfig(60))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a == c {
-		t.Fatal("different trials should differ")
+	if a == quiet {
+		t.Fatal("noise should perturb the measurement")
 	}
 }
 
@@ -173,12 +175,12 @@ func TestMeasureScaledWorkloadKeepsIdentity(t *testing.T) {
 	// changing only the size.
 	p := quietPlatform()
 	w := GenomeWorkload(dna.Cat).Scaled(123)
-	ti, err := p.Measure(w, balancedConfig(100), 0)
+	ti, err := p.Measure(w, balancedConfig(100))
 	if err != nil {
 		t.Fatal(err)
 	}
 	w2 := Workload{Name: "cat", SizeMB: 123, Complexity: dna.Cat.Complexity}
-	ti2, err := p.Measure(w2, balancedConfig(100), 0)
+	ti2, err := p.Measure(w2, balancedConfig(100))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestMeasureTableMatchesMeasureFullOnPresets(t *testing.T) {
 							t.Fatal(err)
 						}
 						states++
-						want, err := p.MeasureFull(w, cfg, 0)
+						want, err := p.MeasureFull(w, cfg)
 						if err != nil {
 							t.Fatal(err)
 						}

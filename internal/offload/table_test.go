@@ -38,7 +38,7 @@ func checkTable(t *testing.T, p *Platform, w Workload, schema *space.Schema, mt 
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantErr := p.MeasureFull(w, cfg, 0)
+		want, wantErr := p.MeasureFull(w, cfg)
 		got, err := mt.Measure(ord)
 		if !sameMeasurement(got, err, want, wantErr) {
 			t.Fatalf("%v: table %+v (%v), MeasureFull %+v (%v)", cfg, got, err, want, wantErr)
@@ -64,81 +64,35 @@ func tableSchema(t testing.TB) *space.Schema {
 	return sc
 }
 
-// TestMeasureTableFollowsModelMutations: the table answers exactly what
-// MeasureFull answers after each kind of calibration change — a new
-// noise seed, a fingerprinted constant, a replaced SMT-gain slice, a
-// trait-scaled rate input, and constants the table reads live — falling
-// back where what it derived went stale and serving where it did not.
-// Each state is also measured through one run's draw cache: twice
-// before the change (drawing, then replaying the draws) and once after
-// it, where the cached draws must meet the live noise deviations.
-// The paper host does not support balanced affinity, so those levels
-// fail and their states fall back to MeasureFull (an error wherever the
-// host gets work); 96 host threads oversubscribe its cores.
-func TestMeasureTableFollowsModelMutations(t *testing.T) {
+// TestMeasureTableReplaysDrawCache: every state of tableSchema, measured
+// twice through one run's draw cache (drawing, then replaying the
+// draws), answers exactly what MeasureFull answers. The paper host does
+// not support balanced affinity, so those levels fail and their states
+// fall back to MeasureFull (an error wherever the host gets work); 96
+// host threads oversubscribe its cores.
+func TestMeasureTableReplaysDrawCache(t *testing.T) {
 	w := GenomeWorkload(dna.Human)
 	schema := tableSchema(t)
-	for _, mut := range []struct {
-		name  string
-		stale bool
-		apply func(c *perf.Calibration)
-	}{
-		{"none", false, func(*perf.Calibration) {}},
-		{"noise-seed", true, func(c *perf.Calibration) { c.NoiseSeed++ }},
-		{"host-compact-bonus", true, func(c *perf.Calibration) { c.HostCompactBonus = 1.2 }},
-		{"device-smt-gain-slice", true, func(c *perf.Calibration) { c.DeviceSMTGain = []float64{1, 1.5, 1.9, 2.1} }},
-		{"host-core-rate", true, func(c *perf.Calibration) { c.HostCoreRateMBs *= 1.5 }},
-		{"bytes-per-byte", true, func(c *perf.Calibration) { c.BytesPerByte = 4 }},
-		{"live-constants", false, func(c *perf.Calibration) {
-			c.HostSetupSec, c.NoiseStdHost, c.DeviceIdleW, c.NoiseStdDevicePower = 0.5, 0, 80, 0.2
-		}},
-	} {
-		t.Run(mut.name, func(t *testing.T) {
-			p := NewPlatform()
-			mt := p.NewMeasureTable(w, schema)
-			d := mt.NewDraws()
-			// checkDrawn measures lv through d and requires MeasureFull's
-			// trial-0 answer, served by the table when served is set.
-			checkDrawn := func(lv space.Levels, cfg space.Config, served bool) {
-				t.Helper()
-				want, wantErr := p.MeasureFull(w, cfg, 0)
-				got, err := mt.MeasureLevels(lv, d)
-				if !sameMeasurement(got, err, want, wantErr) {
-					t.Fatalf("%v through the draw cache: %+v (%v), MeasureFull %+v (%v)", cfg, got, err, want, wantErr)
-				}
-				if _, ok := mt.MeasureLevelsByTable(lv, d); ok != served {
-					t.Fatalf("%v through the draw cache: served by the table = %v, want %v", cfg, ok, served)
-				}
+	p := NewPlatform()
+	mt := p.NewMeasureTable(w, schema)
+	d := mt.NewDraws()
+	for pass := 0; pass < 2; pass++ {
+		for ord := 0; ord < schema.Size(); ord++ {
+			lv := mt.levelsOf(ord)
+			cfg, err := schema.Config(lv[:])
+			if err != nil {
+				t.Fatal(err)
 			}
-			for pass := 0; pass < 2; pass++ {
-				for ord := 0; ord < schema.Size(); ord++ {
-					lv := mt.levelsOf(ord)
-					cfg, err := schema.Config(lv[:])
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkDrawn(lv, cfg, cfg.HostAffinity != machine.AffinityBalanced)
-				}
+			want, wantErr := p.MeasureFull(w, cfg)
+			got, err := mt.MeasureLevels(lv, d)
+			if !sameMeasurement(got, err, want, wantErr) {
+				t.Fatalf("%v pass %d through the draw cache: %+v (%v), MeasureFull %+v (%v)", cfg, pass, got, err, want, wantErr)
 			}
-			mut.apply(&p.Model().Cal)
-			for ord := 0; ord < schema.Size(); ord++ {
-				lv := mt.levelsOf(ord)
-				cfg, err := schema.Config(lv[:])
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantServed := !mut.stale && cfg.HostAffinity != machine.AffinityBalanced
-				checkDrawn(lv, cfg, wantServed)
-				want, wantErr := p.MeasureFull(w, cfg, 0)
-				got, err := mt.Measure(ord)
-				if !sameMeasurement(got, err, want, wantErr) {
-					t.Fatalf("%v: table %+v (%v), MeasureFull %+v (%v)", cfg, got, err, want, wantErr)
-				}
-				if _, served := mt.MeasureByTable(ord); served != wantServed {
-					t.Fatalf("%v: served by the table = %v, want %v", cfg, served, wantServed)
-				}
+			served := cfg.HostAffinity != machine.AffinityBalanced
+			if _, ok := mt.MeasureLevelsByTable(lv, d); ok != served {
+				t.Fatalf("%v pass %d through the draw cache: served by the table = %v, want %v", cfg, pass, ok, served)
 			}
-		})
+		}
 	}
 }
 
@@ -160,7 +114,7 @@ func TestMeasureTableIgnoresOtherTablesDraws(t *testing.T) {
 		if _, err := other.MeasureLevels(lv, foreign); err != nil { // fill the foreign cache
 			t.Fatal(err)
 		}
-		want, wantErr := p.MeasureFull(human, cfg, 0)
+		want, wantErr := p.MeasureFull(human, cfg)
 		got, err := mt.MeasureLevels(lv, foreign)
 		if !sameMeasurement(got, err, want, wantErr) {
 			t.Fatalf("%v with another table's draws: %+v (%v), MeasureFull %+v (%v)", cfg, got, err, want, wantErr)
@@ -212,9 +166,8 @@ func TestMeasureTableZeroAllocs(t *testing.T) {
 
 // FuzzMeasureTable: for any workload size, configuration and
 // calibration perturbation, the table measures exactly what MeasureFull
-// measures — directly, and at trial 0 through one draw cache twice
-// (drawing, then replaying) and once more after the noise deviations,
-// which the table reads live, are rescaled.
+// measures — directly, and through one draw cache twice (drawing, then
+// replaying).
 func FuzzMeasureTable(f *testing.F) {
 	f.Add(1948.0, 12345, 1.0, 1.0, uint64(0))
 	f.Add(0.37, 0, 0.5, 2.0, uint64(7))
@@ -225,12 +178,16 @@ func FuzzMeasureTable(f *testing.F) {
 			t.Skip()
 		}
 		ord = int(uint(ord) % uint(schema.Size()))
-		p := NewPlatform()
-		cal := &p.Model().Cal
+		cal := perf.DefaultCalibration()
 		cal.HostCoreRateMBs *= hostScale
 		cal.DeviceCoreRateMBs *= devScale
 		cal.OffloadLatencySec *= devScale
 		cal.NoiseSeed ^= seed
+		cal.NoiseStdHost *= devScale
+		cal.NoiseStdDevice *= hostScale
+		cal.NoiseStdHostPower *= hostScale
+		cal.NoiseStdDevicePower *= devScale
+		p := NewPlatformWithModel(perf.NewModel(machine.XeonE5Host(), machine.XeonPhi7120P(), cal))
 		w := Workload{Name: fmt.Sprintf("fuzz-%d", seed%5), SizeMB: sizeMB, Complexity: hostScale, BytesPerByte: devScale}
 		mt := p.NewMeasureTable(w, schema)
 		idx := mt.levelsOf(ord)
@@ -238,7 +195,7 @@ func FuzzMeasureTable(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantErr := p.MeasureFull(w, cfg, 0)
+		want, wantErr := p.MeasureFull(w, cfg)
 		got, err := mt.Measure(ord)
 		if !sameMeasurement(got, err, want, wantErr) {
 			t.Fatalf("%v: table %+v (%v), MeasureFull %+v (%v)", cfg, got, err, want, wantErr)
@@ -247,14 +204,7 @@ func FuzzMeasureTable(f *testing.F) {
 			t.Fatalf("%v: a fresh table must serve every paper-schema state", cfg)
 		}
 		d := mt.NewDraws()
-		for pass := 0; pass < 3; pass++ {
-			if pass == 2 {
-				cal.NoiseStdHost *= devScale
-				cal.NoiseStdDevice *= hostScale
-				cal.NoiseStdHostPower *= hostScale
-				cal.NoiseStdDevicePower *= devScale
-			}
-			want, wantErr := p.MeasureFull(w, cfg, 0)
+		for pass := 0; pass < 2; pass++ {
 			got, ok := mt.MeasureLevelsByTable(idx, d)
 			if !ok {
 				t.Fatalf("%v pass %d: the table must serve through the draw cache", cfg, pass)

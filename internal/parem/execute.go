@@ -46,7 +46,7 @@ func Execute(p *offload.Platform, w offload.Workload, cfg space.Config, d *autom
 	report := ExecutionReport{HostBytes: hostBytes, DeviceBytes: devBytes}
 
 	// Model the times for the actual byte sizes.
-	times, err := p.Measure(w.Scaled(float64(total)/(1<<20)), cfg, 0)
+	times, err := p.Measure(w.Scaled(float64(total)/(1<<20)), cfg)
 	if err != nil {
 		return ExecutionReport{}, err
 	}

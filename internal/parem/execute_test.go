@@ -8,14 +8,14 @@ import (
 	"hetopt/internal/dna"
 	"hetopt/internal/machine"
 	"hetopt/internal/offload"
+	"hetopt/internal/perf"
 	"hetopt/internal/space"
 )
 
 func quietPlatform() *offload.Platform {
-	p := offload.NewPlatform()
-	p.Model().Cal.NoiseStdHost = 0
-	p.Model().Cal.NoiseStdDevice = 0
-	return p
+	cal := perf.DefaultCalibration()
+	cal.NoiseStdHost, cal.NoiseStdDevice = 0, 0
+	return offload.NewPlatformWithModel(perf.NewModel(machine.XeonE5Host(), machine.XeonPhi7120P(), cal))
 }
 
 func balancedConfig(fraction float64) space.Config {

@@ -12,7 +12,7 @@ func BenchmarkHostTime(b *testing.B) {
 	a := Assignment{SizeMB: 1948, Threads: 48, Affinity: machine.AffinityScatter}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.HostTime(a, human, i); err != nil {
+		if _, err := m.HostTime(a, human); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -24,7 +24,7 @@ func BenchmarkDeviceTime(b *testing.B) {
 	a := Assignment{SizeMB: 1298, Threads: 240, Affinity: machine.AffinityBalanced}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.DeviceTime(a, human, i); err != nil {
+		if _, err := m.DeviceTime(a, human); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,22 +16,15 @@ import (
 // per table. A measurement then hashes only the per-configuration rest
 // of its four noise keys and runs the time, power and energy formulas
 // HostTime, DeviceTime and the energy methods share. The result is
-// bit-identical to those methods.
+// bit-identical to those methods, and as a model never changes after
+// NewModel, a table never goes stale.
 //
-// The table snapshots what it derived under: the model fingerprint of
-// tables.go, the noise seed and the calibration's trait-scaled rate
-// inputs. Measure revalidates that snapshot once per call, field by
-// field against the model in place, and reports a miss when the caller
-// mutated any of it, so Cal stays as freely mutable between calls as
-// the model documents. Every other constant is read live.
-//
-// A run that measures many states at trial 0 can also hand Measure a
-// Draws: its cache of the table's clamped standard-normal draws, one
-// per (noise role, side level, split). A draw is a pure function of
-// the noise seed, the role, the workload name, the share size and the
-// side's threads and affinity — all fixed by the table — so a cached
-// draw never goes stale. The noise's standard deviation is not part
-// of it: σ is read live on every call like every other constant.
+// A run that measures many states can also hand Measure a Draws: its
+// cache of the table's clamped standard-normal draws, one per (noise
+// role, side level, split). A draw is a pure function of the noise
+// seed, the role, the workload name, the share size and the side's
+// threads and affinity — all fixed by the table. The noise's standard
+// deviation is not part of it and is applied on every call.
 
 // Levels lists the per-side thread and affinity levels and the share
 // sizes a LevelTable covers; level (t, a) of a side is its t-th thread
@@ -49,36 +42,6 @@ type Levels struct {
 type Sample struct {
 	HostSec, DeviceSec float64
 	HostJ, DeviceJ     float64
-}
-
-// levelStamp is everything a LevelTable derived its entries from,
-// besides the traits and levels it was built for.
-type levelStamp struct {
-	fp                                  tableFP
-	noiseSeed                           uint64
-	hostCoreRate, devCoreRate, bytesPer float64
-}
-
-func (m *Model) levelStamp() levelStamp {
-	return levelStamp{
-		fp:           m.fingerprint(),
-		noiseSeed:    m.Cal.NoiseSeed,
-		hostCoreRate: m.Cal.HostCoreRateMBs,
-		devCoreRate:  m.Cal.DeviceCoreRateMBs,
-		bytesPer:     m.Cal.BytesPerByte,
-	}
-}
-
-// matches reports whether m.levelStamp() == *s without building the
-// stamp: the same fields, compared in place with the same ==.
-func (s *levelStamp) matches(m *Model) bool {
-	c := &m.Cal
-	return s.noiseSeed == c.NoiseSeed && s.hostCoreRate == c.HostCoreRateMBs &&
-		s.devCoreRate == c.DeviceCoreRateMBs && s.bytesPer == c.BytesPerByte &&
-		s.fp.host.matches(m.Host, c.HostSMTGain, c.HostCoreScalingExp, c.BandwidthEfficiency,
-			c.OversubscriptionDecay, c.HostCompactBonus, c.HostNonePenalty) &&
-		s.fp.device.matches(m.Device, c.DeviceSMTGain, c.DeviceCoreScalingExp, c.BandwidthEfficiency,
-			c.OversubscriptionDecay, c.DeviceBalancedBonus, c.DeviceCompactBonus)
 }
 
 // sideLevels holds one side's per-(threads, affinity) entries in
@@ -110,7 +73,6 @@ func roleOnHost(role int) bool { return role == roleHost || role == roleHostEner
 // concurrent use.
 type LevelTable struct {
 	m         *Model
-	stamp     levelStamp
 	cx        float64
 	host, dev sideLevels
 	hostMB    []float64
@@ -118,7 +80,7 @@ type LevelTable struct {
 	keys      [numRoles][]uint64 // keyHead state per role and split
 }
 
-// Draws caches one LevelTable's trial-0 noise draws for one run: the
+// Draws caches one LevelTable's noise draws for one run: the
 // clamped standard-normal draw of each (noise role, side level, split),
 // filled on first use. It is safe for concurrent use, and a table only
 // reads draws it made itself. A run owns its Draws so the cache lives
@@ -153,7 +115,6 @@ func (t *LevelTable) NewDraws() *Draws {
 func (m *Model) NewLevelTable(w Traits, lv Levels) *LevelTable {
 	t := &LevelTable{
 		m:      m,
-		stamp:  m.levelStamp(),
 		cx:     w.complexityOrDefault(),
 		hostMB: append([]float64(nil), lv.HostMB...),
 		devMB:  append([]float64(nil), lv.DeviceMB...),
@@ -163,7 +124,7 @@ func (m *Model) NewLevelTable(w Traits, lv Levels) *LevelTable {
 		if err != nil {
 			return 0, 0, err
 		}
-		c, err := m.hostCoresUsed(th, a)
+		c, err := m.coresUsed(hostSide, th, a)
 		return r, c, err
 	})
 	t.dev = buildSide(lv.DeviceThreads, lv.DeviceAffinities, func(th int, a machine.Affinity) (float64, int, error) {
@@ -171,7 +132,7 @@ func (m *Model) NewLevelTable(w Traits, lv Levels) *LevelTable {
 		if err != nil {
 			return 0, 0, err
 		}
-		c, err := m.devCoresUsed(th, a)
+		c, err := m.coresUsed(deviceSide, th, a)
 		return r, c, err
 	})
 	for role, name := range roleNames {
@@ -181,7 +142,7 @@ func (m *Model) NewLevelTable(w Traits, lv Levels) *LevelTable {
 		}
 		t.keys[role] = make([]uint64, len(sizes))
 		for i, mb := range sizes {
-			t.keys[role][i] = keyHead(m.Cal.NoiseSeed, name, w.Name, mb)
+			t.keys[role][i] = keyHead(m.cal.NoiseSeed, name, w.Name, mb)
 		}
 	}
 	return t
@@ -207,16 +168,16 @@ func buildSide(threads []int, affs []machine.Affinity, at func(int, machine.Affi
 }
 
 // Measure is one measurement at host level (ht, ha), device level
-// (dt, da) and split si under noise trial 0: bit-identical to HostTime,
-// DeviceTime, HostEnergy and DeviceEnergy on those shares, composed as
-// an offload runtime composes them. It takes its noise draws from d
-// when d is a cache of t (nil draws them directly). ok is false
-// when the model changed since the table was built or a needed level
-// failed; the caller then measures directly. It allocates nothing.
+// (dt, da) and split si: bit-identical to HostTime, DeviceTime,
+// HostEnergy and DeviceEnergy on those shares, composed as an offload
+// runtime composes them. It takes its noise draws from d when d is a
+// cache of t (nil draws them directly). ok is false when a needed
+// level's placement or rate failed; the caller then measures directly.
+// It allocates nothing.
 func (t *LevelTable) Measure(ht, ha, dt, da, si int, d *Draws) (s Sample, ok bool) {
 	m := t.m
 	hl, dl := ht*len(t.host.affs)+ha, dt*len(t.dev.affs)+da
-	if !t.host.ok[hl] || !t.dev.ok[dl] || !t.stamp.matches(m) {
+	if !t.host.ok[hl] || !t.dev.ok[dl] {
 		return Sample{}, false
 	}
 	if d != nil && d.t != t {
@@ -228,34 +189,33 @@ func (t *LevelTable) Measure(ht, ha, dt, da, si int, d *Draws) (s Sample, ok boo
 		s.HostSec = m.hostSec(host, t.cx, t.host.rate[hl], t.noise(d, roleHost, hl, si, host, m.hostSigma(host.Affinity)))
 	}
 	if dev.SizeMB > 0 {
-		s.DeviceSec = m.deviceSec(dev, t.cx, t.dev.rate[dl], t.noise(d, roleDevice, dl, si, dev, m.Cal.NoiseStdDevice))
+		s.DeviceSec = m.deviceSec(dev, t.cx, t.dev.rate[dl], t.noise(d, roleDevice, dl, si, dev, m.cal.NoiseStdDevice))
 	}
 	makespan := math.Max(s.HostSec, s.DeviceSec)
 	if !(host.SizeMB <= 0) {
-		e := ModeledJoules(m.hostPowerW(t.host.cores[hl], host.Threads, host.Affinity), m.Cal.HostIdleW, s.HostSec, makespan)
-		s.HostJ = e * t.noise(d, roleHostEnergy, hl, si, host, m.Cal.NoiseStdHostPower)
+		e := ModeledJoules(m.hostPowerW(t.host.cores[hl], host.Threads, host.Affinity), m.cal.HostIdleW, s.HostSec, makespan)
+		s.HostJ = e * t.noise(d, roleHostEnergy, hl, si, host, m.cal.NoiseStdHostPower)
 	}
 	if !(dev.SizeMB <= 0) {
-		e := ModeledJoules(m.devicePowerW(t.dev.cores[dl], dev.Threads), m.Cal.DeviceIdleW, s.DeviceSec, makespan)
-		s.DeviceJ = e * t.noise(d, roleDeviceEnergy, dl, si, dev, m.Cal.NoiseStdDevicePower)
+		e := ModeledJoules(m.devicePowerW(t.dev.cores[dl], dev.Threads), m.cal.DeviceIdleW, s.DeviceSec, makespan)
+		s.DeviceJ = e * t.noise(d, roleDeviceEnergy, dl, si, dev, m.cal.NoiseStdDevicePower)
 	}
 	return s, true
 }
 
 // noise is the factor 1 + sigma*z of role's draw for side assignment a
-// at side level level and split si under trial 0; d, when non-nil, is
-// a cache of t.
+// at side level level and split si; d, when non-nil, is a cache of t.
 func (t *LevelTable) noise(d *Draws, role, level, si int, a Assignment, sigma float64) float64 {
 	if sigma <= 0 {
 		return 1
 	}
 	if d == nil {
-		return noiseFactor(keyTail(t.keys[role][si], a.Threads, a.Affinity, 0), sigma)
+		return noiseFactor(keyTail(t.keys[role][si], a.Threads, a.Affinity), sigma)
 	}
 	w := &d.z[role][level*len(t.hostMB)+si]
 	z := math.Float64frombits(w.Load())
 	if z == 0 {
-		z = clampedNormal(keyTail(t.keys[role][si], a.Threads, a.Affinity, 0))
+		z = clampedNormal(keyTail(t.keys[role][si], a.Threads, a.Affinity))
 		w.Store(math.Float64bits(z))
 	}
 	return scaledNoise(z, sigma)

@@ -17,24 +17,26 @@
 // computation (the paper explicitly overlaps offloaded parts with host
 // execution), leaving a small non-overlapped residual.
 //
-// Every constant lives in Calibration so tests and ablations can perturb
-// them. Defaults are calibrated to reproduce the qualitative behaviour of
-// the paper (see DESIGN.md and EXPERIMENTS.md): CPU-only wins on small
-// inputs, 60/40-70/30 splits win on large inputs with 48 host threads,
-// device-heavy splits win when the host has few threads, heterogeneous
-// execution is ~1.7x faster than host-only and ~2x faster than
-// device-only, host times span roughly 0.06-40 s across the configuration
-// space, and the device time span is wider than the host one.
+// Every constant lives in Calibration so tests and ablations can build
+// perturbed models from it. Defaults are calibrated to reproduce the
+// qualitative behaviour of the paper (see DESIGN.md and EXPERIMENTS.md):
+// CPU-only wins on small inputs, 60/40-70/30 splits win on large inputs
+// with 48 host threads, device-heavy splits win when the host has few
+// threads, heterogeneous execution is ~1.7x faster than host-only and
+// ~2x faster than device-only, host times span roughly 0.06-40 s across
+// the configuration space, and the device time span is wider than the
+// host one.
 //
 // Measurements carry deterministic, configuration-keyed noise so that the
 // simulator behaves like a stable testbed: re-measuring a configuration
-// with the same trial index reproduces the same value, while distinct
-// configurations observe independent perturbations.
+// reproduces the same value, while distinct configurations observe
+// independent perturbations.
 package perf
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hetopt/internal/machine"
 )
@@ -228,26 +230,67 @@ func DefaultCalibration() Calibration {
 	}
 }
 
-// Model evaluates execution times for a host/device pair.
+// Model evaluates execution times for a host/device pair. It is fixed
+// once built, as the paper's testbed is: NewModel copies the processors
+// and the calibration, and nothing outside the package can change them,
+// so every cache built from a model stays valid for its lifetime. A
+// perturbed platform is a new model built from an edited Calibration.
 type Model struct {
-	Host   *machine.Processor
-	Device *machine.Processor
-	Cal    Calibration
+	host, device *machine.Processor
+	cal          Calibration
 
 	// tab caches placement-derived throughput and used-core tables so
 	// the evaluation hot path does lookups instead of recomputing
-	// placements (see tables.go). Nil (zero-value Model) computes
-	// directly; cached values are bit-identical to direct computation.
-	tab *tableCache
+	// placements (see tables.go).
+	tab tableCache
 }
 
 // NewModel builds a model from a platform description: host and device
-// processors plus the calibration constants. The scenario layer
-// (internal/scenario) constructs models from registered platform specs
-// through this constructor.
+// processors plus the calibration constants. It keeps copies of all
+// three, so later changes to the arguments do not reach the model. The
+// scenario layer (internal/scenario) constructs models from registered
+// platform specs through this constructor.
 func NewModel(host, device *machine.Processor, cal Calibration) *Model {
-	return &Model{Host: host, Device: device, Cal: cal, tab: &tableCache{}}
+	cal.HostSMTGain = slices.Clone(cal.HostSMTGain)
+	cal.DeviceSMTGain = slices.Clone(cal.DeviceSMTGain)
+	return &Model{host: cloneProcessor(host), device: cloneProcessor(device), cal: cal}
 }
+
+// cloneProcessor returns a copy of p that shares no memory with it.
+func cloneProcessor(p *machine.Processor) *machine.Processor {
+	if p == nil {
+		return nil
+	}
+	c := *p
+	c.Affinities = slices.Clone(p.Affinities)
+	return &c
+}
+
+// Calibration returns a copy of the model's calibration constants. The
+// copy shares no memory with the model: editing it and passing it to
+// NewModel builds a perturbed model and leaves this one as it is.
+func (m *Model) Calibration() Calibration {
+	c := m.cal
+	c.HostSMTGain = slices.Clone(c.HostSMTGain)
+	c.DeviceSMTGain = slices.Clone(c.DeviceSMTGain)
+	return c
+}
+
+// Constants returns the model's scalar calibration constants: a copy of
+// its calibration with the SMT-gain slices left nil. Unlike Calibration
+// it allocates nothing, for code that reads a few constants per run; it
+// is not a calibration to build a model from.
+func (m *Model) Constants() Calibration {
+	c := m.cal
+	c.HostSMTGain, c.DeviceSMTGain = nil, nil
+	return c
+}
+
+// Host returns a copy of the host processor description.
+func (m *Model) Host() *machine.Processor { return cloneProcessor(m.host) }
+
+// Device returns a copy of the device processor description.
+func (m *Model) Device() *machine.Processor { return cloneProcessor(m.device) }
 
 // NewPaperModel returns a model of the paper's platform (2x Xeon
 // E5-2695v2 + Xeon Phi 7120P) with default calibration.
@@ -296,22 +339,22 @@ func throughput(p *machine.Processor, pl machine.Placement, coreRate float64, sm
 // precomputed table (tables.go); the trait-scaled core rate and traffic
 // ratio are part of the key, so distinct workloads never share an entry.
 func (m *Model) HostThroughputFor(threads int, aff machine.Affinity, w Traits) (float64, error) {
-	return m.hostRate(threads, aff,
-		m.Cal.HostCoreRateMBs*factorOrDefault(w.HostRateFactor),
-		w.bytesPerByteOr(m.Cal.BytesPerByte))
+	return m.rate(hostSide, threads, aff,
+		m.cal.HostCoreRateMBs*factorOrDefault(w.HostRateFactor),
+		w.bytesPerByteOr(m.cal.BytesPerByte))
 }
 
 // DeviceThroughputFor is the device analogue of HostThroughputFor.
 func (m *Model) DeviceThroughputFor(threads int, aff machine.Affinity, w Traits) (float64, error) {
-	return m.devRate(threads, aff,
-		m.Cal.DeviceCoreRateMBs*factorOrDefault(w.DeviceRateFactor),
-		w.bytesPerByteOr(m.Cal.BytesPerByte))
+	return m.rate(deviceSide, threads, aff,
+		m.cal.DeviceCoreRateMBs*factorOrDefault(w.DeviceRateFactor),
+		w.bytesPerByteOr(m.cal.BytesPerByte))
 }
 
-// HostTime returns the modeled execution time in seconds of the host share.
-// trial selects an independent noise draw; reusing a trial reproduces the
-// identical measurement.
-func (m *Model) HostTime(a Assignment, w Traits, trial int) (float64, error) {
+// HostTime returns the modeled execution time in seconds of the host
+// share. Its noise draw is keyed by the configuration, so measuring it
+// again reproduces the identical value.
+func (m *Model) HostTime(a Assignment, w Traits) (float64, error) {
 	if a.SizeMB < 0 {
 		return 0, fmt.Errorf("perf: negative host size %g", a.SizeMB)
 	}
@@ -322,15 +365,15 @@ func (m *Model) HostTime(a Assignment, w Traits, trial int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return m.hostSec(a, w.complexityOrDefault(), rate, m.noise("host", w.Name, a, trial, m.hostSigma(a.Affinity))), nil
+	return m.hostSec(a, w.complexityOrDefault(), rate, m.noise("host", w.Name, a, m.hostSigma(a.Affinity))), nil
 }
 
 // hostSigma is the host timing noise's relative std under an affinity:
 // OS scheduling (AffinityNone) widens it.
 func (m *Model) hostSigma(aff machine.Affinity) float64 {
-	sigma := m.Cal.NoiseStdHost
+	sigma := m.cal.NoiseStdHost
 	if aff == machine.AffinityNone {
-		sigma *= m.Cal.NoiseNoneFactor
+		sigma *= m.cal.NoiseNoneFactor
 	}
 	return sigma
 }
@@ -340,14 +383,14 @@ func (m *Model) hostSigma(aff machine.Affinity) float64 {
 // factor.
 func (m *Model) hostSec(a Assignment, cx, rate, noise float64) float64 {
 	work := a.SizeMB * cx
-	t := m.Cal.HostSetupSec + m.Cal.HostThreadSpawnSec*float64(a.Threads) + work/rate
+	t := m.cal.HostSetupSec + m.cal.HostThreadSpawnSec*float64(a.Threads) + work/rate
 	return t * noise
 }
 
 // DeviceTime returns the modeled execution time in seconds of the device
 // share, including offload overhead (launch latency plus the
 // non-overlapped part of the PCIe transfer).
-func (m *Model) DeviceTime(a Assignment, w Traits, trial int) (float64, error) {
+func (m *Model) DeviceTime(a Assignment, w Traits) (float64, error) {
 	if a.SizeMB < 0 {
 		return 0, fmt.Errorf("perf: negative device size %g", a.SizeMB)
 	}
@@ -358,7 +401,7 @@ func (m *Model) DeviceTime(a Assignment, w Traits, trial int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return m.deviceSec(a, w.complexityOrDefault(), rate, m.noise("device", w.Name, a, trial, m.Cal.NoiseStdDevice)), nil
+	return m.deviceSec(a, w.complexityOrDefault(), rate, m.noise("device", w.Name, a, m.cal.NoiseStdDevice)), nil
 }
 
 // deviceSec is the device time formula: the offload latency, the slower
@@ -366,10 +409,10 @@ func (m *Model) DeviceTime(a Assignment, w Traits, trial int) (float64, error) {
 // non-overlapped residual, scaled by the noise factor.
 func (m *Model) deviceSec(a Assignment, cx, rate, noise float64) float64 {
 	work := a.SizeMB * cx
-	compute := m.Cal.DeviceSetupSec + m.Cal.DeviceThreadSpawnSec*float64(a.Threads) + work/rate
-	transfer := a.SizeMB / m.Cal.PCIeRateMBs
+	compute := m.cal.DeviceSetupSec + m.cal.DeviceThreadSpawnSec*float64(a.Threads) + work/rate
+	transfer := a.SizeMB / m.cal.PCIeRateMBs
 	// Transfer overlaps computation; the slower of the two dominates and a
 	// residual fraction of the transfer cannot be hidden.
-	t := m.Cal.OffloadLatencySec + math.Max(compute, transfer) + m.Cal.TransferResidual*transfer
+	t := m.cal.OffloadLatencySec + math.Max(compute, transfer) + m.cal.TransferResidual*transfer
 	return t * noise
 }

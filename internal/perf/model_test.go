@@ -8,20 +8,24 @@ import (
 	"hetopt/internal/machine"
 )
 
-// quiet returns a model with noise disabled, for deterministic assertions
-// about the mean behaviour.
-func quiet() *Model {
-	m := NewPaperModel()
-	m.Cal.NoiseStdHost = 0
-	m.Cal.NoiseStdDevice = 0
-	return m
+// quiet returns a model of the paper platform with timing noise
+// disabled, for deterministic assertions about the mean behaviour; edit
+// adjusts the calibration further.
+func quiet(edit ...func(*Calibration)) *Model {
+	cal := DefaultCalibration()
+	cal.NoiseStdHost = 0
+	cal.NoiseStdDevice = 0
+	for _, f := range edit {
+		f(&cal)
+	}
+	return NewModel(machine.XeonE5Host(), machine.XeonPhi7120P(), cal)
 }
 
 var human = Traits{Name: "human", Complexity: 1}
 
 func TestHostTimeZeroSize(t *testing.T) {
 	m := quiet()
-	got, err := m.HostTime(Assignment{SizeMB: 0, Threads: 48, Affinity: machine.AffinityScatter}, human, 0)
+	got, err := m.HostTime(Assignment{SizeMB: 0, Threads: 48, Affinity: machine.AffinityScatter}, human)
 	if err != nil || got != 0 {
 		t.Fatalf("zero-size host time = %g, %v; want 0, nil", got, err)
 	}
@@ -29,20 +33,20 @@ func TestHostTimeZeroSize(t *testing.T) {
 
 func TestNegativeSizeRejected(t *testing.T) {
 	m := quiet()
-	if _, err := m.HostTime(Assignment{SizeMB: -1, Threads: 4, Affinity: machine.AffinityScatter}, human, 0); err == nil {
+	if _, err := m.HostTime(Assignment{SizeMB: -1, Threads: 4, Affinity: machine.AffinityScatter}, human); err == nil {
 		t.Error("negative host size should fail")
 	}
-	if _, err := m.DeviceTime(Assignment{SizeMB: -1, Threads: 4, Affinity: machine.AffinityScatter}, human, 0); err == nil {
+	if _, err := m.DeviceTime(Assignment{SizeMB: -1, Threads: 4, Affinity: machine.AffinityScatter}, human); err == nil {
 		t.Error("negative device size should fail")
 	}
 }
 
 func TestInvalidAffinityRejected(t *testing.T) {
 	m := quiet()
-	if _, err := m.HostTime(Assignment{SizeMB: 10, Threads: 4, Affinity: machine.AffinityBalanced}, human, 0); err == nil {
+	if _, err := m.HostTime(Assignment{SizeMB: 10, Threads: 4, Affinity: machine.AffinityBalanced}, human); err == nil {
 		t.Error("balanced on host should fail")
 	}
-	if _, err := m.DeviceTime(Assignment{SizeMB: 10, Threads: 4, Affinity: machine.AffinityNone}, human, 0); err == nil {
+	if _, err := m.DeviceTime(Assignment{SizeMB: 10, Threads: 4, Affinity: machine.AffinityNone}, human); err == nil {
 		t.Error("none on device should fail")
 	}
 }
@@ -51,7 +55,7 @@ func TestHostTimeMonotoneInSize(t *testing.T) {
 	m := quiet()
 	prev := 0.0
 	for _, size := range []float64{100, 500, 1000, 2000, 3250} {
-		got, err := m.HostTime(Assignment{SizeMB: size, Threads: 48, Affinity: machine.AffinityScatter}, human, 0)
+		got, err := m.HostTime(Assignment{SizeMB: size, Threads: 48, Affinity: machine.AffinityScatter}, human)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +70,7 @@ func TestHostMoreThreadsFaster(t *testing.T) {
 	m := quiet()
 	prev := math.Inf(1)
 	for _, n := range []int{2, 6, 12, 24, 48} {
-		got, err := m.HostTime(Assignment{SizeMB: 3250, Threads: n, Affinity: machine.AffinityScatter}, human, 0)
+		got, err := m.HostTime(Assignment{SizeMB: 3250, Threads: n, Affinity: machine.AffinityScatter}, human)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +85,7 @@ func TestDeviceMoreThreadsFaster(t *testing.T) {
 	m := quiet()
 	prev := math.Inf(1)
 	for _, n := range []int{2, 8, 30, 60, 120, 240} {
-		got, err := m.DeviceTime(Assignment{SizeMB: 3250, Threads: n, Affinity: machine.AffinityBalanced}, human, 0)
+		got, err := m.DeviceTime(Assignment{SizeMB: 3250, Threads: n, Affinity: machine.AffinityBalanced}, human)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,11 +141,11 @@ func TestPaperShapeSmallInputPrefersCPUOnly(t *testing.T) {
 	// Figure 2a: with 190 MB and 48 host threads, CPU-only beats every
 	// split because offload overhead dominates.
 	m := quiet()
-	cpuOnly, _ := m.HostTime(Assignment{SizeMB: 190, Threads: 48, Affinity: machine.AffinityScatter}, human, 0)
+	cpuOnly, _ := m.HostTime(Assignment{SizeMB: 190, Threads: 48, Affinity: machine.AffinityScatter}, human)
 	for f := 10; f <= 90; f += 10 {
 		hs := 190 * float64(f) / 100
-		th, _ := m.HostTime(Assignment{SizeMB: hs, Threads: 48, Affinity: machine.AffinityScatter}, human, 0)
-		td, _ := m.DeviceTime(Assignment{SizeMB: 190 - hs, Threads: 240, Affinity: machine.AffinityBalanced}, human, 0)
+		th, _ := m.HostTime(Assignment{SizeMB: hs, Threads: 48, Affinity: machine.AffinityScatter}, human)
+		td, _ := m.DeviceTime(Assignment{SizeMB: 190 - hs, Threads: 240, Affinity: machine.AffinityBalanced}, human)
 		if math.Max(th, td) <= cpuOnly {
 			t.Fatalf("split %d/%d (%g) should be slower than CPU-only (%g)", f, 100-f, math.Max(th, td), cpuOnly)
 		}
@@ -154,8 +158,8 @@ func TestPaperShapeLargeInputPrefersSplit(t *testing.T) {
 	bestF, bestE := -1, math.Inf(1)
 	for f := 0; f <= 100; f += 10 {
 		hs := 3250 * float64(f) / 100
-		th, _ := m.HostTime(Assignment{SizeMB: hs, Threads: 48, Affinity: machine.AffinityScatter}, human, 0)
-		td, _ := m.DeviceTime(Assignment{SizeMB: 3250 - hs, Threads: 240, Affinity: machine.AffinityBalanced}, human, 0)
+		th, _ := m.HostTime(Assignment{SizeMB: hs, Threads: 48, Affinity: machine.AffinityScatter}, human)
+		td, _ := m.DeviceTime(Assignment{SizeMB: 3250 - hs, Threads: 240, Affinity: machine.AffinityBalanced}, human)
 		if e := math.Max(th, td); e < bestE {
 			bestE, bestF = e, f
 		}
@@ -172,8 +176,8 @@ func TestPaperShapeFewHostThreadsPrefersDevice(t *testing.T) {
 	bestF, bestE := -1, math.Inf(1)
 	for f := 0; f <= 100; f += 10 {
 		hs := 3250 * float64(f) / 100
-		th, _ := m.HostTime(Assignment{SizeMB: hs, Threads: 4, Affinity: machine.AffinityScatter}, human, 0)
-		td, _ := m.DeviceTime(Assignment{SizeMB: 3250 - hs, Threads: 240, Affinity: machine.AffinityBalanced}, human, 0)
+		th, _ := m.HostTime(Assignment{SizeMB: hs, Threads: 4, Affinity: machine.AffinityScatter}, human)
+		td, _ := m.DeviceTime(Assignment{SizeMB: 3250 - hs, Threads: 240, Affinity: machine.AffinityBalanced}, human)
 		if e := math.Max(th, td); e < bestE {
 			bestE, bestF = e, f
 		}
@@ -187,13 +191,13 @@ func TestPaperSpeedupBands(t *testing.T) {
 	// Section IV-D: heterogeneous execution ~1.7x over host-only and ~2x
 	// over device-only. Accept generous bands around those targets.
 	m := quiet()
-	hostOnly, _ := m.HostTime(Assignment{SizeMB: 3247, Threads: 48, Affinity: machine.AffinityScatter}, human, 0)
-	devOnly, _ := m.DeviceTime(Assignment{SizeMB: 3247, Threads: 240, Affinity: machine.AffinityBalanced}, human, 0)
+	hostOnly, _ := m.HostTime(Assignment{SizeMB: 3247, Threads: 48, Affinity: machine.AffinityScatter}, human)
+	devOnly, _ := m.DeviceTime(Assignment{SizeMB: 3247, Threads: 240, Affinity: machine.AffinityBalanced}, human)
 	best := math.Inf(1)
 	for f := 0.0; f <= 100; f += 2.5 {
 		hs := 3247 * f / 100
-		th, _ := m.HostTime(Assignment{SizeMB: hs, Threads: 48, Affinity: machine.AffinityScatter}, human, 0)
-		td, _ := m.DeviceTime(Assignment{SizeMB: 3247 - hs, Threads: 240, Affinity: machine.AffinityBalanced}, human, 0)
+		th, _ := m.HostTime(Assignment{SizeMB: hs, Threads: 48, Affinity: machine.AffinityScatter}, human)
+		td, _ := m.DeviceTime(Assignment{SizeMB: 3247 - hs, Threads: 240, Affinity: machine.AffinityBalanced}, human)
 		if e := math.Max(th, td); e < best {
 			best = e
 		}
@@ -211,8 +215,8 @@ func TestPaperSpeedupBands(t *testing.T) {
 func TestComplexityScalesTime(t *testing.T) {
 	m := quiet()
 	a := Assignment{SizeMB: 1000, Threads: 24, Affinity: machine.AffinityScatter}
-	t1, _ := m.HostTime(a, Traits{Name: "x", Complexity: 1}, 0)
-	t2, _ := m.HostTime(a, Traits{Name: "x", Complexity: 1.1}, 0)
+	t1, _ := m.HostTime(a, Traits{Name: "x", Complexity: 1})
+	t2, _ := m.HostTime(a, Traits{Name: "x", Complexity: 1.1})
 	if t2 <= t1 {
 		t.Fatalf("higher complexity should be slower: %g vs %g", t1, t2)
 	}
@@ -221,8 +225,8 @@ func TestComplexityScalesTime(t *testing.T) {
 func TestZeroComplexityDefaultsToOne(t *testing.T) {
 	m := quiet()
 	a := Assignment{SizeMB: 1000, Threads: 24, Affinity: machine.AffinityScatter}
-	t0, _ := m.HostTime(a, Traits{Name: "x"}, 0)
-	t1, _ := m.HostTime(a, Traits{Name: "x", Complexity: 1}, 0)
+	t0, _ := m.HostTime(a, Traits{Name: "x"})
+	t1, _ := m.HostTime(a, Traits{Name: "x", Complexity: 1})
 	if t0 != t1 {
 		t.Fatalf("zero complexity should equal 1.0: %g vs %g", t0, t1)
 	}
@@ -231,14 +235,10 @@ func TestZeroComplexityDefaultsToOne(t *testing.T) {
 func TestNoiseDeterminism(t *testing.T) {
 	m := NewPaperModel()
 	a := Assignment{SizeMB: 1234, Threads: 24, Affinity: machine.AffinityScatter}
-	x1, _ := m.HostTime(a, human, 3)
-	x2, _ := m.HostTime(a, human, 3)
+	x1, _ := m.HostTime(a, human)
+	x2, _ := m.HostTime(a, human)
 	if x1 != x2 {
-		t.Fatalf("same trial must reproduce: %g vs %g", x1, x2)
-	}
-	x3, _ := m.HostTime(a, human, 4)
-	if x1 == x3 {
-		t.Fatal("different trials should (almost surely) differ")
+		t.Fatalf("measuring again must reproduce: %g vs %g", x1, x2)
 	}
 }
 
@@ -247,10 +247,10 @@ func TestNoiseDistinctAcrossConfigs(t *testing.T) {
 	a := Assignment{SizeMB: 1234, Threads: 24, Affinity: machine.AffinityScatter}
 	b := Assignment{SizeMB: 1234, Threads: 36, Affinity: machine.AffinityScatter}
 	q := quiet()
-	ta, _ := m.HostTime(a, human, 0)
-	tb, _ := m.HostTime(b, human, 0)
-	qa, _ := q.HostTime(a, human, 0)
-	qb, _ := q.HostTime(b, human, 0)
+	ta, _ := m.HostTime(a, human)
+	tb, _ := m.HostTime(b, human)
+	qa, _ := q.HostTime(a, human)
+	qb, _ := q.HostTime(b, human)
 	if ta/qa == tb/qb {
 		t.Fatal("noise factors should differ across configurations")
 	}
@@ -259,15 +259,14 @@ func TestNoiseDistinctAcrossConfigs(t *testing.T) {
 func TestNoiseBounded(t *testing.T) {
 	m := NewPaperModel()
 	q := quiet()
-	for trial := 0; trial < 200; trial++ {
-		a := Assignment{SizeMB: 500, Threads: 12, Affinity: machine.AffinityScatter}
-		noisy, _ := m.HostTime(a, human, trial)
-		clean, _ := q.HostTime(a, human, trial)
-		ratio := noisy / clean
-		lo := 1 - 3*m.Cal.NoiseStdHost
-		hi := 1 + 3*m.Cal.NoiseStdHost
-		if ratio < lo-1e-9 || ratio > hi+1e-9 {
-			t.Fatalf("trial %d: noise ratio %g outside [%g, %g]", trial, ratio, lo, hi)
+	sigma := m.Calibration().NoiseStdHost
+	lo, hi := 1-3*sigma, 1+3*sigma
+	for i := 0; i < 200; i++ {
+		a := Assignment{SizeMB: 500 + float64(i), Threads: 12, Affinity: machine.AffinityScatter}
+		noisy, _ := m.HostTime(a, human)
+		clean, _ := q.HostTime(a, human)
+		if ratio := noisy / clean; ratio < lo-1e-9 || ratio > hi+1e-9 {
+			t.Fatalf("%g MB: noise ratio %g outside [%g, %g]", a.SizeMB, ratio, lo, hi)
 		}
 	}
 }
@@ -277,8 +276,8 @@ func TestDeviceTimeSpanWiderThanHost(t *testing.T) {
 	// because device times span 0.9-42 s vs 0.74-5.5 s on the host. Check
 	// our spans are ordered the same way.
 	m := quiet()
-	hostSlowest, _ := m.HostTime(Assignment{SizeMB: 3247, Threads: 2, Affinity: machine.AffinityScatter}, human, 0)
-	devSlowest, _ := m.DeviceTime(Assignment{SizeMB: 3247, Threads: 2, Affinity: machine.AffinityScatter}, human, 0)
+	hostSlowest, _ := m.HostTime(Assignment{SizeMB: 3247, Threads: 2, Affinity: machine.AffinityScatter}, human)
+	devSlowest, _ := m.DeviceTime(Assignment{SizeMB: 3247, Threads: 2, Affinity: machine.AffinityScatter}, human)
 	if devSlowest <= hostSlowest {
 		t.Fatalf("slowest device config (%g) should exceed slowest host config (%g)", devSlowest, hostSlowest)
 	}
@@ -288,14 +287,13 @@ func TestDeviceTimeSpanWiderThanHost(t *testing.T) {
 }
 
 func TestBandwidthRooflineBinds(t *testing.T) {
-	m := quiet()
 	// Crank traffic per byte until the roofline must bind.
-	m.Cal.BytesPerByte = 1000
+	m := quiet(func(c *Calibration) { c.BytesPerByte = 1000 })
 	got, err := m.HostThroughputFor(48, machine.AffinityScatter, Traits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := m.Host.MemBandwidthGBs * 1000 * m.Cal.BandwidthEfficiency / 1000
+	want := m.Host().MemBandwidthGBs * 1000 * m.Calibration().BandwidthEfficiency / 1000
 	if got != want {
 		t.Fatalf("roofline throughput = %g, want %g", got, want)
 	}
@@ -303,13 +301,13 @@ func TestBandwidthRooflineBinds(t *testing.T) {
 
 func TestOffloadLatencyAppliesOnlyWithWork(t *testing.T) {
 	m := quiet()
-	zero, _ := m.DeviceTime(Assignment{SizeMB: 0, Threads: 240, Affinity: machine.AffinityBalanced}, human, 0)
+	zero, _ := m.DeviceTime(Assignment{SizeMB: 0, Threads: 240, Affinity: machine.AffinityBalanced}, human)
 	if zero != 0 {
 		t.Fatalf("idle device should cost nothing, got %g", zero)
 	}
-	tiny, _ := m.DeviceTime(Assignment{SizeMB: 0.001, Threads: 240, Affinity: machine.AffinityBalanced}, human, 0)
-	if tiny < m.Cal.OffloadLatencySec {
-		t.Fatalf("any offload must pay the latency: %g < %g", tiny, m.Cal.OffloadLatencySec)
+	tiny, _ := m.DeviceTime(Assignment{SizeMB: 0.001, Threads: 240, Affinity: machine.AffinityBalanced}, human)
+	if latency := m.Calibration().OffloadLatencySec; tiny < latency {
+		t.Fatalf("any offload must pay the latency: %g < %g", tiny, latency)
 	}
 }
 
@@ -323,15 +321,15 @@ func TestTimePositivityProperty(t *testing.T) {
 	devAff := []machine.Affinity{machine.AffinityBalanced, machine.AffinityScatter, machine.AffinityCompact}
 	f := func(sizeRaw uint16, ti, ai uint8) bool {
 		size := float64(sizeRaw%4000) + 1
-		th, err := m.HostTime(Assignment{SizeMB: size, Threads: hostThreads[int(ti)%len(hostThreads)], Affinity: hostAff[int(ai)%len(hostAff)]}, human, 0)
+		th, err := m.HostTime(Assignment{SizeMB: size, Threads: hostThreads[int(ti)%len(hostThreads)], Affinity: hostAff[int(ai)%len(hostAff)]}, human)
 		if err != nil || th <= 0 || math.IsInf(th, 0) || math.IsNaN(th) {
 			return false
 		}
-		td, err := m.DeviceTime(Assignment{SizeMB: size, Threads: devThreads[int(ti)%len(devThreads)], Affinity: devAff[int(ai)%len(devAff)]}, human, 0)
+		td, err := m.DeviceTime(Assignment{SizeMB: size, Threads: devThreads[int(ti)%len(devThreads)], Affinity: devAff[int(ai)%len(devAff)]}, human)
 		if err != nil || td <= 0 || math.IsInf(td, 0) || math.IsNaN(td) {
 			return false
 		}
-		th2, _ := m.HostTime(Assignment{SizeMB: size * 2, Threads: hostThreads[int(ti)%len(hostThreads)], Affinity: hostAff[int(ai)%len(hostAff)]}, human, 0)
+		th2, _ := m.HostTime(Assignment{SizeMB: size * 2, Threads: hostThreads[int(ti)%len(hostThreads)], Affinity: hostAff[int(ai)%len(hostAff)]}, human)
 		return th2 > th
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {

@@ -8,12 +8,12 @@ import (
 
 // noise returns the deterministic multiplicative perturbation
 // 1 + sigma*z, with z a standard-normal draw keyed by (role, workload,
-// assignment, trial) and clamped to +-3. sigma <= 0 disables noise.
-func (m *Model) noise(role, workload string, a Assignment, trial int, sigma float64) float64 {
+// assignment) and clamped to +-3. sigma <= 0 disables noise.
+func (m *Model) noise(role, workload string, a Assignment, sigma float64) float64 {
 	if sigma <= 0 {
 		return 1
 	}
-	return noiseFactor(measurementHash(m.Cal.NoiseSeed, role, workload, a, trial), sigma)
+	return noiseFactor(measurementHash(m.cal.NoiseSeed, role, workload, a), sigma)
 }
 
 // noiseFactor is the perturbation 1 + sigma*z of a measurement-key hash
@@ -79,10 +79,10 @@ func fnvByte(h uint64, b byte) uint64 {
 
 // measurementHash is the FNV-1a hash over the measurement key. It is
 // pinned bit-identical to the original hash/fnv implementation
-// (seed, role, 0, workload, 0, sizeKB, threads, affinity, trial with
-// all integers little-endian) by TestMeasurementHashMatchesStdlibFNV.
-func measurementHash(seed uint64, role, workload string, a Assignment, trial int) uint64 {
-	return keyTail(keyHead(seed, role, workload, a.SizeMB), a.Threads, a.Affinity, trial)
+// (seed, role, 0, workload, 0, sizeKB, threads, affinity, 0 with all
+// integers little-endian) by TestMeasurementHashMatchesStdlibFNV.
+func measurementHash(seed uint64, role, workload string, a Assignment) uint64 {
+	return keyTail(keyHead(seed, role, workload, a.SizeMB), a.Threads, a.Affinity)
 }
 
 // keyHead is the FNV-1a state of a measurement key through its size
@@ -99,21 +99,17 @@ func keyHead(seed uint64, role, workload string, sizeMB float64) uint64 {
 }
 
 // keyTail folds the per-configuration rest of the key into a keyHead
-// state.
-func keyTail(h uint64, threads int, aff machine.Affinity, trial int) uint64 {
+// state. The key ends in eight zero bytes: every noise draw, and so
+// every pinned result, was derived with them.
+func keyTail(h uint64, threads int, aff machine.Affinity) uint64 {
 	h = fnvUint64(h, uint64(int64(threads)))
 	h = fnvUint64(h, uint64(int64(aff)))
-	return fnvUint64(h, uint64(int64(trial)))
+	return fnvUint64(h, 0)
 }
 
-// normalFromKey derives a standard-normal variate from the measurement key
-// via FNV-1a hashing and the Box-Muller transform. The derivation is pure:
-// equal keys always produce equal draws.
-func normalFromKey(seed uint64, role, workload string, a Assignment, trial int) float64 {
-	return normalFromHash(measurementHash(seed, role, workload, a, trial))
-}
-
-// normalFromHash is normalFromKey's Box-Muller step over a key hash x.
+// normalFromHash derives a standard-normal variate from a measurement
+// key hash x via the Box-Muller transform. The derivation is pure: equal
+// keys always produce equal draws.
 func normalFromHash(x uint64) float64 {
 	// Two decorrelated 64-bit streams via splitmix64 finalizers.
 	u1 := toUnit(splitmix64(x))

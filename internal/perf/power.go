@@ -14,15 +14,15 @@ import "hetopt/internal/machine"
 // A unit with no work assigned is disengaged and consumes nothing, which
 // models powering the card down (or never reserving it). Energy
 // measurements carry the same deterministic, configuration-keyed noise
-// discipline as timing measurements: re-measuring a configuration with
-// the same trial reproduces the identical joule value.
+// discipline as timing measurements: re-measuring a configuration
+// reproduces the identical joule value.
 
 // HostActivePowerW returns the modeled host power draw in watts while the
 // host share executes with the given thread count and affinity. The value
 // is deterministic (no measurement noise); it is what the predictor path
 // composes with predicted times.
 func (m *Model) HostActivePowerW(threads int, aff machine.Affinity) (float64, error) {
-	coresUsed, err := m.hostCoresUsed(threads, aff)
+	coresUsed, err := m.coresUsed(hostSide, threads, aff)
 	if err != nil {
 		return 0, err
 	}
@@ -32,17 +32,17 @@ func (m *Model) HostActivePowerW(threads int, aff machine.Affinity) (float64, er
 // hostPowerW is the host active power formula over a placement's
 // used-core count.
 func (m *Model) hostPowerW(coresUsed, threads int, aff machine.Affinity) float64 {
-	dyn := m.Cal.HostCoreActiveW*float64(coresUsed) + m.Cal.HostThreadActiveW*float64(threads)
-	if aff == machine.AffinityNone && m.Cal.HostNonePowerFactor > 0 {
-		dyn *= m.Cal.HostNonePowerFactor
+	dyn := m.cal.HostCoreActiveW*float64(coresUsed) + m.cal.HostThreadActiveW*float64(threads)
+	if aff == machine.AffinityNone && m.cal.HostNonePowerFactor > 0 {
+		dyn *= m.cal.HostNonePowerFactor
 	}
-	return m.Cal.HostIdleW + dyn
+	return m.cal.HostIdleW + dyn
 }
 
 // DeviceActivePowerW returns the modeled device power draw in watts while
 // the device share executes.
 func (m *Model) DeviceActivePowerW(threads int, aff machine.Affinity) (float64, error) {
-	coresUsed, err := m.devCoresUsed(threads, aff)
+	coresUsed, err := m.coresUsed(deviceSide, threads, aff)
 	if err != nil {
 		return 0, err
 	}
@@ -52,8 +52,8 @@ func (m *Model) DeviceActivePowerW(threads int, aff machine.Affinity) (float64, 
 // devicePowerW is the device active power formula over a placement's
 // used-core count.
 func (m *Model) devicePowerW(coresUsed, threads int) float64 {
-	dyn := m.Cal.DeviceCoreActiveW*float64(coresUsed) + m.Cal.DeviceThreadActiveW*float64(threads)
-	return m.Cal.DeviceIdleW + dyn
+	dyn := m.cal.DeviceCoreActiveW*float64(coresUsed) + m.cal.DeviceThreadActiveW*float64(threads)
+	return m.cal.DeviceIdleW + dyn
 }
 
 // HostModeledEnergy returns the noise-free analytic joules an engaged
@@ -67,7 +67,7 @@ func (m *Model) HostModeledEnergy(threads int, aff machine.Affinity, busySec, ma
 	if err != nil {
 		return 0, err
 	}
-	return ModeledJoules(p, m.Cal.HostIdleW, busySec, makespanSec), nil
+	return ModeledJoules(p, m.cal.HostIdleW, busySec, makespanSec), nil
 }
 
 // ModeledJoules is the engaged-unit energy formula: active power p
@@ -85,15 +85,15 @@ func (m *Model) DeviceModeledEnergy(threads int, aff machine.Affinity, busySec, 
 	if err != nil {
 		return 0, err
 	}
-	return ModeledJoules(p, m.Cal.DeviceIdleW, busySec, makespanSec), nil
+	return ModeledJoules(p, m.cal.DeviceIdleW, busySec, makespanSec), nil
 }
 
 // HostEnergy returns the measured energy in joules the host consumes
 // during a heterogeneous run of makespanSec seconds in which its own
 // share keeps it busy for busySec. A zero-size assignment is disengaged
-// and consumes nothing. trial selects the noise draw exactly as HostTime
-// does; equal keys reproduce equal measurements.
-func (m *Model) HostEnergy(a Assignment, w Traits, trial int, busySec, makespanSec float64) (float64, error) {
+// and consumes nothing. Its noise draw is keyed like HostTime's; equal
+// keys reproduce equal measurements.
+func (m *Model) HostEnergy(a Assignment, w Traits, busySec, makespanSec float64) (float64, error) {
 	if a.SizeMB <= 0 {
 		return 0, nil
 	}
@@ -101,11 +101,11 @@ func (m *Model) HostEnergy(a Assignment, w Traits, trial int, busySec, makespanS
 	if err != nil {
 		return 0, err
 	}
-	return e * m.noise("host-energy", w.Name, a, trial, m.Cal.NoiseStdHostPower), nil
+	return e * m.noise("host-energy", w.Name, a, m.cal.NoiseStdHostPower), nil
 }
 
 // DeviceEnergy is the device analogue of HostEnergy.
-func (m *Model) DeviceEnergy(a Assignment, w Traits, trial int, busySec, makespanSec float64) (float64, error) {
+func (m *Model) DeviceEnergy(a Assignment, w Traits, busySec, makespanSec float64) (float64, error) {
 	if a.SizeMB <= 0 {
 		return 0, nil
 	}
@@ -113,5 +113,5 @@ func (m *Model) DeviceEnergy(a Assignment, w Traits, trial int, busySec, makespa
 	if err != nil {
 		return 0, err
 	}
-	return e * m.noise("device-energy", w.Name, a, trial, m.Cal.NoiseStdDevicePower), nil
+	return e * m.noise("device-energy", w.Name, a, m.cal.NoiseStdDevicePower), nil
 }

@@ -9,6 +9,7 @@ import (
 
 func TestActivePowerMonotoneInThreads(t *testing.T) {
 	m := NewPaperModel()
+	cal := m.Calibration()
 	prev := 0.0
 	for _, threads := range []int{2, 6, 12, 24, 36, 48} {
 		p, err := m.HostActivePowerW(threads, machine.AffinityScatter)
@@ -18,8 +19,8 @@ func TestActivePowerMonotoneInThreads(t *testing.T) {
 		if p <= prev {
 			t.Fatalf("host power %g W at %d threads not above %g W", p, threads, prev)
 		}
-		if p <= m.Cal.HostIdleW {
-			t.Fatalf("active power %g W must exceed idle %g W", p, m.Cal.HostIdleW)
+		if p <= cal.HostIdleW {
+			t.Fatalf("active power %g W must exceed idle %g W", p, cal.HostIdleW)
 		}
 		prev = p
 	}
@@ -73,25 +74,26 @@ func TestAffinityNonePowerPenalty(t *testing.T) {
 
 func TestEnergyDeterministicAndKeyed(t *testing.T) {
 	m := NewPaperModel()
+	cal := m.Calibration()
 	a := Assignment{SizeMB: 1000, Threads: 48, Affinity: machine.AffinityScatter}
 	w := Traits{Name: "human"}
-	e1, err := m.HostEnergy(a, w, 0, 2.0, 2.5)
+	e1, err := m.HostEnergy(a, w, 2.0, 2.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := m.HostEnergy(a, w, 0, 2.0, 2.5)
+	e2, err := m.HostEnergy(a, w, 2.0, 2.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e1 != e2 {
 		t.Fatalf("same key produced %g and %g J", e1, e2)
 	}
-	e3, err := m.HostEnergy(a, w, 1, 2.0, 2.5)
+	e3, err := m.HostEnergy(a, Traits{Name: "mouse"}, 2.0, 2.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e3 == e1 {
-		t.Error("different trials should observe different noise draws")
+		t.Error("different workloads should observe different noise draws")
 	}
 	// The noise is a small relative perturbation around the analytic
 	// value P_active*busy + P_idle*(makespan-busy).
@@ -99,8 +101,8 @@ func TestEnergyDeterministicAndKeyed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := p*2.0 + m.Cal.HostIdleW*0.5
-	if math.Abs(e1-want)/want > 5*m.Cal.NoiseStdHostPower {
+	want := p*2.0 + cal.HostIdleW*0.5
+	if math.Abs(e1-want)/want > 5*cal.NoiseStdHostPower {
 		t.Fatalf("energy %g J too far from analytic %g J", e1, want)
 	}
 }
@@ -108,14 +110,14 @@ func TestEnergyDeterministicAndKeyed(t *testing.T) {
 func TestEnergyDisengagedUnit(t *testing.T) {
 	m := NewPaperModel()
 	w := Traits{Name: "human"}
-	e, err := m.HostEnergy(Assignment{SizeMB: 0, Threads: 48}, w, 0, 0, 3.0)
+	e, err := m.HostEnergy(Assignment{SizeMB: 0, Threads: 48}, w, 0, 3.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e != 0 {
 		t.Errorf("a unit with no work must consume nothing, got %g J", e)
 	}
-	e, err = m.DeviceEnergy(Assignment{SizeMB: 0, Threads: 240}, w, 0, 0, 3.0)
+	e, err = m.DeviceEnergy(Assignment{SizeMB: 0, Threads: 240}, w, 0, 3.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +129,10 @@ func TestEnergyDisengagedUnit(t *testing.T) {
 func TestEnergyRejectsInvalidPlacement(t *testing.T) {
 	m := NewPaperModel()
 	w := Traits{Name: "human"}
-	if _, err := m.HostEnergy(Assignment{SizeMB: 10, Threads: -1, Affinity: machine.AffinityScatter}, w, 0, 1, 1); err == nil {
+	if _, err := m.HostEnergy(Assignment{SizeMB: 10, Threads: -1, Affinity: machine.AffinityScatter}, w, 1, 1); err == nil {
 		t.Error("negative thread count should fail")
 	}
-	if _, err := m.DeviceEnergy(Assignment{SizeMB: 10, Threads: -1, Affinity: machine.AffinityBalanced}, w, 0, 1, 1); err == nil {
+	if _, err := m.DeviceEnergy(Assignment{SizeMB: 10, Threads: -1, Affinity: machine.AffinityBalanced}, w, 1, 1); err == nil {
 		t.Error("negative device thread count should fail")
 	}
 }

@@ -45,22 +45,22 @@ func TestPaperPlatformBitIdentical(t *testing.T) {
 	legacy := offload.NewPlatform()
 	viaSpec := spec.Platform()
 	w := offload.GenomeWorkload(dna.Human)
-	cfg := space.Config{
-		HostThreads: 24, HostAffinity: machine.AffinityScatter,
-		DeviceThreads: 120, DeviceAffinity: machine.AffinityBalanced,
-		HostFraction: 60,
-	}
-	for trial := 0; trial < 3; trial++ {
-		a, err := legacy.MeasureFull(w, cfg, trial)
+	for _, frac := range []float64{0, 60, 100} {
+		cfg := space.Config{
+			HostThreads: 24, HostAffinity: machine.AffinityScatter,
+			DeviceThreads: 120, DeviceAffinity: machine.AffinityBalanced,
+			HostFraction: frac,
+		}
+		a, err := legacy.MeasureFull(w, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := viaSpec.MeasureFull(w, cfg, trial)
+		b, err := viaSpec.MeasureFull(w, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if a != b {
-			t.Fatalf("trial %d: registry platform diverged: %+v vs %+v", trial, a, b)
+			t.Fatalf("%v: registry platform diverged: %+v vs %+v", cfg, a, b)
 		}
 	}
 	schema, err := spec.Schema()
@@ -282,10 +282,10 @@ func TestNewModelParameterized(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := spec.Model()
-	if m.Cal.OffloadLatencySec == perf.DefaultCalibration().OffloadLatencySec {
+	if m.Calibration().OffloadLatencySec == perf.DefaultCalibration().OffloadLatencySec {
 		t.Fatal("gpu-like model carries the paper offload latency; NewModel not parameterized")
 	}
-	if m.Host.Name == machine.XeonE5Host().Name {
+	if m.Host().Name == machine.XeonE5Host().Name {
 		t.Fatal("gpu-like model carries the paper host")
 	}
 }
