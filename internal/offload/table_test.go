@@ -64,35 +64,57 @@ func tableSchema(t testing.TB) *space.Schema {
 	return sc
 }
 
-// TestMeasureTableReplaysDrawCache: every state of tableSchema, measured
-// twice through one run's draw cache (drawing, then replaying the
-// draws), answers exactly what MeasureFull answers. The paper host does
-// not support balanced affinity, so those levels fail and their states
-// fall back to MeasureFull (an error wherever the host gets work); 96
-// host threads oversubscribe its cores.
-func TestMeasureTableReplaysDrawCache(t *testing.T) {
+// TestMeasureTableFollowsModelMutations: a table built on a model made
+// from each kind of calibration change — a new noise seed, a host
+// affinity bonus, a replaced SMT-gain slice, a trait-scaled rate input,
+// and the constants the table reads from the model as it measures —
+// answers exactly what that model's MeasureFull answers. Each state is
+// measured twice through one run's draw cache (drawing, then replaying
+// the draws). The paper host does not support balanced affinity, so
+// those levels fail and their states fall back to MeasureFull (an error
+// wherever the host gets work); 96 host threads oversubscribe its cores.
+func TestMeasureTableFollowsModelMutations(t *testing.T) {
 	w := GenomeWorkload(dna.Human)
 	schema := tableSchema(t)
-	p := NewPlatform()
-	mt := p.NewMeasureTable(w, schema)
-	d := mt.NewDraws()
-	for pass := 0; pass < 2; pass++ {
-		for ord := 0; ord < schema.Size(); ord++ {
-			lv := mt.levelsOf(ord)
-			cfg, err := schema.Config(lv[:])
-			if err != nil {
-				t.Fatal(err)
+	for _, mut := range []struct {
+		name  string
+		apply func(c *perf.Calibration)
+	}{
+		{"none", func(*perf.Calibration) {}},
+		{"noise-seed", func(c *perf.Calibration) { c.NoiseSeed++ }},
+		{"host-compact-bonus", func(c *perf.Calibration) { c.HostCompactBonus = 1.2 }},
+		{"device-smt-gain-slice", func(c *perf.Calibration) { c.DeviceSMTGain = []float64{1, 1.5, 1.9, 2.1} }},
+		{"host-core-rate", func(c *perf.Calibration) { c.HostCoreRateMBs *= 1.5 }},
+		{"bytes-per-byte", func(c *perf.Calibration) { c.BytesPerByte = 4 }},
+		{"live-constants", func(c *perf.Calibration) {
+			c.HostSetupSec, c.NoiseStdHost, c.DeviceIdleW, c.NoiseStdDevicePower = 0.5, 0, 80, 0.2
+		}},
+	} {
+		t.Run(mut.name, func(t *testing.T) {
+			cal := perf.DefaultCalibration()
+			mut.apply(&cal)
+			p := NewPlatformWithModel(perf.NewModel(machine.XeonE5Host(), machine.XeonPhi7120P(), cal))
+			mt := p.NewMeasureTable(w, schema)
+			d := mt.NewDraws()
+			for pass := 0; pass < 2; pass++ {
+				for ord := 0; ord < schema.Size(); ord++ {
+					lv := mt.levelsOf(ord)
+					cfg, err := schema.Config(lv[:])
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, wantErr := p.MeasureFull(w, cfg)
+					got, err := mt.MeasureLevels(lv, d)
+					if !sameMeasurement(got, err, want, wantErr) {
+						t.Fatalf("%v pass %d through the draw cache: %+v (%v), MeasureFull %+v (%v)", cfg, pass, got, err, want, wantErr)
+					}
+					served := cfg.HostAffinity != machine.AffinityBalanced
+					if _, ok := mt.MeasureLevelsByTable(lv, d); ok != served {
+						t.Fatalf("%v pass %d through the draw cache: served by the table = %v, want %v", cfg, pass, ok, served)
+					}
+				}
 			}
-			want, wantErr := p.MeasureFull(w, cfg)
-			got, err := mt.MeasureLevels(lv, d)
-			if !sameMeasurement(got, err, want, wantErr) {
-				t.Fatalf("%v pass %d through the draw cache: %+v (%v), MeasureFull %+v (%v)", cfg, pass, got, err, want, wantErr)
-			}
-			served := cfg.HostAffinity != machine.AffinityBalanced
-			if _, ok := mt.MeasureLevelsByTable(lv, d); ok != served {
-				t.Fatalf("%v pass %d through the draw cache: served by the table = %v, want %v", cfg, pass, ok, served)
-			}
-		}
+		})
 	}
 }
 
