@@ -91,7 +91,7 @@ func TestDefsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs benchmarks")
 	}
-	cheap := map[string]bool{"store-key": true, "measure-full": true, "cache-evaluate-hit": true, "memo-scattered-hit": true}
+	cheap := map[string]bool{"store-key": true, "measure-full": true, "cache-evaluate-hit": true, "memo-scattered-hit": true, "memo-direct-scattered-hit": true}
 	var defs []Def
 	for _, d := range Defs() {
 		if cheap[d.Name] {
@@ -111,7 +111,7 @@ func TestDefsRun(t *testing.T) {
 		}
 	}
 	for _, r := range f.Benchmarks {
-		if (r.Name == "cache-evaluate-hit" || r.Name == "memo-scattered-hit") && r.AllocsPerOp != 0 {
+		if (r.Name == "cache-evaluate-hit" || r.Name == "memo-scattered-hit" || r.Name == "memo-direct-scattered-hit") && r.AllocsPerOp != 0 {
 			t.Fatalf("%s allocates: %d allocs/op", r.Name, r.AllocsPerOp)
 		}
 	}
@@ -120,8 +120,8 @@ func TestDefsRun(t *testing.T) {
 func TestDefNamesAreStable(t *testing.T) {
 	want := []string{"em-enumeration", "sam-multichain", "measure-full",
 		"predictor-evaluate-hit", "cache-evaluate-hit", "store-key", "model-training",
-		"strategy-step-shared", "cold-divisible-job", "memo-scattered-hit", "cold-dag-job",
-		"cold-saml-job"}
+		"strategy-step-shared", "cold-divisible-job-saturated", "memo-scattered-hit", "cold-dag-job",
+		"cold-saml-job-saturated", "memo-direct-scattered-hit", "em-shared-enumeration"}
 	defs := Defs()
 	if len(defs) < len(want) {
 		t.Fatalf("tracked set shrank: %d < %d", len(defs), len(want))

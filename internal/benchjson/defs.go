@@ -32,8 +32,9 @@ import (
 // end-to-end search benches the acceptance gate names (enumeration and
 // multi-chain annealing), the per-evaluation measurement, the two
 // memo-hit paths whose zero-allocation contract the PR introduces, and
-// the serving layer's canonical store key. Names are stable across PRs;
-// add to the set, do not rename.
+// the serving layer's canonical store key. A name keeps one meaning: a
+// rung whose fixture changes what it times takes a new name, and the
+// old one is retired.
 
 // benchState lazily builds the shared fixtures once per process —
 // model training is seconds-scale and must never run inside a timed
@@ -116,13 +117,15 @@ func Defs() []Def {
 		{Name: "forward-warm-hit", Bench: benchForwardWarmHit},
 		{Name: "model-training", Bench: benchModelTraining},
 		{Name: "strategy-step-shared", Bench: benchStrategyStepShared},
-		{Name: "cold-divisible-job", Bench: benchColdDivisibleJob},
+		{Name: "cold-divisible-job-saturated", Bench: benchColdDivisibleJob},
 		{Name: "cold-dag-job", Bench: benchColdDAGJob},
 		{Name: "exact-divisible-proof", Bench: benchExactDivisibleProof},
 		{Name: "exact-divisible-proof-cold", Bench: benchExactDivisibleProofCold},
 		{Name: "exact-energy-proof-cold", Bench: benchExactEnergyProofCold},
 		{Name: "table-measure-levels", Bench: benchTableMeasureLevels},
-		{Name: "cold-saml-job", Bench: benchColdSAMLJob},
+		{Name: "cold-saml-job-saturated", Bench: benchColdSAMLJob},
+		{Name: "memo-direct-scattered-hit", Bench: benchMemoDirectScatteredHit},
+		{Name: "em-shared-enumeration", Bench: benchEMSharedEnumeration},
 	}
 }
 
@@ -248,88 +251,89 @@ func benchStrategyStepShared(b *testing.B) {
 	}
 }
 
-// coldJobServer is the cold-divisible-job fixture: one server with its
-// default models trained, kept across the harness's calls so training
-// never lands in a timed region; coldJobSeed makes every op a new key.
-var (
-	coldJobOnce   sync.Once
-	coldJobServer *serve.Server
-	coldJobErr    error
-	coldJobSeed   atomic.Int64
-)
+// saturatedFixture is the fixture of one saturated cold rung: a
+// server built by saturatedServer once and kept across the harness's
+// calls, so neither training nor saturation lands in a timed region;
+// seed makes every op a new key.
+type saturatedFixture struct {
+	once   sync.Once
+	server *serve.Server
+	err    error
+	seed   atomic.Int64
+}
+
+var coldSAMJobs, coldSAMLJobs saturatedFixture
+
+// saturatedServer returns a pretrained server whose default workload
+// holds every configuration of the paper space: in its shared
+// measurement memo, measured by one EM job, and in its predictor's
+// level table, filled by one EML job. Every op of a cold rung on it
+// then reads the same full (direct) memo and level table, so its B/op
+// does not fall as the harness raises b.N.
+func saturatedServer() (*serve.Server, error) {
+	s := serve.New(serve.Options{Workers: 1, QueueSize: 4})
+	if err := s.Pretrain(); err != nil {
+		return nil, err
+	}
+	for _, body := range []string{`{"method":"em"}`, `{"method":"eml"}`} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs?wait=1", bytes.NewReader([]byte(body))))
+		if rec.Code != http.StatusOK {
+			return nil, fmt.Errorf("saturating job %s: status %d: %s", body, rec.Code, rec.Body)
+		}
+	}
+	return s, nil
+}
 
 // benchColdDivisibleJob is one cold SAM job (1,000 iterations, two
 // restarts, a seed no earlier op used) POSTed with ?wait=1 through
 // serve.Server.ServeHTTP into an httptest.ResponseRecorder: decode,
 // normalize, the store miss, the pool hand-off, the search over the
-// workload's shared measurement memo, and the render — everything of a
-// cold request but the network.
+// workload's saturated shared measurement memo, and the render —
+// everything of a cold request but the network.
 func benchColdDivisibleJob(b *testing.B) {
-	coldJobOnce.Do(func() {
-		coldJobServer = serve.New(serve.Options{Workers: 1, QueueSize: 4})
-		coldJobErr = coldJobServer.Pretrain()
-	})
-	if coldJobErr != nil {
-		b.Fatal(coldJobErr)
-	}
-	var body []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		body = fmt.Appendf(body[:0], `{"method":"sam","iterations":1000,"restarts":2,"seed":%d}`, coldJobSeed.Add(1))
-		rec := httptest.NewRecorder()
-		coldJobServer.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs?wait=1", bytes.NewReader(body)))
-		if rec.Code != http.StatusOK {
-			b.Fatalf("cold job: status %d: %s", rec.Code, rec.Body)
-		}
-	}
+	coldSAMJobs.run(b, `{"method":"sam","iterations":1000,"restarts":2,"seed":%d}`)
 }
 
-// coldSAMLServer is the cold-saml-job fixture: a pretrained server
-// kept across the harness's calls like coldJobServer; coldSAMLSeed
-// makes every op a new key.
-var (
-	coldSAMLOnce   sync.Once
-	coldSAMLServer *serve.Server
-	coldSAMLErr    error
-	coldSAMLSeed   atomic.Int64
-)
-
-// benchColdSAMLJob is cold-divisible-job with "method":"saml": the same
-// cold job (1,000 iterations, two restarts, a seed no earlier op used)
-// searching on the workload's predictor instead of its measurements,
-// then measuring the suggested configuration through the shared memo.
+// benchColdSAMLJob is cold-divisible-job-saturated with
+// "method":"saml": the same cold job searching on the workload's
+// predictor instead of its measurements, then measuring the suggested
+// configuration through the saturated shared memo.
 func benchColdSAMLJob(b *testing.B) {
-	coldSAMLOnce.Do(func() {
-		coldSAMLServer = serve.New(serve.Options{Workers: 1, QueueSize: 4})
-		coldSAMLErr = coldSAMLServer.Pretrain()
-	})
-	if coldSAMLErr != nil {
-		b.Fatal(coldSAMLErr)
+	coldSAMLJobs.run(b, `{"method":"saml","iterations":1000,"restarts":2,"seed":%d}`)
+}
+
+// run times cold jobs on f's server, each the request body format
+// with a new seed.
+func (f *saturatedFixture) run(b *testing.B, format string) {
+	f.once.Do(func() { f.server, f.err = saturatedServer() })
+	if f.err != nil {
+		b.Fatal(f.err)
 	}
 	var body []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		body = fmt.Appendf(body[:0], `{"method":"saml","iterations":1000,"restarts":2,"seed":%d}`, coldSAMLSeed.Add(1))
+		body = fmt.Appendf(body[:0], format, f.seed.Add(1))
 		rec := httptest.NewRecorder()
-		coldSAMLServer.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs?wait=1", bytes.NewReader(body)))
+		f.server.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs?wait=1", bytes.NewReader(body)))
 		if rec.Code != http.StatusOK {
-			b.Fatalf("cold SAML job: status %d: %s", rec.Code, rec.Body)
+			b.Fatalf("cold job %s: status %d: %s", body, rec.Code, rec.Body)
 		}
 	}
 }
 
 // coldDAGServer is the cold-dag-job fixture, kept across the harness's
-// calls like coldJobServer; a DAG job trains nothing, so it needs no
-// pretraining. coldDAGSeed makes every op a new key.
+// calls like a saturatedFixture's server. A placement measures through
+// no memo, so there is none to saturate, and a DAG job trains nothing,
+// so it needs no pretraining. coldDAGSeed makes every op a new key.
 var (
 	coldDAGOnce   sync.Once
 	coldDAGServer *serve.Server
 	coldDAGSeed   atomic.Int64
 )
 
-// benchColdDAGJob is cold-divisible-job for a task graph: one cold SAM
+// benchColdDAGJob is cold-divisible-job-saturated for a task graph: one cold SAM
 // placement of dag:resnet-ish on the paper platform (1,000 iterations,
 // two restarts, a seed no earlier op used) POSTed with ?wait=1 through
 // serve.Server.ServeHTTP — decode, normalize, the store miss, the pool
@@ -650,10 +654,28 @@ func benchCacheEvaluateHit(b *testing.B) {
 // way serve's jobs hit it: a 16-shard Memo[int32, Measurement] holding
 // every ordinal of the paper space, read along a fixed pseudo-random
 // permutation so each Get lands on a cold slot. cache-evaluate-hit
-// hits one key in L1 and hides that cache-miss cost.
+// hits one key in L1 and hides that cache-miss cost. The memo is
+// unbounded, so its shards stay hash tables and the rung keeps its
+// meaning; memo-direct-scattered-hit reads the direct tables serve's
+// full memos turn into.
 func benchMemoScatteredHit(b *testing.B) {
+	benchScatteredHit(b, 0)
+}
+
+// benchMemoDirectScatteredHit is memo-scattered-hit on a memo built as
+// core.NewSharedMeasurements builds it, bounded by the schema's size:
+// full, every shard is a direct table, so a hit indexes its slot
+// without probing.
+func benchMemoDirectScatteredHit(b *testing.B) {
+	benchScatteredHit(b, space.PaperSchema().Size())
+}
+
+// benchScatteredHit fills a 16-shard ordinal memo, bounded by bound
+// (0 for none), with every paper-space ordinal and times Gets along a
+// fixed pseudo-random permutation of them.
+func benchScatteredHit(b *testing.B, bound int) {
 	n := space.PaperSchema().Size()
-	memo := search.NewShardedMemo[int32, offload.Measurement](16, func(ord int32) uint64 { return uint64(uint32(ord)) })
+	memo := search.NewBoundedMemo[int32, offload.Measurement](16, bound, func(ord int32) uint64 { return uint64(uint32(ord)) })
 	for ord := int32(0); ord < int32(n); ord++ {
 		if _, err := memo.Do(ord, func() (offload.Measurement, error) {
 			return offload.Measurement{Times: offload.Times{Host: float64(ord)}}, nil
@@ -668,6 +690,37 @@ func benchMemoScatteredHit(b *testing.B) {
 		ord := int32(perm[i%n])
 		if m, ok, _ := memo.Get(ord); !ok || m.Times.Host != float64(ord) {
 			b.Fatal("scattered memo hit missed")
+		}
+	}
+}
+
+// benchEMSharedEnumeration is one sequential EM run over a saturated
+// core.SharedMeasurements of the fixture workload: every one of the
+// 19,926 lookups is a hit, read in ordinal order through a fresh view
+// that charges each configuration once. This is the layer the EM and
+// EML jobs of cold-tune's tail are made of, where em-enumeration
+// measures every configuration through a raw Measurer.
+func benchEMSharedEnumeration(b *testing.B) {
+	s := fixtures(b)
+	shared, err := core.NewSharedMeasurements(s.platform, s.workload, s.schema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := core.Options{Parallelism: 1}
+	inst := shared.Instance()
+	if _, err := core.Run(core.EM, &inst, opt); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inst := shared.Instance()
+		res, err := core.Run(core.EM, &inst, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.SearchEvaluations != 19926 || shared.Unique() != 19926 {
+			b.Fatal("enumeration incomplete or missed the saturated memo")
 		}
 	}
 }

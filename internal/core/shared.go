@@ -21,10 +21,14 @@ import (
 // functions of the configuration, so sharing changes no value, only
 // how often the experiment physically runs.
 //
-// The memo is keyed by configuration ordinal and stays a sharded hash
-// table: its inline slots (40 bytes each, no pointers) grow with the
-// configurations some run visited, where a flat table per workload
-// would hold the whole space.
+// The memo is keyed by configuration ordinal and sharded 16 ways. A
+// shard starts as a hash table of inline slots (40 bytes each, no
+// pointers) that grows with the configurations some run visited, so a
+// sparsely visited workload holds no flat table of its whole space.
+// Once a shard would double to at least its share of the schema,
+// ceil(Size/16) slots, it turns into a direct table of exactly that
+// share, indexed by ordinal: never larger than the doubling it
+// replaced, and a hit on it never probes.
 type SharedMeasurements struct {
 	platform *offload.Platform
 	workload offload.Workload
@@ -46,13 +50,14 @@ func NewSharedMeasurements(p *offload.Platform, w offload.Workload, schema *spac
 		workload: w,
 		schema:   schema,
 		table:    p.NewMeasureTable(w, schema),
-		memo:     search.NewShardedMemo[int32, offload.Measurement](16, hashOrdinal),
+		memo:     search.NewBoundedMemo[int32, offload.Measurement](16, schema.Size(), hashOrdinal),
 	}, nil
 }
 
 // hashOrdinal is the memo's hash: its low bits put consecutive
-// ordinals on consecutive shards, and the memo's multiplicative probe
-// spreads each shard's ordinals over its slots.
+// ordinals on consecutive shards, the memo's multiplicative probe
+// spreads each shard's ordinals over a hash table's slots, and as the
+// identity on [0, Size) it indexes a direct table.
 func hashOrdinal(ord int32) uint64 { return uint64(uint32(ord)) }
 
 // view returns an evaluator that funnels m's measurements through the

@@ -23,13 +23,17 @@ type memoSlot[K comparable, V any] struct {
 	val   V
 }
 
-// memoTable is one open-addressed, linear-probing table of a power-of-
-// two number of slots. Once a shard replaces it with a larger table it
-// is never written again, so a reader still holding it sees a
-// consistent snapshot.
+// memoTable is one table of a shard: open-addressed and linear-probing
+// over a power-of-two number of slots, or direct (see Memo). Once a
+// shard replaces it with a larger or direct table it is never written
+// again, so a reader still holding it sees a consistent snapshot.
 type memoTable[K comparable, V any] struct {
 	slots []memoSlot[K, V]
-	shift uint // 64 - log2(len(slots))
+	// home(h) is (h*mul)>>shift: Fibonacci hashing with shift =
+	// 64 - log2(len(slots)), or, for a direct table, mul 1 and shift
+	// the memo's shard bits, so the probe takes no branch on the kind.
+	mul   uint64
+	shift uint
 }
 
 // minMemoSlots is the size of a shard's first table.
@@ -40,8 +44,12 @@ func newMemoTable[K comparable, V any](n int) *memoTable[K, V] {
 	for s := 1; s < n; s <<= 1 {
 		shift--
 	}
-	return &memoTable[K, V]{slots: make([]memoSlot[K, V], n), shift: shift}
+	return &memoTable[K, V]{slots: make([]memoSlot[K, V], n), mul: 0x9E3779B97F4A7C15, shift: shift}
 }
+
+// direct reports whether t is a direct table: each key has its own
+// slot, so it never probes past home and never grows.
+func (t *memoTable[K, V]) direct() bool { return t.mul == 1 }
 
 // find returns key's published slot and its state, or memoEmpty when
 // the table holds no such key. The slot's key and value are read only
@@ -57,10 +65,12 @@ func (t *memoTable[K, V]) find(key K, h uint64) (*memoSlot[K, V], uint32) {
 	}
 }
 
-// home is the first slot probed for hash h: Fibonacci hashing takes the
-// product's top bits, so even an identity hash spreads over the table.
+// home is the first slot probed for hash h. In a hash table Fibonacci
+// hashing takes the product's top bits, so even an identity hash
+// spreads over the table; in a direct table it is h's index within its
+// shard.
 func (t *memoTable[K, V]) home(h uint64) uint64 {
-	return (h * 0x9E3779B97F4A7C15) >> t.shift
+	return (h * t.mul) >> t.shift
 }
 
 // put stores a key known to be absent. The key and value are written
@@ -105,16 +115,23 @@ func (s *memoShard[K, V]) get(key K, h uint64) (v V, ok bool, err error) {
 	return sl.val, true, err
 }
 
-// insert publishes key's result, first doubling the table when it
-// would pass 3/4 load. Callers hold mu.
-func (s *memoShard[K, V]) insert(key K, h uint64, val V, err error, hash func(K) uint64) {
+// insert publishes key's result in shard s, first replacing s's hash
+// table when it would pass 3/4 load: by its doubling, or by a direct
+// table when the doubling would hold at least m.direct slots. Callers
+// hold s.mu.
+func (m *Memo[K, V]) insert(s *memoShard[K, V], key K, h uint64, val V, err error) {
 	t := s.table.Load()
-	if 4*(s.used+1) > 3*len(t.slots) {
-		grown := newMemoTable[K, V](2 * len(t.slots))
+	if !t.direct() && 4*(s.used+1) > 3*len(t.slots) {
+		var grown *memoTable[K, V]
+		if n := 2 * len(t.slots); m.direct > 0 && n >= m.direct {
+			grown = &memoTable[K, V]{slots: make([]memoSlot[K, V], m.direct), mul: 1, shift: m.shardBits}
+		} else {
+			grown = newMemoTable[K, V](n)
+		}
 		for i := range t.slots {
 			sl := &t.slots[i]
 			if st := sl.state.Load(); st != memoEmpty {
-				grown.put(sl.key, hash(sl.key), sl.val, st)
+				grown.put(sl.key, m.hash(sl.key), sl.val, st)
 			}
 		}
 		s.table.Store(grown)
@@ -143,12 +160,25 @@ func (s *memoShard[K, V]) insert(key K, h uint64, val V, err error, hash func(K)
 // first calls of one key may each compute it, and Unique counts
 // published keys, not computations. Errors live in a per-shard side
 // map, so a table of pointer-free keys and values holds no pointers. A
-// computation that panics publishes nothing. The zero value is not
-// usable; construct with NewMemo or NewShardedMemo.
+// computation that panics publishes nothing.
+//
+// A memo built with NewBoundedMemo knows its keys hash one-to-one onto
+// the ordinals [0, n). When a shard's table would double to at least
+// its share of them, ceil(n/shards) slots, the shard moves its entries
+// into a direct table of exactly that share instead, indexed by the
+// hash's bits above the shard bits. A direct table holds every key the
+// shard can receive, so it never probes, rehashes or grows again, and
+// it is never larger than the doubling it replaced. A memo that stays
+// sparse never reaches the switch and keeps its hash tables.
+//
+// The zero value is not usable; construct with NewMemo, NewShardedMemo
+// or NewBoundedMemo.
 type Memo[K comparable, V any] struct {
-	shards []memoShard[K, V]
-	mask   uint64
-	hash   func(K) uint64
+	shards    []memoShard[K, V]
+	mask      uint64
+	shardBits uint // log2(len(shards))
+	direct    int  // slots of a shard's direct table; 0 when unbounded
+	hash      func(K) uint64
 }
 
 // NewMemo returns an empty single-shard memo table probing by hash.
@@ -161,14 +191,26 @@ func NewMemo[K comparable, V any](hash func(K) uint64) *Memo[K, V] {
 // hash's low bits and probing by the whole hash. Sharding never changes
 // results, only which mutex a key contends on. It panics on a nil hash.
 func NewShardedMemo[K comparable, V any](shards int, hash func(K) uint64) *Memo[K, V] {
+	return NewBoundedMemo[K, V](shards, 0, hash)
+}
+
+// NewBoundedMemo is NewShardedMemo for keys whose hash is a bijection
+// onto the ordinals [0, n): a shard that fills up turns its table
+// direct (see Memo). A direct table has no slot for a key hashing
+// anywhere else. n <= 0 leaves the memo unbounded.
+func NewBoundedMemo[K comparable, V any](shards, n int, hash func(K) uint64) *Memo[K, V] {
 	if hash == nil {
 		panic("search: memo needs a hash function")
 	}
-	n := 1
-	for n < shards {
-		n <<= 1
+	m := &Memo[K, V]{hash: hash}
+	for 1<<m.shardBits < shards {
+		m.shardBits++
 	}
-	m := &Memo[K, V]{shards: make([]memoShard[K, V], n), mask: uint64(n - 1), hash: hash}
+	m.shards = make([]memoShard[K, V], 1<<m.shardBits)
+	m.mask = uint64(len(m.shards) - 1)
+	if n > 0 {
+		m.direct = (n + len(m.shards) - 1) >> m.shardBits
+	}
 	for i := range m.shards {
 		m.shards[i].table.Store(newMemoTable[K, V](minMemoSlots))
 	}
@@ -188,7 +230,7 @@ func (m *Memo[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 	v, err := fn()
 	s.mu.Lock()
 	if _, st := s.table.Load().find(key, h); st == memoEmpty {
-		s.insert(key, h, v, err, m.hash)
+		m.insert(s, key, h, v, err)
 		s.unique.Add(1)
 	}
 	s.mu.Unlock()

@@ -2,6 +2,8 @@ package search
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -222,6 +224,7 @@ func TestMemoRejectsNilHash(t *testing.T) {
 	for name, build := range map[string]func(){
 		"NewMemo":        func() { NewMemo[int, int](nil) },
 		"NewShardedMemo": func() { NewShardedMemo[int, int](16, nil) },
+		"NewBoundedMemo": func() { NewBoundedMemo[int, int](16, 100, nil) },
 	} {
 		func() {
 			defer func() {
@@ -256,6 +259,28 @@ func TestMemoHitZeroAllocs(t *testing.T) {
 		t.Fatalf("ordinal memo hit allocates %g allocs/op, want 0", allocs)
 	}
 
+	direct := NewBoundedMemo[int32, offload.Measurement](16, 1000, hashInt32)
+	for k := int32(0); k < 1000; k++ {
+		if _, err := direct.Do(k, func() (offload.Measurement, error) {
+			return offload.Measurement{Times: offload.Times{Host: float64(k)}}, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range direct.shards {
+		if !direct.shards[i].table.Load().direct() {
+			t.Fatalf("shard %d of a full bounded memo is not direct", i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		k = (k + 397) % 1000
+		if v, ok, _ := direct.Get(k); !ok || v.Times.Host != float64(k) {
+			t.Fatalf("direct Get(%d) = %v, %v", k, v, ok)
+		}
+	}); allocs != 0 {
+		t.Fatalf("direct memo hit allocates %g allocs/op, want 0", allocs)
+	}
+
 	cfgs := NewShardedMemo[space.Config, offload.Measurement](16, HashConfig)
 	cfg := space.Config{HostThreads: 48, DeviceThreads: 240, HostFraction: 60}
 	if _, err := cfgs.Do(cfg, func() (offload.Measurement, error) { return offload.Measurement{}, nil }); err != nil {
@@ -267,5 +292,148 @@ func TestMemoHitZeroAllocs(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("configuration memo hit allocates %g allocs/op, want 0", allocs)
+	}
+}
+
+// ordinalValue is the value the bounded-memo tests compute for key k,
+// failing with its own error on every 13th key.
+func ordinalValue(k int, errs []error) (int, error) {
+	return 5*k + 3, errs[k]
+}
+
+// ordinalErrors returns one distinct error for every 13th of n keys.
+func ordinalErrors(n int) []error {
+	errs := make([]error, n)
+	for k := 0; k < n; k += 13 {
+		errs[k] = fmt.Errorf("key %d failed", k)
+	}
+	return errs
+}
+
+// TestBoundedMemoTurnsDirect fills bounded memos past the switch, in
+// ordinal order and in random order with repeats, beside an unbounded
+// memo given the same calls. Every shard ends direct with exactly
+// ceil(n/shards) slots, never more than the doubling it replaced; the
+// accounting matches the unbounded memo's after every call; and every
+// value and error replays afterwards through Do and Get.
+func TestBoundedMemoTurnsDirect(t *testing.T) {
+	for _, tc := range []struct{ n, shards int }{{19926, 16}, {999, 4}, {37, 1}} {
+		perm := rand.New(rand.NewSource(int64(tc.n))).Perm(tc.n)
+		orders := map[string][]int{"ordinal": make([]int, tc.n), "random": nil}
+		for k := range orders["ordinal"] {
+			orders["ordinal"][k] = k
+		}
+		for _, k := range perm {
+			orders["random"] = append(orders["random"], k, perm[k%len(perm)])
+		}
+		for name, keys := range orders {
+			t.Run(fmt.Sprintf("n%d/%s", tc.n, name), func(t *testing.T) {
+				testBoundedMemoTurnsDirect(t, tc.n, tc.shards, keys)
+			})
+		}
+	}
+}
+
+func testBoundedMemoTurnsDirect(t *testing.T, n, shards int, keys []int) {
+	errs := ordinalErrors(n)
+	bounded := NewBoundedMemo[int, int](shards, n, hashInt)
+	plain := NewShardedMemo[int, int](shards, hashInt)
+	share := (n + shards - 1) / shards
+	// replaced[i] is the size of shard i's last hash table.
+	replaced := make([]int, shards)
+	for i, k := range keys {
+		fn := func() (int, error) { return ordinalValue(k, errs) }
+		bv, berr := bounded.Do(k, fn)
+		pv, perr := plain.Do(k, fn)
+		if bv != pv || berr != perr {
+			t.Fatalf("call %d Do(%d): bounded %d, %v; unbounded %d, %v", i, k, bv, berr, pv, perr)
+		}
+		if bounded.Lookups() != plain.Lookups() || bounded.Unique() != plain.Unique() || bounded.Hits() != plain.Hits() {
+			t.Fatalf("call %d: bounded %d/%d/%d, unbounded %d/%d/%d", i,
+				bounded.Lookups(), bounded.Unique(), bounded.Hits(), plain.Lookups(), plain.Unique(), plain.Hits())
+		}
+		s := &bounded.shards[uint64(k)&bounded.mask]
+		if tab := s.table.Load(); !tab.direct() {
+			replaced[uint64(k)&bounded.mask] = len(tab.slots)
+		}
+	}
+	for i := range bounded.shards {
+		tab := bounded.shards[i].table.Load()
+		if !tab.direct() || len(tab.slots) != share {
+			t.Fatalf("shard %d: direct %v with %d slots, want direct with %d", i, tab.direct(), len(tab.slots), share)
+		}
+		if len(tab.slots) > 2*replaced[i] {
+			t.Fatalf("shard %d: direct table of %d slots outgrows the doubling of its %d-slot hash table", i, len(tab.slots), replaced[i])
+		}
+	}
+	for k := 0; k < n; k++ {
+		wv, werr := ordinalValue(k, errs)
+		if v, err := bounded.Do(k, func() (int, error) { t.Fatalf("recomputed key %d", k); return 0, nil }); v != wv || err != werr {
+			t.Fatalf("Do(%d) after the switch = %d, %v; want %d, %v", k, v, err, wv, werr)
+		}
+		if v, ok, err := bounded.Get(k); !ok || v != wv || err != werr {
+			t.Fatalf("Get(%d) after the switch = %d, %v, %v; want %d, %v", k, v, ok, err, wv, werr)
+		}
+	}
+}
+
+// TestMemoRacingDirectSwitch: eight goroutines call Do on overlapping
+// ordinals while every shard of a bounded memo moves from its hash
+// tables to its direct table. Every call returns what a serial run of
+// the same memo returns, every key is published once, and every call is
+// one lookup. Run under -race, this exercises publication into a direct
+// table and lock-free reads of the hash table it replaced.
+func TestMemoRacingDirectSwitch(t *testing.T) {
+	const n, goroutines = 4000, 8
+	errs := ordinalErrors(n)
+	serial := NewBoundedMemo[int, int](16, n, hashInt)
+	want := make([]struct {
+		v   int
+		err error
+	}, n)
+	for k := range want {
+		want[k].v, want[k].err = serial.Do(k, func() (int, error) { return ordinalValue(k, errs) })
+	}
+	m := NewBoundedMemo[int, int](16, n, hashInt)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			defer wg.Done()
+			<-start
+			// Goroutines 2j and 2j+1 walk half the ordinals in step
+			// from j*n/4 on, so each pair races first calls on one key
+			// while the pairs publish beside each other into the same
+			// shards, and every key is visited by four goroutines.
+			for i := 0; i < n/2; i++ {
+				k := (i + g/2*n/4) % n
+				v, err := m.Do(k, func() (int, error) {
+					if k%3 == 0 {
+						runtime.Gosched() // widen the race window
+					}
+					return ordinalValue(k, errs)
+				})
+				if v != want[k].v || err != want[k].err {
+					t.Errorf("Do(%d) = %d, %v; serial run %d, %v", k, v, err, want[k].v, want[k].err)
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if m.Unique() != n || m.Lookups() != goroutines*n/2 {
+		t.Fatalf("accounting %d lookups / %d unique, want %d / %d", m.Lookups(), m.Unique(), goroutines*n/2, n)
+	}
+	for k := range want {
+		if v, ok, err := m.Get(k); !ok || v != want[k].v || err != want[k].err {
+			t.Fatalf("Get(%d) = %d, %v, %v; serial run %d, %v", k, v, ok, err, want[k].v, want[k].err)
+		}
+	}
+	for i := range m.shards {
+		if !m.shards[i].table.Load().direct() {
+			t.Fatalf("shard %d never turned direct", i)
+		}
 	}
 }
